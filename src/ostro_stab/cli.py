@@ -19,7 +19,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,39 +35,10 @@ INTERNAL_EXIT = 1
 
 _TOLERANCES = {
     "collision_check": reduced.COLLISION_TOL,
-    "xi_root": 1e-12,
+    "xi_root": dispersion.XI_ROOT_TOL,
     "pairing": hill.PAIRING_TOL,
     "omega_origin": dispersion.OMEGA_ORIGIN_TOL,
 }
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one command plus the shared flag set."""
-
-    command: str
-    beta: float | None = None
-    gamma: float | None = None
-    k: float | None = None
-    a: float | None = None
-    n: int | None = None
-    m: int | None = None
-    xi: float | None = None
-    dn_max: int = 4
-    n_range: int = 6
-    N: int = 32
-    xi_grid: int = 512
-    format: str = "json"
-    out: str | None = None
-    opposite_krein: bool = False
-    which: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(**{k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__})
-
-    def inputs(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -145,7 +116,7 @@ def _params(args) -> stokes.PhysicalParams:
 
 def _truncation(args) -> hill.TruncationConfig:
     return hill.TruncationConfig(
-        N=args.N, xi_grid=tuple(np.linspace(1.0 / 1024, 0.5, args.xi_grid))
+        N=args.N, xi_grid=tuple(hill.default_xi_grid(args.xi_grid))
     )
 
 
@@ -153,6 +124,7 @@ def _truncation(args) -> hill.TruncationConfig:
 # command handlers: each returns (results dict, csv rows or None)
 
 def _cmd_wave(args):
+    """Stokes expansion coefficients and residual"""
     wave = stokes.stokes_coefficients(_params(args))
     results = {
         "c0": wave.c0, "A2": wave.A2, "A3": wave.A3,
@@ -166,6 +138,7 @@ def _cmd_wave(args):
 
 
 def _cmd_dispersion(args):
+    """Bloch frequencies and Krein signatures at one xi"""
     params = _params(args)
     _require(args, "xi")
     c0 = stokes.phase_speed_c0(params)
@@ -183,6 +156,7 @@ def _cmd_dispersion(args):
 
 
 def _cmd_collisions(args):
+    """colliding mode pairs and origin collisions"""
     _require(args, "beta", "gamma")
     pairs = dispersion.enumerate_collision_pairs(args.beta, args.dn_max, args.n_range)
     if args.opposite_krein:
@@ -199,6 +173,7 @@ def _cmd_collisions(args):
 
 
 def _cmd_krein(args):
+    """resolved collisions of one pair with signatures"""
     params = _params(args)
     _require(args, "n", "m")
     c0 = stokes.phase_speed_c0(params)
@@ -218,6 +193,7 @@ def _cmd_krein(args):
 
 
 def _cmd_reduced(args):
+    """2x2 reduced pencil, discriminant, growth rate"""
     params = _params(args)
     _require(args, "n", "m", "a")
     wave = stokes.stokes_coefficients(params)
@@ -255,6 +231,7 @@ def _cmd_reduced(args):
 
 
 def _cmd_spectrum(args):
+    """truncated-Fourier spectrum slice or xi sweep"""
     params = _params(args)
     _require(args, "a")
     wave = stokes.stokes_coefficients(params)
@@ -278,20 +255,18 @@ def _cmd_spectrum(args):
 
 
 def _cmd_threshold(args):
+    """instability threshold wavenumber (beta > 0)"""
     _require(args, "beta", "gamma")
     k_min = reduced.instability_threshold_dn1(args.beta, args.gamma)
     return {"k_min": k_min}, [("k_min",), (_fmt(k_min),)]
 
 
-_FIGURES = ("K_curves", "collision_ranges", "collision_contour")
-
-
 def _cmd_figures(args):
-    if args.which not in _FIGURES:
-        raise UsageError(f"--which must be one of {', '.join(_FIGURES)}")
+    """CSV data for the kernel/collision figures"""
+    _require(args, "which")
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    files = emit_figure_data(args.which, args, outdir)
+    files = _FIGURES[args.which](args, outdir)
     return {"files": [str(f) for f in files]}, None
 
 
@@ -314,26 +289,12 @@ def _write_csv(path: Path, comment: str, header, rows) -> None:
             writer.writerow(row)
 
 
-def emit_figure_data(which: str, args, outdir: Path) -> list[Path]:
-    """Write plot-ready CSV files; singular points become blank rows."""
-    if which == "K_curves":
-        return _emit_k_curves(args, outdir)
-    if which == "collision_ranges":
-        return _emit_collision_ranges(args, outdir)
-    if which == "collision_contour":
-        return _emit_collision_contour(args, outdir)
-    raise UsageError(f"unknown figure {which!r}")
-
-
 def _emit_k_curves(args, outdir: Path) -> list[Path]:
     files = []
     for dn in (1, 2, 3, 4):
-        rows = []
-        for x in np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0:
-            try:
-                rows.append((_fmt(float(x)), _fmt(dispersion.collision_K(float(x), dn))))
-            except DomainError:
-                rows.append(())
+        xs = np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
+        rows = [(_fmt(x), _fmt(K)) if not math.isnan(K) else ()
+                for x, K in zip(xs.tolist(), dispersion.collision_K(xs, dn).tolist())]
         path = outdir / f"k_curves_dn{dn}.csv"
         _write_csv(path, _csv_comment(args), ("x", "K"), rows)
         files.append(path)
@@ -343,23 +304,13 @@ def _emit_k_curves(args, outdir: Path) -> list[Path]:
 def _emit_collision_ranges(args, outdir: Path) -> list[Path]:
     _require(args, "beta", "gamma", "n", "m")
     n, m = min(args.n, args.m), max(args.n, args.m)
-    dn = m - n
-    rows = []
-    for j in range(-1023, 1025):
-        if j == 0:
-            rows.append(())
-            continue
-        xi = j / 2048.0
-        x = n + xi
-        try:
-            k4 = (args.gamma * dn / args.beta) * dispersion.collision_K(x, dn)
-        except DomainError:
-            rows.append(())
-            continue
-        if k4 > 0:
-            rows.append((_fmt(x), _fmt(k4**0.25)))
-        else:
-            rows.append(())
+    xi = np.arange(-1023, 1025) / 2048.0
+    x = n + xi
+    # xi = 0 is left out of the Floquet family: a blank row
+    k4 = np.where(xi == 0, np.nan,
+                  dispersion._collision_k4(args.beta, args.gamma, x, m - n))
+    rows = [(_fmt(xj), _fmt(k4j**0.25)) if k4j > 0 else ()
+            for xj, k4j in zip(x.tolist(), k4.tolist())]
     path = outdir / f"collision_ranges_n{n}_m{m}.csv"
     _write_csv(path, _csv_comment(args), ("x", "k"), rows)
     return [path]
@@ -370,12 +321,20 @@ def _emit_collision_contour(args, outdir: Path) -> list[Path]:
     if args.beta <= 0:
         raise DomainError("collision contour requires beta > 0")
     rows = []
-    for xi in np.linspace(1.0 / 1024, 0.5, args.xi_grid):
+    for xi in hill.default_xi_grid(args.xi_grid):
         k = dispersion.collision_wavenumber(args.beta, args.gamma, -1, 0, float(xi))
         rows.append((_fmt(float(xi)), _fmt(k)) if k is not None else ())
     path = outdir / "collision_contour.csv"
     _write_csv(path, _csv_comment(args), ("xi", "k"), rows)
     return [path]
+
+
+# plot-ready CSV files by --which name; singular points become blank rows
+_FIGURES = {
+    "K_curves": _emit_k_curves,
+    "collision_ranges": _emit_collision_ranges,
+    "collision_contour": _emit_collision_contour,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -405,66 +364,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral stability of small-amplitude periodic "
                     "Ostrovsky waves: wave construction, collision and "
                     "Krein analysis, reduced pencils, Hill spectra.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12}{handler.__doc__}" for name, handler in _HANDLERS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("wave", "Stokes expansion coefficients and residual"),
-        ("dispersion", "Bloch frequencies and Krein signatures at one xi"),
-        ("collisions", "colliding mode pairs and origin collisions"),
-        ("krein", "resolved collisions of one pair with signatures"),
-        ("reduced", "2x2 reduced pencil, discriminant, growth rate"),
-        ("spectrum", "truncated-Fourier spectrum slice or xi sweep"),
-        ("threshold", "instability threshold wavenumber (beta > 0)"),
-        ("figures", "CSV data for the kernel/collision figures"),
-    ):
-        p = sub.add_parser(name, parents=[_common_flags()], help=help_text)
-        p.error = parser.error  # type: ignore[method-assign]
+    parser.add_argument("command", choices=_HANDLERS,
+                        help="analysis stage to run (see below)")
+    parser.add_argument("--beta", type=float, help="dispersion coefficient (nonzero)")
+    parser.add_argument("--gamma", type=float, help="rotation coefficient (> 0)")
+    parser.add_argument("--k", type=float, help="carrier wavenumber (> 0)")
+    parser.add_argument("--a", type=float, help="wave amplitude")
+    parser.add_argument("--n", type=int, help="first mode index")
+    parser.add_argument("--m", type=int, help="second mode index")
+    parser.add_argument("--xi", type=float, help="Floquet exponent in (0, 1/2]")
+    parser.add_argument("--dn-max", dest="dn_max", type=int, default=4,
+                        help="largest mode separation (default 4)")
+    parser.add_argument("--n-range", dest="n_range", type=int, default=6,
+                        help="mode index window |n| <= n_range (default 6)")
+    parser.add_argument("--N", type=int, default=32,
+                        help="Fourier truncation, modes -N..N (default 32)")
+    parser.add_argument("--xi-grid", dest="xi_grid", type=int, default=512,
+                        help="number of xi sweep points (default 512)")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", help="output file (figures: output directory)")
+    parser.add_argument("--opposite-krein", dest="opposite_krein",
+                        action="store_true",
+                        help="keep only opposite-Krein pairs")
+    # last, so that the echoed inputs keep their key order
+    parser.add_argument("--which", choices=_FIGURES,
+                        help="figure data set to emit (figures command)")
     return parser
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--beta", type=float, help="dispersion coefficient (nonzero)")
-    p.add_argument("--gamma", type=float, help="rotation coefficient (> 0)")
-    p.add_argument("--k", type=float, help="carrier wavenumber (> 0)")
-    p.add_argument("--a", type=float, help="wave amplitude")
-    p.add_argument("--n", type=int, help="first mode index")
-    p.add_argument("--m", type=int, help="second mode index")
-    p.add_argument("--xi", type=float, help="Floquet exponent in (0, 1/2]")
-    p.add_argument("--dn-max", dest="dn_max", type=int, default=4,
-                   help="largest mode separation (default 4)")
-    p.add_argument("--n-range", dest="n_range", type=int, default=6,
-                   help="mode index window |n| <= n_range (default 6)")
-    p.add_argument("--N", type=int, default=32,
-                   help="Fourier truncation, modes -N..N (default 32)")
-    p.add_argument("--xi-grid", dest="xi_grid", type=int, default=512,
-                   help="number of xi sweep points (default 512)")
-    p.add_argument("--which", choices=_FIGURES,
-                   help="figure data set to emit (figures command)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="output file (figures: output directory)")
-    p.add_argument("--opposite-krein", dest="opposite_krein",
-                   action="store_true",
-                   help="keep only opposite-Krein pairs")
-    return p
-
-
-def run(config: RunConfig, args: argparse.Namespace) -> tuple[str, str]:
+def run(args: argparse.Namespace) -> tuple[str, str]:
     """Execute one command; returns (serialized envelope, output path or '')."""
     t0 = time.perf_counter()
-    results, rows = _HANDLERS[config.command](args)
+    results, rows = _HANDLERS[args.command](args)
     wall = time.perf_counter() - t0
     diagnostics = {
-        "N": config.N,
-        "xi_grid": config.xi_grid,
+        "N": args.N,
+        "xi_grid": args.xi_grid,
         "tolerances": dict(_TOLERANCES),
         "wall_time_s": wall,
     }
     envelope = ResultEnvelope(
-        command=config.command, inputs=config.inputs(),
+        command=args.command, inputs=dict(vars(args)),
         results=results, diagnostics=diagnostics,
     )
-    if config.format == "csv" and rows:
+    if args.format == "csv" and rows:
         buf = io.StringIO()
         buf.write(_csv_comment(args) + "\n")
         writer = csv.writer(buf)
@@ -473,7 +420,7 @@ def run(config: RunConfig, args: argparse.Namespace) -> tuple[str, str]:
         payload = buf.getvalue()
     else:
         payload = envelope.to_json()
-    out = config.out if config.command != "figures" else None
+    out = args.out if args.command != "figures" else None
     return payload, out or ""
 
 
@@ -483,12 +430,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig.from_args(args)
     try:
-        payload, out = run(config, args)
+        payload, out = run(args)
     except UsageError as exc:
         print(f"ostro-stab: error: {exc}", file=sys.stderr)
-        print(f"run 'ostro-stab {config.command} --help' for usage",
+        print("run 'ostro-stab --help' for usage",
               file=sys.stderr)
         return USAGE_EXIT
     except (DomainError, ValueError, ZeroDivisionError) as exc:

@@ -52,9 +52,13 @@ __all__ = [
 # only trips on raw user input.
 _X_TOL = 1e-12
 
-# First point of the xi bracketing grid; also the probe used for the
-# small-xi sign of collision_K.
-_XI_EPS = 1.0 / 8192
+# Points of the uniform xi grid that brackets collision roots; its first
+# point is also the probe used for the small-xi sign of collision_K.
+_XI_GRID = 4096
+_XI_EPS = 1.0 / (2 * _XI_GRID)
+
+#: Absolute xi tolerance of the bracketed collision roots.
+XI_ROOT_TOL = 1e-12
 
 #: |omega| below this is treated as a collision at the spectral origin.
 OMEGA_ORIGIN_TOL = 1e-10
@@ -135,24 +139,42 @@ def omega(params: PhysicalParams, c: float, x):
     return float(val) if val.ndim == 0 else val
 
 
-def collision_K(x: float, dn: int, tol: float = 1e-12) -> float:
+def _collision_k4(beta, gamma, x, dn):
+    """k^4 = (gamma*dn/beta) * collision_K(x, dn) for scalar or array x.
+
+    NaN at the poles of the kernel: x = 0, x = -dn, or a cubic factor
+    vanishing relative to its terms.  A scalar x is evaluated with NumPy
+    scalars, whose cubes (libm pow) match Python float arithmetic bit for
+    bit where the array power loop may not, and comes back as a float.
+    """
+    x = np.asarray(x, dtype=float)[()]
+    y = x + dn
+    cubic = y**3 - x**3 - dn
+    pole = ((np.abs(x) < _X_TOL) | (np.abs(y) < _X_TOL)
+            | (np.abs(cubic)
+               < _X_TOL * np.maximum(1.0, np.abs(x) ** 3 + np.abs(y) ** 3 + dn)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k4 = np.where(pole, np.nan,
+                      (gamma * dn / beta) * ((1.0 + x * y) / (x * y * cubic)))
+    return float(k4) if k4.ndim == 0 else k4
+
+
+def collision_K(x, dn: int):
     """Collision kernel (1 + x*(x+dn)) / (x*(x+dn)*((x+dn)^3 - x^3 - dn)).
 
     k^4 = (gamma*dn/beta) * collision_K(x, dn) is the wavenumber at which
     modes n and n + dn collide at Bloch index x = n + xi, so the kernel's
-    sign decides which sign of beta admits the collision.  Raises
-    Singularity at poles of the formula (x = 0, x = -dn, or a vanishing
-    cubic factor) within tolerance.
+    sign decides which sign of beta admits the collision.  A scalar x at a
+    pole of the formula (x = 0, x = -dn, or a vanishing cubic factor)
+    raises Singularity; an array x gets NaN there.
     """
     if dn < 1:
         raise ValueError("dn must be a positive integer")
-    y = x + dn
-    cubic = y**3 - x**3 - dn
-    if abs(x) < tol or abs(y) < tol:
+    # beta = dn, gamma = 1 make the prefactor gamma*dn/beta exactly 1
+    K = _collision_k4(dn, 1.0, x, dn)
+    if isinstance(K, float) and math.isnan(K):
         raise Singularity(f"collision kernel pole at x={x}, dn={dn}")
-    if abs(cubic) < tol * max(1.0, abs(x) ** 3 + abs(y) ** 3 + dn):
-        raise Singularity(f"cubic factor vanishes at x={x}, dn={dn}")
-    return (1.0 + x * y) / (x * y * cubic)
+    return K
 
 
 def collision_wavenumber(beta: float, gamma: float, n: int, m: int, xi: float):
@@ -166,19 +188,18 @@ def collision_wavenumber(beta: float, gamma: float, n: int, m: int, xi: float):
     if not 0 < xi <= 0.5:
         raise XiOutOfRange(f"xi={xi} not in (0, 1/2]")
     n, m = min(n, m), max(n, m)
-    dn = m - n
-    k4 = (gamma * dn / beta) * collision_K(n + xi, dn)
-    if k4 <= 0:
-        return None
-    return k4**0.25
+    k4 = _collision_k4(beta, gamma, n + xi, m - n)
+    if math.isnan(k4):
+        raise Singularity(f"collision kernel pole at x={n + xi}, dn={m - n}")
+    return k4**0.25 if k4 > 0 else None
 
 
-def collision_xi(params: PhysicalParams, n: int, m: int,
-                 grid: int = 4096, xtol: float = 1e-12) -> list[float]:
+def collision_xi(params: PhysicalParams, n: int, m: int) -> list[float]:
     """All xi in (0, 1/2] where omega(n+xi) = omega(m+xi) at c = c0.
 
-    Sign changes are bracketed on a uniform grid of ``grid`` points and
-    refined to ``xtol``; an empty list means no collision at this k.
+    Sign changes are bracketed on a uniform grid of ``_XI_GRID`` points
+    and refined to ``XI_ROOT_TOL``; an empty list means no collision at
+    this k.
     """
     if n == m:
         raise ValueError("need two distinct modes")
@@ -187,18 +208,14 @@ def collision_xi(params: PhysicalParams, n: int, m: int,
     def gap(xi):
         return omega(params, c0, n + xi) - omega(params, c0, m + xi)
 
-    xs = np.arange(1, grid + 1) / (2 * grid)
-    fv = omega(params, c0, n + xs) - omega(params, c0, m + xs)
-    scale = np.maximum(
-        1.0,
-        np.abs(omega(params, c0, n + xs)) + np.abs(omega(params, c0, m + xs)),
-    )
-    roots = list(xs[np.abs(fv) <= 1e-11 * scale])
-    for i in range(len(xs) - 1):
-        if fv[i] == 0.0 or fv[i + 1] == 0.0:
-            continue
-        if np.sign(fv[i]) != np.sign(fv[i + 1]):
-            roots.append(brentq(gap, xs[i], xs[i + 1], xtol=xtol))
+    xs = np.arange(1, _XI_GRID + 1) / (2 * _XI_GRID)
+    wn = omega(params, c0, n + xs)
+    wm = omega(params, c0, m + xs)
+    fv = wn - wm
+    roots = list(xs[np.abs(fv) <= 1e-11 * np.maximum(1.0, np.abs(wn) + np.abs(wm))])
+    sign = np.sign(fv)
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+        roots.append(brentq(gap, xs[i], xs[i + 1], xtol=XI_ROOT_TOL))
     roots.sort()
     # at a tangency (k at an interval endpoint) the node test and the
     # bracketing both report the same double root, sqrt(eps)-apart
@@ -255,15 +272,6 @@ def enumerate_collision_pairs(beta: float, dn_max: int, n_range: int) -> list[Co
     return pairs
 
 
-def _kernel_k4(beta, gamma, n, dn, xi):
-    """(gamma*dn/beta)*collision_K at one xi; +inf when inadmissible."""
-    try:
-        k4 = (gamma * dn / beta) * collision_K(n + xi, dn)
-    except Singularity:
-        return math.inf
-    return k4 if k4 > 0 else math.inf
-
-
 def collision_interval(beta: float, gamma: float, n: int, m: int,
                        xi_range: str = "full", samples: int = 4096) -> CollisionInterval:
     """Range of wavenumbers over which the pair {n, m} collides.
@@ -298,37 +306,30 @@ def collision_interval(beta: float, gamma: float, n: int, m: int,
         xs = np.concatenate([-js[::-1][:-1] / (2 * samples), js / (2 * samples)])
         domain_lo = -0.5 + 2.0**-40
 
-    x = n + xs
-    y = x + dn
-    cubic = y**3 - x**3 - dn
-    ok = (np.abs(x) > _X_TOL) & (np.abs(y) > _X_TOL) & (np.abs(cubic) > _X_TOL)
-    denom = np.where(ok, x * y * cubic, 1.0)
-    k4 = np.where(ok, (gamma * dn / beta) * (1.0 + x * y) / denom, np.nan)
-    adm = ok & (k4 > 0)
-    if not adm.any():
+    k4 = _collision_k4(beta, gamma, n + xs, dn)
+    k4_adm = np.where(k4 > 0, k4, np.nan)
+    if np.all(np.isnan(k4_adm)):
         raise NoCollision(f"pair {{{n},{m}}} admits no collision for beta={beta}")
 
-    k4_adm = np.where(adm, k4, np.nan)
+    def refine(sign, j):
+        """Polish sign*k^4 around sample j; inadmissible xi cost +inf."""
+        def cost(t):
+            k4 = _collision_k4(beta, gamma, n + t, dn)
+            return sign * k4 if k4 > 0 else math.inf
 
-    def refine(objective, j):
         lo = xs[j - 1] if j >= 1 else domain_lo
         hi = xs[j + 1] if j + 1 < len(xs) else 0.5
-        res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+        res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-10})
         return res.fun
 
     j_min = int(np.nanargmin(k4_adm))
-    best_min = min(np.nanmin(k4_adm),
-                   refine(lambda t: _kernel_k4(beta, gamma, n, dn, t), j_min))
-    k_min = float(best_min**0.25)
+    k_min = float(min(np.nanmin(k4_adm), refine(1.0, j_min)) ** 0.25)
 
     if n == 0 or m == 0:
         k_max = math.inf
     else:
-        j_max = int(np.nanargmax(k4_adm))
-        neg = refine(lambda t: -_kernel_k4(beta, gamma, n, dn, t)
-                     if math.isfinite(_kernel_k4(beta, gamma, n, dn, t)) else math.inf,
-                     j_max)
+        neg = refine(-1.0, int(np.nanargmax(k4_adm)))
         best_max = max(np.nanmax(k4_adm), -neg if math.isfinite(neg) else -math.inf)
         k_max = float(best_max**0.25)
     return CollisionInterval(n=n, m=m, k_min=k_min, k_max=k_max)

@@ -17,15 +17,11 @@ collision predictions.
 
 Truncation artifacts live near the boundary modes +-N, so eigenvalues
 whose eigenvector mass concentrates there are excluded from growth
-statistics.  Sweeps over xi are embarrassingly parallel; set
-OSTRO_STAB_THREADS to run slices on a thread pool (one eigensolve per
-worker at a time).
+statistics.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,10 +208,7 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> Spe
     _check_xi(xi)
     amp = as_amplitude(a)
     R = _assemble_real(wave, amp, xi, cfg.N)
-    try:
-        lam = 1j * np.linalg.eigvals(R)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    lam = 1j * eigenvalues(R)
 
     re = lam.real
     if np.any(np.abs(re) > _RE_TRIGGER):
@@ -268,21 +261,6 @@ def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
     return seeds
 
 
-def _sweep_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("OSTRO_STAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_slices(fn, xis):
-    workers = _sweep_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, xis))
-    return [fn(xi) for xi in xis]
-
-
 def max_growth(wave: StokesWave, a, cfg: TruncationConfig,
                refine_rounds: int = 3) -> tuple[float, float, SpectrumSlice]:
     """Maximize max_real_part over the xi sweep, with trisection refinement.
@@ -300,7 +278,7 @@ def max_growth(wave: StokesWave, a, cfg: TruncationConfig,
     grid = np.unique(np.concatenate([
         base, np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
-    slices = _map_slices(lambda t: spectrum_slice(wave, a, t, cfg), grid)
+    slices = [spectrum_slice(wave, a, t, cfg) for t in grid]
     best = max(slices, key=lambda s: s.max_real_part)
     i = slices.index(best)
     lo = grid[i - 1] if i > 0 else grid[0]

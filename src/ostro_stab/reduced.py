@@ -15,6 +15,7 @@ order a^dn and no reduction is constructed here.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +177,8 @@ def instability_threshold_dn1(beta: float, gamma: float) -> float:
     Every k beyond it yields a negative dn = 1 discriminant, hence
     instability; requires beta > 0.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise WrongDispersionSign("threshold defined for beta > 0 only")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (beta < math.inf and 0 < gamma < math.inf):
+        raise ValueError(f"need finite beta and gamma > 0, got {beta}, {gamma}")
     return (4.0 * gamma / beta) ** 0.25

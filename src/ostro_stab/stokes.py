@@ -62,12 +62,12 @@ class PhysicalParams:
     resonance_radius: float = 1e-6
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k}")
+        if not math.isfinite(self.beta) or self.beta == 0:
+            raise ValueError(f"beta must be finite and nonzero, got {self.beta}")
         if self.beta > 0:
             for n, kr in _nearby_resonances(self.beta, self.gamma, self.k):
                 if abs(self.k - kr) <= self.resonance_radius * kr:
@@ -95,7 +95,7 @@ class Amplitude:
     def __post_init__(self):
         if not self.a_max > 0:
             raise ValueError("a_max must be positive")
-        if abs(self.a) > self.a_max:
+        if not abs(self.a) <= self.a_max:
             raise ValueError(f"|a|={abs(self.a)} exceeds a_max={self.a_max}")
 
 

@@ -1,9 +1,20 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ostro_stab import cli
+from ostro_stab import (
+    PhysicalParams,
+    TruncationConfig,
+    cli,
+    default_xi_grid,
+    max_growth,
+    stokes_coefficients,
+)
 
 
 def run_json(capsys, argv):
@@ -47,6 +58,31 @@ class TestExitCodes:
     def test_xi_zero_domain_error(self):
         assert cli.main(["spectrum", "--beta", "1", "--gamma", "1", "--k", "1.3",
                          "--a", "0.01", "--xi", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        "threshold --beta nan --gamma 1",
+        "threshold --beta 1 --gamma nan",
+        "threshold --beta inf --gamma 1",
+        "wave --beta nan --gamma 1 --k 1.6",
+        "wave --beta inf --gamma 1 --k 1.6",
+        "wave --beta 1 --gamma 1 --k 1.6 --a nan",
+    ])
+    def test_non_finite_input_domain_error(self, argv, capsys):
+        assert cli.main(argv.split()) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_python_dash_m(self):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ostro_stab", "threshold", "--beta", "1",
+             "--gamma", "1"], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["k_min"] == \
+            pytest.approx(2**0.5, rel=1e-12)
 
 
 class TestEnvelope:
@@ -133,6 +169,17 @@ class TestCommands:
         assert len(r["eigenvalues"]) == 33
         assert r["max_real_part"] < 1e-8
 
+    def test_spectrum_sweeps_library_grid(self, capsys):
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.2",
+            "--a", "0.01", "--N", "16", "--xi-grid", "64"])
+        assert code == 0
+        wave = stokes_coefficients(PhysicalParams(1, 1, 1.2))
+        xi_star, growth, _ = max_growth(wave, 0.01, TruncationConfig(
+            N=16, xi_grid=tuple(default_xi_grid(64))))
+        assert doc["results"]["xi_star"] == xi_star
+        assert doc["results"]["growth"] == growth
+
     def test_dispersion_modes(self, capsys):
         code, doc = run_json(capsys, [
             "dispersion", "--beta", "1", "--gamma", "1", "--k", "1",
@@ -204,3 +251,9 @@ class TestFigures:
 
     def test_figures_requires_which(self):
         assert cli.main(["figures", "--beta", "1", "--gamma", "1"]) == 64
+
+
+def test_help_lists_every_command(capsys):
+    assert cli.main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"\n  {name} " in out for name in cli._HANDLERS)

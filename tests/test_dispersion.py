@@ -10,6 +10,7 @@ from ostro_stab import (
     DivisionByZero,
     NoCollision,
     PhysicalParams,
+    ResonantWavenumber,
     Singularity,
     XiOutOfRange,
     collision_K,
@@ -75,6 +76,18 @@ class TestCollisionKernel:
         with pytest.raises(ValueError):
             collision_K(0.3, 0)
 
+    @pytest.mark.parametrize("dn", [1, 2, 3, 4])
+    def test_vectorized_matches_scalar(self, dn):
+        # the K_curves figure grid, poles included (NaN for arrays)
+        xs = np.arange(-256 * (dn + 2), 513) / 256.0
+        ref = []
+        for x in xs.tolist():
+            try:
+                ref.append(collision_K(x, dn))
+            except Singularity:
+                ref.append(math.nan)
+        np.testing.assert_array_equal(collision_K(xs, dn), ref)
+
     @settings(max_examples=150)
     @given(x=st.floats(-8, 8), dn=st.integers(1, 6))
     def test_two_algebraic_forms_agree(self, x, dn):
@@ -120,6 +133,22 @@ class TestCollisionXi:
         xis = collision_xi(PhysicalParams(-1, 1, 0.8164), -1, 1)
         assert len(xis) == 1
         assert xis[0] == pytest.approx(0.5, abs=5e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.3, 6.0),
+           scale=st.floats(0.3, 3.0))
+    def test_round_trip_with_wavenumber(self, beta, gamma, scale):
+        k = scale * gamma**0.25
+        try:
+            params = PhysicalParams(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        for pair in enumerate_collision_pairs(beta, 4, 6):
+            if not pair.opposite_krein:
+                continue
+            for xi0 in collision_xi(params, pair.n, pair.m):
+                assert collision_wavenumber(beta, gamma, pair.n, pair.m, xi0) \
+                    == pytest.approx(k, rel=1e-9)
 
     @pytest.mark.parametrize("k", [1.5, 1.8, 2.2])
     def test_events_consistent(self, k):

@@ -197,15 +197,6 @@ class TestMaxGrowth:
         _, g1, _ = max_growth(w, 0.01, CFG32)
         assert 1.8 <= g2 / g1 <= 2.2
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        w = wave_at(1, 1, 1.8)
-        cfg = TruncationConfig(N=16, xi_grid=tuple(np.linspace(0.05, 0.5, 32)))
-        serial = max_growth(w, 0.01, cfg)
-        monkeypatch.setenv("OSTRO_STAB_THREADS", "4")
-        threaded = max_growth(w, 0.01, cfg)
-        assert serial[0] == threaded[0]
-        assert serial[1] == threaded[1]
-
 
 class TestKreinOfEigenpair:
     def test_coordinate_vectors_at_zero_amplitude(self):
