@@ -114,6 +114,14 @@ def _params(args) -> stokes.PhysicalParams:
     return stokes.PhysicalParams(beta=args.beta, gamma=args.gamma, k=args.k)
 
 
+def _coefficients(args) -> tuple[float, float]:
+    """(beta, gamma), checked as PhysicalParams checks them, for the
+    commands that take no wavenumber."""
+    _require(args, "beta", "gamma")
+    stokes.check_coefficients(args.beta, args.gamma)
+    return args.beta, args.gamma
+
+
 def _truncation(args) -> hill.TruncationConfig:
     return hill.TruncationConfig(
         N=args.N, xi_grid=tuple(hill.default_xi_grid(args.xi_grid))
@@ -157,11 +165,11 @@ def _cmd_dispersion(args):
 
 def _cmd_collisions(args):
     """colliding mode pairs and origin collisions"""
-    _require(args, "beta", "gamma")
-    pairs = dispersion.enumerate_collision_pairs(args.beta, args.dn_max, args.n_range)
+    beta, gamma = _coefficients(args)
+    pairs = dispersion.enumerate_collision_pairs(beta, args.dn_max, args.n_range)
     if args.opposite_krein:
         pairs = [p for p in pairs if p.opposite_krein]
-    origin = dispersion.origin_collisions(args.beta, args.gamma, args.n_range)
+    origin = dispersion.origin_collisions(beta, gamma, args.n_range)
     results = {
         "pairs": [{"n": p.n, "m": p.m, "dn": p.dn,
                    "opposite_krein": p.opposite_krein} for p in pairs],
@@ -265,7 +273,6 @@ def _cmd_figures(args):
     """CSV data for the kernel/collision figures"""
     _require(args, "which")
     outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
     files = _FIGURES[args.which](args, outdir)
     return {"files": [str(f) for f in files]}, None
 
@@ -281,6 +288,8 @@ def _csv_comment(args) -> str:
 
 
 def _write_csv(path: Path, comment: str, header, rows) -> None:
+    # created only once the inputs have passed validation
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(comment + "\n")
         writer = csv.writer(fh)
@@ -303,12 +312,12 @@ def _emit_k_curves(args, outdir: Path) -> list[Path]:
 
 def _emit_collision_ranges(args, outdir: Path) -> list[Path]:
     _require(args, "beta", "gamma", "n", "m")
+    beta, gamma = _coefficients(args)
     n, m = min(args.n, args.m), max(args.n, args.m)
     xi = np.arange(-1023, 1025) / 2048.0
     x = n + xi
     # xi = 0 is left out of the Floquet family: a blank row
-    k4 = np.where(xi == 0, np.nan,
-                  dispersion._collision_k4(args.beta, args.gamma, x, m - n))
+    k4 = np.where(xi == 0, np.nan, dispersion._collision_k4(beta, gamma, x, m - n))
     rows = [(_fmt(xj), _fmt(k4j**0.25)) if k4j > 0 else ()
             for xj, k4j in zip(x.tolist(), k4.tolist())]
     path = outdir / f"collision_ranges_n{n}_m{m}.csv"
@@ -317,12 +326,12 @@ def _emit_collision_ranges(args, outdir: Path) -> list[Path]:
 
 
 def _emit_collision_contour(args, outdir: Path) -> list[Path]:
-    _require(args, "beta", "gamma")
-    if args.beta <= 0:
+    beta, gamma = _coefficients(args)
+    if beta <= 0:
         raise DomainError("collision contour requires beta > 0")
     rows = []
     for xi in hill.default_xi_grid(args.xi_grid):
-        k = dispersion.collision_wavenumber(args.beta, args.gamma, -1, 0, float(xi))
+        k = dispersion.collision_wavenumber(beta, gamma, -1, 0, float(xi))
         rows.append((_fmt(float(xi)), _fmt(k)) if k is not None else ())
     path = outdir / "collision_contour.csv"
     _write_csv(path, _csv_comment(args), ("xi", "k"), rows)
@@ -382,9 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-range", dest="n_range", type=int, default=6,
                         help="mode index window |n| <= n_range (default 6)")
     parser.add_argument("--N", type=int, default=32,
-                        help="Fourier truncation, modes -N..N (default 32)")
+                        help="Fourier truncation, modes -N..N, "
+                             f"8 <= N <= {(hill.MAX_DIM - 1) // 2} (default 32)")
     parser.add_argument("--xi-grid", dest="xi_grid", type=int, default=512,
-                        help="number of xi sweep points (default 512)")
+                        help="number of xi sweep points, "
+                             f"1..{hill.MAX_XI_GRID} (default 512)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="output file (figures: output directory)")
     parser.add_argument("--opposite-krein", dest="opposite_krein",
@@ -452,3 +463,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -22,6 +22,7 @@ statistics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,13 @@ __all__ = [
     "krein_of_eigenpair",
 ]
 
+# A spectrum counts as paired when some matching of lambda with
+# -conj(lambda) agrees within PAIRING_TOL*max(1, |lambda|) entry by entry.
 PAIRING_TOL = 1e-9
+# Largest matrix dimension 2N+1 the truncation may ask for.
+MAX_DIM = 10_000
+# Largest number of points of the default xi grid.
+MAX_XI_GRID = 2**20
 # |Re lambda| above this triggers the eigenvector-based filters.
 _RE_TRIGGER = 1e-12
 _BOUNDARY_MASS_LIMIT = 0.01
@@ -60,6 +67,8 @@ def default_xi_grid(num: int = 512) -> np.ndarray:
     xi = 0 is the modulational regime of the nearly-coalescing +-1 modes,
     outside the scope of the high-frequency sweep.
     """
+    if not 1 <= num <= MAX_XI_GRID:
+        raise ValueError(f"xi grid size {num} not in [1, {MAX_XI_GRID}]")
     lo = 1.0 / 1024
     return lo + (0.5 - lo) * np.arange(1, num + 1) / num
 
@@ -79,6 +88,9 @@ class TruncationConfig:
     def __post_init__(self):
         if self.N < 8:
             raise ValueError("N must be >= 8")
+        if 2 * self.N + 1 > MAX_DIM:
+            raise ValueError(f"2N+1 = {2 * self.N + 1} exceeds the {MAX_DIM} "
+                             "matrix-dimension guard")
         if self.xi_grid is not None:
             grid = np.asarray(self.xi_grid, dtype=float)
             if grid.size == 0 or np.any(grid <= 0) or np.any(grid > 0.5):
@@ -101,17 +113,24 @@ class SpectrumSlice:
     paired: bool
 
 
-def _wave_coupling(wave: StokesWave, a, N: int, k2: float) -> np.ndarray:
-    """Off-diagonal part of L: symmetric Toeplitz with -2*k^2*w_hat bands.
+@functools.lru_cache(maxsize=1)
+def _wave_terms(wave: StokesWave, a: float, N: int) -> tuple[float, np.ndarray]:
+    """The xi-independent parts of one wave's matrices: speed c and coupling.
 
-    The exponential Fourier coefficients of w are half its cosine
-    amplitudes, w_hat(+-j) = W_j / 2.
+    The coupling is the off-diagonal part of L, a symmetric Toeplitz
+    matrix with -2*k^2*w_hat bands; the exponential Fourier coefficients
+    of w are half its cosine amplitudes, w_hat(+-j) = W_j / 2.  A sweep
+    builds them once, on its first slice.  The array is read-only because
+    every later slice of the same (wave, a, N) shares it: callers copy it
+    before writing a diagonal.
     """
-    W = stokes.harmonic_amplitudes(wave, a)
+    k2 = wave.params.k**2
     col = np.zeros(2 * N + 1)
-    for j, Wj in enumerate(W, start=1):
+    for j, Wj in enumerate(stokes.harmonic_amplitudes(wave, a), start=1):
         col[j] = -2.0 * k2 * (Wj / 2.0)
-    return toeplitz(col)
+    coupling = toeplitz(col)
+    coupling.flags.writeable = False
+    return stokes.eval_speed(wave, a), coupling
 
 
 def _check_xi(xi: float) -> None:
@@ -126,12 +145,11 @@ def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> 
     -2*k^2*w_hat(n-m).  Real symmetric, returned as a float array.
     """
     _check_xi(xi)
-    amp = as_amplitude(a)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2 = k**2
-    c = stokes.eval_speed(wave, amp)
+    c, coupling = _wave_terms(wave, as_amplitude(a).a, cfg.N)
     x = np.arange(-cfg.N, cfg.N + 1) + xi
-    L = _wave_coupling(wave, amp, cfg.N, k2)
+    L = coupling.copy()
     L[np.diag_indices_from(L)] = k2 * (c - beta * k2 * x**2) - gamma / x**2
     return L
 
@@ -149,11 +167,9 @@ def assemble_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np
 
 def _assemble_real(wave: StokesWave, a, xi: float, N: int) -> np.ndarray:
     """Imaginary part of the Bloch matrix; accepts any xi with n+xi != 0."""
-    amp = as_amplitude(a)
-    k2 = wave.params.k**2
-    c = stokes.eval_speed(wave, amp)
+    c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
     x = np.arange(-N, N + 1) + xi
-    R = x[:, None] * _wave_coupling(wave, amp, N, k2)
+    R = x[:, None] * coupling
     R[np.diag_indices_from(R)] = dispersion.omega(wave.params, c, x)
     return R
 
@@ -163,8 +179,8 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    if matrix.shape[0] > 10_000:
-        raise ValueError("matrix dimension exceeds the 10^4 guard")
+    if matrix.shape[0] > MAX_DIM:
+        raise ValueError(f"matrix dimension exceeds the {MAX_DIM} guard")
     try:
         return np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError as exc:
@@ -172,7 +188,28 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def _pairing_ok(lam: np.ndarray, tol: float = PAIRING_TOL) -> bool:
-    """Multiset invariance under lambda -> -conj(lambda), greedy matching."""
+    """True when lambda -> -conj(lambda) maps the multiset onto itself.
+
+    That is, some matching of lambda with -conj(lambda) agrees within
+    tol*max(1, |lambda|) entry by entry.  Sorted witness, greedy
+    fallback: the real solver's output is exactly symmetric, so sorting
+    both sides by (imag, real) lines the pairs up and the check costs one
+    sort.  Near ties in the imaginary part (complex-solver output) can
+    misalign the sorted order; only then does the greedy matcher decide.
+    """
+    return _sorted_witness(lam, tol) or _greedy_matching(lam, tol)
+
+
+def _sorted_witness(lam: np.ndarray, tol: float) -> bool:
+    """Whether the (imag, real)-sorted lambda and -conj(lambda) agree pairwise."""
+    target = -np.conj(lam)
+    a = lam[np.lexsort((lam.real, lam.imag))]
+    b = target[np.lexsort((target.real, target.imag))]
+    return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(a))))
+
+
+def _greedy_matching(lam: np.ndarray, tol: float) -> bool:
+    """Match each lambda to its nearest unused -conj(lambda); O(n^2)."""
     target = -np.conj(lam)
     used = np.zeros(lam.size, dtype=bool)
     for z in lam:

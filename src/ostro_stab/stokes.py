@@ -38,6 +38,7 @@ __all__ = [
     "Amplitude",
     "StokesWave",
     "as_amplitude",
+    "check_coefficients",
     "phase_speed_c0",
     "resonant_wavenumbers",
     "stokes_coefficients",
@@ -62,12 +63,9 @@ class PhysicalParams:
     resonance_radius: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        check_coefficients(self.beta, self.gamma)
         if not 0 < self.k < math.inf:
             raise ValueError(f"k must be positive and finite, got {self.k}")
-        if not math.isfinite(self.beta) or self.beta == 0:
-            raise ValueError(f"beta must be finite and nonzero, got {self.beta}")
         if self.beta > 0:
             for n, kr in _nearby_resonances(self.beta, self.gamma, self.k):
                 if abs(self.k - kr) <= self.resonance_radius * kr:
@@ -75,6 +73,14 @@ class PhysicalParams:
                         f"k={self.k} within exclusion radius of resonance "
                         f"k={kr} (n={n})"
                     )
+
+
+def check_coefficients(beta: float, gamma: float) -> None:
+    """Raise ValueError unless gamma > 0 and beta != 0 are both finite."""
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not math.isfinite(beta) or beta == 0:
+        raise ValueError(f"beta must be finite and nonzero, got {beta}")
 
 
 def _nearby_resonances(beta, gamma, k):

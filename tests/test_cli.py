@@ -12,6 +12,7 @@ from ostro_stab import (
     TruncationConfig,
     cli,
     default_xi_grid,
+    hill,
     max_growth,
     stokes_coefficients,
 )
@@ -66,23 +67,57 @@ class TestExitCodes:
         "wave --beta nan --gamma 1 --k 1.6",
         "wave --beta inf --gamma 1 --k 1.6",
         "wave --beta 1 --gamma 1 --k 1.6 --a nan",
+        "collisions --beta 1 --gamma nan",
+        "collisions --beta nan --gamma 1",
+        "figures --which collision_ranges --beta nan --gamma 1 --n -1 --m 0",
     ])
-    def test_non_finite_input_domain_error(self, argv, capsys):
-        assert cli.main(argv.split()) == 2
+    def test_non_finite_input_domain_error(self, argv, capsys, tmp_path):
+        argv = argv.split()
+        if argv[0] == "figures":
+            argv += ["--out", str(tmp_path / "figs")]
+        assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
-    def test_python_dash_m(self):
+    @pytest.mark.parametrize("argv", [
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 5000",
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 5000 --xi 0.3",
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --xi-grid 0",
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --xi-grid 1048577",
+        "figures --which collision_contour --beta 1 --gamma 6 --xi-grid 0",
+    ])
+    def test_size_bounds_domain_error(self, argv, capsys, tmp_path, monkeypatch):
+        # the guards must fire before any slice is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a slice past the size guard")
+        monkeypatch.setattr(hill, "spectrum_slice", no_solve)
+        monkeypatch.setattr(hill, "max_growth", no_solve)
+        argv = argv.split()
+        if argv[0] == "figures":
+            argv += ["--out", str(tmp_path / "figs")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _run_module(module):
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "ostro_stab", "threshold", "--beta", "1",
+            [sys.executable, "-m", module, "threshold", "--beta", "1",
              "--gamma", "1"], capture_output=True, text=True, env=env,
             timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["k_min"] == \
             pytest.approx(2**0.5, rel=1e-12)
+
+    def test_python_dash_m(self):
+        self._run_module("ostro_stab")
+
+    def test_python_dash_m_cli_module(self):
+        self._run_module("ostro_stab.cli")
 
 
 class TestEnvelope:

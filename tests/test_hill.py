@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ostro_stab import (
     ConvergenceFailure,
@@ -10,7 +15,10 @@ from ostro_stab import (
     assemble_L_matrix,
     assemble_matrix,
     collision_xi,
+    default_xi_grid,
     eigenvalues,
+    eval_speed,
+    harmonic_amplitudes,
     krein_of_eigenpair,
     max_growth,
     omega,
@@ -19,7 +27,17 @@ from ostro_stab import (
     spectrum_slice,
     stokes_coefficients,
 )
-from ostro_stab.hill import _assemble_real, _boundary_mass, _pairing_ok
+from ostro_stab.hill import (
+    MAX_DIM,
+    MAX_XI_GRID,
+    PAIRING_TOL,
+    _assemble_real,
+    _boundary_mass,
+    _greedy_matching,
+    _pairing_ok,
+    _sorted_witness,
+    _wave_terms,
+)
 
 
 def wave_at(beta, gamma, k):
@@ -71,6 +89,42 @@ class TestAssembly:
         R_pos = _assemble_real(w, 0.03, 0.27, 16)
         R_neg = _assemble_real(w, 0.03, -0.27, 16)
         np.testing.assert_array_equal(R_neg[::-1, ::-1], -R_pos)
+
+    def test_memoised_coupling_does_not_leak(self):
+        # the xi-independent coupling is built once per (wave, a, N) and
+        # shared by later slices; each slice must equal a fresh build
+        w = wave_at(1, 1, 1.6)
+        beta, gamma, k2 = w.params.beta, w.params.gamma, w.params.k**2
+        a, N = 0.03, 16
+        col = np.zeros(2 * N + 1)
+        col[1:5] = -2.0 * k2 * (harmonic_amplitudes(w, a) / 2.0)
+        T = toeplitz(col)
+        c = eval_speed(w, a)
+
+        def fresh_L(xi):
+            x = np.arange(-N, N + 1) + xi
+            L = T.copy()
+            L[np.diag_indices_from(L)] = k2 * (c - beta * k2 * x**2) - gamma / x**2
+            return L
+
+        def fresh_R(xi):
+            x = np.arange(-N, N + 1) + xi
+            R = x[:, None] * T
+            R[np.diag_indices_from(R)] = omega(w.params, c, x)
+            return R
+
+        L1 = assemble_L_matrix(w, a, 0.21, CFG16)
+        R2 = _assemble_real(w, a, 0.37, N)
+        L2 = assemble_L_matrix(w, a, 0.37, CFG16)
+        for got, want in ((L1, fresh_L(0.21)), (R2, fresh_R(0.37)),
+                          (L2, fresh_L(0.37))):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        memo = _wave_terms(w, a, N)[1]
+        assert not memo.flags.writeable
+        with pytest.raises(ValueError):
+            memo[np.diag_indices_from(memo)] = 0.0
+        assert memo.tobytes() == T.tobytes()
 
 
 class TestFactorization:
@@ -128,6 +182,58 @@ class TestEigenvalues:
         xi0 = collision_xi(w.params, -1, 0)[0]
         lam = eigenvalues(assemble_matrix(w, 0.02, xi0, TruncationConfig(N=12)))
         assert _pairing_ok(lam, tol=1e-9)
+
+
+def _matching_exists(lam, tol):
+    """Reference: a perfect matching of lambda with -conj(lambda) within
+    tol*max(1, |lambda|), by maximum bipartite matching."""
+    target = -np.conj(lam)
+    d = np.abs(lam[:, None] - target[None, :])
+    ok = d <= tol * np.maximum(1.0, np.abs(lam))[:, None]
+    match = maximum_bipartite_matching(csr_matrix(ok.astype(int)))
+    return bool(np.all(match >= 0))
+
+
+class TestPairing:
+    def test_near_tie_falls_back_to_greedy(self):
+        # imaginary parts 1e-15 apart with real parts +-v: sorting by
+        # (imag, real) pairs v with -v, so the witness fails although the
+        # nearest partners agree to 1e-15
+        v = 0.25
+        lam = np.array([v + 1.0j, -v + (1.0 + 1e-15) * 1j, 3.0j, -2.0j])
+        assert not _sorted_witness(lam, PAIRING_TOL)
+        assert _greedy_matching(lam, PAIRING_TOL)
+        assert _pairing_ok(lam)
+
+    def test_unpaired_rejected(self):
+        assert not _pairing_ok(np.array([0.1 + 1j, -0.1 + 1j, 0.2 + 2j]))
+        assert not _pairing_ok(np.array([1e-3 + 1j, -1e-3 + (1 + 1e-6) * 1j]))
+
+    def test_real_solver_output_exactly_paired(self):
+        w = wave_at(1, 1, 1.6)
+        xi0 = collision_xi(w.params, -1, 0)[0]
+        lam = 1j * eigenvalues(_assemble_real(w, 0.02, xi0, 32))
+        assert _sorted_witness(lam, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(
+               st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 2.0),
+               st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-40.0, 40.0),
+               st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+               min_size=1, max_size=10),
+           order=st.randoms(use_true_random=False))
+    def test_never_stricter_than_greedy(self, pairs, order):
+        # -conj-symmetric sets perturbed by up to 3*PAIRING_TOL
+        lam = []
+        for x, y, ex, ey in pairs:
+            lam += [x + 1j * y, -x + 1j * y + PAIRING_TOL * (ex + 1j * ey)]
+        order.shuffle(lam)
+        lam = np.array(lam)
+        ok = _pairing_ok(lam)
+        if _greedy_matching(lam, PAIRING_TOL):
+            assert ok
+        if ok:
+            assert _matching_exists(lam, PAIRING_TOL)
 
 
 class TestSpectrumSlice:
@@ -241,6 +347,16 @@ class TestConfig:
     def test_n_validated(self):
         with pytest.raises(ValueError):
             TruncationConfig(N=4)
+        # 2N+1 > MAX_DIM is rejected at construction, before any solve
+        assert TruncationConfig(N=(MAX_DIM - 1) // 2).N == (MAX_DIM - 1) // 2
+        with pytest.raises(ValueError, match="dimension"):
+            TruncationConfig(N=(MAX_DIM + 1) // 2)
+
+    def test_grid_size_bounded(self):
+        assert default_xi_grid(1).tolist() == [0.5]
+        for num in (0, -3, MAX_XI_GRID + 1):
+            with pytest.raises(ValueError, match="xi grid size"):
+                default_xi_grid(num)
 
     def test_grid_validated(self):
         with pytest.raises(XiOutOfRange):
