@@ -8,7 +8,6 @@ truncated-Fourier spectral computation.
 """
 
 from .dispersion import (
-    BlochIndex,
     CollisionEvent,
     CollisionInterval,
     CollisionPair,

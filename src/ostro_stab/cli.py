@@ -6,7 +6,8 @@ reduced, spectrum, threshold, figures).  Every run emits a ResultEnvelope
 results are reproducible byte for byte up to the wall-time field.
 
 Exit codes: 0 success, 2 domain error (resonant wavenumber, xi out of
-range, below-threshold query, ...), 1 internal failure, 64 usage error.
+range, below-threshold query, non-finite input or result, overflow, ...),
+1 internal failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def validate_envelope(doc: dict) -> None:
 
 
 def _jsonable(obj):
+    """JSON-ready copy of obj; a non-finite float raises DomainError."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -86,7 +88,9 @@ def _jsonable(obj):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if math.isfinite(v) else repr(v)
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite result {v!r}")
+        return v
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -122,12 +126,6 @@ def _coefficients(args) -> tuple[float, float]:
     return args.beta, args.gamma
 
 
-def _truncation(args) -> hill.TruncationConfig:
-    return hill.TruncationConfig(
-        N=args.N, xi_grid=tuple(hill.default_xi_grid(args.xi_grid))
-    )
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (results dict, csv rows or None)
 
@@ -149,6 +147,7 @@ def _cmd_dispersion(args):
     """Bloch frequencies and Krein signatures at one xi"""
     params = _params(args)
     _require(args, "xi")
+    dispersion.check_xi(args.xi)
     c0 = stokes.phase_speed_c0(params)
     modes = []
     for n in range(-args.n_range, args.n_range + 1):
@@ -206,6 +205,7 @@ def _cmd_reduced(args):
     _require(args, "n", "m", "a")
     wave = stokes.stokes_coefficients(params)
     if args.xi is not None:
+        dispersion.check_xi(args.xi)
         xis = [args.xi]
     else:
         xis = dispersion.collision_xi(params, args.n, args.m)
@@ -243,7 +243,7 @@ def _cmd_spectrum(args):
     params = _params(args)
     _require(args, "a")
     wave = stokes.stokes_coefficients(params)
-    cfg = _truncation(args)
+    cfg = hill.TruncationConfig(N=args.N, xi_grid=args.xi_grid)
     if args.xi is not None:
         sl = hill.spectrum_slice(wave, args.a, args.xi, cfg)
         results = {
@@ -390,12 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest mode separation (default 4)")
     parser.add_argument("--n-range", dest="n_range", type=int, default=6,
                         help="mode index window |n| <= n_range (default 6)")
-    parser.add_argument("--N", type=int, default=32,
+    parser.add_argument("--N", type=int, default=hill.TruncationConfig.N,
                         help="Fourier truncation, modes -N..N, "
-                             f"8 <= N <= {(hill.MAX_DIM - 1) // 2} (default 32)")
-    parser.add_argument("--xi-grid", dest="xi_grid", type=int, default=512,
+                             f"8 <= N <= {(hill.MAX_DIM - 1) // 2} (default %(default)s)")
+    parser.add_argument("--xi-grid", dest="xi_grid", type=int,
+                        default=hill.TruncationConfig.xi_grid,
                         help="number of xi sweep points, "
-                             f"1..{hill.MAX_XI_GRID} (default 512)")
+                             f"1..{hill.MAX_XI_GRID} (default %(default)s)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="output file (figures: output directory)")
     parser.add_argument("--opposite-krein", dest="opposite_krein",
@@ -408,10 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> tuple[str, str]:
-    """Execute one command; returns (serialized envelope, output path or '')."""
+    """Execute one command; returns (serialized envelope, output path or '').
+
+    Raises DomainError for a non-finite float flag, before any work, and
+    for a non-finite float anywhere in the results, before anything is
+    written.
+    """
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite, "
+                              f"got {value!r}")
     t0 = time.perf_counter()
     results, rows = _HANDLERS[args.command](args)
     wall = time.perf_counter() - t0
+    results = _jsonable(results)
     diagnostics = {
         "N": args.N,
         "xi_grid": args.xi_grid,
@@ -448,7 +459,7 @@ def main(argv=None) -> int:
         print("run 'ostro-stab --help' for usage",
               file=sys.stderr)
         return USAGE_EXIT
-    except (DomainError, ValueError, ZeroDivisionError) as exc:
+    except (DomainError, ValueError, ArithmeticError) as exc:
         print(f"ostro-stab: domain error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     except Exception:

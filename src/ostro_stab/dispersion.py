@@ -33,11 +33,11 @@ from .errors import DivisionByZero, NoCollision, Singularity, XiOutOfRange
 from .stokes import PhysicalParams
 
 __all__ = [
-    "BlochIndex",
     "CollisionEvent",
     "CollisionInterval",
     "CollisionPair",
     "omega",
+    "check_xi",
     "collision_K",
     "collision_wavenumber",
     "collision_xi",
@@ -52,9 +52,12 @@ __all__ = [
 # only trips on raw user input.
 _X_TOL = 1e-12
 
-# Points of the uniform xi grid that brackets collision roots; its first
-# point is also the probe used for the small-xi sign of collision_K.
+# Points of the uniform xi grid on (0, 1/2] that brackets collision roots
+# and samples collision intervals; its first point is also the probe used
+# for the small-xi sign of collision_K.
 _XI_GRID = 4096
+_XI_SAMPLES = np.arange(1, _XI_GRID + 1) / (2 * _XI_GRID)
+_XI_SAMPLES.flags.writeable = False
 _XI_EPS = 1.0 / (2 * _XI_GRID)
 
 #: Absolute xi tolerance of the bracketed collision roots.
@@ -62,22 +65,6 @@ XI_ROOT_TOL = 1e-12
 
 #: |omega| below this is treated as a collision at the spectral origin.
 OMEGA_ORIGIN_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BlochIndex:
-    """Fourier mode n shifted by the Floquet exponent xi in (0, 1/2]."""
-
-    n: int
-    xi: float
-
-    def __post_init__(self):
-        if not 0 < self.xi <= 0.5:
-            raise XiOutOfRange(f"xi={self.xi} not in (0, 1/2]")
-
-    @property
-    def x(self) -> float:
-        return self.n + self.xi
 
 
 @dataclass(frozen=True)
@@ -122,6 +109,12 @@ class CollisionPair:
     @property
     def dn(self) -> int:
         return self.m - self.n
+
+
+def check_xi(xi: float) -> None:
+    """Raise XiOutOfRange unless xi lies in the Floquet domain (0, 1/2]."""
+    if not 0 < xi <= 0.5:
+        raise XiOutOfRange(f"xi={xi} not in (0, 1/2]")
 
 
 def omega(params: PhysicalParams, c: float, x):
@@ -185,8 +178,7 @@ def collision_wavenumber(beta: float, gamma: float, n: int, m: int, xi: float):
     """
     if n == m:
         raise ValueError("need two distinct modes")
-    if not 0 < xi <= 0.5:
-        raise XiOutOfRange(f"xi={xi} not in (0, 1/2]")
+    check_xi(xi)
     n, m = min(n, m), max(n, m)
     k4 = _collision_k4(beta, gamma, n + xi, m - n)
     if math.isnan(k4):
@@ -208,7 +200,7 @@ def collision_xi(params: PhysicalParams, n: int, m: int) -> list[float]:
     def gap(xi):
         return omega(params, c0, n + xi) - omega(params, c0, m + xi)
 
-    xs = np.arange(1, _XI_GRID + 1) / (2 * _XI_GRID)
+    xs = _XI_SAMPLES
     wn = omega(params, c0, n + xs)
     wm = omega(params, c0, m + xs)
     fv = wn - wm
@@ -272,15 +264,12 @@ def enumerate_collision_pairs(beta: float, dn_max: int, n_range: int) -> list[Co
     return pairs
 
 
-def collision_interval(beta: float, gamma: float, n: int, m: int,
-                       xi_range: str = "full", samples: int = 4096) -> CollisionInterval:
+def collision_interval(beta: float, gamma: float, n: int, m: int) -> CollisionInterval:
     """Range of wavenumbers over which the pair {n, m} collides.
 
-    With ``xi_range="full"`` (default) the whole Floquet family
-    xi in (-1/2, 1/2] \\ {0} is swept; negative xi covers the collisions
-    of the reflected pair {-m, -n}, which belong to the same unordered
-    mode pair by the xi -> -xi spectral symmetry.  ``xi_range="positive"``
-    restricts to xi in (0, 1/2].
+    The whole Floquet family xi in (-1/2, 1/2] \\ {0} is swept; negative
+    xi covers the collisions of the reflected pair {-m, -n}, which belong
+    to the same unordered mode pair by the xi -> -xi spectral symmetry.
 
     The reported endpoints are the dense-sample extrema polished by a
     bounded scalar minimization; open endpoints (at xi -> 0 or
@@ -288,24 +277,13 @@ def collision_interval(beta: float, gamma: float, n: int, m: int,
     interval whose infimum is 0 comes out as a small positive number.
     k_max is math.inf when one colliding index is zero.
     """
-    if xi_range not in ("full", "positive"):
-        raise ValueError("xi_range must be 'full' or 'positive'")
     n, m = min(n, m), max(n, m)
     dn = m - n
-    admitted = _admits_collision(beta, n, dn)
-    if xi_range == "full":
-        admitted = admitted or _admits_collision(beta, -m, dn)
-    if not admitted:
+    if not (_admits_collision(beta, n, dn) or _admits_collision(beta, -m, dn)):
         raise NoCollision(f"pair {{{n},{m}}} admits no collision for beta={beta}")
 
-    js = np.arange(1, samples + 1)
-    if xi_range == "positive":
-        xs = js / (2 * samples)
-        domain_lo = 2.0**-40
-    else:
-        xs = np.concatenate([-js[::-1][:-1] / (2 * samples), js / (2 * samples)])
-        domain_lo = -0.5 + 2.0**-40
-
+    # xi = -1/2 .. -2/(2*_XI_GRID), then the positive samples
+    xs = np.concatenate([-_XI_SAMPLES[:0:-1], _XI_SAMPLES])
     k4 = _collision_k4(beta, gamma, n + xs, dn)
     k4_adm = np.where(k4 > 0, k4, np.nan)
     if np.all(np.isnan(k4_adm)):
@@ -317,7 +295,7 @@ def collision_interval(beta: float, gamma: float, n: int, m: int,
             k4 = _collision_k4(beta, gamma, n + t, dn)
             return sign * k4 if k4 > 0 else math.inf
 
-        lo = xs[j - 1] if j >= 1 else domain_lo
+        lo = xs[j - 1] if j >= 1 else -0.5 + 2.0**-40
         hi = xs[j + 1] if j + 1 < len(xs) else 0.5
         res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-10})
@@ -335,11 +313,10 @@ def collision_interval(beta: float, gamma: float, n: int, m: int,
     return CollisionInterval(n=n, m=m, k_min=k_min, k_max=k_max)
 
 
-def krein_signature(params: PhysicalParams, c: float, x: float,
-                    omega_tol: float = OMEGA_ORIGIN_TOL) -> int:
-    """Sign of omega(x)/x; 0 when omega vanishes (collision at the origin)."""
+def krein_signature(params: PhysicalParams, c: float, x: float) -> int:
+    """Sign of omega(x)/x; 0 when |omega| < OMEGA_ORIGIN_TOL (origin collision)."""
     w = omega(params, c, x)
-    if abs(w) < omega_tol:
+    if abs(w) < OMEGA_ORIGIN_TOL:
         return 0
     return 1 if w / x > 0 else -1
 

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from . import dispersion, stokes
-from .errors import ConvergenceFailure, IndefiniteNearZero, XiOutOfRange
+from .errors import ConvergenceFailure, IndefiniteNearZero
 from .stokes import StokesWave, as_amplitude
 
 __all__ = [
@@ -57,9 +58,18 @@ _BOUNDARY_MASS_LIMIT = 0.01
 # <L v, v> vanishes on its eigenvector; a decisively nonzero form marks
 # the real part as eigensolver noise from a same-signature near-collision.
 _KREIN_FORM_TOL = 1e-3
+# |<L v, v>| below this on a unit eigenvector leaves its Krein sign undefined.
+_KREIN_ZERO_TOL = 1e-10
+# Trisection rounds around the best slice of the sweep.
+_REFINE_ROUNDS = 3
 
 
-def default_xi_grid(num: int = 512) -> np.ndarray:
+def _check_grid_size(num: int) -> None:
+    if not 1 <= num <= MAX_XI_GRID:
+        raise ValueError(f"xi grid size {num} not in [1, {MAX_XI_GRID}]")
+
+
+def default_xi_grid(num: int) -> np.ndarray:
     """Uniform xi grid on (1/1024, 1/2], left endpoint excluded.
 
     High-frequency instability bubbles are O(a) wide, which this
@@ -67,23 +77,24 @@ def default_xi_grid(num: int = 512) -> np.ndarray:
     xi = 0 is the modulational regime of the nearly-coalescing +-1 modes,
     outside the scope of the high-frequency sweep.
     """
-    if not 1 <= num <= MAX_XI_GRID:
-        raise ValueError(f"xi grid size {num} not in [1, {MAX_XI_GRID}]")
+    _check_grid_size(num)
     lo = 1.0 / 1024
     return lo + (0.5 - lo) * np.arange(1, num + 1) / num
 
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Fourier truncation -N..N plus the xi sweep grid.
+    """Fourier truncation -N..N and the size of the xi sweep grid.
 
+    ``xi_grid`` is the number of points of ``default_xi_grid``, which
+    ``grid()`` builds on demand; a single slice never builds it.  The
     ``boundary_margin`` modes next to +-N are considered contaminated by
     truncation and are ignored when attributing growth.
     """
 
     N: int = 32
-    xi_grid: tuple[float, ...] | None = None
-    boundary_margin: int = 4
+    xi_grid: int = 512
+    boundary_margin: ClassVar[int] = 4
 
     def __post_init__(self):
         if self.N < 8:
@@ -91,15 +102,10 @@ class TruncationConfig:
         if 2 * self.N + 1 > MAX_DIM:
             raise ValueError(f"2N+1 = {2 * self.N + 1} exceeds the {MAX_DIM} "
                              "matrix-dimension guard")
-        if self.xi_grid is not None:
-            grid = np.asarray(self.xi_grid, dtype=float)
-            if grid.size == 0 or np.any(grid <= 0) or np.any(grid > 0.5):
-                raise XiOutOfRange("xi grid points must lie in (0, 1/2]")
+        _check_grid_size(self.xi_grid)
 
     def grid(self) -> np.ndarray:
-        if self.xi_grid is None:
-            return default_xi_grid()
-        return np.asarray(self.xi_grid, dtype=float)
+        return default_xi_grid(self.xi_grid)
 
 
 @dataclass(frozen=True)
@@ -133,18 +139,13 @@ def _wave_terms(wave: StokesWave, a: float, N: int) -> tuple[float, np.ndarray]:
     return stokes.eval_speed(wave, a), coupling
 
 
-def _check_xi(xi: float) -> None:
-    if not 0 < xi <= 0.5:
-        raise XiOutOfRange(f"xi={xi} not in (0, 1/2]")
-
-
 def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np.ndarray:
     """Self-adjoint factor L, truncated to modes -N..N.
 
     Diagonal k^2*(c - beta*k^2*(n+xi)^2) - gamma/(n+xi)^2, off-diagonal
     -2*k^2*w_hat(n-m).  Real symmetric, returned as a float array.
     """
-    _check_xi(xi)
+    dispersion.check_xi(xi)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2 = k**2
     c, coupling = _wave_terms(wave, as_amplitude(a).a, cfg.N)
@@ -161,7 +162,7 @@ def assemble_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np
     amplitude-corrected speed c), -2i*k^2*(n+xi)*w_hat(n-m) off it.
     Every entry is i times a real number.
     """
-    _check_xi(xi)
+    dispersion.check_xi(xi)
     return 1j * _assemble_real(wave, a, xi, cfg.N)
 
 
@@ -242,7 +243,7 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> Spe
     pins the true eigenvalue to the imaginary axis, so the real part is
     noise from a same-signature near-collision).
     """
-    _check_xi(xi)
+    dispersion.check_xi(xi)
     amp = as_amplitude(a)
     R = _assemble_real(wave, amp, xi, cfg.N)
     lam = 1j * eigenvalues(R)
@@ -298,8 +299,8 @@ def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
     return seeds
 
 
-def max_growth(wave: StokesWave, a, cfg: TruncationConfig,
-               refine_rounds: int = 3) -> tuple[float, float, SpectrumSlice]:
+def max_growth(wave: StokesWave, a,
+               cfg: TruncationConfig) -> tuple[float, float, SpectrumSlice]:
     """Maximize max_real_part over the xi sweep, with trisection refinement.
 
     Returns (xi_star, growth, slice at xi_star).  The uniform grid is
@@ -309,18 +310,15 @@ def max_growth(wave: StokesWave, a, cfg: TruncationConfig,
     collision points.  The trisection then narrows the bracket around
     the best evaluated point.
     """
-    base = cfg.grid()
-    if base.size == 0:
-        raise ValueError("xi grid is empty")
     grid = np.unique(np.concatenate([
-        base, np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
+        cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
     slices = [spectrum_slice(wave, a, t, cfg) for t in grid]
     best = max(slices, key=lambda s: s.max_real_part)
     i = slices.index(best)
     lo = grid[i - 1] if i > 0 else grid[0]
     hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         t1 = lo + (hi - lo) / 3.0
         t2 = hi - (hi - lo) / 3.0
         s1 = spectrum_slice(wave, a, t1, cfg)
@@ -335,7 +333,7 @@ def max_growth(wave: StokesWave, a, cfg: TruncationConfig,
     return best.xi, best.max_real_part, best
 
 
-def krein_of_eigenpair(L: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> int:
+def krein_of_eigenpair(L: np.ndarray, v: np.ndarray) -> int:
     """Sign of the energy quadratic form <L v, v> on a normalized eigenvector.
 
     Real by self-adjointness of L.  Raises IndefiniteNearZero when the
@@ -348,6 +346,6 @@ def krein_of_eigenpair(L: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> int:
         raise ValueError("zero eigenvector")
     v = v / nrm
     s = np.vdot(v, np.asarray(L) @ v)
-    if abs(s) < tol:
+    if abs(s) < _KREIN_ZERO_TOL:
         raise IndefiniteNearZero(f"quadratic form {s:.3e} below tolerance")
     return 1 if s.real > 0 else -1

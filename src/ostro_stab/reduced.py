@@ -2,10 +2,11 @@
 
 Near a collision i*omega of modes n and n + dn the spectrum of the
 linearized operator is governed, to leading order in the amplitude a, by
-a 2x2 pencil: the action of the operator on the two colliding Fourier
-modes.  Its characteristic equation det(B - (i*omega + i*mu)*I) = 0 is a
-real quadratic in mu; a negative discriminant means the perturbed
-eigenvalues leave the imaginary axis, i.e. instability.
+a 2x2 matrix B: the action of the operator on the two colliding Fourier
+modes, whose Gram matrix is the identity at the orders kept here.  Its
+characteristic equation det(B - (i*omega + i*mu)*I) = 0 is a real
+quadratic in mu; a negative discriminant means the perturbed eigenvalues
+leave the imaginary axis, i.e. instability.
 
 Pencils are built for dn = 1 (entries through a^2) and dn = 2 (through
 a^4).  Larger separations are rejected; their leading coupling enters at
@@ -41,10 +42,9 @@ COLLISION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReducedPencil:
-    """2x2 pencil (B, I) at a collision; every entry of B is i times a real."""
+    """2x2 pencil B at a collision; every entry of B is i times a real."""
 
     B: np.ndarray
-    I: np.ndarray
     omega: float
     order: int
     n: int
@@ -89,7 +89,7 @@ def reduced_matrix_dn1(wave: StokesWave, n: int, xi0: float, a) -> ReducedPencil
         [1j * w + 1j * k2 * a**2 * p * wave.c2, -1j * k2 * a * q],
         [-1j * k2 * a * p, 1j * w + 1j * k2 * a**2 * q * wave.c2],
     ])
-    return ReducedPencil(B=B, I=np.eye(2), omega=w, order=2, n=n, m=n + 1, xi0=xi0)
+    return ReducedPencil(B=B, omega=w, order=2, n=n, m=n + 1, xi0=xi0)
 
 
 def reduced_matrix_dn2(wave: StokesWave, n: int, xi0: float, a) -> ReducedPencil:
@@ -109,7 +109,7 @@ def reduced_matrix_dn2(wave: StokesWave, n: int, xi0: float, a) -> ReducedPencil
         [1j * w + 1j * k2 * diag * p, -1j * k2 * off * q],
         [-1j * k2 * off * p, 1j * w + 1j * k2 * diag * q],
     ])
-    return ReducedPencil(B=B, I=np.eye(2), omega=w, order=4, n=n, m=n + 2, xi0=xi0)
+    return ReducedPencil(B=B, omega=w, order=4, n=n, m=n + 2, xi0=xi0)
 
 
 def reduced_pencil(wave: StokesWave, n: int, m: int, xi0: float, a) -> ReducedPencil:
@@ -126,12 +126,12 @@ def reduced_pencil(wave: StokesWave, n: int, m: int, xi0: float, a) -> ReducedPe
 def eigenvalue_shifts(pencil: ReducedPencil) -> DiscriminantResult:
     """Solve det(B - (i*omega + i*mu)*I) = 0 exactly.
 
-    G = -i*I^{-1}(B - i*omega*I) is real; mu solves
+    G = -i*(B - i*omega*I) is real; mu solves
     mu^2 - tr(G)*mu + det(G) = 0 with discriminant tr^2 - 4*det.  A
     negative discriminant gives a complex-conjugate pair of shifts and a
     positive growth rate max(Re(i*mu)).
     """
-    G_c = -1j * np.linalg.solve(pencil.I, pencil.B - 1j * pencil.omega * pencil.I)
+    G_c = -1j * (pencil.B - 1j * pencil.omega * np.eye(2))
     if np.max(np.abs(G_c.imag)) > 1e-12 * max(1.0, np.max(np.abs(G_c.real))):
         raise ValueError("pencil entries are not purely imaginary")
     G = G_c.real

@@ -48,6 +48,12 @@ __all__ = [
     "residual_F",
 ]
 
+# Largest |a| for which the fourth-order expansion is used.
+A_MAX = 0.1
+# An expansion denominator smaller than this times its natural scale
+# marks a resonant carrier wavenumber.
+_DENOM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -93,16 +99,13 @@ def _nearby_resonances(beta, gamma, k):
 
 @dataclass(frozen=True)
 class Amplitude:
-    """Amplitude parameter with its validity bound."""
+    """Amplitude parameter, |a| <= A_MAX."""
 
     a: float
-    a_max: float = 0.1
 
     def __post_init__(self):
-        if not self.a_max > 0:
-            raise ValueError("a_max must be positive")
-        if not abs(self.a) <= self.a_max:
-            raise ValueError(f"|a|={abs(self.a)} exceeds a_max={self.a_max}")
+        if not abs(self.a) <= A_MAX:
+            raise ValueError(f"|a|={abs(self.a)} exceeds a_max={A_MAX}")
 
 
 def as_amplitude(a) -> Amplitude:
@@ -143,12 +146,12 @@ def resonant_wavenumbers(params: PhysicalParams, n_max: int) -> list[float]:
     ]
 
 
-def stokes_coefficients(params: PhysicalParams, denom_tol: float = 1e-9) -> StokesWave:
+def stokes_coefficients(params: PhysicalParams) -> StokesWave:
     """Build the wave coefficients through fourth order in amplitude.
 
     Raises ResonantWavenumber if any of the three expansion denominators
     3*gamma - 12*beta*k^4, 8*gamma - 72*beta*k^4, 15*gamma - 240*beta*k^4
-    is smaller in magnitude than ``denom_tol`` times its natural scale
+    is smaller in magnitude than ``_DENOM_TOL`` times its natural scale
     (these vanish exactly at the n = 2, 3, 4 resonances).
     """
     beta, gamma, k = params.beta, params.gamma, params.k
@@ -159,7 +162,7 @@ def stokes_coefficients(params: PhysicalParams, denom_tol: float = 1e-9) -> Stok
         (15 * gamma - 240 * beta * k4, 15 * gamma + 240 * abs(beta) * k4),
     )
     for d, scale in denominators:
-        if abs(d) < denom_tol * scale:
+        if abs(d) < _DENOM_TOL * scale:
             raise ResonantWavenumber(
                 f"expansion denominator {d} vanishes near k={k}"
             )

@@ -1,17 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ostro_stab import (
     PhysicalParams,
     TruncationConfig,
     cli,
-    default_xi_grid,
     hill,
     max_growth,
     stokes_coefficients,
@@ -61,6 +65,15 @@ class TestExitCodes:
                          "--a", "0.01", "--xi", "0"]) == 2
 
     @pytest.mark.parametrize("argv", [
+        "dispersion --beta 1 --gamma 1 --k 1 --xi 0",
+        "dispersion --beta 1 --gamma 1 --k 1 --xi 0.75",
+        "reduced --beta 1 --gamma 1 --k 1.6 --n -1 --m 0 --a 0.01 --xi 0.6",
+    ])
+    def test_xi_outside_floquet_domain(self, argv, capsys):
+        assert cli.main(argv.split()) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
         "threshold --beta nan --gamma 1",
         "threshold --beta 1 --gamma nan",
         "threshold --beta inf --gamma 1",
@@ -70,6 +83,9 @@ class TestExitCodes:
         "collisions --beta 1 --gamma nan",
         "collisions --beta nan --gamma 1",
         "figures --which collision_ranges --beta nan --gamma 1 --n -1 --m 0",
+        "figures --which K_curves --beta nan --gamma 1",
+        "dispersion --beta 1 --gamma 1 --k 1 --xi nan",
+        "reduced --beta 1 --gamma 1 --k 1.6 --n -1 --m 0 --a 0.01 --xi nan",
     ])
     def test_non_finite_input_domain_error(self, argv, capsys, tmp_path):
         argv = argv.split()
@@ -78,6 +94,20 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        "wave --beta 1 --gamma 1 --k 1e100 --a 0.01",
+        "wave --beta 1 --gamma 1 --k 1e-100 --a 0.01",
+        "krein --beta 1 --gamma 1 --k 1e100 --n -1 --m 0",
+        "threshold --beta 1e-320 --gamma 1",
+        "dispersion --beta 1e300 --gamma 1 --k 1e10 --xi 0.3",
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_or_non_finite_result_domain_error(self, argv, fmt, capsys):
+        # finite flags whose results overflow: exit 2 before any output
+        assert cli.main(argv.split() + ["--format", fmt]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 5000",
@@ -98,6 +128,16 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_slice_builds_no_xi_grid(self, capsys, monkeypatch):
+        def no_grid(num):
+            raise AssertionError(f"built a {num}-point xi grid for one slice")
+        monkeypatch.setattr(hill, "default_xi_grid", no_grid)
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6",
+            "--a", "0.01", "--xi", "0.3", "--N", "8", "--xi-grid", "1048576"])
+        assert code == 0
+        assert doc["diagnostics"]["xi_grid"] == 1048576
 
     @staticmethod
     def _run_module(module):
@@ -210,8 +250,8 @@ class TestCommands:
             "--a", "0.01", "--N", "16", "--xi-grid", "64"])
         assert code == 0
         wave = stokes_coefficients(PhysicalParams(1, 1, 1.2))
-        xi_star, growth, _ = max_growth(wave, 0.01, TruncationConfig(
-            N=16, xi_grid=tuple(default_xi_grid(64))))
+        xi_star, growth, _ = max_growth(wave, 0.01,
+                                        TruncationConfig(N=16, xi_grid=64))
         assert doc["results"]["xi_star"] == xi_star
         assert doc["results"]["growth"] == growth
 
@@ -292,3 +332,73 @@ def test_help_lists_every_command(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert all(f"\n  {name} " in out for name in cli._HANDLERS)
+
+
+_FLOAT_FLAGS = ("beta", "gamma", "k", "a", "xi")
+_INT_FLAGS = ("n", "m", "dn-max", "n-range", "xi-grid")
+# arbitrary floats, plus ranges and values where commands succeed
+_FUZZ_FLOATS = st.one_of(
+    st.floats(), st.floats(-3, 3), st.floats(-0.1, 0.1), st.floats(0, 0.5),
+    st.sampled_from((1.0, -1.0, 1.6, 0.78, 0.01, 0.28, 0.5, 0.0, 5e-324, 1e300)))
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [leaf for x in obj for leaf in _leaves(x)]
+    return [obj]
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    argv = [command]
+    # each flag is left out one time in eight, --xi of spectrum never; the
+    # --flag=value form passes values such as -1e-07 and -inf to the program
+    for name in _FLOAT_FLAGS:
+        if draw(st.integers(0, 7)) < 7 or (name, command) == ("xi", "spectrum"):
+            argv.append(f"--{name}={draw(_FUZZ_FLOATS)!r}")
+    for name in _INT_FLAGS:
+        if draw(st.integers(0, 7)) < 7:
+            argv.append(f"--{name}={draw(st.integers(-3, 8))}")
+    argv += ["--N", str(draw(st.integers(8, 16))),
+             "--format", draw(st.sampled_from(("json", "csv")))]
+    if draw(st.booleans()):
+        argv.append("--opposite-krein")
+    if command == "figures":
+        argv += ["--which", draw(st.sampled_from(sorted(cli._FIGURES)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_cli_argv())
+# random draws rarely hit a collision, so reduced runs at two known ones
+@example(argv=["reduced", "--beta=1.0", "--gamma=1.0", "--k=1.6", "--n=-1",
+               "--m=0", "--a=0.01"])
+@example(argv=["reduced", "--beta=-1.0", "--gamma=1.0", "--k=0.78", "--n=-1",
+               "--m=1", "--a=0.0", "--format=csv"])
+def test_fuzz_exit_codes_and_finite_results(argv):
+    """Arbitrary flag values exit 0, 2 or 64, and exit 0 only with finite
+    results.
+
+    ``spectrum`` always gets ``--xi`` and N <= 16: an xi sweep solves
+    hundreds of slices and is too slow for one fuzz case.
+    """
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if argv[0] == "figures":
+            argv = argv + ["--out", tmp]
+        code = cli.main(argv)
+    assert code in (0, 2, 64), argv
+    if code != 0:
+        return
+    text = out.getvalue()
+    if text.startswith("{"):
+        leaves = _leaves(json.loads(text)["results"])
+    else:
+        leaves = [cell for row in csv.reader(io.StringIO(text)) for cell in row]
+    assert not [v for v in leaves if str(v) in _NON_FINITE], argv

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ostro_stab import (
-    BlochIndex,
     DivisionByZero,
     NoCollision,
     PhysicalParams,
@@ -171,8 +170,10 @@ class TestCollisionInterval:
         assert not iv.unbounded
 
     def test_pair_with_zero_index_unbounded(self):
-        iv = collision_interval(1, 1, -1, 0, xi_range="positive")
-        assert iv.k_min == pytest.approx(2**0.5, rel=1e-9)
+        # with p = x*(x+1) the kernel is (1 + p)/(3*p^2), least at the open
+        # end x -> -3/2 of the full family
+        iv = collision_interval(1, 1, -1, 0)
+        assert iv.k_min == pytest.approx((28 / 27) ** 0.25, rel=1e-6)
         assert math.isinf(iv.k_max)
 
     def test_reflected_family_negative_beta(self):
@@ -184,10 +185,6 @@ class TestCollisionInterval:
     def test_no_collision(self):
         with pytest.raises(NoCollision):
             collision_interval(1, 1, -1, 1)
-
-    def test_bad_range_name(self):
-        with pytest.raises(ValueError):
-            collision_interval(1, 1, -1, 0, xi_range="nope")
 
 
 class TestEnumerate:
@@ -256,14 +253,3 @@ class TestOriginCollisions:
     def test_gamma6_value(self):
         e = [x for x in origin_collisions(1.0, 6.0, 2) if x.n == 1][0]
         assert e.k == pytest.approx(1.2778862084925449, rel=1e-12)
-
-
-class TestBlochIndex:
-    def test_x(self):
-        assert BlochIndex(-1, 0.25).x == -0.75
-
-    def test_range(self):
-        with pytest.raises(XiOutOfRange):
-            BlochIndex(0, 0.0)
-        with pytest.raises(XiOutOfRange):
-            BlochIndex(0, 0.6)

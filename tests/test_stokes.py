@@ -45,7 +45,6 @@ class TestParams:
         Amplitude(0.1)
         with pytest.raises(ValueError):
             Amplitude(0.2)
-        Amplitude(0.2, a_max=0.5)
 
 
 class TestPhaseSpeed:
