@@ -2,8 +2,12 @@
 """Sweep the carrier wavenumber through the instability threshold.
 
 For beta > 0 the {-1,0} eigenvalue collision switches on at
-k = (4*gamma/beta)**(1/4) and the measured growth rate should jump from
-zero to ~ k^2*a/2 right at the threshold.  Writes one CSV row per k.
+k = (4*gamma/beta)**(1/4); above it, ``predicted`` is its leading-order
+growth rate k^2*a*sqrt(xi0*(1 - xi0)).  Below it ``predicted`` is 0, but
+``growth`` need not be: the sweep can catch the modulational bubble
+next to xi = 0, of order a^2, when a grid point falls inside it (whether
+one does depends on a and k).  So growth does not jump from zero at the
+threshold.  Writes one CSV row per k.
 
 Example:
     python scripts/threshold_scan.py --beta 1 --gamma 1 --a 0.005 \

@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
+import re
 import sys
 import time
 import traceback
@@ -273,12 +275,18 @@ def _cmd_figures(args):
     """CSV data for the kernel/collision figures"""
     _require(args, "which")
     outdir = Path(args.out) if args.out else Path(".")
-    files = _FIGURES[args.which](args, outdir)
-    return {"files": [str(f) for f in files]}, None
+    tables = _FIGURES[args.which](args)
+    # every value is checked before the first file is written
+    for name, (_, rows) in tables.items():
+        if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+            raise DomainError(f"non-finite value in {name}")
+    for name, (header, rows) in tables.items():
+        _write_csv(outdir / name, _csv_comment(args), header, rows)
+    return {"files": [str(outdir / name) for name in tables]}, None
 
 
 # ---------------------------------------------------------------------------
-# figure-data emitters
+# figure-data emitters: each returns {file name: (header, rows)}
 
 def _csv_comment(args) -> str:
     vals = [("beta", args.beta), ("gamma", args.gamma), ("k", args.k),
@@ -294,23 +302,21 @@ def _write_csv(path: Path, comment: str, header, rows) -> None:
         fh.write(comment + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        # floats are written by repr, as _fmt writes them
+        writer.writerows(rows)
 
 
-def _emit_k_curves(args, outdir: Path) -> list[Path]:
-    files = []
+def _emit_k_curves(args) -> dict:
+    tables = {}
     for dn in (1, 2, 3, 4):
         xs = np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
-        rows = [(_fmt(x), _fmt(K)) if not math.isnan(K) else ()
+        rows = [(x, K) if not math.isnan(K) else ()
                 for x, K in zip(xs.tolist(), dispersion.collision_K(xs, dn).tolist())]
-        path = outdir / f"k_curves_dn{dn}.csv"
-        _write_csv(path, _csv_comment(args), ("x", "K"), rows)
-        files.append(path)
-    return files
+        tables[f"k_curves_dn{dn}.csv"] = (("x", "K"), rows)
+    return tables
 
 
-def _emit_collision_ranges(args, outdir: Path) -> list[Path]:
+def _emit_collision_ranges(args) -> dict:
     _require(args, "beta", "gamma", "n", "m")
     beta, gamma = _coefficients(args)
     n, m = min(args.n, args.m), max(args.n, args.m)
@@ -318,24 +324,20 @@ def _emit_collision_ranges(args, outdir: Path) -> list[Path]:
     x = n + xi
     # xi = 0 is left out of the Floquet family: a blank row
     k4 = np.where(xi == 0, np.nan, dispersion._collision_k4(beta, gamma, x, m - n))
-    rows = [(_fmt(xj), _fmt(k4j**0.25)) if k4j > 0 else ()
+    rows = [(xj, k4j**0.25) if k4j > 0 else ()
             for xj, k4j in zip(x.tolist(), k4.tolist())]
-    path = outdir / f"collision_ranges_n{n}_m{m}.csv"
-    _write_csv(path, _csv_comment(args), ("x", "k"), rows)
-    return [path]
+    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), rows)}
 
 
-def _emit_collision_contour(args, outdir: Path) -> list[Path]:
+def _emit_collision_contour(args) -> dict:
     beta, gamma = _coefficients(args)
     if beta <= 0:
         raise DomainError("collision contour requires beta > 0")
     rows = []
-    for xi in hill.default_xi_grid(args.xi_grid):
-        k = dispersion.collision_wavenumber(beta, gamma, -1, 0, float(xi))
-        rows.append((_fmt(float(xi)), _fmt(k)) if k is not None else ())
-    path = outdir / "collision_contour.csv"
-    _write_csv(path, _csv_comment(args), ("xi", "k"), rows)
-    return [path]
+    for xi in hill.default_xi_grid(args.xi_grid).tolist():
+        k = dispersion.collision_wavenumber(beta, gamma, -1, 0, xi)
+        rows.append((xi, k) if k is not None else ())
+    return {"collision_contour.csv": (("xi", "k"), rows)}
 
 
 # plot-ready CSV files by --which name; singular points become blank rows
@@ -362,6 +364,15 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse takes "-1e-07" or "-inf" for an option, since its own
+        # pattern knows only "-1" and "-1.5"; no option here looks like a
+        # number, so every negative float literal is a value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")

@@ -18,6 +18,13 @@ collision predictions.
 Truncation artifacts live near the boundary modes +-N, so eigenvalues
 whose eigenvector mass concentrates there are excluded from growth
 statistics.
+
+An xi sweep solves only the slices where growth is possible.  Growth
+needs two imaginary eigenvalues to collide, so a slice whose Gershgorin
+intervals around the frequencies omega(n+xi) are pairwise disjoint has
+its whole spectrum on the imaginary axis, exactly; it scores 0.0, as its
+solve would, and is not solved.  The rest, near a collision, are solved
+in full.
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ _KREIN_FORM_TOL = 1e-3
 _KREIN_ZERO_TOL = 1e-10
 # Trisection rounds around the best slice of the sweep.
 _REFINE_ROUNDS = 3
+# xi values per vectorised certificate block: bounds its (block, 2N+1)
+# temporaries to a few times one matrix.
+_CERTIFY_BLOCK = 64
+# Least gap between neighbouring Gershgorin intervals, relative to
+# ||R||_inf, for a slice to count as certified.
+_CERTIFY_MARGIN = 64 * np.finfo(float).eps
 
 
 def _check_grid_size(num: int) -> None:
@@ -299,6 +312,40 @@ def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
     return seeds
 
 
+def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
+    """Whether a Gershgorin certificate proves each xi slice free of growth.
+
+    R = X*C + diag(omega(n+xi)), X = diag(n+xi), is similar to
+    |X|^{-1/2} R |X|^{1/2}, whose Gershgorin intervals have centres
+    omega(n+xi) and radii sqrt|x_n| * sum_m |C_nm| sqrt|x_m|.  When the
+    intervals are pairwise disjoint, each holds exactly one eigenvalue of
+    R; R is real, so that eigenvalue equals its own conjugate and
+    lambda = i*mu lies on the imaginary axis.  Neighbouring intervals
+    must clear each other by _CERTIFY_MARGIN*||R||_inf, which absorbs the
+    rounding of the centres, the radii and the eigensolver.  Vectorised
+    over blocks of _CERTIFY_BLOCK xi values.
+    """
+    c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
+    abs_c = np.abs(coupling)
+    row_sum = abs_c.sum(axis=1)
+    n = np.arange(-N, N + 1)
+    certified = np.empty(xis.size, dtype=bool)
+    for lo in range(0, xis.size, _CERTIFY_BLOCK):
+        x = n + xis[lo:lo + _CERTIFY_BLOCK, None]
+        centre = dispersion.omega(wave.params, c, x)
+        s = np.sqrt(np.abs(x))
+        radius = s * (s @ abs_c)
+        norm = np.max(np.abs(centre) + np.abs(x) * row_sum, axis=1)
+        # each left end, sorted, must clear the right end ranked one lower:
+        # then the intervals are disjoint, both sorts follow their order,
+        # and these are the gaps between neighbours by centre
+        left = np.sort(centre - radius, axis=1)
+        right = np.sort(centre + radius, axis=1)
+        certified[lo:lo + _CERTIFY_BLOCK] = np.all(
+            left[:, 1:] - right[:, :-1] >= _CERTIFY_MARGIN * norm[:, None], axis=1)
+    return certified
+
+
 def max_growth(wave: StokesWave, a,
                cfg: TruncationConfig) -> tuple[float, float, SpectrumSlice]:
     """Maximize max_real_part over the xi sweep, with trisection refinement.
@@ -309,28 +356,49 @@ def max_growth(wave: StokesWave, a,
     uniform grid spacing, but they sit at the analytically known
     collision points.  The trisection then narrows the bracket around
     the best evaluated point.
+
+    Only slices that may grow are solved.  A slice whose Gershgorin
+    intervals are pairwise disjoint (see _on_axis) has every eigenvalue
+    on the imaginary axis, so it scores exactly 0.0, the value its solve
+    would give, without a solve.  Growth can appear only where two
+    intervals overlap, which is near a collision of two modes.  The first
+    maximiser still wins ties, and the returned slice is always solved.
     """
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
-    slices = [spectrum_slice(wave, a, t, cfg) for t in grid]
-    best = max(slices, key=lambda s: s.max_real_part)
-    i = slices.index(best)
+    growth, solved = _growth(wave, a, grid, cfg)
+    i = int(np.argmax(growth))
+    best_xi, best_growth, best = grid[i], growth[i], solved.get(i)
     lo = grid[i - 1] if i > 0 else grid[0]
     hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
     for _ in range(_REFINE_ROUNDS):
-        t1 = lo + (hi - lo) / 3.0
-        t2 = hi - (hi - lo) / 3.0
-        s1 = spectrum_slice(wave, a, t1, cfg)
-        s2 = spectrum_slice(wave, a, t2, cfg)
-        for s in (s1, s2):
-            if s.max_real_part > best.max_real_part:
-                best = s
-        if s1.max_real_part >= s2.max_real_part:
-            hi = t2
+        t = np.array([lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0])
+        g, s = _growth(wave, a, t, cfg)
+        for j in (0, 1):
+            if g[j] > best_growth:
+                best_xi, best_growth, best = t[j], g[j], s.get(j)
+        if g[0] >= g[1]:
+            hi = t[1]
         else:
-            lo = t1
+            lo = t[0]
+    if best is None:
+        best = spectrum_slice(wave, a, best_xi, cfg)
     return best.xi, best.max_real_part, best
+
+
+def _growth(wave: StokesWave, a, xis: np.ndarray,
+            cfg: TruncationConfig) -> tuple[np.ndarray, dict[int, SpectrumSlice]]:
+    """max_real_part at each xi, and the solved slices by index.
+
+    Slices that _on_axis certifies score 0.0 and are not solved.
+    """
+    growth = np.zeros(xis.size)
+    solved = {}
+    for i in np.flatnonzero(~_on_axis(wave, a, xis, cfg.N)):
+        solved[i] = spectrum_slice(wave, a, xis[i], cfg)
+        growth[i] = solved[i].max_real_part
+    return growth, solved
 
 
 def krein_of_eigenpair(L: np.ndarray, v: np.ndarray) -> int:

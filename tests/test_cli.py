@@ -84,6 +84,8 @@ class TestExitCodes:
         "collisions --beta nan --gamma 1",
         "figures --which collision_ranges --beta nan --gamma 1 --n -1 --m 0",
         "figures --which K_curves --beta nan --gamma 1",
+        # finite flags whose figure rows overflow to k = inf
+        "figures --which collision_ranges --beta 1e-300 --gamma 1e300 --n -1 --m 0",
         "dispersion --beta 1 --gamma 1 --k 1 --xi nan",
         "reduced --beta 1 --gamma 1 --k 1.6 --n -1 --m 0 --a 0.01 --xi nan",
     ])
@@ -94,6 +96,15 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-1e-07", "-1E+2", "-.5", "-inf"])
+    def test_negative_value_separate_argument(self, value, capsys):
+        # "--beta -1e-07" reaches the program exactly as "--beta=-1e-07"
+        spaced = cli.main(["threshold", "--beta", value, "--gamma", "1"])
+        spaced_err = capsys.readouterr().err
+        joined = cli.main(["threshold", f"--beta={value}", "--gamma", "1"])
+        assert spaced == joined == 2
+        assert spaced_err == capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         "wave --beta 1 --gamma 1 --k 1e100 --a 0.01",

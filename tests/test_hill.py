@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.sparse import csr_matrix
@@ -10,6 +10,7 @@ from ostro_stab import (
     ConvergenceFailure,
     IndefiniteNearZero,
     PhysicalParams,
+    ResonantWavenumber,
     TruncationConfig,
     XiOutOfRange,
     assemble_L_matrix,
@@ -28,16 +29,20 @@ from ostro_stab import (
     stokes_coefficients,
 )
 from ostro_stab.hill import (
+    _REFINE_ROUNDS,
     MAX_DIM,
     MAX_XI_GRID,
     PAIRING_TOL,
     _assemble_real,
     _boundary_mass,
+    _collision_seeds,
     _greedy_matching,
+    _on_axis,
     _pairing_ok,
     _sorted_witness,
     _wave_terms,
 )
+from ostro_stab.stokes import A_MAX
 
 
 def wave_at(beta, gamma, k):
@@ -281,7 +286,87 @@ class TestSpectrumSlice:
         assert abs(g32 - g64) < 1e-8
 
 
+class TestCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
+           u=st.floats(0.5, 1.6),
+           a=st.floats(0.0, A_MAX, exclude_min=True),
+           N=st.integers(8, 48), xi=st.floats(1e-3, 0.5),
+           near=st.booleans(), pick=st.floats(0.0, 1.0, exclude_max=True),
+           t=st.floats(-0.5, 0.5))
+    def test_sound(self, beta, gamma, u, a, N, xi, near, pick, t):
+        # wherever the certificate holds, the solve finds no growth at all.
+        # k is u times the {-1,0} threshold (beta > 0) or gamma^(1/4)
+        # (beta < 0); half the draws sit within a*k^2/2 of a collision
+        # seed, across the edge of its instability bubble
+        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
+        try:
+            w = wave_at(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        if near:
+            seeds = _collision_seeds(w, a, lo=1e-3)
+            assume(seeds)
+            xi = seeds[int(pick * len(seeds))] + t * a * k**2
+            assume(1e-3 <= xi <= 0.5)
+        assume(_on_axis(w, a, np.array([xi]), N)[0])
+        sl = spectrum_slice(w, a, xi, TruncationConfig(N=N))
+        assert sl.max_real_part == 0.0
+        assert np.all(sl.eigenvalues.real == 0.0)
+
+    @pytest.mark.parametrize("a", [1e-4, 0.01, A_MAX])
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_rejects_collision(self, a, N):
+        w = wave_at(1, 1, 1.6)
+        xi0 = collision_xi(w.params, -1, 0)[0]
+        assert not _on_axis(w, a, np.array([xi0]), N)[0]
+
+
+def exhaustive_max_growth(wave, a, cfg):
+    """Reference sweep: solves every slice, grid and refinement alike."""
+    grid = np.unique(np.concatenate([
+        cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
+    ]))
+    slices = [spectrum_slice(wave, a, t, cfg) for t in grid]
+    best = max(slices, key=lambda s: s.max_real_part)
+    i = slices.index(best)
+    lo = grid[i - 1] if i > 0 else grid[0]
+    hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
+    for _ in range(_REFINE_ROUNDS):
+        t1 = lo + (hi - lo) / 3.0
+        t2 = hi - (hi - lo) / 3.0
+        s1 = spectrum_slice(wave, a, t1, cfg)
+        s2 = spectrum_slice(wave, a, t2, cfg)
+        for s in (s1, s2):
+            if s.max_real_part > best.max_real_part:
+                best = s
+        if s1.max_real_part >= s2.max_real_part:
+            hi = t2
+        else:
+            lo = t1
+    return best.xi, best.max_real_part, best
+
+
 class TestMaxGrowth:
+    @pytest.mark.parametrize("beta, gamma, k, a, xi_grid", [
+        (1.0, 2.0, 1.3 * 8.0**0.25, 0.01, 512),    # above threshold
+        (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 512),    # below threshold
+        (-1.0, 3.0, 0.9 * 3.0**0.25, 0.015, 512),  # beta < 0
+        (1.0, 1.0, 1.3, 1e-4, 64),                 # all stable
+    ])
+    def test_matches_exhaustive_reference(self, beta, gamma, k, a, xi_grid):
+        w = wave_at(beta, gamma, k)
+        cfg = TruncationConfig(N=32, xi_grid=xi_grid)
+        xi_star, growth, sl = max_growth(w, a, cfg)
+        ref_xi, ref_growth, ref = exhaustive_max_growth(w, a, cfg)
+        assert (xi_star, growth, sl.paired) == (ref_xi, ref_growth, ref.paired)
+        assert sl.max_real_part == ref.max_real_part
+        assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        if xi_grid == 64:
+            # the maximiser was certified, so it is solved only to be returned
+            assert growth == 0.0
+            assert _on_axis(w, a, np.array([xi_star]), 32)[0]
+
     def test_zero_amplitude(self):
         w = wave_at(1, 1, 1.3)
         cfg = TruncationConfig(N=16, xi_grid=64)
