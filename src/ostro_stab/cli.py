@@ -115,6 +115,13 @@ class UsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    """An output file could not be written; exit 64 without a traceback."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _params(args) -> stokes.PhysicalParams:
     _require(args, "beta", "gamma", "k")
     return stokes.PhysicalParams(beta=args.beta, gamma=args.gamma, k=args.k)
@@ -297,13 +304,16 @@ def _csv_comment(args) -> str:
 
 def _write_csv(path: Path, comment: str, header, rows) -> None:
     # created only once the inputs have passed validation
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(comment + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # floats are written by repr, as _fmt writes them
-        writer.writerows(rows)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(comment + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            # floats are written by repr, as _fmt writes them
+            writer.writerows(rows)
+    except OSError as exc:
+        raise OutputError(path, exc) from exc
 
 
 def _emit_k_curves(args) -> dict:
@@ -465,6 +475,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, out = run(args)
+        if out:
+            try:
+                Path(out).write_text(payload)
+            except OSError as exc:
+                raise OutputError(out, exc) from exc
+    except OutputError as exc:
+        print(f"ostro-stab: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except UsageError as exc:
         print(f"ostro-stab: error: {exc}", file=sys.stderr)
         print("run 'ostro-stab --help' for usage",
@@ -476,9 +494,7 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return INTERNAL_EXIT
-    if out:
-        Path(out).write_text(payload)
-    else:
+    if not out:
         sys.stdout.write(payload)
     return 0
 

@@ -20,11 +20,14 @@ whose eigenvector mass concentrates there are excluded from growth
 statistics.
 
 An xi sweep solves only the slices where growth is possible.  Growth
-needs two imaginary eigenvalues to collide, so a slice whose Gershgorin
-intervals around the frequencies omega(n+xi) are pairwise disjoint has
-its whole spectrum on the imaginary axis, exactly; it scores 0.0, as its
-solve would, and is not solved.  The rest, near a collision, are solved
-in full.
+needs two modes of opposite sign of n+xi to collide.  The Gershgorin
+intervals around the frequencies omega(n+xi) fall into clusters; a
+count of negative eigenvalues (an inertia count) across each cluster
+proves every eigenvalue real when the cluster is one mode, modes of one
+sign, or a pair of opposite sign whose Schur-complement determinant is
+positive.  Such a slice has its whole spectrum on the imaginary axis; it
+scores 0.0, as its solve would, and is not solved.  The rest, at a
+collision, are solved in full.
 """
 
 from __future__ import annotations
@@ -72,9 +75,12 @@ _REFINE_ROUNDS = 3
 # xi values per vectorised certificate block: bounds its (block, 2N+1)
 # temporaries to a few times one matrix.
 _CERTIFY_BLOCK = 64
-# Least gap between neighbouring Gershgorin intervals, relative to
+# Least gap between clusters of Gershgorin intervals, relative to
 # ||R||_inf, for a slice to count as certified.
 _CERTIFY_MARGIN = 64 * np.finfo(float).eps
+# Bound, relative to ||R||_inf, on the entries of the real perturbation
+# that the eigensolver's output is exact for, as a colliding pair sees it.
+_SOLVE_NOISE = 1e3 * _CERTIFY_MARGIN
 
 
 def _check_grid_size(num: int) -> None:
@@ -313,36 +319,123 @@ def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
 
 
 def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
-    """Whether a Gershgorin certificate proves each xi slice free of growth.
+    """Whether an inertia certificate proves each xi slice free of growth.
 
-    R = X*C + diag(omega(n+xi)), X = diag(n+xi), is similar to
-    |X|^{-1/2} R |X|^{1/2}, whose Gershgorin intervals have centres
-    omega(n+xi) and radii sqrt|x_n| * sum_m |C_nm| sqrt|x_m|.  When the
-    intervals are pairwise disjoint, each holds exactly one eigenvalue of
-    R; R is real, so that eigenvalue equals its own conjugate and
-    lambda = i*mu lies on the imaginary axis.  Neighbouring intervals
-    must clear each other by _CERTIFY_MARGIN*||R||_inf, which absorbs the
-    rounding of the centres, the radii and the eigensolver.  Vectorised
-    over blocks of _CERTIFY_BLOCK xi values.
+    R = X*C + diag(omega(n+xi)), X = diag(n+xi), is similar to Sigma*H
+    with H = |X|^{1/2} L |X|^{1/2} symmetric and Sigma = sgn(X); its
+    eigenvalues mu are those of the pencil H - mu*Sigma.  Each mode n gets
+    the Gershgorin interval of Sigma*H, centre omega(n+xi) and radius
+    sqrt|x_n| * sum_m |C_nm| sqrt|x_m|.  Sorted by left end, the intervals
+    fall into clusters split by gaps of at least _CERTIFY_MARGIN*||R||_inf,
+    which absorbs the rounding of centres and radii; a cluster of s
+    intervals holds exactly s eigenvalues.  At a gap point t, H - t*Sigma
+    is strictly diagonally dominant, so its count of negative eigenvalues
+    is read off its diagonal sgn(x_n)*(omega_n - t); between two
+    consecutive points that count changes only at real eigenvalues, by at
+    most one per eigenvalue.  A slice is certified when every cluster is
+
+    (a) one mode: its eigenvalue is real, as R is real;
+    (b) modes of one sign of n+xi: the count changes by the cluster size
+        across the cluster, so all of its eigenvalues are real;
+    (c) two modes p, q of opposite sign: at t halfway between their
+        centres, which no other interval reaches, the rest D of
+        H - t*Sigma is still strictly diagonally dominant, and a
+        positive determinant of the Schur complement onto the pair makes
+        the count at t differ by one from both ends, so one real
+        eigenvalue lies on each side of t.  The complement is A - B D^-1
+        B^T; with Varah's ||D^-1||_inf <= 1/delta, delta the least row
+        dominance of D, its entries move by at most |b_i|_1 |b_j|_inf /
+        delta, b_i the coupling row of mode i into D.
+
+    Each certified eigenvalue is real, so lambda = i*mu lies on the
+    imaginary axis.  The solve must find that too.  It is backward stable
+    but does not keep the pencil structure: it solves a real perturbation
+    of R whose entries, as the pair sees them, are bounded by
+    eta = _SOLVE_NOISE*||R||_inf (1e3 times the cluster gap, room for the
+    backward-error constant of the dimension and the |X|^{1/2} scaling).
+    The pair's eigenvalues are mid +- sqrt(det), det = Delta^2/4 - h^2,
+    Delta the centre difference and h the coupling bound; entries moved
+    by eta lower det by at most eta*(|Delta| + 2*h + eta).  So (c) asks
+    det to exceed that margin, or the pair could come out as a noise
+    complex pair.  (b) has no margin: eigenvalues of one type leave the
+    real line under such a perturbation only when two of them lie within
+    about eta of each other.  Anything else, such as a mixed cluster of
+    three modes, is left to the solve.  Vectorised over blocks of
+    _CERTIFY_BLOCK xi values.
     """
     c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
     abs_c = np.abs(coupling)
     row_sum = abs_c.sum(axis=1)
     n = np.arange(-N, N + 1)
-    certified = np.empty(xis.size, dtype=bool)
-    for lo in range(0, xis.size, _CERTIFY_BLOCK):
-        x = n + xis[lo:lo + _CERTIFY_BLOCK, None]
+
+    def intervals(xi):
+        x = n + xi[:, None]
         centre = dispersion.omega(wave.params, c, x)
         s = np.sqrt(np.abs(x))
         radius = s * (s @ abs_c)
         norm = np.max(np.abs(centre) + np.abs(x) * row_sum, axis=1)
-        # each left end, sorted, must clear the right end ranked one lower:
-        # then the intervals are disjoint, both sorts follow their order,
-        # and these are the gaps between neighbours by centre
-        left = np.sort(centre - radius, axis=1)
-        right = np.sort(centre + radius, axis=1)
+        return x, centre, s, radius, norm
+
+    # (a) first, on every slice: each left end, sorted, clears the right
+    # end ranked one lower exactly when every cluster is one interval
+    certified = np.empty(xis.size, dtype=bool)
+    for lo in range(0, xis.size, _CERTIFY_BLOCK):
+        _, centre, _, radius, norm = intervals(xis[lo:lo + _CERTIFY_BLOCK])
         certified[lo:lo + _CERTIFY_BLOCK] = np.all(
-            left[:, 1:] - right[:, :-1] >= _CERTIFY_MARGIN * norm[:, None], axis=1)
+            np.sort(centre - radius, axis=1)[:, 1:]
+            - np.sort(centre + radius, axis=1)[:, :-1]
+            >= _CERTIFY_MARGIN * norm[:, None], axis=1)
+    # (b) and (c) on the slices left, near a collision
+    rest = np.flatnonzero(~certified)
+    for lo in range(0, rest.size, _CERTIFY_BLOCK):
+        idx = rest[lo:lo + _CERTIFY_BLOCK]
+        x, centre, s, radius, norm = intervals(xis[idx])
+        # by the same ranking, a cluster starts at each left end, in
+        # sorted order, that clears the right end ranked one lower
+        width = x.shape[1]
+        order = np.argsort(centre - radius, axis=1)
+        left = np.take_along_axis(centre - radius, order, axis=1)
+        first = np.ones(x.shape, dtype=bool)
+        first[:, 1:] = (left[:, 1:] - np.sort(centre + radius, axis=1)[:, :-1]
+                        >= _CERTIFY_MARGIN * norm[:, None])
+        # clusters as runs of the flattened order: start, size, modes n+xi > 0
+        order = (order + width * np.arange(idx.size)[:, None]).ravel()
+        start = np.flatnonzero(first)
+        size = np.diff(start, append=x.size)
+        plus = np.concatenate(([0], np.cumsum(x.ravel()[order] > 0)))
+        plus = plus[start + size] - plus[start]
+        pair = (size == 2) & (plus == 1)
+        # a one-sign cluster passes (b); a mixed one must be a pair
+        ok = np.ones(idx.size, dtype=bool)
+        ok[start[(plus > 0) & (plus < size) & ~pair] // width] = False
+        start = start[pair]
+        start = start[ok[start // width]]
+        r, p, q = start // width, order[start] % width, order[start + 1] % width
+        # (c) on every pair cluster p, q of those slices, at t halfway
+        ctr, span = centre[r], np.arange(r.size)
+        c_p, c_q = ctr[span, p], ctr[span, q]
+        t = 0.5 * (c_p + c_q)
+        # |H| rows of the pair, restricted to the columns of D
+        hp = s[r, p, None] * abs_c[p] * s[r]
+        hq = s[r, q, None] * abs_c[q] * s[r]
+        h = hp[span, q]
+        for row in (hp, hq):
+            row[span, p] = 0.0
+            row[span, q] = 0.0
+        dominance = np.abs(ctr - t[:, None]) - (radius[r] - hp - hq)
+        dominance[span, p] = np.inf
+        dominance[span, q] = np.inf
+        delta = dominance.min(axis=1)
+        p1, pinf = hp.sum(axis=1), hp.max(axis=1)
+        q1, qinf = hq.sum(axis=1), hq.max(axis=1)
+        d_p = np.abs(c_p - t) - p1 * pinf / delta
+        d_q = np.abs(c_q - t) - q1 * qinf / delta
+        coupled = h + np.minimum(p1 * qinf, pinf * q1) / delta
+        eta = _SOLVE_NOISE * norm[r]
+        margin = eta * (np.abs(c_p - c_q) + 2.0 * coupled + eta)
+        det = d_p * d_q - coupled**2
+        ok[r[~((delta > 0) & (d_p > 0) & (d_q > 0) & (det > margin))]] = False
+        certified[idx] = ok
     return certified
 
 
@@ -357,12 +450,16 @@ def max_growth(wave: StokesWave, a,
     collision points.  The trisection then narrows the bracket around
     the best evaluated point.
 
-    Only slices that may grow are solved.  A slice whose Gershgorin
-    intervals are pairwise disjoint (see _on_axis) has every eigenvalue
-    on the imaginary axis, so it scores exactly 0.0, the value its solve
-    would give, without a solve.  Growth can appear only where two
-    intervals overlap, which is near a collision of two modes.  The first
-    maximiser still wins ties, and the returned slice is always solved.
+    Only slices that may grow are solved.  A slice that _on_axis
+    certifies has every eigenvalue on the imaginary axis: by an inertia
+    count, each cluster of overlapping Gershgorin intervals (one mode,
+    modes of one sign, or a pair of opposite sign held apart by its
+    Schur complement) holds only real eigenvalues of the real Bloch
+    matrix.  It scores exactly 0.0, the value its solve would give,
+    without a solve.  Growth can appear only where a colliding pair of
+    opposite sign is not held apart, or in a larger mixed cluster.  The
+    first maximiser still wins ties, and the returned slice is always
+    solved.
     """
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))

@@ -97,6 +97,19 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, out", [
+        ("threshold --beta 1 --gamma 1", "missing/x.json"),
+        ("figures --which K_curves --beta 1 --gamma 1", "a_file"),
+    ])
+    def test_unwritable_out_usage_error(self, argv, out, capsys, tmp_path):
+        # a missing directory, or a file where figures want a directory
+        (tmp_path / "a_file").write_text("")
+        assert cli.main(argv.split() + ["--out", str(tmp_path / out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ostro-stab: error: cannot write ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["-1e-07", "-1E+2", "-.5", "-inf"])
     def test_negative_value_separate_argument(self, value, capsys):
         # "--beta -1e-07" reaches the program exactly as "--beta=-1e-07"

@@ -18,8 +18,10 @@ from ostro_stab import (
     collision_xi,
     default_xi_grid,
     eigenvalues,
+    enumerate_collision_pairs,
     eval_speed,
     harmonic_amplitudes,
+    hill,
     krein_of_eigenpair,
     max_growth,
     omega,
@@ -286,33 +288,90 @@ class TestSpectrumSlice:
         assert abs(g32 - g64) < 1e-8
 
 
+def _clusters(w, a, xi, N):
+    """Modes of each cluster of two or more overlapping Gershgorin intervals.
+
+    Read off the assembled matrix: |X|^{-1/2} R |X|^{1/2} has entries
+    R_nm sqrt|x_m| / sqrt|x_n|, and its intervals are merged in order of
+    their left ends.
+    """
+    R = _assemble_real(w, a, xi, N)
+    x = np.arange(-N, N + 1) + xi
+    s = np.sqrt(np.abs(x))
+    centre = np.diag(R)
+    radius = np.abs(R * s[None, :] / s[:, None]).sum(axis=1) - np.abs(centre)
+    clusters, reach = [], -np.inf
+    for i in np.argsort(centre - radius):
+        if centre[i] - radius[i] > reach:
+            clusters.append([])
+        clusters[-1].append(int(i) - N)
+        reach = max(reach, centre[i] + radius[i])
+    return [sorted(c) for c in clusters if len(c) > 1]
+
+
+def _same_sign_crossings(w):
+    return [xi for pair in enumerate_collision_pairs(w.params.beta, 4, 6)
+            if not pair.opposite_krein
+            for xi in collision_xi(w.params, pair.n, pair.m)]
+
+
 class TestCertificate:
     @settings(max_examples=300, deadline=None)
     @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
            u=st.floats(0.5, 1.6),
            a=st.floats(0.0, A_MAX, exclude_min=True),
            N=st.integers(8, 48), xi=st.floats(1e-3, 0.5),
-           near=st.booleans(), pick=st.floats(0.0, 1.0, exclude_max=True),
-           t=st.floats(-0.5, 0.5))
-    def test_sound(self, beta, gamma, u, a, N, xi, near, pick, t):
+           near=st.sampled_from(["uniform", "opposite", "same"]),
+           pick=st.floats(0.0, 1.0, exclude_max=True),
+           t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
+    def test_sound(self, beta, gamma, u, a, N, xi, near, pick, t, scale):
         # wherever the certificate holds, the solve finds no growth at all.
         # k is u times the {-1,0} threshold (beta > 0) or gamma^(1/4)
-        # (beta < 0); half the draws sit within a*k^2/2 of a collision
-        # seed, across the edge of its instability bubble
+        # (beta < 0).  Two thirds of the draws sit within a*k^2/2 (down to
+        # a thousandth of it) of a collision: of modes of opposite sign of
+        # n+xi, across the edge of its instability bubble, where clusters
+        # of two such modes are certified or not; or of modes of one sign,
+        # whose clusters are always certified
         k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
         try:
             w = wave_at(beta, gamma, k)
         except ResonantWavenumber:
             assume(False)
-        if near:
-            seeds = _collision_seeds(w, a, lo=1e-3)
+        if near != "uniform":
+            seeds = (_collision_seeds(w, a, lo=1e-3) if near == "opposite"
+                     else _same_sign_crossings(w))
             assume(seeds)
-            xi = seeds[int(pick * len(seeds))] + t * a * k**2
+            xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
             assume(1e-3 <= xi <= 0.5)
         assume(_on_axis(w, a, np.array([xi]), N)[0])
         sl = spectrum_slice(w, a, xi, TruncationConfig(N=N))
         assert sl.max_real_part == 0.0
         assert np.all(sl.eigenvalues.real == 0.0)
+
+    @pytest.mark.parametrize("a, xi, clusters", [
+        (0.01, 0.2088, [[0, 1]]),                      # one sign
+        (A_MAX, 0.2088, [[0, 1]]),
+        (0.01, 0.025115910621102442, [[-1, 1], [0, 2]]),  # and a pair
+        (A_MAX, 0.025115910621102442, [[-1, 1], [0, 2]]),
+        (0.01, 0.2828306772509555, [[-1, 0]]),         # xi0 + 0.003: a pair
+        (A_MAX, 0.2998306772509555, [[-1, 0]]),        # xi0 + 0.02, off its bubble
+    ])
+    def test_certifies_overlapping_clusters(self, a, xi, clusters):
+        # beta = gamma = 1, k = 1.6: {-1,0} collides at xi0 = 0.27983, and
+        # the one-sign pairs {0,1} and {0,2} at 0.2088 and 0.02512
+        w = wave_at(1, 1, 1.6)
+        assert sorted(_clusters(w, a, xi, 16)) == clusters
+        assert _on_axis(w, a, np.array([xi]), 16)[0]
+        assert spectrum_slice(w, a, xi, CFG16).max_real_part == 0.0
+
+    @pytest.mark.parametrize("xi", [0.35, 0.36])
+    def test_leaves_mixed_triples_to_the_solve(self, xi):
+        # below the threshold at the largest amplitude, modes -2, -1 and 1
+        # overlap: the inertia count across them is odd, which proves one
+        # real eigenvalue of three, so the slice is solved
+        w = wave_at(1, 1, 0.85)
+        assert _clusters(w, A_MAX, xi, 16) == [[-2, -1, 1]]
+        assert not _on_axis(w, A_MAX, np.array([xi]), 16)[0]
 
     @pytest.mark.parametrize("a", [1e-4, 0.01, A_MAX])
     @pytest.mark.parametrize("N", [16, 32])
@@ -320,6 +379,40 @@ class TestCertificate:
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
         assert not _on_axis(w, a, np.array([xi0]), N)[0]
+
+    def test_margin_at_bubble_edge(self):
+        # just past the edge of a bubble the pair's eigenvalues are barely
+        # apart, closer than the solver's rounding can keep them: those
+        # slices are left to the solve, which finds them on the axis
+        w = wave_at(1, 1, 1.6)
+        a = 1e-8
+        inside = collision_xi(w.params, -1, 0)[0]
+        assert spectrum_slice(w, a, inside, CFG16).max_real_part > 0
+        outside = inside + 1e-3
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            if spectrum_slice(w, a, mid, CFG16).max_real_part > 0:
+                inside = mid
+            else:
+                outside = mid
+        xis = outside + a * np.geomspace(1e-12, 1e-3, 50)
+        assert not np.any(_on_axis(w, a, xis, 16))
+        for xi in xis:
+            assert spectrum_slice(w, a, xi, CFG16).max_real_part == 0.0
+
+    def test_tight_around_bubble(self):
+        # the {-1,0} intervals overlap for |xi - xi0| < 0.0034, but the
+        # slice grows only for |xi - xi0| < 0.0012: the pair test leaves
+        # little more than the growing slices to the solve
+        w = wave_at(1, 1, 1.6)
+        xi0 = collision_xi(w.params, -1, 0)[0]
+        xis = xi0 + np.linspace(-0.005, 0.005, 2001)
+        certified = _on_axis(w, 0.01, xis, 16)
+        growth = np.array([spectrum_slice(w, 0.01, xi, CFG16).max_real_part
+                           for xi in xis])
+        assert not np.any(growth[certified] != 0.0)
+        assert np.count_nonzero(growth > 0) > 400
+        assert np.count_nonzero(~certified) <= 1.1 * np.count_nonzero(growth > 0)
 
 
 def exhaustive_max_growth(wave, a, cfg):
@@ -348,20 +441,34 @@ def exhaustive_max_growth(wave, a, cfg):
 
 
 class TestMaxGrowth:
-    @pytest.mark.parametrize("beta, gamma, k, a, xi_grid", [
-        (1.0, 2.0, 1.3 * 8.0**0.25, 0.01, 512),    # above threshold
-        (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 512),    # below threshold
-        (-1.0, 3.0, 0.9 * 3.0**0.25, 0.015, 512),  # beta < 0
-        (1.0, 1.0, 1.3, 1e-4, 64),                 # all stable
+    @pytest.mark.parametrize("beta, gamma, k, a, xi_grid, pairs", [
+        (1.0, 2.0, 1.3 * 8.0**0.25, 0.01, 512, 0),    # above threshold
+        (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 512, 0),    # below threshold
+        (-1.0, 3.0, 0.9 * 3.0**0.25, 0.015, 512, 0),  # beta < 0
+        (-1.0, 1.0, 0.78, 0.02, 512, 2),              # two pairs at once
+        (-1.0, 3.0, 0.9 * 3.0**0.25, A_MAX, 512, 2),  # largest amplitude
+        (1.0, 1.0, 1.3, 1e-4, 64, 0),                 # all stable
     ])
-    def test_matches_exhaustive_reference(self, beta, gamma, k, a, xi_grid):
+    def test_matches_exhaustive_reference(self, beta, gamma, k, a, xi_grid,
+                                          pairs, monkeypatch):
         w = wave_at(beta, gamma, k)
         cfg = TruncationConfig(N=32, xi_grid=xi_grid)
+        solved = []
+
+        def recording_slice(wave, a, xi, cfg):
+            solved.append(xi)
+            return spectrum_slice(wave, a, xi, cfg)
+
+        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
         xi_star, growth, sl = max_growth(w, a, cfg)
         ref_xi, ref_growth, ref = exhaustive_max_growth(w, a, cfg)
         assert (xi_star, growth, sl.paired) == (ref_xi, ref_growth, ref.paired)
         assert sl.max_real_part == ref.max_real_part
         assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        if pairs:
+            # some solved slice has that many clusters of modes of both signs
+            assert any(sum(min(c) < 0 <= max(c) for c in _clusters(w, a, xi, 32))
+                       >= pairs for xi in solved)
         if xi_grid == 64:
             # the maximiser was certified, so it is solved only to be returned
             assert growth == 0.0
