@@ -17,7 +17,9 @@ collision predictions.
 
 Truncation artifacts live near the boundary modes +-N, so eigenvalues
 whose eigenvector mass concentrates there are excluded from growth
-statistics.
+statistics.  A slice is solved once, for its eigenvalues; only the growth
+candidates among them, with a real part above trigger, get eigenvectors,
+each by one step of inverse iteration at its computed eigenvalue.
 
 An xi sweep solves only the slices where growth is possible.  Growth
 needs two modes of opposite sign of n+xi to collide.  The Gershgorin
@@ -61,7 +63,7 @@ PAIRING_TOL = 1e-9
 MAX_DIM = 10_000
 # Largest number of points of the default xi grid.
 MAX_XI_GRID = 2**20
-# |Re lambda| above this triggers the eigenvector-based filters.
+# |Re lambda| above this makes an eigenvalue a growth candidate.
 _RE_TRIGGER = 1e-12
 _BOUNDARY_MASS_LIMIT = 0.01
 # An eigenvalue can leave the imaginary axis only if the energy form
@@ -250,44 +252,65 @@ def _boundary_mass(v: np.ndarray, margin: int) -> float:
     return (p[:margin].sum() + p[-margin:].sum()) / total
 
 
+def _eigenvector(R: np.ndarray, mu: complex) -> np.ndarray:
+    """Unit eigenvector of R for its computed eigenvalue mu.
+
+    One step of inverse iteration from (1, ..., 1).  As in LAPACK's
+    dlaein, an exactly singular R - mu*I has its shift nudged by
+    eps*||R||_inf, which keeps the residual a few eps*||R||_inf.
+    """
+    eye, ones = np.eye(R.shape[0]), np.ones(R.shape[0])
+    try:
+        v = np.linalg.solve(R - mu * eye, ones)
+    except np.linalg.LinAlgError:
+        nudge = np.finfo(float).eps * np.abs(R).sum(axis=1).max()
+        v = np.linalg.solve(R - (mu + nudge) * eye, ones)
+    return v / np.linalg.norm(v)
+
+
+def _growth_kept(R: np.ndarray, L: np.ndarray, w: np.ndarray, margin: int) -> np.ndarray:
+    """Which eigenvalues i*w of R count toward ``max_real_part``.
+
+    A candidate, |Im w| above _RE_TRIGGER, is dropped when its eigenvector
+    mass sits at the truncation boundary, or when its energy form <L v, v>
+    is decisively nonzero: a definite form pins the eigenvalue to the
+    imaginary axis, so its real part is noise from a same-signature
+    near-collision.  LAPACK returns each conjugate pair of the real R
+    together, positive imaginary part first; conj(v) is the eigenvector
+    of conj(w) and reads the same in both filters, so one solve decides
+    the pair.
+    """
+    keep = np.abs(w.imag) <= _RE_TRIGGER
+    for i in np.flatnonzero(w.imag > _RE_TRIGGER):
+        v = _eigenvector(R, w[i])
+        if _boundary_mass(v, margin) > _BOUNDARY_MASS_LIMIT:
+            continue
+        form = abs(np.vdot(v, L @ v)) / np.vdot(v, v).real
+        if form > _KREIN_FORM_TOL * (1.0 + abs(w[i].real)):
+            continue
+        keep[i] = keep[i + 1] = True
+    return keep
+
+
 def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> SpectrumSlice:
     """Assemble and solve one (a, xi) slice.
 
-    The matrix is i times a real matrix, so the real eigensolver is used;
-    its output is exactly symmetric under lambda -> -conj(lambda).
-    Eigenvectors are only computed when some eigenvalue has a real part
-    above trigger; those candidates are dropped from ``max_real_part``
-    when their eigenvector mass sits at the truncation boundary or when
-    their energy form <L v, v> is decisively nonzero (a definite form
-    pins the true eigenvalue to the imaginary axis, so the real part is
-    noise from a same-signature near-collision).
+    The matrix is i times a real matrix R, so the real eigensolver is
+    used, once; its output is exactly symmetric under
+    lambda -> -conj(lambda).  Only eigenvalues with a real part above
+    trigger get eigenvectors, by inverse iteration, for _growth_kept.
     """
     dispersion.check_xi(xi)
     amp = as_amplitude(a)
     R = _assemble_real(wave, amp, xi, cfg.N)
-    lam = 1j * eigenvalues(R)
-
-    re = lam.real
-    if np.any(np.abs(re) > _RE_TRIGGER):
-        w, V = np.linalg.eig(R)
-        lam = 1j * w
-        re = lam.real
-        L = assemble_L_matrix(wave, amp, xi, cfg)
-        keep = np.abs(re) <= _RE_TRIGGER
-        for i in np.flatnonzero(~keep):
-            v = V[:, i]
-            if _boundary_mass(v, cfg.boundary_margin) > _BOUNDARY_MASS_LIMIT:
-                continue
-            form = abs(np.vdot(v, L @ v)) / np.vdot(v, v).real
-            if form > _KREIN_FORM_TOL * (1.0 + abs(lam[i].imag)):
-                continue
-            keep[i] = True
-        max_re = float(re[keep].max()) + 0.0 if keep.any() else 0.0
-    else:
-        max_re = float(re.max()) + 0.0
-
-    order = np.lexsort((lam.real, lam.imag))
-    lam = lam[order]
+    w = eigenvalues(R)
+    keep = np.abs(w.imag) <= _RE_TRIGGER
+    if not keep.all():
+        keep = _growth_kept(R, assemble_L_matrix(wave, amp, xi, cfg), w,
+                            cfg.boundary_margin)
+    lam = 1j * w
+    max_re = float(lam.real[keep].max()) + 0.0 if keep.any() else 0.0
+    lam = lam[np.lexsort((lam.real, lam.imag))]
     return SpectrumSlice(xi=float(xi), a=amp.a, eigenvalues=lam,
                          max_real_part=max_re, paired=_pairing_ok(lam))
 

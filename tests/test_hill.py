@@ -31,20 +31,26 @@ from ostro_stab import (
     stokes_coefficients,
 )
 from ostro_stab.hill import (
+    _BOUNDARY_MASS_LIMIT,
+    _KREIN_FORM_TOL,
+    _RE_TRIGGER,
     _REFINE_ROUNDS,
     MAX_DIM,
     MAX_XI_GRID,
     PAIRING_TOL,
+    SpectrumSlice,
     _assemble_real,
     _boundary_mass,
     _collision_seeds,
+    _eigenvector,
     _greedy_matching,
+    _growth_kept,
     _on_axis,
     _pairing_ok,
     _sorted_witness,
     _wave_terms,
 )
-from ostro_stab.stokes import A_MAX
+from ostro_stab.stokes import A_MAX, as_amplitude
 
 
 def wave_at(beta, gamma, k):
@@ -267,13 +273,23 @@ class TestSpectrumSlice:
         assert sl.max_real_part == pytest.approx(pred, rel=0.1)
 
     def test_same_signature_splitting_filtered(self):
-        # {0,4} is a same-signature collision: the eigensolver may split
-        # the double eigenvalue off axis, but the energy form is definite
-        # there so the filter must discard it
+        # {0,4} is a same-signature collision: its pair stays on the axis
+        # here, so no candidate reaches the filters (TestGrowthFilter
+        # drops one with a definite form)
         w = wave_at(1, 1, 1.2)
         xi0 = collision_xi(w.params, 0, 4)[0]
         sl = spectrum_slice(w, 0.005, xi0, CFG32)
         assert sl.max_real_part < 1e-8
+
+    def test_boundary_growth_filtered(self):
+        # at k just above half the threshold, next to the second-harmonic
+        # resonance, the truncated slice has a growing pair carried by the
+        # boundary modes; its energy form vanishes, so only the
+        # boundary-mass filter drops it
+        w = wave_at(1, 1, 0.708)
+        sl = spectrum_slice(w, 0.08, 0.1, TruncationConfig(N=9))
+        assert sl.eigenvalues.real.max() > 3.0
+        assert sl.max_real_part == 0.0
 
     def test_below_threshold_quiet(self):
         w = wave_at(1, 1, 1.3)
@@ -286,6 +302,45 @@ class TestSpectrumSlice:
         g32 = spectrum_slice(w, 0.02, xi0, TruncationConfig(N=32)).max_real_part
         g64 = spectrum_slice(w, 0.02, xi0, TruncationConfig(N=64)).max_real_part
         assert abs(g32 - g64) < 1e-8
+
+
+def _rotation_in_diagonal(n, p, g):
+    """diag(10, 20, ...) with rows and columns p, p+1 replaced by a
+    rotation block g*[[0, 1], [-1, 0]]: eigenvalues +-i*g there, whose
+    eigenvectors are (1, +-i)/sqrt(2) on modes p, p+1."""
+    R = np.diag(10.0 * np.arange(1, n + 1))
+    R[p:p + 2, p:p + 2] = [[0.0, g], [-g, 0.0]]
+    return R
+
+
+class TestGrowthFilter:
+    # the Krein-form drop of _growth_kept on a small constructed slice: no
+    # Hill slice was found whose growth candidate has a definite form
+    N_MODES, MARGIN, G = 11, 4, 0.3
+
+    def kept(self, p, L_block):
+        R = _rotation_in_diagonal(self.N_MODES, p, self.G)
+        L = np.eye(self.N_MODES)
+        L[p:p + 2, p:p + 2] = L_block
+        mu = eigenvalues(R)
+        keep = _growth_kept(R, L, mu, self.MARGIN)
+        return keep[np.abs(mu.imag) > _RE_TRIGGER]
+
+    def test_indefinite_pair_kept(self):
+        # <L v, v> = (1 - 1)/2 = 0 on (1, i)/sqrt(2): a genuine growth pair
+        assert list(self.kept(5, np.diag([1.0, -1.0]))) == [True, True]
+
+    def test_definite_form_dropped(self):
+        assert list(self.kept(5, np.eye(2))) == [False, False]
+
+    def test_singular_shift(self):
+        # R - i*I is exactly singular: a bare solve fails, the helper nudges
+        R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(R - 1j * np.eye(2), np.ones(2))
+        v = _eigenvector(R, 1j)
+        assert np.all(np.isfinite(v))
+        assert np.linalg.norm(R @ v - 1j * v) <= 4 * np.finfo(float).eps
 
 
 def _clusters(w, a, xi, N):
@@ -309,9 +364,10 @@ def _clusters(w, a, xi, N):
     return [sorted(c) for c in clusters if len(c) > 1]
 
 
-def _same_sign_crossings(w):
+def _crossings(w, opposite):
+    """xi of each collision of two modes of opposite (or of one) sign."""
     return [xi for pair in enumerate_collision_pairs(w.params.beta, 4, 6)
-            if not pair.opposite_krein
+            if pair.opposite_krein == opposite
             for xi in collision_xi(w.params, pair.n, pair.m)]
 
 
@@ -339,7 +395,7 @@ class TestCertificate:
             assume(False)
         if near != "uniform":
             seeds = (_collision_seeds(w, a, lo=1e-3) if near == "opposite"
-                     else _same_sign_crossings(w))
+                     else _crossings(w, opposite=False))
             assume(seeds)
             xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
             assume(1e-3 <= xi <= 0.5)
@@ -415,12 +471,102 @@ class TestCertificate:
         assert np.count_nonzero(~certified) <= 1.1 * np.count_nonzero(growth > 0)
 
 
+def two_solve_kept(R, L, margin):
+    """Eigenvalues w of R by np.linalg.eig, and which count toward growth.
+
+    The filter loop of two_solve_slice, on eig's own eigenvectors.
+    """
+    w, V = np.linalg.eig(R)
+    lam = 1j * w
+    keep = np.abs(lam.real) <= _RE_TRIGGER
+    for i in np.flatnonzero(~keep):
+        v = V[:, i]
+        if _boundary_mass(v, margin) > _BOUNDARY_MASS_LIMIT:
+            continue
+        form = abs(np.vdot(v, L @ v)) / np.vdot(v, v).real
+        if form > _KREIN_FORM_TOL * (1.0 + abs(lam[i].imag)):
+            continue
+        keep[i] = True
+    return w, keep
+
+
+def two_solve_slice(wave, a, xi, cfg):
+    """Reference slice: eigenvalues, and a second dense solve on growth.
+
+    When some eigenvalue has a real part above trigger, np.linalg.eig
+    solves the slice again, and its eigenvalues and eigenvectors replace
+    those of the first solve for the filters.
+    """
+    amp = as_amplitude(a)
+    R = _assemble_real(wave, amp, xi, cfg.N)
+    lam = 1j * eigenvalues(R)
+    re = lam.real
+    if np.any(np.abs(re) > _RE_TRIGGER):
+        w, keep = two_solve_kept(R, assemble_L_matrix(wave, amp, xi, cfg),
+                                 cfg.boundary_margin)
+        lam = 1j * w
+        re = lam.real
+        max_re = float(re[keep].max()) + 0.0 if keep.any() else 0.0
+    else:
+        max_re = float(re.max()) + 0.0
+    lam = lam[np.lexsort((lam.real, lam.imag))]
+    return SpectrumSlice(xi=float(xi), a=amp.a, eigenvalues=lam,
+                         max_real_part=max_re, paired=_pairing_ok(lam))
+
+
+class TestOneSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
+           u=st.floats(0.5, 1.6),
+           a=st.floats(0.0, A_MAX, exclude_min=True),
+           N=st.one_of(st.integers(8, 37), st.sampled_from([48, 96])),
+           pick=st.floats(0.0, 1.0, exclude_max=True),
+           t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
+    def test_matches_two_solve_slice(self, beta, gamma, u, a, N, pick, t, scale):
+        # within a*k^2/2 of an opposite-sign collision, where about a
+        # fifth of the slices grow.  Up to 2N+1 = 75 LAPACK's
+        # eigenvalues-only and eigenvector solves return the same
+        # eigenvalues bit for bit; above, they differ in the last bits, so
+        # the decisions must agree and the growth within rounding
+        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
+        try:
+            w = wave_at(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        seeds = _crossings(w, opposite=True)
+        assume(seeds)
+        xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
+        assume(1e-3 <= xi <= 0.5)
+        cfg = TruncationConfig(N=N)
+        sl, ref = spectrum_slice(w, a, xi, cfg), two_solve_slice(w, a, xi, cfg)
+        assert sl.paired == ref.paired
+        R = _assemble_real(w, a, xi, N)
+        tol = 64 * np.finfo(float).eps * np.abs(R).sum(axis=1).max()
+        mu = eigenvalues(R)
+        for m in mu[mu.imag > _RE_TRIGGER]:
+            v = _eigenvector(R, m)
+            assert np.linalg.norm(R @ v - m * v) <= tol
+        if N <= 37:
+            assert sl.max_real_part == ref.max_real_part
+            assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+            return
+        assert abs(sl.max_real_part - ref.max_real_part) <= tol
+        # the same candidates kept, matched in (imag, real) order
+        L = assemble_L_matrix(w, a, xi, cfg)
+        decisions = []
+        for ev, keep in ((mu, _growth_kept(R, L, mu, cfg.boundary_margin)),
+                         two_solve_kept(R, L, cfg.boundary_margin)):
+            cand = np.abs(ev.imag) > _RE_TRIGGER
+            decisions.append(keep[cand][np.lexsort((ev.real[cand], ev.imag[cand]))])
+        np.testing.assert_array_equal(*decisions)
+
+
 def exhaustive_max_growth(wave, a, cfg):
     """Reference sweep: solves every slice, grid and refinement alike."""
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
-    slices = [spectrum_slice(wave, a, t, cfg) for t in grid]
+    slices = [two_solve_slice(wave, a, t, cfg) for t in grid]
     best = max(slices, key=lambda s: s.max_real_part)
     i = slices.index(best)
     lo = grid[i - 1] if i > 0 else grid[0]
@@ -428,8 +574,8 @@ def exhaustive_max_growth(wave, a, cfg):
     for _ in range(_REFINE_ROUNDS):
         t1 = lo + (hi - lo) / 3.0
         t2 = hi - (hi - lo) / 3.0
-        s1 = spectrum_slice(wave, a, t1, cfg)
-        s2 = spectrum_slice(wave, a, t2, cfg)
+        s1 = two_solve_slice(wave, a, t1, cfg)
+        s2 = two_solve_slice(wave, a, t2, cfg)
         for s in (s1, s2):
             if s.max_real_part > best.max_real_part:
                 best = s
@@ -528,6 +674,10 @@ class TestKreinOfEigenpair:
         L = assemble_L_matrix(w, 0.02, xi0, CFG16)
         with pytest.raises(IndefiniteNearZero):
             krein_of_eigenpair(L, vecs[:, i])
+        # the same on the inverse-iteration eigenvector of the one solve
+        mu = eigenvalues(R)
+        with pytest.raises(IndefiniteNearZero):
+            krein_of_eigenpair(L, _eigenvector(R, mu[np.argmin(mu.imag)]))
 
     def test_zero_vector_rejected(self):
         L = np.eye(3)
