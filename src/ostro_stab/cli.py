@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dispersion, hill, reduced, stokes
-from .errors import DomainError
+from .errors import DomainError, ResonantWavenumber
 
 SCHEMA_VERSION = "1"
 
@@ -127,6 +127,26 @@ def _params(args) -> stokes.PhysicalParams:
     return stokes.PhysicalParams(beta=args.beta, gamma=args.gamma, k=args.k)
 
 
+def _ordered_wave(params: stokes.PhysicalParams, a: float) -> stokes.StokesWave:
+    """The Stokes wave of params, refused where its expansion is not
+    ordered at amplitude a.
+
+    Next to a harmonic resonance the expansion coefficients blow up, and
+    a harmonic W_j, j >= 2, can reach the fundamental W_1 = a.  The
+    truncated profile is then no small-amplitude wave, and any growth or
+    pencil computed on it is spurious.
+    """
+    wave = stokes.stokes_coefficients(params)
+    W = np.abs(stokes.harmonic_amplitudes(wave, a))
+    j = int(np.argmax(W[1:])) + 1
+    if W[j] >= W[0] > 0:
+        raise ResonantWavenumber(
+            f"expansion not ordered at a={a!r}: harmonic W{j + 1} = "
+            f"{W[j]:.3g} is not smaller than |a| (k={params.k!r} is near "
+            "a harmonic resonance)")
+    return wave
+
+
 def _coefficients(args) -> tuple[float, float]:
     """(beta, gamma), checked as PhysicalParams checks them, for the
     commands that take no wavenumber."""
@@ -212,7 +232,7 @@ def _cmd_reduced(args):
     """2x2 reduced pencil, discriminant, growth rate"""
     params = _params(args)
     _require(args, "n", "m", "a")
-    wave = stokes.stokes_coefficients(params)
+    wave = _ordered_wave(params, args.a)
     if args.xi is not None:
         dispersion.check_xi(args.xi)
         xis = [args.xi]
@@ -251,7 +271,7 @@ def _cmd_spectrum(args):
     """truncated-Fourier spectrum slice or xi sweep"""
     params = _params(args)
     _require(args, "a")
-    wave = stokes.stokes_coefficients(params)
+    wave = _ordered_wave(params, args.a)
     cfg = hill.TruncationConfig(N=args.N, xi_grid=args.xi_grid)
     if args.xi is not None:
         sl = hill.spectrum_slice(wave, args.a, args.xi, cfg)

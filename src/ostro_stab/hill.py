@@ -362,13 +362,27 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
         across the cluster, so all of its eigenvalues are real;
     (c) two modes p, q of opposite sign: at t halfway between their
         centres, which no other interval reaches, the rest D of
-        H - t*Sigma is still strictly diagonally dominant, and a
-        positive determinant of the Schur complement onto the pair makes
-        the count at t differ by one from both ends, so one real
-        eigenvalue lies on each side of t.  The complement is A - B D^-1
-        B^T; with Varah's ||D^-1||_inf <= 1/delta, delta the least row
-        dominance of D, its entries move by at most |b_i|_1 |b_j|_inf /
-        delta, b_i the coupling row of mode i into D.
+        H - t*Sigma is still strictly diagonally dominant, and a definite
+        Schur complement S = A - B D^-1 B^T onto the pair makes the
+        count at t differ by one from both ends, so one real eigenvalue
+        lies on each side of t.  Split D = Delta + E, Delta = diag D: as
+        D^-1 = Delta^-1 - Delta^-1 E D^-1, S is the first-order term
+        S1 = A - B Delta^-1 B^T, summed exactly, plus the remainder
+        B Delta^-1 E D^-1 B^T.  S1 holds the two-hop coupling through a
+        third mode, which for {-1,1} at beta < 0 (through mode 0) is most
+        of it.  With b_i the coupling row of mode i into D, u_i =
+        b_i Delta^-1, rho_m the row sums of |E| and Varah's
+        ||D^-1||_inf <= 1/delta, delta the least row dominance of D, the
+        remainder's ij entry is at most (sum_m |u_i,m| rho_m) |b_j|_inf /
+        delta.  Since |Delta_m| >= delta + rho_m, |S - A| is never bounded
+        more loosely than by Varah alone, |b_i|_1 |b_j|_inf / delta,
+        rounding aside.
+        Each of the 2N+1 terms of S1_ij is a product of factors rounded a
+        few times, and summing adds one rounding per term, so the
+        computed S1_ij is within (2N+17)*eps*(|A_ij| + sum_m |b_i,m u_j,m|)
+        of the exact one.  With e_ij the remainder plus rounding bound, S
+        is definite when S1_pp and S1_qq have one sign and
+        det = (|S1_pp| - e_pp)*(|S1_qq| - e_qq) - (|S1_pq| + e_pq)^2 > 0.
 
     Each certified eigenvalue is real, so lambda = i*mu lies on the
     imaginary axis.  The solve must find that too.  It is backward stable
@@ -376,15 +390,17 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
     of R whose entries, as the pair sees them, are bounded by
     eta = _SOLVE_NOISE*||R||_inf (1e3 times the cluster gap, room for the
     backward-error constant of the dimension and the |X|^{1/2} scaling).
-    The pair's eigenvalues are mid +- sqrt(det), det = Delta^2/4 - h^2,
-    Delta the centre difference and h the coupling bound; entries moved
-    by eta lower det by at most eta*(|Delta| + 2*h + eta).  So (c) asks
-    det to exceed that margin, or the pair could come out as a noise
-    complex pair.  (b) has no margin: eigenvalues of one type leave the
-    real line under such a perturbation only when two of them lie within
-    about eta of each other.  Anything else, such as a mixed cluster of
-    three modes, is left to the solve.  Vectorised over blocks of
-    _CERTIFY_BLOCK xi values.
+    The pair's eigenvalues are mid +- sqrt(det), det = dc^2/4 - h^2, dc
+    the centre difference and h = |S1_pq| + e_pq the coupling bound;
+    entries moved by eta lower det by at most eta*(|dc| + 2*h + eta).  So
+    (c) asks det to exceed that margin, or the pair could come out as a
+    noise complex pair.  The bounds e are sums of non-negative terms, and
+    their own relative rounding, below (2N+17)*eps, stays far inside it.
+    (b) has no margin: eigenvalues of one type leave the real line under
+    such a perturbation only when two of them lie within about eta of
+    each other.  Anything else, such as a mixed cluster of three modes,
+    is left to the solve.  Vectorised over blocks of _CERTIFY_BLOCK xi
+    values.
     """
     c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
     abs_c = np.abs(coupling)
@@ -438,26 +454,43 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
         ctr, span = centre[r], np.arange(r.size)
         c_p, c_q = ctr[span, p], ctr[span, q]
         t = 0.5 * (c_p + c_q)
-        # |H| rows of the pair, restricted to the columns of D
-        hp = s[r, p, None] * abs_c[p] * s[r]
-        hq = s[r, q, None] * abs_c[q] * s[r]
-        h = hp[span, q]
-        for row in (hp, hq):
-            row[span, p] = 0.0
-            row[span, q] = 0.0
-        dominance = np.abs(ctr - t[:, None]) - (radius[r] - hp - hq)
-        dominance[span, p] = np.inf
-        dominance[span, q] = np.inf
-        delta = dominance.min(axis=1)
-        p1, pinf = hp.sum(axis=1), hp.max(axis=1)
-        q1, qinf = hq.sum(axis=1), hq.max(axis=1)
-        d_p = np.abs(c_p - t) - p1 * pinf / delta
-        d_q = np.abs(c_q - t) - q1 * qinf / delta
-        coupled = h + np.minimum(p1 * qinf, pinf * q1) / delta
-        eta = _SOLVE_NOISE * norm[r]
-        margin = eta * (np.abs(c_p - c_q) + 2.0 * coupled + eta)
-        det = d_p * d_q - coupled**2
-        ok[r[~((delta > 0) & (d_p > 0) & (d_q > 0) & (det > margin))]] = False
+        # H - t*Sigma: the pair's diagonal a and coupling h, its coupling
+        # rows b into D, and diag = Delta, the diagonal of D
+        diag = np.sign(x[r]) * (ctr - t[:, None])
+        a_p, a_q = diag[span, p], diag[span, q]
+        bp = s[r, p, None] * coupling[p] * s[r]
+        bq = s[r, q, None] * coupling[q] * s[r]
+        h = bp[span, q]
+        for row in (bp, bq):
+            row[span, p] = row[span, q] = 0.0
+        diag[span, p] = diag[span, q] = np.inf
+        abs_p, abs_q = np.abs(bp), np.abs(bq)
+        rho = radius[r] - abs_p - abs_q
+        delta = (np.abs(diag) - rho).min(axis=1)
+        # a slice with delta <= 0 fails anyway; its divisions may not be finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up, uq = bp / diag, bq / diag
+            abs_up, abs_uq = np.abs(up), np.abs(uq)
+            # the first-order complement S1 = A - B Delta^-1 B^T
+            s_pp = a_p - np.sum(bp * up, axis=1)
+            s_qq = a_q - np.sum(bq * uq, axis=1)
+            s_pq = h - np.sum(bp * uq, axis=1)
+            # e: the remainder bound plus the rounding of S1
+            f_p = np.sum(abs_up * rho, axis=1) / delta
+            f_q = np.sum(abs_uq * rho, axis=1) / delta
+            pinf, qinf = abs_p.max(axis=1), abs_q.max(axis=1)
+            rnd = (width + 16) * np.finfo(float).eps
+            e_pp = f_p * pinf + rnd * (np.abs(a_p) + np.sum(abs_p * abs_up, axis=1))
+            e_qq = f_q * qinf + rnd * (np.abs(a_q) + np.sum(abs_q * abs_uq, axis=1))
+            e_pq = (np.minimum(f_p * qinf, f_q * pinf)
+                    + rnd * (np.abs(h) + np.sum(abs_p * abs_uq, axis=1)))
+            d_p, d_q = np.abs(s_pp) - e_pp, np.abs(s_qq) - e_qq
+            coupled = np.abs(s_pq) + e_pq
+            eta = _SOLVE_NOISE * norm[r]
+            margin = eta * (np.abs(c_p - c_q) + 2.0 * coupled + eta)
+            det = d_p * d_q - coupled**2
+        ok[r[~((delta > 0) & (s_pp * s_qq > 0) & (d_p > 0) & (d_q > 0)
+               & (det > margin))]] = False
         certified[idx] = ok
     return certified
 

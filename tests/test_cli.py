@@ -110,6 +110,31 @@ class TestExitCodes:
         assert captured.err.startswith("ostro-stab: error: cannot write ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        "spectrum --beta 1 --gamma 1 --k 0.7075 --a 0.05",
+        "spectrum --beta 1 --gamma 1 --k 0.708 --a 0.05",
+        "reduced --beta 1 --gamma 1 --k 0.708 --n -1 --m 0 --a 0.05",
+    ])
+    def test_unordered_expansion_domain_error(self, argv, capsys, monkeypatch):
+        # next to the second-harmonic resonance k = 2^(-1/2) the harmonic W2
+        # outgrows a = W1: refused before any slice is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a slice of an unordered expansion")
+        monkeypatch.setattr(hill, "spectrum_slice", no_solve)
+        monkeypatch.setattr(hill, "max_growth", no_solve)
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "ostro-stab: domain error: expansion not ordered at a=0.05")
+        assert captured.err.count("\n") == 1
+
+    def test_ordered_expansion_near_resonance_runs(self, capsys):
+        code, doc = run_json(capsys, ["spectrum", "--beta", "1", "--gamma", "1",
+                                      "--k", "0.708", "--a", "0.005"])
+        assert code == 0
+        assert doc["results"]["growth"] == 0.0
+
     @pytest.mark.parametrize("value", ["-1e-07", "-1E+2", "-.5", "-inf"])
     def test_negative_value_separate_argument(self, value, capsys):
         # "--beta -1e-07" reaches the program exactly as "--beta=-1e-07"

@@ -470,6 +470,23 @@ class TestCertificate:
         assert np.count_nonzero(growth > 0) > 400
         assert np.count_nonzero(~certified) <= 1.1 * np.count_nonzero(growth > 0)
 
+    @pytest.mark.parametrize("a", [0.005, 0.01, 0.02])
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_tight_around_minus_one_one_bubble(self, a, N):
+        # beta < 0: {-1,1} couples mostly through mode 0, and its bubble is
+        # O(a^2) wide.  The first-order Schur term holds the pair apart
+        # right up to the bubble, so only a few slices past the growing
+        # ones are left to the solve
+        w = wave_at(-1, 1, 0.78)
+        xis = 0.31538 + 0.01 * (a / 0.01)**2 * np.linspace(-1, 1, 801)
+        certified = _on_axis(w, a, xis, N)
+        cfg = TruncationConfig(N=N)
+        growth = np.array([spectrum_slice(w, a, xi, cfg).max_real_part
+                           for xi in xis])
+        assert not np.any(growth[certified] != 0.0)
+        assert np.count_nonzero(growth > 0) > 0
+        assert np.count_nonzero(~certified) <= np.count_nonzero(growth > 0) + 3
+
 
 def two_solve_kept(R, L, margin):
     """Eigenvalues w of R by np.linalg.eig, and which count toward growth.
@@ -599,6 +616,33 @@ class TestMaxGrowth:
                                           pairs, monkeypatch):
         w = wave_at(beta, gamma, k)
         cfg = TruncationConfig(N=32, xi_grid=xi_grid)
+        swept = []
+
+        def recording_on_axis(wave, a, xis, N):
+            swept.extend(xis)
+            return _on_axis(wave, a, xis, N)
+
+        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
+        xi_star, growth, sl = max_growth(w, a, cfg)
+        ref_xi, ref_growth, ref = exhaustive_max_growth(w, a, cfg)
+        assert (xi_star, growth, sl.paired) == (ref_xi, ref_growth, ref.paired)
+        assert sl.max_real_part == ref.max_real_part
+        assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        if pairs:
+            # some slice of the sweep, solved or certified, has that many
+            # clusters of modes of both signs
+            assert any(sum(min(c) < 0 <= max(c) for c in _clusters(w, a, xi, 32))
+                       >= pairs for xi in swept)
+        if xi_grid == 64:
+            # the maximiser was certified, so it is solved only to be returned
+            assert growth == 0.0
+            assert _on_axis(w, a, np.array([xi_star]), 32)[0]
+
+    @pytest.mark.parametrize("beta, gamma, k, a, most", [
+        (-1.0, 1.0, 0.78, 0.02, 45),           # {-1,1} held apart off its bubble
+        (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 1),  # below threshold: nothing grows
+    ])
+    def test_solves_few_slices(self, beta, gamma, k, a, most, monkeypatch):
         solved = []
 
         def recording_slice(wave, a, xi, cfg):
@@ -606,19 +650,9 @@ class TestMaxGrowth:
             return spectrum_slice(wave, a, xi, cfg)
 
         monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
-        xi_star, growth, sl = max_growth(w, a, cfg)
-        ref_xi, ref_growth, ref = exhaustive_max_growth(w, a, cfg)
-        assert (xi_star, growth, sl.paired) == (ref_xi, ref_growth, ref.paired)
-        assert sl.max_real_part == ref.max_real_part
-        assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-        if pairs:
-            # some solved slice has that many clusters of modes of both signs
-            assert any(sum(min(c) < 0 <= max(c) for c in _clusters(w, a, xi, 32))
-                       >= pairs for xi in solved)
-        if xi_grid == 64:
-            # the maximiser was certified, so it is solved only to be returned
-            assert growth == 0.0
-            assert _on_axis(w, a, np.array([xi_star]), 32)[0]
+        xi_star, _, _ = max_growth(wave_at(beta, gamma, k), a, CFG32)
+        assert len(solved) <= most
+        assert xi_star in solved
 
     def test_zero_amplitude(self):
         w = wave_at(1, 1, 1.3)
