@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -449,19 +450,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process: parsing leaves it as
+    it was."""
+    return build_parser()
+
+
 def run(args: argparse.Namespace) -> tuple[str, str]:
     """Execute one command; returns (serialized envelope, output path or '').
 
     Raises DomainError for a non-finite float flag, before any work, and
     for a non-finite float anywhere in the results, before anything is
-    written.
+    written.  Floating-point warnings are not raised or printed: an
+    overflow or an invalid operation shows as a non-finite result.
     """
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"--{name.replace('_', '-')} must be finite, "
                               f"got {value!r}")
     t0 = time.perf_counter()
-    results, rows = _HANDLERS[args.command](args)
+    with np.errstate(all="ignore"):
+        results, rows = _HANDLERS[args.command](args)
     wall = time.perf_counter() - t0
     results = _jsonable(results)
     diagnostics = {
@@ -488,9 +498,8 @@ def run(args: argparse.Namespace) -> tuple[str, str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -29,7 +29,11 @@ proves every eigenvalue real when the cluster is one mode, modes of one
 sign, or a pair of opposite sign whose Schur-complement determinant is
 positive.  Such a slice has its whole spectrum on the imaginary axis; it
 scores 0.0, as its solve would, and is not solved.  The rest, at a
-collision, are solved in full.
+collision, are solved in full.  Slice by slice, the certificate looks
+only at the few modes that can meet a mode of the other sign: over each
+block of xi values, a hull of every mode's interval proves the others
+apart on the whole block.  The trisection's 14 candidate points are
+certified in one call, and a certified maximiser is returned unsolved.
 """
 
 from __future__ import annotations
@@ -330,15 +334,90 @@ def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
     for s in (0.001, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
         offsets += [s * scale, -s * scale]
     seeds = []
-    for pair in dispersion.enumerate_collision_pairs(wave.params.beta, 4, 6):
-        if not pair.opposite_krein:
-            continue
-        for xi0 in dispersion.collision_xi(wave.params, pair.n, pair.m):
+    for n, m in _opposite_pairs(wave.params.beta > 0):
+        for xi0 in dispersion.collision_xi(wave.params, n, m):
             for d in offsets:
                 xi = xi0 + d
                 if lo < xi <= 0.5:
                     seeds.append(xi)
     return seeds
+
+
+@functools.lru_cache(maxsize=2)
+def _opposite_pairs(positive_beta: bool) -> tuple[tuple[int, int], ...]:
+    """The opposite-Krein pairs {n, m}, dn <= 4, |n|, |m| <= 6, that collide
+    for this sign of beta; which pairs collide depends on nothing else."""
+    return tuple((pair.n, pair.m) for pair in dispersion.enumerate_collision_pairs(
+        1.0 if positive_beta else -1.0, 4, 6) if pair.opposite_krein)
+
+
+def _critical_points(params: stokes.PhysicalParams, c: float) -> np.ndarray:
+    """Real x where d omega/dx = k^2*c - 3*beta*k^4*x^2 + gamma/x^2 vanishes.
+
+    x = +-sqrt(u) for each root u > 0 of 3*beta*k^4*u^2 - k^2*c*u - gamma,
+    by the cancellation-free form of the quadratic formula.
+    """
+    k2 = params.k**2
+    qa, qb, qc = 3.0 * params.beta * k2 * k2, -k2 * c, -params.gamma
+    disc = qb * qb - 4.0 * qa * qc
+    if not disc >= 0:
+        return np.empty(0)
+    q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+    u = np.array([q / qa, qc / q])
+    x = np.sqrt(u[u > 0])
+    return np.concatenate([x, -x])
+
+
+def _hulls(params: stokes.PhysicalParams, c: float, abs_c: np.ndarray,
+           row_sum: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Bounds over xi in [lo, hi] on each mode's Gershgorin interval.
+
+    One row per span.  Returns the hull ends (left, right), and lower and
+    upper bounds on the mode's term |omega(x)| + |x|*row_sum of
+    ||R||_inf (see _on_axis).  A mode whose span holds x = 0 meets the
+    pole of omega: its hull is the whole line.
+    """
+    ends = n + np.stack([lo, hi])[:, :, None]
+    centre = dispersion.omega(params, c, ends)
+    c_lo, c_hi = centre.min(axis=0), centre.max(axis=0)
+    x = _critical_points(params, c)[:, None, None]
+    inside = (ends[0] < x) & (x < ends[1])
+    if inside.any():
+        w = dispersion.omega(params, c, x)
+        c_lo = np.minimum(c_lo, np.where(inside, w, np.inf).min(axis=0))
+        c_hi = np.maximum(c_hi, np.where(inside, w, -np.inf).max(axis=0))
+    pole = (ends[0] < 0) & (ends[1] > 0)
+    c_lo, c_hi = np.where(pole, -np.inf, c_lo), np.where(pole, np.inf, c_hi)
+    x_min = np.where(pole, 0.0, np.abs(ends).min(axis=0))
+    x_max = np.abs(ends).max(axis=0)
+    s = np.sqrt(x_max)
+    radius = s * (s @ abs_c)
+    w_max = np.maximum(np.abs(c_lo), np.abs(c_hi))
+    w_min = np.where(c_lo * c_hi > 0, np.minimum(np.abs(c_lo), np.abs(c_hi)), 0.0)
+    return (c_lo - radius, c_hi + radius,
+            w_min + x_min * row_sum, w_max + x_max * row_sum)
+
+
+def _runs(left: np.ndarray, right: np.ndarray, gap: np.ndarray, *sides):
+    """Clusters of each row's intervals, as runs of the flattened order.
+
+    Sorted by left end, a left end starts a cluster exactly when it
+    clears the right end ranked one lower by its row's gap.  Returns the
+    flattened order, each run's start and size, and the count of each
+    side's modes (a boolean array like left) in each run.
+    """
+    order = np.argsort(left, axis=1)
+    first = np.ones(left.shape, dtype=bool)
+    first[:, 1:] = (np.sort(left, axis=1)[:, 1:] - np.sort(right, axis=1)[:, :-1]
+                    >= gap[:, None])
+    order = (order + left.shape[1] * np.arange(left.shape[0])[:, None]).ravel()
+    start = np.flatnonzero(first)
+    size = np.diff(start, append=first.size)
+    counts = []
+    for side in sides:
+        total = np.concatenate(([0], np.cumsum(side.ravel()[order])))
+        counts.append(total[start + size] - total[start])
+    return order, start, size, counts
 
 
 def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
@@ -399,57 +478,106 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
     (b) has no margin: eigenvalues of one type leave the real line under
     such a perturbation only when two of them lie within about eta of
     each other.  Anything else, such as a mixed cluster of three modes,
-    is left to the solve.  Vectorised over blocks of _CERTIFY_BLOCK xi
-    values.
+    is left to the solve.
+
+    Only the modes that can meet a mode of the other sign are looked at
+    slice by slice.  The xi values are taken in blocks of _CERTIFY_BLOCK.
+    Over a block's span [lo, hi], mode n gets a hull that holds its
+    interval on every slice of the block.  Its centre omega(x), x in
+    [n+lo, n+hi], lies between the least and the largest of omega at both
+    ends and at each real critical point inside (x = +-sqrt(u),
+    3*beta*k^4*u^2 - k^2*c*u - gamma = 0).  Its radius is at most the
+    same sum with each sqrt|x_m| at the larger of its two end values: n+xi
+    keeps its sign on the span (a mode whose span holds x = 0 gets the
+    whole line), so sqrt|n+xi| is monotone there.  The end values bound
+    the mode's term |omega_n| + |x_n|*row_sum_n of ||R||_inf from above
+    and below the same way.  The hulls fall into clusters, split by gaps
+    of _CERTIFY_MARGIN times the largest upper bound, and on every slice
+    of the block each cluster of intervals lies in one of them.  So a
+    cluster of hulls of one sign holds only clusters that pass (a) or (b).
+    The modes of the other hull clusters make up the block's window.  The
+    slices of the blocks with a window are clustered as above on the
+    union of their windows, each slice's ||R||_inf read off the modes
+    whose upper bound reaches the largest lower bound of its block.  Rule
+    (c) reads rows and diagonal on the window and the modes coupled to it,
+    which hold every nonzero of b_p and b_q.  Any other mode m has
+    rho_m = r_m, so its row dominance |omega_m - t| - r_m is the signed
+    distance of t from its interval, at least the signed distance
+    max(left_m - t, t - right_m) from its hull.  That bound stands in for
+    it in delta, which can only make delta smaller and (c) stricter.
+
+    The rounding of the hulls: the computed ends are the exact ones up to
+    the rounding of one centre and one radius.  At xi = lo and hi they are
+    the slice expressions themselves; sqrt and the sums of non-negative
+    products are monotone in their arguments; a critical point is found to
+    a few eps relative by the cancellation-free quadratic formula, which
+    moves omega only at second order, as omega' = 0 there.  So computed
+    hulls that clear each other by _CERTIFY_MARGIN times the upper bound
+    keep the exact intervals apart, as the gap between computed intervals
+    does on one slice.  A hull's signed distance carries the same few
+    eps*||R||_inf of rounding as the |Delta_m| - rho_m it stands in for.
+    The slice-by-slice arrays are only as wide as the window, the modes
+    coupled to it and theirs, and are taken in chunks of at most
+    _CERTIFY_BLOCK*(2N+1) entries.
     """
     c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
     abs_c = np.abs(coupling)
     row_sum = abs_c.sum(axis=1)
     n = np.arange(-N, N + 1)
-
-    def intervals(xi):
-        x = n + xi[:, None]
-        centre = dispersion.omega(wave.params, c, x)
+    params = wave.params
+    # each block's hulls, and its window: the modes of its hull clusters
+    # that hold modes of both signs of n+xi
+    blocks = np.arange(0, xis.size, _CERTIFY_BLOCK)
+    lo, hi = np.minimum.reduceat(xis, blocks), np.maximum.reduceat(xis, blocks)
+    left, right, norm_lo, norm_hi = _hulls(params, c, abs_c, row_sum, n, lo, hi)
+    order, _, size, (plus, minus) = _runs(
+        left, right, _CERTIFY_MARGIN * norm_hi.max(axis=1),
+        n + hi[:, None] > 0, n + lo[:, None] < 0)
+    windows = np.empty(left.shape, dtype=bool)
+    windows.ravel()[order] = np.repeat((plus > 0) & (minus > 0), size)
+    busy = windows.any(axis=1)
+    certified = np.ones(xis.size, dtype=bool)
+    if not busy.any():
+        return certified
+    # slice by slice: the windows and the modes coupled to them (ext), the
+    # modes coupled to those (for their radii), and the modes whose terms
+    # can be the largest of ||R||_inf
+    window = windows[busy].any(axis=0)
+    ext = window | abs_c[window].any(axis=0)
+    top = (norm_hi >= norm_lo.max(axis=1, keepdims=True))[busy].any(axis=0)
+    modes = np.flatnonzero(ext | abs_c[ext].any(axis=0) | top)
+    e = np.flatnonzero(ext[modes])
+    ext_modes = modes[e]
+    win = np.flatnonzero(window[ext_modes])
+    width = win.size
+    to_ext = abs_c[np.ix_(modes, ext_modes)]
+    left_out, right_out = left[:, ~ext], right[:, ~ext]
+    rows = np.flatnonzero(np.repeat(busy, np.diff(blocks, append=xis.size)))
+    step = max(1, _CERTIFY_BLOCK * n.size // modes.size)
+    for j in range(0, rows.size, step):
+        idx = rows[j:j + step]
+        x = n[modes] + xis[idx, None]
+        centre = dispersion.omega(params, c, x)
         s = np.sqrt(np.abs(x))
-        radius = s * (s @ abs_c)
-        norm = np.max(np.abs(centre) + np.abs(x) * row_sum, axis=1)
-        return x, centre, s, radius, norm
-
-    # (a) first, on every slice: each left end, sorted, clears the right
-    # end ranked one lower exactly when every cluster is one interval
-    certified = np.empty(xis.size, dtype=bool)
-    for lo in range(0, xis.size, _CERTIFY_BLOCK):
-        _, centre, _, radius, norm = intervals(xis[lo:lo + _CERTIFY_BLOCK])
-        certified[lo:lo + _CERTIFY_BLOCK] = np.all(
-            np.sort(centre - radius, axis=1)[:, 1:]
-            - np.sort(centre + radius, axis=1)[:, :-1]
-            >= _CERTIFY_MARGIN * norm[:, None], axis=1)
-    # (b) and (c) on the slices left, near a collision
-    rest = np.flatnonzero(~certified)
-    for lo in range(0, rest.size, _CERTIFY_BLOCK):
-        idx = rest[lo:lo + _CERTIFY_BLOCK]
-        x, centre, s, radius, norm = intervals(xis[idx])
-        # by the same ranking, a cluster starts at each left end, in
-        # sorted order, that clears the right end ranked one lower
-        width = x.shape[1]
-        order = np.argsort(centre - radius, axis=1)
-        left = np.take_along_axis(centre - radius, order, axis=1)
-        first = np.ones(x.shape, dtype=bool)
-        first[:, 1:] = (left[:, 1:] - np.sort(centre + radius, axis=1)[:, :-1]
-                        >= _CERTIFY_MARGIN * norm[:, None])
-        # clusters as runs of the flattened order: start, size, modes n+xi > 0
-        order = (order + width * np.arange(idx.size)[:, None]).ravel()
-        start = np.flatnonzero(first)
-        size = np.diff(start, append=x.size)
-        plus = np.concatenate(([0], np.cumsum(x.ravel()[order] > 0)))
-        plus = plus[start + size] - plus[start]
+        norm = np.max((np.abs(centre) + np.abs(x) * row_sum[modes])[:, top[modes]],
+                      axis=1)
+        radius = s[:, e] * (s @ to_ext)
+        x, centre, s = x[:, e], centre[:, e], s[:, e]
+        # the window's clusters: start, size, modes n+xi > 0
+        order, start, size, (plus,) = _runs(
+            centre[:, win] - radius[:, win], centre[:, win] + radius[:, win],
+            _CERTIFY_MARGIN * norm, x[:, win] > 0)
         pair = (size == 2) & (plus == 1)
-        # a one-sign cluster passes (b); a mixed one must be a pair
+        # a one-sign cluster passes (a) or (b); a mixed one must be a pair
         ok = np.ones(idx.size, dtype=bool)
         ok[start[(plus > 0) & (plus < size) & ~pair] // width] = False
+        certified[idx] = ok
         start = start[pair]
         start = start[ok[start // width]]
-        r, p, q = start // width, order[start] % width, order[start + 1] % width
+        if not start.size:
+            continue
+        r = start // width
+        p, q = win[order[start] % width], win[order[start + 1] % width]
         # (c) on every pair cluster p, q of those slices, at t halfway
         ctr, span = centre[r], np.arange(r.size)
         c_p, c_q = ctr[span, p], ctr[span, q]
@@ -458,15 +586,20 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
         # rows b into D, and diag = Delta, the diagonal of D
         diag = np.sign(x[r]) * (ctr - t[:, None])
         a_p, a_q = diag[span, p], diag[span, q]
-        bp = s[r, p, None] * coupling[p] * s[r]
-        bq = s[r, q, None] * coupling[q] * s[r]
+        bp = s[r, p, None] * coupling[ext_modes[p, None], ext_modes] * s[r]
+        bq = s[r, q, None] * coupling[ext_modes[q, None], ext_modes] * s[r]
         h = bp[span, q]
         for row in (bp, bq):
             row[span, p] = row[span, q] = 0.0
         diag[span, p] = diag[span, q] = np.inf
         abs_p, abs_q = np.abs(bp), np.abs(bq)
         rho = radius[r] - abs_p - abs_q
-        delta = (np.abs(diag) - rho).min(axis=1)
+        # the modes past ext enter delta by their hulls' distance from t
+        blk = idx[r] // _CERTIFY_BLOCK
+        delta = np.minimum(
+            (np.abs(diag) - rho).min(axis=1),
+            np.maximum(left_out[blk] - t[:, None], t[:, None] - right_out[blk])
+            .min(axis=1, initial=np.inf))
         # a slice with delta <= 0 fails anyway; its divisions may not be finite
         with np.errstate(divide="ignore", invalid="ignore"):
             up, uq = bp / diag, bq / diag
@@ -479,7 +612,7 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
             f_p = np.sum(abs_up * rho, axis=1) / delta
             f_q = np.sum(abs_uq * rho, axis=1) / delta
             pinf, qinf = abs_p.max(axis=1), abs_q.max(axis=1)
-            rnd = (width + 16) * np.finfo(float).eps
+            rnd = (n.size + 16) * np.finfo(float).eps
             e_pp = f_p * pinf + rnd * (np.abs(a_p) + np.sum(abs_p * abs_up, axis=1))
             e_qq = f_q * qinf + rnd * (np.abs(a_q) + np.sum(abs_q * abs_uq, axis=1))
             e_pq = (np.minimum(f_p * qinf, f_q * pinf)
@@ -489,10 +622,44 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
             eta = _SOLVE_NOISE * norm[r]
             margin = eta * (np.abs(c_p - c_q) + 2.0 * coupled + eta)
             det = d_p * d_q - coupled**2
-        ok[r[~((delta > 0) & (s_pp * s_qq > 0) & (d_p > 0) & (d_q > 0)
-               & (det > margin))]] = False
-        certified[idx] = ok
+        certified[idx[r[~((delta > 0) & (s_pp * s_qq > 0) & (d_p > 0)
+                               & (d_q > 0) & (det > margin))]]] = False
     return certified
+
+
+class _CertifiedSlice(SpectrumSlice):
+    """A slice that _on_axis proves free of growth, not yet solved.
+
+    Its solve gives max_real_part 0.0 and a paired spectrum (the real
+    solver's output is exactly paired), so those are set now; the
+    eigenvalues are solved on first access.
+    """
+
+    def __init__(self, wave: StokesWave, a, xi: float, cfg: TruncationConfig):
+        for name, value in (("xi", float(xi)), ("a", as_amplitude(a).a),
+                            ("max_real_part", 0.0), ("paired", True),
+                            ("_solve", functools.partial(spectrum_slice, wave, a,
+                                                         xi, cfg))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self._solve().eigenvalues
+
+
+def _trisection_tree(lo: float, hi: float) -> np.ndarray:
+    """Every point the trisection of [lo, hi] can visit, in heap order.
+
+    Bracket h holds points 2h and 2h+1, lo + (hi - lo)/3 and
+    hi - (hi - lo)/3; its child 2h+1 keeps lo and 2h+2 keeps hi.
+    """
+    brackets, points = [(lo, hi)], []
+    for h in range(2**_REFINE_ROUNDS - 1):
+        lo, hi = brackets[h]
+        t = (lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0)
+        points += t
+        brackets += [(lo, t[1]), (t[0], hi)]
+    return np.array(points)
 
 
 def max_growth(wave: StokesWave, a,
@@ -514,41 +681,43 @@ def max_growth(wave: StokesWave, a,
     matrix.  It scores exactly 0.0, the value its solve would give,
     without a solve.  Growth can appear only where a colliding pair of
     opposite sign is not held apart, or in a larger mixed cluster.  The
-    first maximiser still wins ties, and the returned slice is always
-    solved.
+    grid is certified in one call, and so are the 14 points the
+    trisection can visit; the first maximiser still wins ties.  A
+    certified maximiser is returned unsolved, its eigenvalues solved on
+    first access.
     """
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
-    growth, solved = _growth(wave, a, grid, cfg)
+    growth, solved = _growth(wave, a, grid, _on_axis(wave, a, grid, cfg.N), cfg)
     i = int(np.argmax(growth))
     best_xi, best_growth, best = grid[i], growth[i], solved.get(i)
     lo = grid[i - 1] if i > 0 else grid[0]
     hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
+    tree = _trisection_tree(lo, hi)
+    on_tree = _on_axis(wave, a, tree, cfg.N)
+    h = 0
     for _ in range(_REFINE_ROUNDS):
-        t = np.array([lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0])
-        g, s = _growth(wave, a, t, cfg)
+        t = tree[2 * h:2 * h + 2]
+        g, s = _growth(wave, a, t, on_tree[2 * h:2 * h + 2], cfg)
         for j in (0, 1):
             if g[j] > best_growth:
                 best_xi, best_growth, best = t[j], g[j], s.get(j)
-        if g[0] >= g[1]:
-            hi = t[1]
-        else:
-            lo = t[0]
+        h = 2 * h + 1 if g[0] >= g[1] else 2 * h + 2
     if best is None:
-        best = spectrum_slice(wave, a, best_xi, cfg)
+        best = _CertifiedSlice(wave, a, best_xi, cfg)
     return best.xi, best.max_real_part, best
 
 
-def _growth(wave: StokesWave, a, xis: np.ndarray,
+def _growth(wave: StokesWave, a, xis: np.ndarray, certified: np.ndarray,
             cfg: TruncationConfig) -> tuple[np.ndarray, dict[int, SpectrumSlice]]:
     """max_real_part at each xi, and the solved slices by index.
 
-    Slices that _on_axis certifies score 0.0 and are not solved.
+    Certified slices score 0.0 and are not solved.
     """
     growth = np.zeros(xis.size)
     solved = {}
-    for i in np.flatnonzero(~_on_axis(wave, a, xis, cfg.N)):
+    for i in np.flatnonzero(~certified):
         solved[i] = spectrum_slice(wave, a, xis[i], cfg)
         growth[i] = solved[i].max_real_part
     return growth, solved

@@ -158,6 +158,18 @@ class TestExitCodes:
         assert cli.main(argv.split() + ["--format", fmt]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_prints_no_numpy_warning(self, capsys):
+        # the residual's sum overflows: one error line, no numpy warning,
+        # also where warnings are errors (-W error::RuntimeWarning)
+        argv = ["wave", "--beta=4.657190547248174e+96", "--gamma=1.0",
+                "--k=1.0717681799107786e+18", "--a=0.0625"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("ostro-stab: domain error: non-finite result")
+
     @pytest.mark.parametrize("argv", [
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 5000",
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 5000 --xi 0.3",

@@ -32,9 +32,12 @@ from ostro_stab import (
 )
 from ostro_stab.hill import (
     _BOUNDARY_MASS_LIMIT,
+    _CERTIFY_BLOCK,
+    _CERTIFY_MARGIN,
     _KREIN_FORM_TOL,
     _RE_TRIGGER,
     _REFINE_ROUNDS,
+    _SOLVE_NOISE,
     MAX_DIM,
     MAX_XI_GRID,
     PAIRING_TOL,
@@ -42,12 +45,15 @@ from ostro_stab.hill import (
     _assemble_real,
     _boundary_mass,
     _collision_seeds,
+    _critical_points,
     _eigenvector,
     _greedy_matching,
     _growth_kept,
+    _hulls,
     _on_axis,
     _pairing_ok,
     _sorted_witness,
+    _trisection_tree,
     _wave_terms,
 )
 from ostro_stab.stokes import A_MAX, as_amplitude
@@ -488,6 +494,209 @@ class TestCertificate:
         assert np.count_nonzero(~certified) <= np.count_nonzero(growth > 0) + 3
 
 
+def full_width_on_axis(wave, a, xis, N):
+    """Reference certificate: rules (a)-(c) of _on_axis on all 2N+1 modes
+    of every slice, with no hulls and no window.
+
+    Rule (a) first, on every slice, in blocks of _CERTIFY_BLOCK xi
+    values; (b) and (c) on the slices left, with rows 2N+1 wide and delta
+    taken over every mode.
+    """
+    c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
+    abs_c = np.abs(coupling)
+    row_sum = abs_c.sum(axis=1)
+    n = np.arange(-N, N + 1)
+
+    def intervals(xi):
+        x = n + xi[:, None]
+        centre = omega(wave.params, c, x)
+        s = np.sqrt(np.abs(x))
+        radius = s * (s @ abs_c)
+        norm = np.max(np.abs(centre) + np.abs(x) * row_sum, axis=1)
+        return x, centre, s, radius, norm
+
+    certified = np.empty(xis.size, dtype=bool)
+    for lo in range(0, xis.size, _CERTIFY_BLOCK):
+        _, centre, _, radius, norm = intervals(xis[lo:lo + _CERTIFY_BLOCK])
+        certified[lo:lo + _CERTIFY_BLOCK] = np.all(
+            np.sort(centre - radius, axis=1)[:, 1:]
+            - np.sort(centre + radius, axis=1)[:, :-1]
+            >= _CERTIFY_MARGIN * norm[:, None], axis=1)
+    rest = np.flatnonzero(~certified)
+    for lo in range(0, rest.size, _CERTIFY_BLOCK):
+        idx = rest[lo:lo + _CERTIFY_BLOCK]
+        x, centre, s, radius, norm = intervals(xis[idx])
+        width = x.shape[1]
+        order = np.argsort(centre - radius, axis=1)
+        left = np.take_along_axis(centre - radius, order, axis=1)
+        first = np.ones(x.shape, dtype=bool)
+        first[:, 1:] = (left[:, 1:] - np.sort(centre + radius, axis=1)[:, :-1]
+                        >= _CERTIFY_MARGIN * norm[:, None])
+        order = (order + width * np.arange(idx.size)[:, None]).ravel()
+        start = np.flatnonzero(first)
+        size = np.diff(start, append=x.size)
+        plus = np.concatenate(([0], np.cumsum(x.ravel()[order] > 0)))
+        plus = plus[start + size] - plus[start]
+        pair = (size == 2) & (plus == 1)
+        ok = np.ones(idx.size, dtype=bool)
+        ok[start[(plus > 0) & (plus < size) & ~pair] // width] = False
+        start = start[pair]
+        start = start[ok[start // width]]
+        r, p, q = start // width, order[start] % width, order[start + 1] % width
+        ctr, span = centre[r], np.arange(r.size)
+        c_p, c_q = ctr[span, p], ctr[span, q]
+        t = 0.5 * (c_p + c_q)
+        diag = np.sign(x[r]) * (ctr - t[:, None])
+        a_p, a_q = diag[span, p], diag[span, q]
+        bp = s[r, p, None] * coupling[p] * s[r]
+        bq = s[r, q, None] * coupling[q] * s[r]
+        h = bp[span, q]
+        for row in (bp, bq):
+            row[span, p] = row[span, q] = 0.0
+        diag[span, p] = diag[span, q] = np.inf
+        abs_p, abs_q = np.abs(bp), np.abs(bq)
+        rho = radius[r] - abs_p - abs_q
+        delta = (np.abs(diag) - rho).min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up, uq = bp / diag, bq / diag
+            abs_up, abs_uq = np.abs(up), np.abs(uq)
+            s_pp = a_p - np.sum(bp * up, axis=1)
+            s_qq = a_q - np.sum(bq * uq, axis=1)
+            s_pq = h - np.sum(bp * uq, axis=1)
+            f_p = np.sum(abs_up * rho, axis=1) / delta
+            f_q = np.sum(abs_uq * rho, axis=1) / delta
+            pinf, qinf = abs_p.max(axis=1), abs_q.max(axis=1)
+            rnd = (width + 16) * np.finfo(float).eps
+            e_pp = f_p * pinf + rnd * (np.abs(a_p) + np.sum(abs_p * abs_up, axis=1))
+            e_qq = f_q * qinf + rnd * (np.abs(a_q) + np.sum(abs_q * abs_uq, axis=1))
+            e_pq = (np.minimum(f_p * qinf, f_q * pinf)
+                    + rnd * (np.abs(h) + np.sum(abs_p * abs_uq, axis=1)))
+            d_p, d_q = np.abs(s_pp) - e_pp, np.abs(s_qq) - e_qq
+            coupled = np.abs(s_pq) + e_pq
+            eta = _SOLVE_NOISE * norm[r]
+            margin = eta * (np.abs(c_p - c_q) + 2.0 * coupled + eta)
+            det = d_p * d_q - coupled**2
+        ok[r[~((delta > 0) & (s_pp * s_qq > 0) & (d_p > 0) & (d_q > 0)
+               & (det > margin))]] = False
+        certified[idx] = ok
+    return certified
+
+
+def trisection_paths(lo, hi):
+    """Every point the trisection loop of max_growth can visit from
+    (lo, hi), by its own float expressions, over all branch choices."""
+    brackets, visited = [(lo, hi)], []
+    for _ in range(_REFINE_ROUNDS):
+        nxt = []
+        for lo, hi in brackets:
+            t = np.array([lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0])
+            visited += list(t)
+            nxt += [(lo, t[1]), (t[0], hi)]
+        brackets = nxt
+    return visited
+
+
+_WAVES = dict(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
+              u=st.floats(0.5, 1.6), a=st.floats(0.0, A_MAX, exclude_min=True))
+
+
+def _drawn_wave(beta, gamma, u):
+    # k is u times the {-1,0} threshold (beta > 0) or gamma^(1/4) (beta < 0)
+    k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
+    try:
+        return wave_at(beta, gamma, k)
+    except ResonantWavenumber:
+        assume(False)
+
+
+class TestWindowedCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(**_WAVES, N=st.sampled_from([8, 16, 32, 48, 96]),
+           sweep=st.sampled_from([16, 64, 512, 0]),
+           pick=st.floats(0.0, 1.0, exclude_max=True), width=st.floats(-9.0, -1.0))
+    def test_matches_full_width(self, beta, gamma, u, a, N, sweep, pick, width):
+        # a sweep grid with its collision seeds, as max_growth builds it, or
+        # (sweep = 0) the trisection points of a bracket 10^width wide
+        # around a collision seed: the verdicts are those of the
+        # certificate computed on every mode of every slice
+        w = _drawn_wave(beta, gamma, u)
+        seeds = _collision_seeds(w, a, lo=1.0 / 1024)
+        if sweep:
+            xis = np.unique(np.concatenate([default_xi_grid(sweep), seeds]))
+        else:
+            assume(seeds)
+            xi0 = seeds[int(pick * len(seeds))]
+            xis = _trisection_tree(max(1.0 / 1024, xi0 - 10**width),
+                                   min(0.5, xi0 + 10**width))
+        np.testing.assert_array_equal(_on_axis(w, a, xis, N),
+                                      full_width_on_axis(w, a, xis, N))
+
+    @settings(max_examples=150, deadline=None)
+    @given(**_WAVES, N=st.sampled_from([8, 16, 32, 48, 96]),
+           lo=st.floats(1e-3, 0.5), width=st.floats(-6.0, 0.0))
+    def test_hulls_hold_every_interval(self, beta, gamma, u, a, N, lo, width):
+        # intervals across [lo, hi], and at every mode's critical points
+        # inside it, where omega turns, lie in their hulls up to the
+        # rounding of a centre and a radius, far inside the hull margin
+        w = _drawn_wave(beta, gamma, u)
+        hi = min(0.5, lo + 10**width)
+        c, coupling = _wave_terms(w, a, N)
+        abs_c = np.abs(coupling)
+        n = np.arange(-N, N + 1)
+        left, right, norm_lo, norm_hi = (
+            v[0] for v in _hulls(w.params, c, abs_c, abs_c.sum(axis=1), n,
+                                 np.array([lo]), np.array([hi])))
+        turns = (_critical_points(w.params, c)[:, None] - n).ravel()
+        xi = np.concatenate([np.linspace(lo, hi, 101),
+                             turns[(lo <= turns) & (turns <= hi)]])
+        x = n + xi[:, None]
+        centre = omega(w.params, c, x)
+        s = np.sqrt(np.abs(x))
+        radius = s * (s @ abs_c)
+        term = np.abs(centre) + np.abs(x) * abs_c.sum(axis=1)
+        tol = 8 * np.finfo(float).eps * norm_hi.max()
+        assert tol < _CERTIFY_MARGIN * norm_hi.max() / 4
+        assert np.all(centre - radius >= left - tol)
+        assert np.all(centre + radius <= right + tol)
+        assert np.all(term <= norm_hi * (1 + 1e-14))
+        assert np.all(term >= norm_lo * (1 - 1e-14))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(1e-3, 0.5), width=st.floats(0.0, 0.5))
+    def test_tree_holds_every_visited_point(self, lo, width):
+        # each of the 14 points any branch of the trisection visits is one
+        # of the points certified in one call, bit for bit
+        hi = np.float64(min(0.5, lo + width))
+        tree = _trisection_tree(np.float64(lo), hi)
+        assert tree.size == 2 * (2**_REFINE_ROUNDS - 1)
+        tree_bits = {t.tobytes() for t in tree}
+        assert all(t.tobytes() in tree_bits
+                   for t in trisection_paths(np.float64(lo), hi))
+
+    def test_visits_only_certified_tree_points(self, monkeypatch):
+        # max_growth certifies the grid, then the 14 tree points in one
+        # call, and solves only among those points
+        w = wave_at(1, 1, 1.6)
+        calls, solved = [], []
+
+        def recording_on_axis(wave, a, xis, N):
+            calls.append(np.array(xis))
+            return _on_axis(wave, a, xis, N)
+
+        def recording_slice(wave, a, xi, cfg):
+            solved.append(xi)
+            return spectrum_slice(wave, a, xi, cfg)
+
+        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
+        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
+        max_growth(w, 0.01, CFG16)
+        assert len(calls) == 2
+        grid, tree = calls
+        assert tree.size == 14
+        allowed = {t.tobytes() for t in np.concatenate([grid, tree])}
+        assert all(np.float64(xi).tobytes() in allowed for xi in solved)
+
+
 def two_solve_kept(R, L, margin):
     """Eigenvalues w of R by np.linalg.eig, and which count toward growth.
 
@@ -634,7 +843,8 @@ class TestMaxGrowth:
             assert any(sum(min(c) < 0 <= max(c) for c in _clusters(w, a, xi, 32))
                        >= pairs for xi in swept)
         if xi_grid == 64:
-            # the maximiser was certified, so it is solved only to be returned
+            # the maximiser was certified, so it is returned unsolved: the
+            # eigenvalues compared above were solved on first access
             assert growth == 0.0
             assert _on_axis(w, a, np.array([xi_star]), 32)[0]
 
@@ -653,6 +863,27 @@ class TestMaxGrowth:
         xi_star, _, _ = max_growth(wave_at(beta, gamma, k), a, CFG32)
         assert len(solved) <= most
         assert xi_star in solved
+
+    def test_certified_maximiser_solved_on_access(self, monkeypatch):
+        # nothing grows at a = 1e-4 and every slice is certified: the
+        # returned slice is not solved until its eigenvalues are read, and
+        # then once, to the slice a solve gives
+        w = wave_at(1, 1, 1.3)
+        cfg = TruncationConfig(N=32, xi_grid=64)
+        solved = []
+
+        def recording_slice(wave, a, xi, cfg):
+            solved.append(xi)
+            return spectrum_slice(wave, a, xi, cfg)
+
+        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
+        xi_star, growth, sl = max_growth(w, 1e-4, cfg)
+        assert solved == []
+        assert (sl.xi, sl.a, sl.max_real_part, sl.paired) == (xi_star, 1e-4, 0.0, True)
+        ref = spectrum_slice(w, 1e-4, xi_star, cfg)
+        assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert sl.eigenvalues is sl.eigenvalues
+        assert solved == [xi_star]
 
     def test_zero_amplitude(self):
         w = wave_at(1, 1, 1.3)
