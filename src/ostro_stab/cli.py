@@ -278,6 +278,8 @@ def _cmd_spectrum(args):
         sl = hill.spectrum_slice(wave, args.a, args.xi, cfg)
         results = {
             "xi": sl.xi, "max_real_part": sl.max_real_part, "paired": sl.paired,
+            "growth_clusters": [{"modes": list(c.modes), "boundary": c.boundary}
+                                for c in sl.growth_clusters],
             "eigenvalues": [[z.real, z.imag] for z in sl.eigenvalues],
         }
         rows = [("re", "im")]

@@ -15,32 +15,28 @@ positive real part at any xi mean spectral instability of the wave on
 the whole line; this module is the numerical oracle for the analytical
 collision predictions.
 
-Truncation artifacts live near the boundary modes +-N, so eigenvalues
-whose eigenvector mass concentrates there are excluded from growth
-statistics.  A slice is solved once, for its eigenvalues; only the growth
-candidates among them, with a real part above trigger, get eigenvectors,
-each by one step of inverse iteration at its computed eigenvalue.
-
-An xi sweep solves only the slices where growth is possible.  Growth
-needs two modes of opposite sign of n+xi to collide.  The Gershgorin
-intervals around the frequencies omega(n+xi) fall into clusters; a
-count of negative eigenvalues (an inertia count) across each cluster
-proves every eigenvalue real when the cluster is one mode, modes of one
-sign, or a pair of opposite sign whose Schur-complement determinant is
-positive.  Such a slice has its whole spectrum on the imaginary axis; it
-scores 0.0, as its solve would, and is not solved.  The rest, at a
-collision, are solved in full.  Slice by slice, the certificate looks
-only at the few modes that can meet a mode of the other sign: over each
-block of xi values, a hull of every mode's interval proves the others
-apart on the whole block.  The trisection's 14 candidate points are
-certified in one call, and a certified maximiser is returned unsolved.
+Growth needs two modes of opposite sign of n+xi to collide.  The
+Gershgorin intervals around the frequencies omega(n+xi) fall into
+clusters; a count of negative eigenvalues (an inertia count) across each
+cluster proves every eigenvalue real when the cluster is one mode, modes
+of one sign, or a pair of opposite sign whose Schur-complement
+determinant is positive.  A slice whose every cluster passes scores 0.0,
+as its solve would, and an xi sweep does not solve it.  The rest are
+solved once, for their eigenvalues, and the clusters left open decide
+which growth counts: only growth whose frequency lies in an open cluster
+without one of the boundary_margin modes next to +-N.  Slice by slice,
+the certificate looks only at the modes that can meet a mode of the
+other sign: over each block of xi values, a hull of every mode's
+interval proves the others apart on the whole block.  The trisection's
+14 candidate points are certified in one call, and a certified
+maximiser is returned unsolved.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -69,11 +65,6 @@ MAX_DIM = 10_000
 MAX_XI_GRID = 2**20
 # |Re lambda| above this makes an eigenvalue a growth candidate.
 _RE_TRIGGER = 1e-12
-_BOUNDARY_MASS_LIMIT = 0.01
-# An eigenvalue can leave the imaginary axis only if the energy form
-# <L v, v> vanishes on its eigenvector; a decisively nonzero form marks
-# the real part as eigensolver noise from a same-signature near-collision.
-_KREIN_FORM_TOL = 1e-3
 # |<L v, v>| below this on a unit eigenvector leaves its Krein sign undefined.
 _KREIN_ZERO_TOL = 1e-10
 # Trisection rounds around the best slice of the sweep.
@@ -133,15 +124,28 @@ class TruncationConfig:
         return default_xi_grid(self.xi_grid)
 
 
-@dataclass(frozen=True)
+class Cluster(NamedTuple):
+    """A cluster that _on_axis leaves open: its span [lo, hi] on the real
+    line, its modes n, and whether one is within boundary_margin of +-N."""
+
+    lo: float
+    hi: float
+    modes: tuple[int, ...]
+    boundary: bool
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumSlice:
-    """Eigenvalues of the truncated operator at one (a, xi)."""
+    """Eigenvalues of the truncated operator at one (a, xi), compared by
+    identity.  ``growth_clusters`` are the open clusters that hold a growth
+    candidate; it counts unless the cluster holds a boundary mode."""
 
     xi: float
     a: float
     eigenvalues: np.ndarray
     max_real_part: float
     paired: bool
+    growth_clusters: tuple[Cluster, ...] = ()
 
 
 @functools.lru_cache(maxsize=1)
@@ -248,75 +252,41 @@ def _greedy_matching(lam: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _boundary_mass(v: np.ndarray, margin: int) -> float:
-    p = np.abs(v) ** 2
-    total = p.sum()
-    if total == 0:
-        return 1.0
-    return (p[:margin].sum() + p[-margin:].sum()) / total
-
-
-def _eigenvector(R: np.ndarray, mu: complex) -> np.ndarray:
-    """Unit eigenvector of R for its computed eigenvalue mu.
-
-    One step of inverse iteration from (1, ..., 1).  As in LAPACK's
-    dlaein, an exactly singular R - mu*I has its shift nudged by
-    eps*||R||_inf, which keeps the residual a few eps*||R||_inf.
-    """
-    eye, ones = np.eye(R.shape[0]), np.ones(R.shape[0])
-    try:
-        v = np.linalg.solve(R - mu * eye, ones)
-    except np.linalg.LinAlgError:
-        nudge = np.finfo(float).eps * np.abs(R).sum(axis=1).max()
-        v = np.linalg.solve(R - (mu + nudge) * eye, ones)
-    return v / np.linalg.norm(v)
-
-
-def _growth_kept(R: np.ndarray, L: np.ndarray, w: np.ndarray, margin: int) -> np.ndarray:
-    """Which eigenvalues i*w of R count toward ``max_real_part``.
-
-    A candidate, |Im w| above _RE_TRIGGER, is dropped when its eigenvector
-    mass sits at the truncation boundary, or when its energy form <L v, v>
-    is decisively nonzero: a definite form pins the eigenvalue to the
-    imaginary axis, so its real part is noise from a same-signature
-    near-collision.  LAPACK returns each conjugate pair of the real R
-    together, positive imaginary part first; conj(v) is the eigenvector
-    of conj(w) and reads the same in both filters, so one solve decides
-    the pair.
-    """
-    keep = np.abs(w.imag) <= _RE_TRIGGER
-    for i in np.flatnonzero(w.imag > _RE_TRIGGER):
-        v = _eigenvector(R, w[i])
-        if _boundary_mass(v, margin) > _BOUNDARY_MASS_LIMIT:
-            continue
-        form = abs(np.vdot(v, L @ v)) / np.vdot(v, v).real
-        if form > _KREIN_FORM_TOL * (1.0 + abs(w[i].real)):
-            continue
-        keep[i] = keep[i + 1] = True
-    return keep
-
-
-def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> SpectrumSlice:
+def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
+                   clusters: tuple[Cluster, ...] | None = None) -> SpectrumSlice:
     """Assemble and solve one (a, xi) slice.
 
     The matrix is i times a real matrix R, so the real eigensolver is
     used, once; its output is exactly symmetric under
-    lambda -> -conj(lambda).  Only eigenvalues with a real part above
-    trigger get eigenvectors, by inverse iteration, for _growth_kept.
+    lambda -> -conj(lambda).  A growth candidate i*w, |Im w| above
+    _RE_TRIGGER, counts only when Re w lies in the span of an open
+    cluster without a boundary mode (see _on_axis): outside every open
+    span the certificate proved it real, so its real part is solver
+    noise; in a boundary cluster it is a truncation artifact.  A sweep
+    passes the slice's open ``clusters``; else _on_axis is asked for
+    them, on this xi alone and only when there is a candidate.
     """
     dispersion.check_xi(xi)
     amp = as_amplitude(a)
-    R = _assemble_real(wave, amp, xi, cfg.N)
-    w = eigenvalues(R)
-    keep = np.abs(w.imag) <= _RE_TRIGGER
-    if not keep.all():
-        keep = _growth_kept(R, assemble_L_matrix(wave, amp, xi, cfg), w,
-                            cfg.boundary_margin)
+    w = eigenvalues(_assemble_real(wave, amp, xi, cfg.N))
+    candidate = np.abs(w.imag) > _RE_TRIGGER
+    keep = ~candidate
+    grown = []
+    if candidate.any():
+        if clusters is None:
+            clusters = _on_axis(wave, amp, np.array([xi], dtype=float), cfg.N)[1][0]
+        for c in clusters:
+            held = candidate & (c.lo <= w.real) & (w.real <= c.hi)
+            if held.any():
+                grown.append(c)
+                if not c.boundary:
+                    keep |= held
     lam = 1j * w
     max_re = float(lam.real[keep].max()) + 0.0 if keep.any() else 0.0
     lam = lam[np.lexsort((lam.real, lam.imag))]
     return SpectrumSlice(xi=float(xi), a=amp.a, eigenvalues=lam,
-                         max_real_part=max_re, paired=_pairing_ok(lam))
+                         max_real_part=max_re, paired=_pairing_ok(lam),
+                         growth_clusters=tuple(grown))
 
 
 def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
@@ -420,8 +390,10 @@ def _runs(left: np.ndarray, right: np.ndarray, gap: np.ndarray, *sides):
     return order, start, size, counts
 
 
-def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
-    """Whether an inertia certificate proves each xi slice free of growth.
+def _on_axis(wave: StokesWave, a, xis: np.ndarray,
+             N: int) -> tuple[np.ndarray, list[tuple[Cluster, ...]]]:
+    """Whether an inertia certificate proves each xi slice free of growth,
+    and each slice's clusters that it leaves open.
 
     R = X*C + diag(omega(n+xi)), X = diag(n+xi), is similar to Sigma*H
     with H = |X|^{1/2} L |X|^{1/2} symmetric and Sigma = sgn(X); its
@@ -480,6 +452,17 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
     each other.  Anything else, such as a mixed cluster of three modes,
     is left to the solve.
 
+    The clusters left open (a pair failing (c), read on every pair, or a
+    larger mixed cluster) are returned per slice.  The Gershgorin discs
+    of Sigma*H bound its complex eigenvalues too, and a connected union
+    of s discs, which meets the real line in a cluster of s intervals,
+    holds exactly s of them.  So each eigenvalue's real part lies in the
+    span of its own cluster, at least _CERTIFY_MARGIN*||R||_inf from any
+    other.  A Cluster's span is widened by half that gap on each side,
+    room for rounding that meets no other span; an eigenvalue whose real
+    part lies in no returned span is in a cluster proven real.  A
+    certified slice has no open cluster.
+
     Only the modes that can meet a mode of the other sign are looked at
     slice by slice.  The xi values are taken in blocks of _CERTIFY_BLOCK.
     Over a block's span [lo, hi], mode n gets a hull that holds its
@@ -537,8 +520,9 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
     windows.ravel()[order] = np.repeat((plus > 0) & (minus > 0), size)
     busy = windows.any(axis=1)
     certified = np.ones(xis.size, dtype=bool)
+    clusters = [()] * xis.size
     if not busy.any():
-        return certified
+        return certified, clusters
     # slice by slice: the windows and the modes coupled to them (ext), the
     # modes coupled to those (for their radii), and the modes whose terms
     # can be the largest of ||R||_inf
@@ -554,6 +538,7 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
     left_out, right_out = left[:, ~ext], right[:, ~ext]
     rows = np.flatnonzero(np.repeat(busy, np.diff(blocks, append=xis.size)))
     step = max(1, _CERTIFY_BLOCK * n.size // modes.size)
+    edge = N - TruncationConfig.boundary_margin
     for j in range(0, rows.size, step):
         idx = rows[j:j + step]
         x = n[modes] + xis[idx, None]
@@ -564,21 +549,18 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
         radius = s[:, e] * (s @ to_ext)
         x, centre, s = x[:, e], centre[:, e], s[:, e]
         # the window's clusters: start, size, modes n+xi > 0
-        order, start, size, (plus,) = _runs(
-            centre[:, win] - radius[:, win], centre[:, win] + radius[:, win],
-            _CERTIFY_MARGIN * norm, x[:, win] > 0)
-        pair = (size == 2) & (plus == 1)
+        lft, rgt = centre[:, win] - radius[:, win], centre[:, win] + radius[:, win]
+        gap = _CERTIFY_MARGIN * norm
+        order, start, size, (plus,) = _runs(lft, rgt, gap, x[:, win] > 0)
         # a one-sign cluster passes (a) or (b); a mixed one must be a pair
-        ok = np.ones(idx.size, dtype=bool)
-        ok[start[(plus > 0) & (plus < size) & ~pair] // width] = False
-        certified[idx] = ok
-        start = start[pair]
-        start = start[ok[start // width]]
-        if not start.size:
-            continue
-        r = start // width
-        p, q = win[order[start] % width], win[order[start + 1] % width]
-        # (c) on every pair cluster p, q of those slices, at t halfway
+        # that passes (c)
+        mixed = (plus > 0) & (plus < size)
+        failed = mixed & (size > 2)
+        pairs = np.flatnonzero(mixed & (size == 2))
+        first = start[pairs]
+        r = first // width
+        p, q = win[order[first] % width], win[order[first + 1] % width]
+        # (c) on every pair cluster p, q, at t halfway
         ctr, span = centre[r], np.arange(r.size)
         c_p, c_q = ctr[span, p], ctr[span, q]
         t = 0.5 * (c_p + c_q)
@@ -622,9 +604,20 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> np.ndarray:
             eta = _SOLVE_NOISE * norm[r]
             margin = eta * (np.abs(c_p - c_q) + 2.0 * coupled + eta)
             det = d_p * d_q - coupled**2
-        certified[idx[r[~((delta > 0) & (s_pp * s_qq > 0) & (d_p > 0)
-                               & (d_q > 0) & (det > margin))]]] = False
-    return certified
+        failed[pairs[~((delta > 0) & (s_pp * s_qq > 0) & (d_p > 0)
+                       & (d_q > 0) & (det > margin))]] = True
+        runs = np.flatnonzero(failed)
+        k, head = start[runs] // width, start[runs]
+        certified[idx[k]] = False
+        # each open cluster: its span, widened by half the gap, and its modes
+        lo_end = lft.ravel()[order[head]] - gap[k] / 2
+        hi_end = np.maximum.reduceat(rgt.ravel()[order], start)[runs] + gap[k] / 2
+        mode_n = (ext_modes[win] - N)[order % width].tolist()
+        for i, j, z, lo_j, hi_j in zip(*(v.tolist() for v in (
+                idx[k], head, size[runs], lo_end, hi_end))):
+            ns = tuple(sorted(mode_n[j:j + z]))
+            clusters[i] += (Cluster(lo_j, hi_j, ns, max(map(abs, ns)) > edge),)
+    return certified, clusters
 
 
 class _CertifiedSlice(SpectrumSlice):
@@ -680,7 +673,9 @@ def max_growth(wave: StokesWave, a,
     Schur complement) holds only real eigenvalues of the real Bloch
     matrix.  It scores exactly 0.0, the value its solve would give,
     without a solve.  Growth can appear only where a colliding pair of
-    opposite sign is not held apart, or in a larger mixed cluster.  The
+    opposite sign is not held apart, or in a larger mixed cluster; each
+    solved slice gets those clusters, which decide what growth counts
+    (see spectrum_slice).  The
     grid is certified in one call, and so are the 14 points the
     trisection can visit; the first maximiser still wins ties.  A
     certified maximiser is returned unsolved, its eigenvalues solved on
@@ -689,17 +684,17 @@ def max_growth(wave: StokesWave, a,
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
-    growth, solved = _growth(wave, a, grid, _on_axis(wave, a, grid, cfg.N), cfg)
+    growth, solved = _growth(wave, a, grid, _on_axis(wave, a, grid, cfg.N)[1], cfg)
     i = int(np.argmax(growth))
     best_xi, best_growth, best = grid[i], growth[i], solved.get(i)
     lo = grid[i - 1] if i > 0 else grid[0]
     hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
     tree = _trisection_tree(lo, hi)
-    on_tree = _on_axis(wave, a, tree, cfg.N)
+    open_tree = _on_axis(wave, a, tree, cfg.N)[1]
     h = 0
     for _ in range(_REFINE_ROUNDS):
         t = tree[2 * h:2 * h + 2]
-        g, s = _growth(wave, a, t, on_tree[2 * h:2 * h + 2], cfg)
+        g, s = _growth(wave, a, t, open_tree[2 * h:2 * h + 2], cfg)
         for j in (0, 1):
             if g[j] > best_growth:
                 best_xi, best_growth, best = t[j], g[j], s.get(j)
@@ -709,17 +704,19 @@ def max_growth(wave: StokesWave, a,
     return best.xi, best.max_real_part, best
 
 
-def _growth(wave: StokesWave, a, xis: np.ndarray, certified: np.ndarray,
+def _growth(wave: StokesWave, a, xis: np.ndarray, clusters: list[tuple[Cluster, ...]],
             cfg: TruncationConfig) -> tuple[np.ndarray, dict[int, SpectrumSlice]]:
     """max_real_part at each xi, and the solved slices by index.
 
-    Certified slices score 0.0 and are not solved.
+    Certified slices, which have no open clusters, score 0.0 and are not
+    solved; the others are solved with their open clusters.
     """
     growth = np.zeros(xis.size)
     solved = {}
-    for i in np.flatnonzero(~certified):
-        solved[i] = spectrum_slice(wave, a, xis[i], cfg)
-        growth[i] = solved[i].max_real_part
+    for i, open_ in enumerate(clusters):
+        if open_:
+            solved[i] = spectrum_slice(wave, a, xis[i], cfg, open_)
+            growth[i] = solved[i].max_real_part
     return growth, solved
 
 

@@ -304,6 +304,29 @@ class TestCommands:
         assert r["paired"] is True
         assert len(r["eigenvalues"]) == 33
         assert r["max_real_part"] < 1e-8
+        assert r["growth_clusters"] == []
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_spectrum_slice_names_growth_clusters(self, capsys, monkeypatch,
+                                                  boundary):
+        # {-1,0} at its collision: the growth counts, unless its cluster
+        # held a boundary mode, as the patched certificate says here
+        on_axis = hill._on_axis
+
+        def flagged(wave, a, xis, N):
+            certified, clusters = on_axis(wave, a, xis, N)
+            return certified, [tuple(c._replace(boundary=boundary) for c in cs)
+                               for cs in clusters]
+
+        monkeypatch.setattr(hill, "_on_axis", flagged)
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6",
+            "--a", "0.01", "--xi", "0.27983", "--N", "16"])
+        assert code == 0
+        r = doc["results"]
+        assert r["growth_clusters"] == [{"modes": [-1, 0], "boundary": boundary}]
+        assert (r["max_real_part"] > 0) != boundary
+        assert max(re for re, _ in r["eigenvalues"]) > 0.01
 
     def test_spectrum_sweeps_library_grid(self, capsys):
         code, doc = run_json(capsys, [
@@ -315,6 +338,7 @@ class TestCommands:
                                         TruncationConfig(N=16, xi_grid=64))
         assert doc["results"]["xi_star"] == xi_star
         assert doc["results"]["growth"] == growth
+        assert "growth_clusters" not in doc["results"]
 
     def test_dispersion_modes(self, capsys):
         code, doc = run_json(capsys, [

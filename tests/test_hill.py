@@ -31,10 +31,8 @@ from ostro_stab import (
     stokes_coefficients,
 )
 from ostro_stab.hill import (
-    _BOUNDARY_MASS_LIMIT,
     _CERTIFY_BLOCK,
     _CERTIFY_MARGIN,
-    _KREIN_FORM_TOL,
     _RE_TRIGGER,
     _REFINE_ROUNDS,
     _SOLVE_NOISE,
@@ -43,12 +41,10 @@ from ostro_stab.hill import (
     PAIRING_TOL,
     SpectrumSlice,
     _assemble_real,
-    _boundary_mass,
+    _CertifiedSlice,
     _collision_seeds,
     _critical_points,
-    _eigenvector,
     _greedy_matching,
-    _growth_kept,
     _hulls,
     _on_axis,
     _pairing_ok,
@@ -280,8 +276,8 @@ class TestSpectrumSlice:
 
     def test_same_signature_splitting_filtered(self):
         # {0,4} is a same-signature collision: its pair stays on the axis
-        # here, so no candidate reaches the filters (TestGrowthFilter
-        # drops one with a definite form)
+        # here, so there is no candidate (TestGrowthFilter drops one in a
+        # cluster of one sign)
         w = wave_at(1, 1, 1.2)
         xi0 = collision_xi(w.params, 0, 4)[0]
         sl = spectrum_slice(w, 0.005, xi0, CFG32)
@@ -290,12 +286,29 @@ class TestSpectrumSlice:
     def test_boundary_growth_filtered(self):
         # at k just above half the threshold, next to the second-harmonic
         # resonance, the truncated slice has a growing pair carried by the
-        # boundary modes; its energy form vanishes, so only the
-        # boundary-mass filter drops it
+        # boundary modes; its energy form vanishes, and it lies in the
+        # one uncertified cluster, which holds the boundary modes: the
+        # boundary rule drops it
         w = wave_at(1, 1, 0.708)
         sl = spectrum_slice(w, 0.08, 0.1, TruncationConfig(N=9))
         assert sl.eigenvalues.real.max() > 3.0
         assert sl.max_real_part == 0.0
+        assert [c.boundary for c in sl.growth_clusters] == [True]
+
+    def test_slices_compare_and_hash_by_identity(self):
+        # beta = gamma = 1, k = 1.6, N = 8, xi = 0.3: two solves of one
+        # slice are equal in every field but are two slices
+        w, cfg = wave_at(1, 1, 1.6), TruncationConfig(N=8)
+        s1, s2 = spectrum_slice(w, 0.01, 0.3, cfg), spectrum_slice(w, 0.01, 0.3, cfg)
+        assert s1 == s1 and s1 != s2
+        assert len({s1, s2, s1}) == 2 and hash(s1) == hash(s1)
+        # a certified maximiser, returned unsolved, stays unsolved
+        _, _, sl = max_growth(wave_at(1, 1, 1.3), 1e-4,
+                              TruncationConfig(N=32, xi_grid=64))
+        assert isinstance(sl, _CertifiedSlice)
+        assert sl == sl and sl != s1 and sl not in {s1, s2}
+        assert hash(sl) == hash(sl)
+        assert "eigenvalues" not in vars(sl)
 
     def test_below_threshold_quiet(self):
         w = wave_at(1, 1, 1.3)
@@ -310,43 +323,171 @@ class TestSpectrumSlice:
         assert abs(g32 - g64) < 1e-8
 
 
-def _rotation_in_diagonal(n, p, g):
-    """diag(10, 20, ...) with rows and columns p, p+1 replaced by a
-    rotation block g*[[0, 1], [-1, 0]]: eigenvalues +-i*g there, whose
-    eigenvectors are (1, +-i)/sqrt(2) on modes p, p+1."""
-    R = np.diag(10.0 * np.arange(1, n + 1))
-    R[p:p + 2, p:p + 2] = [[0.0, g], [-g, 0.0]]
-    return R
+# The eigenvector filters that the certificate's clusters replaced, kept as
+# the reference the cluster rule is checked against.  A growth candidate
+# was dropped when its eigenvector mass sat at the truncation boundary, or
+# when its energy form <L v, v> was decisively nonzero (a same-signature
+# near-collision).
+BOUNDARY_MASS_LIMIT = 0.01
+KREIN_FORM_TOL = 1e-3
+
+
+def boundary_mass(v, margin):
+    p = np.abs(v) ** 2
+    total = p.sum()
+    if total == 0:
+        return 1.0
+    return (p[:margin].sum() + p[-margin:].sum()) / total
+
+
+def eigenvector(R, mu):
+    """Unit eigenvector of R for its computed eigenvalue mu: one step of
+    inverse iteration from (1, ..., 1), the shift nudged by eps*||R||_inf
+    when R - mu*I is exactly singular."""
+    eye, ones = np.eye(R.shape[0]), np.ones(R.shape[0])
+    try:
+        v = np.linalg.solve(R - mu * eye, ones)
+    except np.linalg.LinAlgError:
+        nudge = np.finfo(float).eps * np.abs(R).sum(axis=1).max()
+        v = np.linalg.solve(R - (mu + nudge) * eye, ones)
+    return v / np.linalg.norm(v)
+
+
+def filter_kept(R, L, w, margin):
+    """Which eigenvalues i*w of R the eigenvector filters count; one
+    inverse-iteration solve decides each conjugate pair."""
+    keep = np.abs(w.imag) <= _RE_TRIGGER
+    for i in np.flatnonzero(w.imag > _RE_TRIGGER):
+        v = eigenvector(R, w[i])
+        if boundary_mass(v, margin) > BOUNDARY_MASS_LIMIT:
+            continue
+        form = abs(np.vdot(v, L @ v)) / np.vdot(v, v).real
+        if form > KREIN_FORM_TOL * (1.0 + abs(w[i].real)):
+            continue
+        keep[i] = keep[i + 1] = True
+    return keep
+
+
+def cluster_kept(w, clusters):
+    """Which eigenvalues i*w count by the cluster rule: those on the axis,
+    and the candidates whose Re w lies in a non-boundary span."""
+    candidate = np.abs(w.imag) > _RE_TRIGGER
+    keep = ~candidate
+    for c in clusters:
+        if not c.boundary:
+            keep |= candidate & (c.lo <= w.real) & (w.real <= c.hi)
+    return keep
 
 
 class TestGrowthFilter:
-    # the Krein-form drop of _growth_kept on a small constructed slice: no
-    # Hill slice was found whose growth candidate has a definite form
-    N_MODES, MARGIN, G = 11, 4, 0.3
+    # a fake conjugate pair x0 +- i*G injected into a solved slice, in
+    # place of the two real eigenvalues nearest x0: it counts only when x0
+    # lies in an uncertified cluster that holds no boundary mode.  At
+    # beta = gamma = 1, k = 1.6, a = A_MAX, xi = 0.00648 the opposite-sign
+    # pair {-1,1} is left open, and modes 0 and 3 overlap in a cluster of
+    # one sign
+    G, XI = 0.5, 0.006484242121060531
 
-    def kept(self, p, L_block):
-        R = _rotation_in_diagonal(self.N_MODES, p, self.G)
-        L = np.eye(self.N_MODES)
-        L[p:p + 2, p:p + 2] = L_block
-        mu = eigenvalues(R)
-        keep = _growth_kept(R, L, mu, self.MARGIN)
-        return keep[np.abs(mu.imag) > _RE_TRIGGER]
+    def solved_with_pair(self, monkeypatch, w, a, xi, cfg, x0, clusters=None):
+        def with_pair(R):
+            mu = eigenvalues(R)
+            real = np.flatnonzero(mu.imag == 0.0)
+            i, j = real[np.argsort(np.abs(mu.real[real] - x0))[:2]]
+            mu[i], mu[j] = x0 + 1j * self.G, x0 - 1j * self.G
+            return mu
 
-    def test_indefinite_pair_kept(self):
-        # <L v, v> = (1 - 1)/2 = 0 on (1, i)/sqrt(2): a genuine growth pair
-        assert list(self.kept(5, np.diag([1.0, -1.0]))) == [True, True]
+        monkeypatch.setattr(hill, "eigenvalues", with_pair)
+        return spectrum_slice(w, a, xi, cfg, clusters)
 
-    def test_definite_form_dropped(self):
-        assert list(self.kept(5, np.eye(2))) == [False, False]
+    def centre(self, w, a, xi, N, *modes):
+        return np.mean([_assemble_real(w, a, xi, N)[n + N, n + N] for n in modes])
+
+    def test_indefinite_pair_kept(self, monkeypatch):
+        w = wave_at(1, 1, 1.6)
+        assert sorted(_clusters(w, A_MAX, self.XI, 16)) == [[-1, 1], [0, 3]]
+        x0 = self.centre(w, A_MAX, self.XI, 16, -1, 1)
+        sl = self.solved_with_pair(monkeypatch, w, A_MAX, self.XI, CFG16, x0)
+        assert sl.max_real_part == self.G
+        assert [(c.modes, c.boundary) for c in sl.growth_clusters] == [((-1, 1), False)]
+
+    def test_definite_form_dropped(self, monkeypatch):
+        # the one-sign cluster {0, 3} is proven real (rule (b)): the pair is
+        # solver noise there, and the slice keeps its own growth
+        w = wave_at(1, 1, 1.6)
+        x0 = self.centre(w, A_MAX, self.XI, 16, 0, 3)
+        growth = spectrum_slice(w, A_MAX, self.XI, CFG16).max_real_part
+        sl = self.solved_with_pair(monkeypatch, w, A_MAX, self.XI, CFG16, x0)
+        assert 0.0 < sl.max_real_part == growth < self.G
+        assert [c.modes for c in sl.growth_clusters] == [(-1, 1)]
+
+    def test_boundary_cluster_dropped(self, monkeypatch):
+        # at k = 0.708, a = 0.08, N = 9 one cluster holds every mode, the
+        # boundary modes among them: the pair is dropped there, and counts
+        # once the same cluster is passed as interior
+        w, cfg = wave_at(1, 1, 0.708), TruncationConfig(N=9)
+        (cluster,) = _on_axis(w, 0.08, np.array([0.1]), 9)[1][0]
+        assert cluster.modes == tuple(range(-9, 10)) and cluster.boundary
+        x0 = self.centre(w, 0.08, 0.1, 9, 0)
+        sl = self.solved_with_pair(monkeypatch, w, 0.08, 0.1, cfg, x0)
+        assert sl.max_real_part == 0.0
+        assert sl.growth_clusters == (cluster,)
+        interior = (cluster._replace(boundary=False),)
+        sl = self.solved_with_pair(monkeypatch, w, 0.08, 0.1, cfg, x0, interior)
+        assert sl.max_real_part > 3.0
 
     def test_singular_shift(self):
-        # R - i*I is exactly singular: a bare solve fails, the helper nudges
+        # R - i*I is exactly singular: a bare solve fails, the reference
+        # eigenvector nudges the shift
         R = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(R - 1j * np.eye(2), np.ones(2))
-        v = _eigenvector(R, 1j)
+        v = eigenvector(R, 1j)
         assert np.all(np.isfinite(v))
         assert np.linalg.norm(R @ v - 1j * v) <= 4 * np.finfo(float).eps
+
+    @settings(max_examples=150, deadline=None)
+    @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
+           u=st.floats(0.5, 1.6), a=st.floats(0.0, A_MAX, exclude_min=True),
+           N=st.integers(8, 48), pick=st.floats(0.0, 1.0, exclude_max=True),
+           t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
+    def test_counted_growth_in_uncertified_span(self, beta, gamma, u, a, N, pick,
+                                                t, scale):
+        # within a*k^2/2 of an opposite-sign collision: the growth counted
+        # is carried by an eigenvalue in a non-boundary span that _on_axis
+        # returns for that xi, alone or among the sweep grid, and a
+        # certified slice counts none
+        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
+        try:
+            w = wave_at(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        seeds = _crossings(w, opposite=True)
+        assume(seeds)
+        xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
+        assume(1e-3 <= xi <= 0.5)
+        certified, clusters = _on_axis(w, a, np.array([xi]), N)
+        grid = np.unique(np.append(default_xi_grid(64), xi))
+        i = int(np.searchsorted(grid, xi))
+        on_grid, grid_clusters = _on_axis(w, a, grid, N)
+        # the same clusters; their spans within the rounding of a radius,
+        # whose sums the batch shape can reorder
+        assert on_grid[i] == certified[0]
+        assert [c[2:] for c in grid_clusters[i]] == [c[2:] for c in clusters[0]]
+        norm = np.abs(_assemble_real(w, a, xi, N)).sum(axis=1).max()
+        np.testing.assert_allclose([c[:2] for c in grid_clusters[i]],
+                                   [c[:2] for c in clusters[0]],
+                                   rtol=0, atol=8 * np.finfo(float).eps * norm)
+        spans = sorted((c.lo, c.hi) for c in clusters[0])
+        assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        sl = spectrum_slice(w, a, xi, TruncationConfig(N=N))
+        assert set(sl.growth_clusters) <= set(clusters[0])
+        if certified[0]:
+            assert clusters[0] == () and sl.max_real_part == 0.0
+        lam = sl.eigenvalues
+        if sl.max_real_part > _RE_TRIGGER:
+            top = lam.imag[lam.real == sl.max_real_part]
+            assert any(c.lo <= z <= c.hi and not c.boundary
+                       for c in clusters[0] for z in top)
 
 
 def _clusters(w, a, xi, N):
@@ -405,7 +546,7 @@ class TestCertificate:
             assume(seeds)
             xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
             assume(1e-3 <= xi <= 0.5)
-        assume(_on_axis(w, a, np.array([xi]), N)[0])
+        assume(_on_axis(w, a, np.array([xi]), N)[0][0])
         sl = spectrum_slice(w, a, xi, TruncationConfig(N=N))
         assert sl.max_real_part == 0.0
         assert np.all(sl.eigenvalues.real == 0.0)
@@ -423,7 +564,7 @@ class TestCertificate:
         # the one-sign pairs {0,1} and {0,2} at 0.2088 and 0.02512
         w = wave_at(1, 1, 1.6)
         assert sorted(_clusters(w, a, xi, 16)) == clusters
-        assert _on_axis(w, a, np.array([xi]), 16)[0]
+        assert _on_axis(w, a, np.array([xi]), 16)[0][0]
         assert spectrum_slice(w, a, xi, CFG16).max_real_part == 0.0
 
     @pytest.mark.parametrize("xi", [0.35, 0.36])
@@ -433,14 +574,14 @@ class TestCertificate:
         # real eigenvalue of three, so the slice is solved
         w = wave_at(1, 1, 0.85)
         assert _clusters(w, A_MAX, xi, 16) == [[-2, -1, 1]]
-        assert not _on_axis(w, A_MAX, np.array([xi]), 16)[0]
+        assert not _on_axis(w, A_MAX, np.array([xi]), 16)[0][0]
 
     @pytest.mark.parametrize("a", [1e-4, 0.01, A_MAX])
     @pytest.mark.parametrize("N", [16, 32])
     def test_rejects_collision(self, a, N):
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
-        assert not _on_axis(w, a, np.array([xi0]), N)[0]
+        assert not _on_axis(w, a, np.array([xi0]), N)[0][0]
 
     def test_margin_at_bubble_edge(self):
         # just past the edge of a bubble the pair's eigenvalues are barely
@@ -458,7 +599,7 @@ class TestCertificate:
             else:
                 outside = mid
         xis = outside + a * np.geomspace(1e-12, 1e-3, 50)
-        assert not np.any(_on_axis(w, a, xis, 16))
+        assert not np.any(_on_axis(w, a, xis, 16)[0])
         for xi in xis:
             assert spectrum_slice(w, a, xi, CFG16).max_real_part == 0.0
 
@@ -469,7 +610,7 @@ class TestCertificate:
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
         xis = xi0 + np.linspace(-0.005, 0.005, 2001)
-        certified = _on_axis(w, 0.01, xis, 16)
+        certified, _ = _on_axis(w, 0.01, xis, 16)
         growth = np.array([spectrum_slice(w, 0.01, xi, CFG16).max_real_part
                            for xi in xis])
         assert not np.any(growth[certified] != 0.0)
@@ -485,7 +626,7 @@ class TestCertificate:
         # ones are left to the solve
         w = wave_at(-1, 1, 0.78)
         xis = 0.31538 + 0.01 * (a / 0.01)**2 * np.linspace(-1, 1, 801)
-        certified = _on_axis(w, a, xis, N)
+        certified, _ = _on_axis(w, a, xis, N)
         cfg = TruncationConfig(N=N)
         growth = np.array([spectrum_slice(w, a, xi, cfg).max_real_part
                            for xi in xis])
@@ -628,7 +769,7 @@ class TestWindowedCertificate:
             xi0 = seeds[int(pick * len(seeds))]
             xis = _trisection_tree(max(1.0 / 1024, xi0 - 10**width),
                                    min(0.5, xi0 + 10**width))
-        np.testing.assert_array_equal(_on_axis(w, a, xis, N),
+        np.testing.assert_array_equal(_on_axis(w, a, xis, N)[0],
                                       full_width_on_axis(w, a, xis, N))
 
     @settings(max_examples=150, deadline=None)
@@ -683,9 +824,9 @@ class TestWindowedCertificate:
             calls.append(np.array(xis))
             return _on_axis(wave, a, xis, N)
 
-        def recording_slice(wave, a, xi, cfg):
+        def recording_slice(wave, a, xi, cfg, clusters=None):
             solved.append(xi)
-            return spectrum_slice(wave, a, xi, cfg)
+            return spectrum_slice(wave, a, xi, cfg, clusters)
 
         monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
         monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
@@ -707,10 +848,10 @@ def two_solve_kept(R, L, margin):
     keep = np.abs(lam.real) <= _RE_TRIGGER
     for i in np.flatnonzero(~keep):
         v = V[:, i]
-        if _boundary_mass(v, margin) > _BOUNDARY_MASS_LIMIT:
+        if boundary_mass(v, margin) > BOUNDARY_MASS_LIMIT:
             continue
         form = abs(np.vdot(v, L @ v)) / np.vdot(v, v).real
-        if form > _KREIN_FORM_TOL * (1.0 + abs(lam[i].imag)):
+        if form > KREIN_FORM_TOL * (1.0 + abs(lam[i].imag)):
             continue
         keep[i] = True
     return w, keep
@@ -750,10 +891,11 @@ class TestOneSolve:
            t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
     def test_matches_two_solve_slice(self, beta, gamma, u, a, N, pick, t, scale):
         # within a*k^2/2 of an opposite-sign collision, where about a
-        # fifth of the slices grow.  Up to 2N+1 = 75 LAPACK's
-        # eigenvalues-only and eigenvector solves return the same
+        # fifth of the slices grow.  The cluster rule decides as the
+        # eigenvector filters do, on the same eigenvalues.  Up to 2N+1 = 75
+        # LAPACK's eigenvalues-only and eigenvector solves return the same
         # eigenvalues bit for bit; above, they differ in the last bits, so
-        # the decisions must agree and the growth within rounding
+        # the growth must agree within rounding
         k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
         try:
             w = wave_at(beta, gamma, k)
@@ -770,21 +912,18 @@ class TestOneSolve:
         tol = 64 * np.finfo(float).eps * np.abs(R).sum(axis=1).max()
         mu = eigenvalues(R)
         for m in mu[mu.imag > _RE_TRIGGER]:
-            v = _eigenvector(R, m)
+            v = eigenvector(R, m)
             assert np.linalg.norm(R @ v - m * v) <= tol
+        cand = np.abs(mu.imag) > _RE_TRIGGER
+        L = assemble_L_matrix(w, a, xi, cfg)
+        np.testing.assert_array_equal(
+            cluster_kept(mu, _on_axis(w, a, np.array([xi]), N)[1][0])[cand],
+            filter_kept(R, L, mu, cfg.boundary_margin)[cand])
         if N <= 37:
             assert sl.max_real_part == ref.max_real_part
             assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-            return
-        assert abs(sl.max_real_part - ref.max_real_part) <= tol
-        # the same candidates kept, matched in (imag, real) order
-        L = assemble_L_matrix(w, a, xi, cfg)
-        decisions = []
-        for ev, keep in ((mu, _growth_kept(R, L, mu, cfg.boundary_margin)),
-                         two_solve_kept(R, L, cfg.boundary_margin)):
-            cand = np.abs(ev.imag) > _RE_TRIGGER
-            decisions.append(keep[cand][np.lexsort((ev.real[cand], ev.imag[cand]))])
-        np.testing.assert_array_equal(*decisions)
+        else:
+            assert abs(sl.max_real_part - ref.max_real_part) <= tol
 
 
 def exhaustive_max_growth(wave, a, cfg):
@@ -846,7 +985,7 @@ class TestMaxGrowth:
             # the maximiser was certified, so it is returned unsolved: the
             # eigenvalues compared above were solved on first access
             assert growth == 0.0
-            assert _on_axis(w, a, np.array([xi_star]), 32)[0]
+            assert _on_axis(w, a, np.array([xi_star]), 32)[0][0]
 
     @pytest.mark.parametrize("beta, gamma, k, a, most", [
         (-1.0, 1.0, 0.78, 0.02, 45),           # {-1,1} held apart off its bubble
@@ -855,9 +994,9 @@ class TestMaxGrowth:
     def test_solves_few_slices(self, beta, gamma, k, a, most, monkeypatch):
         solved = []
 
-        def recording_slice(wave, a, xi, cfg):
+        def recording_slice(wave, a, xi, cfg, clusters=None):
             solved.append(xi)
-            return spectrum_slice(wave, a, xi, cfg)
+            return spectrum_slice(wave, a, xi, cfg, clusters)
 
         monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
         xi_star, _, _ = max_growth(wave_at(beta, gamma, k), a, CFG32)
@@ -872,9 +1011,9 @@ class TestMaxGrowth:
         cfg = TruncationConfig(N=32, xi_grid=64)
         solved = []
 
-        def recording_slice(wave, a, xi, cfg):
+        def recording_slice(wave, a, xi, cfg, clusters=None):
             solved.append(xi)
-            return spectrum_slice(wave, a, xi, cfg)
+            return spectrum_slice(wave, a, xi, cfg, clusters)
 
         monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
         xi_star, growth, sl = max_growth(w, 1e-4, cfg)
@@ -942,7 +1081,7 @@ class TestKreinOfEigenpair:
         # the same on the inverse-iteration eigenvector of the one solve
         mu = eigenvalues(R)
         with pytest.raises(IndefiniteNearZero):
-            krein_of_eigenpair(L, _eigenvector(R, mu[np.argmin(mu.imag)]))
+            krein_of_eigenpair(L, eigenvector(R, mu[np.argmin(mu.imag)]))
 
     def test_zero_vector_rejected(self):
         L = np.eye(3)
@@ -976,12 +1115,13 @@ class TestConfig:
         assert grid[-1] == 0.5
 
     def test_boundary_mass(self):
+        # the reference filter's measure
         v = np.zeros(33)
         v[0] = 1.0
-        assert _boundary_mass(v, 4) == 1.0
+        assert boundary_mass(v, 4) == 1.0
         v = np.zeros(33)
         v[16] = 1.0
-        assert _boundary_mass(v, 4) == 0.0
+        assert boundary_mass(v, 4) == 0.0
 
 
 class TestModeSeparationTwo:
