@@ -27,9 +27,9 @@ which growth counts: only growth whose frequency lies in an open cluster
 without one of the boundary_margin modes next to +-N.  Slice by slice,
 the certificate looks only at the modes that can meet a mode of the
 other sign: over each block of xi values, a hull of every mode's
-interval proves the others apart on the whole block.  The trisection's
-14 candidate points are certified in one call, and a certified
-maximiser is returned unsolved.
+interval proves the others apart on the whole block.  A sweep refines
+its best point by parabolic steps on a lattice of 63 points certified
+in one call, and a certified maximiser is returned unsolved.
 """
 
 from __future__ import annotations
@@ -67,8 +67,12 @@ MAX_XI_GRID = 2**20
 _RE_TRIGGER = 1e-12
 # |<L v, v>| below this on a unit eigenvector leaves its Krein sign undefined.
 _KREIN_ZERO_TOL = 1e-10
-# Trisection rounds around the best slice of the sweep.
+# Refinement rounds around the best slice of the sweep, one solve at most
+# each, on a lattice of _LATTICE - 1 points evenly inside its bracket.
 _REFINE_ROUNDS = 3
+_LATTICE = 64
+# Golden-section fraction of a bracket side.
+_GOLDEN = (3.0 - 5.0**0.5) / 2.0
 # xi values per vectorised certificate block: bounds its (block, 2N+1)
 # temporaries to a few times one matrix.
 _CERTIFY_BLOCK = 64
@@ -640,31 +644,15 @@ class _CertifiedSlice(SpectrumSlice):
         return self._solve().eigenvalues
 
 
-def _trisection_tree(lo: float, hi: float) -> np.ndarray:
-    """Every point the trisection of [lo, hi] can visit, in heap order.
-
-    Bracket h holds points 2h and 2h+1, lo + (hi - lo)/3 and
-    hi - (hi - lo)/3; its child 2h+1 keeps lo and 2h+2 keeps hi.
-    """
-    brackets, points = [(lo, hi)], []
-    for h in range(2**_REFINE_ROUNDS - 1):
-        lo, hi = brackets[h]
-        t = (lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0)
-        points += t
-        brackets += [(lo, t[1]), (t[0], hi)]
-    return np.array(points)
-
-
 def max_growth(wave: StokesWave, a,
                cfg: TruncationConfig) -> tuple[float, float, SpectrumSlice]:
-    """Maximize max_real_part over the xi sweep, with trisection refinement.
+    """Maximize max_real_part over the xi sweep, with parabolic refinement.
 
     Returns (xi_star, growth, slice at xi_star).  The uniform grid is
     augmented with collision-seeded candidates (see _collision_seeds):
     high-frequency bubbles can be far narrower than any practical
     uniform grid spacing, but they sit at the analytically known
-    collision points.  The trisection then narrows the bracket around
-    the best evaluated point.
+    collision points.
 
     Only slices that may grow are solved.  A slice that _on_axis
     certifies has every eigenvalue on the imaginary axis: by an inertia
@@ -675,32 +663,51 @@ def max_growth(wave: StokesWave, a,
     without a solve.  Growth can appear only where a colliding pair of
     opposite sign is not held apart, or in a larger mixed cluster; each
     solved slice gets those clusters, which decide what growth counts
-    (see spectrum_slice).  The
-    grid is certified in one call, and so are the 14 points the
-    trisection can visit; the first maximiser still wins ties.  A
-    certified maximiser is returned unsolved, its eigenvalues solved on
-    first access.
+    (see spectrum_slice).  The grid is certified in one call.
+
+    The refinement keeps the best grid point m and its bracket of grid
+    neighbours, and visits only a lattice of _LATTICE - 1 points evenly
+    inside the bracket, certified in one call.  Near a bubble's peak,
+    growth^2 is a parabola in xi (the growth is the imaginary part of a
+    2x2 pencil's eigenvalue).  So each round aims at the vertex of the
+    parabola through growth^2 at the bracket ends and m, or, with no
+    vertex inside, m at an end or not growing, at the golden-section
+    point of the larger side; it solves the nearest lattice point inside
+    the bracket not yet visited, and keeps the best point and its
+    neighbours.  A point replaces m only when it grows strictly more, so
+    the first maximiser still wins ties.  A certified maximiser is
+    returned unsolved, its eigenvalues solved on first access.
     """
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
     growth, solved = _growth(wave, a, grid, _on_axis(wave, a, grid, cfg.N)[1], cfg)
     i = int(np.argmax(growth))
-    best_xi, best_growth, best = grid[i], growth[i], solved.get(i)
-    lo = grid[i - 1] if i > 0 else grid[0]
-    hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
-    tree = _trisection_tree(lo, hi)
-    open_tree = _on_axis(wave, a, tree, cfg.N)[1]
-    h = 0
+    # the bracket and its best point m, each (xi, growth, solved slice or None)
+    lo, m, hi = ((grid[j], growth[j], solved.get(j))
+                 for j in (max(i - 1, 0), i, min(i + 1, grid.size - 1)))
+    lattice = lo[0] + (hi[0] - lo[0]) * np.arange(1, _LATTICE) / _LATTICE
+    open_lattice = _on_axis(wave, a, lattice, cfg.N)[1]
     for _ in range(_REFINE_ROUNDS):
-        t = tree[2 * h:2 * h + 2]
-        g, s = _growth(wave, a, t, open_tree[2 * h:2 * h + 2], cfg)
-        for j in (0, 1):
-            if g[j] > best_growth:
-                best_xi, best_growth, best = t[j], g[j], s.get(j)
-        h = 2 * h + 1 if g[0] >= g[1] else 2 * h + 2
-    if best is None:
-        best = _CertifiedSlice(wave, a, best_xi, cfg)
+        # every point visited is m, a bracket end or outside the bracket
+        free = np.flatnonzero((lo[0] < lattice) & (lattice < hi[0]) & (lattice != m[0]))
+        if not free.size:
+            break
+        (x0, g0, _), (x1, g1, _), (x2, g2, _) = lo, m, hi
+        d0, d2 = (x1 - x0) * (g1**2 - g2**2), (x2 - x1) * (g1**2 - g0**2)
+        v = np.nan
+        if g1 > 0 and x0 < x1 < x2 and d0 + d2 != 0:
+            v = x1 - 0.5 * ((x1 - x0) * d0 - (x2 - x1) * d2) / (d0 + d2)
+        if not x0 < v < x2:
+            v = x1 + _GOLDEN * (x2 - x1 if x2 - x1 >= x1 - x0 else x0 - x1)
+        j = free[np.argmin(np.abs(lattice[free] - v))]
+        g, s = _growth(wave, a, lattice[j:j + 1], open_lattice[j:j + 1], cfg)
+        t = (lattice[j], g[0], s.get(0))
+        if t[1] > m[1]:
+            lo, m, hi = (m, t, hi) if t[0] > m[0] else (lo, t, m)
+        else:
+            lo, hi = (lo, t) if t[0] > m[0] else (t, hi)
+    best = m[2] if m[2] is not None else _CertifiedSlice(wave, a, m[0], cfg)
     return best.xi, best.max_real_part, best
 
 

@@ -33,6 +33,7 @@ from ostro_stab import (
 from ostro_stab.hill import (
     _CERTIFY_BLOCK,
     _CERTIFY_MARGIN,
+    _LATTICE,
     _RE_TRIGGER,
     _REFINE_ROUNDS,
     _SOLVE_NOISE,
@@ -49,7 +50,6 @@ from ostro_stab.hill import (
     _on_axis,
     _pairing_ok,
     _sorted_witness,
-    _trisection_tree,
     _wave_terms,
 )
 from ostro_stab.stokes import A_MAX, as_amplitude
@@ -490,6 +490,43 @@ class TestGrowthFilter:
                        for c in clusters[0] for z in top)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
+           u=st.floats(0.5, 1.6), a=st.floats(0.0, A_MAX, exclude_min=True),
+           N=st.integers(8, 48), pick=st.floats(0.0, 1.0, exclude_max=True),
+           t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
+    def test_open_span_widened_by_half_gap(self, beta, gamma, u, a, N, pick, t,
+                                           scale):
+        # each open cluster of a slice near an opposite-sign collision, on
+        # a 16-point grid holding it: its span is the union of its modes'
+        # Gershgorin intervals, read off the assembled matrix, widened by
+        # half the cluster gap _CERTIFY_MARGIN*||R||_inf on each side, up
+        # to the rounding of a centre and a radius
+        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
+        try:
+            w = wave_at(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        seeds = _crossings(w, opposite=True)
+        assume(seeds)
+        xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
+        assume(1e-3 <= xi <= 0.5)
+        xis = np.unique(np.append(default_xi_grid(16), xi))
+        _, clusters = _on_axis(w, a, xis, N)
+        assume(any(clusters))
+        for x, open_ in zip(xis, clusters):
+            R = _assemble_real(w, a, x, N)
+            s = np.sqrt(np.abs(np.arange(-N, N + 1) + x))
+            off = np.abs(R - np.diag(np.diag(R)))
+            centre, radius = np.diag(R), (off * s).sum(axis=1) / s
+            norm = np.abs(R).sum(axis=1).max()
+            gap, tol = _CERTIFY_MARGIN * norm, 4 * np.finfo(float).eps * norm
+            for c in open_:
+                rows = np.array(c.modes) + N
+                assert abs(c.lo - ((centre - radius)[rows].min() - gap / 2)) <= tol
+                assert abs(c.hi - ((centre + radius)[rows].max() + gap / 2)) <= tol
+
+
 def _clusters(w, a, xi, N):
     """Modes of each cluster of two or more overlapping Gershgorin intervals.
 
@@ -723,20 +760,6 @@ def full_width_on_axis(wave, a, xis, N):
     return certified
 
 
-def trisection_paths(lo, hi):
-    """Every point the trisection loop of max_growth can visit from
-    (lo, hi), by its own float expressions, over all branch choices."""
-    brackets, visited = [(lo, hi)], []
-    for _ in range(_REFINE_ROUNDS):
-        nxt = []
-        for lo, hi in brackets:
-            t = np.array([lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0])
-            visited += list(t)
-            nxt += [(lo, t[1]), (t[0], hi)]
-        brackets = nxt
-    return visited
-
-
 _WAVES = dict(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
               u=st.floats(0.5, 1.6), a=st.floats(0.0, A_MAX, exclude_min=True))
 
@@ -757,7 +780,7 @@ class TestWindowedCertificate:
            pick=st.floats(0.0, 1.0, exclude_max=True), width=st.floats(-9.0, -1.0))
     def test_matches_full_width(self, beta, gamma, u, a, N, sweep, pick, width):
         # a sweep grid with its collision seeds, as max_growth builds it, or
-        # (sweep = 0) the trisection points of a bracket 10^width wide
+        # (sweep = 0) the refinement lattice of a bracket 10^width wide
         # around a collision seed: the verdicts are those of the
         # certificate computed on every mode of every slice
         w = _drawn_wave(beta, gamma, u)
@@ -767,8 +790,8 @@ class TestWindowedCertificate:
         else:
             assume(seeds)
             xi0 = seeds[int(pick * len(seeds))]
-            xis = _trisection_tree(max(1.0 / 1024, xi0 - 10**width),
-                                   min(0.5, xi0 + 10**width))
+            lo, hi = max(1.0 / 1024, xi0 - 10**width), min(0.5, xi0 + 10**width)
+            xis = lo + (hi - lo) * np.arange(1, _LATTICE) / _LATTICE
         np.testing.assert_array_equal(_on_axis(w, a, xis, N)[0],
                                       full_width_on_axis(w, a, xis, N))
 
@@ -801,41 +824,6 @@ class TestWindowedCertificate:
         assert np.all(centre + radius <= right + tol)
         assert np.all(term <= norm_hi * (1 + 1e-14))
         assert np.all(term >= norm_lo * (1 - 1e-14))
-
-    @settings(max_examples=200, deadline=None)
-    @given(lo=st.floats(1e-3, 0.5), width=st.floats(0.0, 0.5))
-    def test_tree_holds_every_visited_point(self, lo, width):
-        # each of the 14 points any branch of the trisection visits is one
-        # of the points certified in one call, bit for bit
-        hi = np.float64(min(0.5, lo + width))
-        tree = _trisection_tree(np.float64(lo), hi)
-        assert tree.size == 2 * (2**_REFINE_ROUNDS - 1)
-        tree_bits = {t.tobytes() for t in tree}
-        assert all(t.tobytes() in tree_bits
-                   for t in trisection_paths(np.float64(lo), hi))
-
-    def test_visits_only_certified_tree_points(self, monkeypatch):
-        # max_growth certifies the grid, then the 14 tree points in one
-        # call, and solves only among those points
-        w = wave_at(1, 1, 1.6)
-        calls, solved = [], []
-
-        def recording_on_axis(wave, a, xis, N):
-            calls.append(np.array(xis))
-            return _on_axis(wave, a, xis, N)
-
-        def recording_slice(wave, a, xi, cfg, clusters=None):
-            solved.append(xi)
-            return spectrum_slice(wave, a, xi, cfg, clusters)
-
-        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
-        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
-        max_growth(w, 0.01, CFG16)
-        assert len(calls) == 2
-        grid, tree = calls
-        assert tree.size == 14
-        allowed = {t.tobytes() for t in np.concatenate([grid, tree])}
-        assert all(np.float64(xi).tobytes() in allowed for xi in solved)
 
 
 def two_solve_kept(R, L, margin):
@@ -927,28 +915,50 @@ class TestOneSolve:
 
 
 def exhaustive_max_growth(wave, a, cfg):
-    """Reference sweep: solves every slice, grid and refinement alike."""
+    """Reference sweep: solves every slice, grid and refinement alike, and
+    returns the refinement's probes too.
+
+    The refinement, written out: the bracket's ends and its best point m
+    are slices; each round probes the vertex of the parabola through
+    their growth^2 (Brent's form), or the golden-section point of the
+    larger side, on the nearest lattice point strictly inside the
+    bracket that is neither m nor visited, and keeps the best slice and
+    its two neighbours.
+    """
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
     ]))
     slices = [two_solve_slice(wave, a, t, cfg) for t in grid]
     best = max(slices, key=lambda s: s.max_real_part)
     i = slices.index(best)
-    lo = grid[i - 1] if i > 0 else grid[0]
-    hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
+    lo, hi = slices[max(i - 1, 0)], slices[min(i + 1, grid.size - 1)]
+    lattice = lo.xi + (hi.xi - lo.xi) * np.arange(1, _LATTICE) / _LATTICE
+    visited, probes = set(), []
     for _ in range(_REFINE_ROUNDS):
-        t1 = lo + (hi - lo) / 3.0
-        t2 = hi - (hi - lo) / 3.0
-        s1 = two_solve_slice(wave, a, t1, cfg)
-        s2 = two_solve_slice(wave, a, t2, cfg)
-        for s in (s1, s2):
-            if s.max_real_part > best.max_real_part:
-                best = s
-        if s1.max_real_part >= s2.max_real_part:
-            hi = t2
-        else:
-            lo = t1
-    return best.xi, best.max_real_part, best
+        (x0, f0), (x1, f1), (x2, f2) = ((s.xi, s.max_real_part**2)
+                                        for s in (lo, best, hi))
+        p = (x1 - x0)**2 * (f1 - f2) - (x1 - x2)**2 * (f1 - f0)
+        q = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
+        v = x1 - 0.5 * p / q if q and f1 and x0 < x1 < x2 else np.nan
+        if not x0 < v < x2:
+            side = x2 - x1 if x2 - x1 >= x1 - x0 else x0 - x1
+            v = x1 + 0.5 * (3.0 - np.sqrt(5.0)) * side
+        free = [j for j in range(lattice.size)
+                if x0 < lattice[j] < x2 and lattice[j] != x1 and j not in visited]
+        if not free:
+            break
+        j = min(free, key=lambda j: abs(lattice[j] - v))
+        visited.add(j)
+        probes.append(lattice[j])
+        t = two_solve_slice(wave, a, lattice[j], cfg)
+        # at a bracket end, best is that end
+        ends = sorted({id(s): s for s in (lo, best, hi, t)}.values(),
+                      key=lambda s: s.xi)
+        if t.max_real_part > best.max_real_part:
+            best = t
+        k = ends.index(best)
+        lo, hi = ends[max(k - 1, 0)], ends[min(k + 1, len(ends) - 1)]
+    return best.xi, best.max_real_part, best, probes
 
 
 class TestMaxGrowth:
@@ -964,15 +974,23 @@ class TestMaxGrowth:
                                           pairs, monkeypatch):
         w = wave_at(beta, gamma, k)
         cfg = TruncationConfig(N=32, xi_grid=xi_grid)
-        swept = []
+        swept, probes = [], []
 
         def recording_on_axis(wave, a, xis, N):
             swept.extend(xis)
             return _on_axis(wave, a, xis, N)
 
+        def recording_growth(wave, a, xis, clusters, cfg):
+            probes.append(xis)
+            return hill_growth(wave, a, xis, clusters, cfg)
+
+        hill_growth = hill._growth
         monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
+        monkeypatch.setattr(hill, "_growth", recording_growth)
         xi_star, growth, sl = max_growth(w, a, cfg)
-        ref_xi, ref_growth, ref = exhaustive_max_growth(w, a, cfg)
+        ref_xi, ref_growth, ref, ref_probes = exhaustive_max_growth(w, a, cfg)
+        # the same probes, solved or certified, bit for bit
+        assert np.concatenate(probes[1:]).tobytes() == np.array(ref_probes).tobytes()
         assert (xi_star, growth, sl.paired) == (ref_xi, ref_growth, ref.paired)
         assert sl.max_real_part == ref.max_real_part
         assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
@@ -988,8 +1006,9 @@ class TestMaxGrowth:
             assert _on_axis(w, a, np.array([xi_star]), 32)[0][0]
 
     @pytest.mark.parametrize("beta, gamma, k, a, most", [
-        (-1.0, 1.0, 0.78, 0.02, 45),           # {-1,1} held apart off its bubble
+        (-1.0, 1.0, 0.78, 0.02, 37),           # {-1,1} held apart off its bubble
         (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 1),  # below threshold: nothing grows
+        (1.0, 1.0, 1.6, 0.01, 13),             # above: the {-1,0} bubble
     ])
     def test_solves_few_slices(self, beta, gamma, k, a, most, monkeypatch):
         solved = []
@@ -1002,6 +1021,66 @@ class TestMaxGrowth:
         xi_star, _, _ = max_growth(wave_at(beta, gamma, k), a, CFG32)
         assert len(solved) <= most
         assert xi_star in solved
+
+    def test_visits_only_certified_lattice_points(self, monkeypatch):
+        # max_growth makes two _on_axis calls: the grid, then the 63
+        # lattice points inside the best grid point's bracket; every
+        # refinement solve is one of those points, bit for bit
+        w = wave_at(1, 1, 1.6)
+        calls, solved = [], []
+
+        def recording_on_axis(wave, a, xis, N):
+            calls.append(np.array(xis))
+            return _on_axis(wave, a, xis, N)
+
+        def recording_slice(wave, a, xi, cfg, clusters=None):
+            solved.append((len(calls), xi))
+            return spectrum_slice(wave, a, xi, cfg, clusters)
+
+        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
+        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
+        max_growth(w, 0.01, CFG16)
+        assert len(calls) == 2
+        grid, lattice = calls
+        assert lattice.size == _LATTICE - 1 == 63
+        refined = [xi for call, xi in solved if call == 2]
+        assert refined
+        allowed = {t.tobytes() for t in lattice}
+        assert all(np.float64(xi).tobytes() in allowed for xi in refined)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_WAVES, N=st.sampled_from([8, 16, 32]),
+           xi_grid=st.sampled_from([16, 64, 512]))
+    def test_refinement_keeps_best_grid_point(self, beta, gamma, u, a, N, xi_grid):
+        # at most one solve a refinement round, no slice solved twice, and
+        # the sweep's growth is at least the best grid slice's, at an xi
+        # inside its bracket
+        w = _drawn_wave(beta, gamma, u)
+        calls, solved = [], []
+
+        def recording_on_axis(wave, a, xis, N):
+            calls.append(np.array(xis))
+            return _on_axis(wave, a, xis, N)
+
+        def recording_slice(wave, a, xi, cfg, clusters=None):
+            sl = spectrum_slice(wave, a, xi, cfg, clusters)
+            solved.append((len(calls), xi, sl.max_real_part))
+            return sl
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hill, "_on_axis", recording_on_axis)
+            mp.setattr(hill, "spectrum_slice", recording_slice)
+            xi_star, growth, sl = max_growth(w, a, TruncationConfig(N=N, xi_grid=xi_grid))
+        grid = calls[0]
+        on_grid = np.zeros(grid.size)
+        for call, xi, g in solved:
+            if call == 1:
+                on_grid[np.searchsorted(grid, xi)] = g
+        assert sum(call == 2 for call, _, _ in solved) <= _REFINE_ROUNDS
+        assert len({np.float64(xi).tobytes() for _, xi, _ in solved}) == len(solved)
+        i = int(np.argmax(on_grid))
+        assert growth == sl.max_real_part >= on_grid[i]
+        assert grid[max(i - 1, 0)] <= xi_star <= grid[min(i + 1, grid.size - 1)]
 
     def test_certified_maximiser_solved_on_access(self, monkeypatch):
         # nothing grows at a = 1e-4 and every slice is certified: the
