@@ -14,10 +14,15 @@ collision condition gives the closed form
     k^4 = (gamma*dn/beta) * collision_K(x, dn),        x = n + xi, dn = m - n,
 
 so the sign of the rational function ``collision_K`` decides which sign
-of beta admits a collision of a given pair.  This module solves both
-directions of that relation (k given xi, xi given k), classifies all
-colliding pairs, computes the wavenumber interval swept by a collision
-family, and evaluates Krein signatures.
+of beta admits a collision of a given pair.  The kernel depends on x only
+through p = x*(x+dn):
+
+    k^4 = (gamma/beta) * (1 + p) / (p*(3p + dn^2 - 1)),
+
+so for a given k the relation is a quadratic in p.  This module solves
+both directions of that relation in closed form (k given xi, xi given
+k), classifies all colliding pairs, computes the wavenumber interval
+swept by a collision family, and evaluates Krein signatures.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import stokes
 from .errors import DivisionByZero, NoCollision, Singularity, XiOutOfRange
@@ -52,16 +56,22 @@ __all__ = [
 # only trips on raw user input.
 _X_TOL = 1e-12
 
-# Points of the uniform xi grid on (0, 1/2] that brackets collision roots
-# and samples collision intervals; its first point is also the probe used
-# for the small-xi sign of collision_K.
+# Points of the uniform xi grid on (0, 1/2] that samples collision
+# intervals; its first point is also the probe used for the small-xi sign
+# of collision_K.
 _XI_GRID = 4096
 _XI_SAMPLES = np.arange(1, _XI_GRID + 1) / (2 * _XI_GRID)
 _XI_SAMPLES.flags.writeable = False
 _XI_EPS = 1.0 / (2 * _XI_GRID)
 
-#: Absolute xi tolerance of the bracketed collision roots.
+#: Absolute xi error bound of the closed-form collision roots away from a
+#: tangency (a double root in x, where xi moves like the square root of
+#: any perturbation of k).
 XI_ROOT_TOL = 1e-12
+
+# dn^2 + 4p within this share of dn^2 of zero is a double root in x; it is
+# snapped to x = -dn/2, where rounding of p would split it or drop it.
+_DOUBLE_ROOT_TOL = 64 * np.finfo(float).eps
 
 #: |omega| below this is treated as a collision at the spectral origin.
 OMEGA_ORIGIN_TOL = 1e-10
@@ -189,33 +199,43 @@ def collision_wavenumber(beta: float, gamma: float, n: int, m: int, xi: float):
 def collision_xi(params: PhysicalParams, n: int, m: int) -> list[float]:
     """All xi in (0, 1/2] where omega(n+xi) = omega(m+xi) at c = c0.
 
-    Sign changes are bracketed on a uniform grid of ``_XI_GRID`` points
-    and refined to ``XI_ROOT_TOL``; an empty list means no collision at
-    this k.
+    Solved in closed form.  With x = n + xi, dn = |m - n|, p = x*(x+dn)
+    and B = beta*k^4, the collision is the quadratic
+
+        3*B*p^2 + ((dn^2 - 1)*B - gamma)*p - gamma = 0.
+
+    Its roots come from the cancellation-free formula, with the
+    discriminant written as ((dn^2 - 1)*B + gamma)^2 + 4*(4 - dn^2)*B*gamma
+    so that at dn = 2, where the quadratic factors as
+    (1 + p)*(3B*p - gamma), it is the square (3B + gamma)^2 and p = -1
+    comes out exact to rounding.  Each real root p gives
+    x^2 + dn*x - p = 0, and x - n is kept when it lies in (0, 1/2].  A
+    double root in x (dn^2 + 4p within rounding of 0) is taken as
+    x = -dn/2: the tangency at the end of a collision interval
+    (xi = 1/2), or the root p = -1 at dn = 2, which is xi = 0
+    (omega(-1) = omega(1) = 0 for every k) and so no collision.  Away
+    from a tangency the roots are accurate to ``XI_ROOT_TOL``; an empty
+    list means no collision at this k.
     """
     if n == m:
         raise ValueError("need two distinct modes")
-    c0 = stokes.phase_speed_c0(params)
-
-    def gap(xi):
-        return omega(params, c0, n + xi) - omega(params, c0, m + xi)
-
-    xs = _XI_SAMPLES
-    wn = omega(params, c0, n + xs)
-    wm = omega(params, c0, m + xs)
-    fv = wn - wm
-    roots = list(xs[np.abs(fv) <= 1e-11 * np.maximum(1.0, np.abs(wn) + np.abs(wm))])
-    sign = np.sign(fv)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        roots.append(brentq(gap, xs[i], xs[i + 1], xtol=XI_ROOT_TOL))
-    roots.sort()
-    # at a tangency (k at an interval endpoint) the node test and the
-    # bracketing both report the same double root, sqrt(eps)-apart
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-6:
-            deduped.append(float(r))
-    return deduped
+    n, m = min(n, m), max(n, m)
+    dn = m - n
+    B, gamma = params.beta * params.k**4, params.gamma
+    qb = (dn * dn - 1) * B - gamma
+    disc = ((dn * dn - 1) * B + gamma) ** 2 + 4 * (4 - dn * dn) * B * gamma
+    if disc < 0:
+        return []
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    xs = []
+    for p in (q / (3.0 * B), -gamma / q):
+        d = dn * dn + 4.0 * p
+        if abs(d) <= _DOUBLE_ROOT_TOL * dn * dn:
+            xs.append(-0.5 * dn)
+        elif d > 0:
+            s = math.sqrt(d)
+            xs += [2.0 * p / (dn + s), -0.5 * (dn + s)]
+    return sorted({x - n for x in xs if 0 < x - n <= 0.5})
 
 
 def collision_events(params: PhysicalParams, n: int, m: int) -> list[CollisionEvent]:
@@ -271,11 +291,17 @@ def collision_interval(beta: float, gamma: float, n: int, m: int) -> CollisionIn
     xi covers the collisions of the reflected pair {-m, -n}, which belong
     to the same unordered mode pair by the xi -> -xi spectral symmetry.
 
-    The reported endpoints are the dense-sample extrema polished by a
-    bounded scalar minimization; open endpoints (at xi -> 0 or
-    xi -> -1/2) are approached but never attained, so k_min of an
-    interval whose infimum is 0 comes out as a small positive number.
-    k_max is math.inf when one colliding index is zero.
+    The endpoints are solved in closed form.  Apart from its poles and
+    zeros, k^4 as a function of p = x*(x+dn) has a p-derivative that
+    vanishes only at p = 0 and p = -2 (dn = 1), at p = -1 = -dn^2/4
+    (dn = 2), and nowhere for dn >= 3, so no x in the family reaches such
+    a point except x = -dn/2, where dp/dx vanishes.  That x is
+    xi = -(n+m)/2, which lies in the family only as xi = 0 or 1/2.  So
+    each extremum is k^4 at xi = -1/2 (the open end), at xi = 1/2, at
+    xi = 0 when neither mode is 0 (else a pole there makes k_max
+    math.inf), or the infimum 0 where 1 + p = 0; the dense samples stand
+    in for that, so k_min of such an interval is the least admissible
+    sample, a small positive number.
     """
     n, m = min(n, m), max(n, m)
     dn = m - n
@@ -285,31 +311,16 @@ def collision_interval(beta: float, gamma: float, n: int, m: int) -> CollisionIn
     # xi = -1/2 .. -2/(2*_XI_GRID), then the positive samples
     xs = np.concatenate([-_XI_SAMPLES[:0:-1], _XI_SAMPLES])
     k4 = _collision_k4(beta, gamma, n + xs, dn)
-    k4_adm = np.where(k4 > 0, k4, np.nan)
-    if np.all(np.isnan(k4_adm)):
+    if n and m:
+        # xi = 0, where p = n*m; at dn = 2 the kernel is 1/(6p), whose
+        # form removes the pole of {-1, 1} there
+        k4 = np.append(k4, gamma / (3.0 * beta * n * m) if dn == 2
+                       else _collision_k4(beta, gamma, n, dn))
+    k4_adm = k4[k4 > 0]
+    if not k4_adm.size:
         raise NoCollision(f"pair {{{n},{m}}} admits no collision for beta={beta}")
-
-    def refine(sign, j):
-        """Polish sign*k^4 around sample j; inadmissible xi cost +inf."""
-        def cost(t):
-            k4 = _collision_k4(beta, gamma, n + t, dn)
-            return sign * k4 if k4 > 0 else math.inf
-
-        lo = xs[j - 1] if j >= 1 else -0.5 + 2.0**-40
-        hi = xs[j + 1] if j + 1 < len(xs) else 0.5
-        res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        return res.fun
-
-    j_min = int(np.nanargmin(k4_adm))
-    k_min = float(min(np.nanmin(k4_adm), refine(1.0, j_min)) ** 0.25)
-
-    if n == 0 or m == 0:
-        k_max = math.inf
-    else:
-        neg = refine(-1.0, int(np.nanargmax(k4_adm)))
-        best_max = max(np.nanmax(k4_adm), -neg if math.isfinite(neg) else -math.inf)
-        k_max = float(best_max**0.25)
+    k_min = float(k4_adm.min() ** 0.25)
+    k_max = math.inf if n == 0 or m == 0 else float(k4_adm.max() ** 0.25)
     return CollisionInterval(n=n, m=m, k_min=k_min, k_max=k_max)
 
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import dispersion, stokes
 from .errors import ConvergenceFailure, IndefiniteNearZero
@@ -167,7 +166,8 @@ def _wave_terms(wave: StokesWave, a: float, N: int) -> tuple[float, np.ndarray]:
     col = np.zeros(2 * N + 1)
     for j, Wj in enumerate(stokes.harmonic_amplitudes(wave, a), start=1):
         col[j] = -2.0 * k2 * (Wj / 2.0)
-    coupling = toeplitz(col)
+    i = np.arange(2 * N + 1)
+    coupling = col[np.abs(i[:, None] - i)]
     coupling.flags.writeable = False
     return stokes.eval_speed(wave, a), coupling
 
@@ -675,8 +675,9 @@ def max_growth(wave: StokesWave, a,
     point of the larger side; it solves the nearest lattice point inside
     the bracket not yet visited, and keeps the best point and its
     neighbours.  A point replaces m only when it grows strictly more, so
-    the first maximiser still wins ties.  A certified maximiser is
-    returned unsolved, its eigenvalues solved on first access.
+    the first maximiser still wins ties.  A grid on which nothing grows
+    is not refined: its first point is returned.  A certified maximiser
+    is returned unsolved, its eigenvalues solved on first access.
     """
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
@@ -686,27 +687,30 @@ def max_growth(wave: StokesWave, a,
     # the bracket and its best point m, each (xi, growth, solved slice or None)
     lo, m, hi = ((grid[j], growth[j], solved.get(j))
                  for j in (max(i - 1, 0), i, min(i + 1, grid.size - 1)))
-    lattice = lo[0] + (hi[0] - lo[0]) * np.arange(1, _LATTICE) / _LATTICE
-    open_lattice = _on_axis(wave, a, lattice, cfg.N)[1]
-    for _ in range(_REFINE_ROUNDS):
-        # every point visited is m, a bracket end or outside the bracket
-        free = np.flatnonzero((lo[0] < lattice) & (lattice < hi[0]) & (lattice != m[0]))
-        if not free.size:
-            break
-        (x0, g0, _), (x1, g1, _), (x2, g2, _) = lo, m, hi
-        d0, d2 = (x1 - x0) * (g1**2 - g2**2), (x2 - x1) * (g1**2 - g0**2)
-        v = np.nan
-        if g1 > 0 and x0 < x1 < x2 and d0 + d2 != 0:
-            v = x1 - 0.5 * ((x1 - x0) * d0 - (x2 - x1) * d2) / (d0 + d2)
-        if not x0 < v < x2:
-            v = x1 + _GOLDEN * (x2 - x1 if x2 - x1 >= x1 - x0 else x0 - x1)
-        j = free[np.argmin(np.abs(lattice[free] - v))]
-        g, s = _growth(wave, a, lattice[j:j + 1], open_lattice[j:j + 1], cfg)
-        t = (lattice[j], g[0], s.get(0))
-        if t[1] > m[1]:
-            lo, m, hi = (m, t, hi) if t[0] > m[0] else (lo, t, m)
-        else:
-            lo, hi = (lo, t) if t[0] > m[0] else (t, hi)
+    # a grid that grows nowhere brackets no bubble: its first point stands
+    if m[1] > 0:
+        lattice = lo[0] + (hi[0] - lo[0]) * np.arange(1, _LATTICE) / _LATTICE
+        open_lattice = _on_axis(wave, a, lattice, cfg.N)[1]
+        for _ in range(_REFINE_ROUNDS):
+            # every point visited is m, a bracket end or outside the bracket
+            free = np.flatnonzero((lo[0] < lattice) & (lattice < hi[0])
+                                  & (lattice != m[0]))
+            if not free.size:
+                break
+            (x0, g0, _), (x1, g1, _), (x2, g2, _) = lo, m, hi
+            d0, d2 = (x1 - x0) * (g1**2 - g2**2), (x2 - x1) * (g1**2 - g0**2)
+            v = np.nan
+            if g1 > 0 and x0 < x1 < x2 and d0 + d2 != 0:
+                v = x1 - 0.5 * ((x1 - x0) * d0 - (x2 - x1) * d2) / (d0 + d2)
+            if not x0 < v < x2:
+                v = x1 + _GOLDEN * (x2 - x1 if x2 - x1 >= x1 - x0 else x0 - x1)
+            j = free[np.argmin(np.abs(lattice[free] - v))]
+            g, s = _growth(wave, a, lattice[j:j + 1], open_lattice[j:j + 1], cfg)
+            t = (lattice[j], g[0], s.get(0))
+            if t[1] > m[1]:
+                lo, m, hi = (m, t, hi) if t[0] > m[0] else (lo, t, m)
+            else:
+                lo, hi = (lo, t) if t[0] > m[0] else (t, hi)
     best = m[2] if m[2] is not None else _CertifiedSlice(wave, a, m[0], cfg)
     return best.xi, best.max_real_part, best
 

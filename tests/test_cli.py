@@ -201,15 +201,16 @@ class TestExitCodes:
         assert doc["diagnostics"]["xi_grid"] == 1048576
 
     @staticmethod
-    def _run_module(module):
+    def _run(*args):
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "threshold", "--beta", "1",
-             "--gamma", "1"], capture_output=True, text=True, env=env,
-            timeout=60)
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env, timeout=60)
+
+    def _run_module(self, module):
+        proc = self._run("-m", module, "threshold", "--beta", "1", "--gamma", "1")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["k_min"] == \
             pytest.approx(2**0.5, rel=1e-12)
@@ -219,6 +220,23 @@ class TestExitCodes:
 
     def test_python_dash_m_cli_module(self):
         self._run_module("ostro_stab.cli")
+
+    def test_cli_loads_no_scipy(self):
+        # the command line needs only numpy: a fresh interpreter that
+        # imports the CLI and runs a command has loaded no scipy module
+        proc = self._run("-c", "\n".join([
+            "import json, sys",
+            "from ostro_stab.cli import main",
+            "rc = main(['threshold', '--beta', '1', '--gamma', '1'])",
+            "print(json.dumps(sorted(m for m in sys.modules",
+            "                        if m.partition('.')[0] == 'scipy')))",
+            "sys.exit(rc)",
+        ]))
+        assert proc.returncode == 0, proc.stderr
+        *envelope, loaded = proc.stdout.strip().splitlines()
+        assert json.loads("\n".join(envelope))["results"]["k_min"] == \
+            pytest.approx(2**0.5, rel=1e-12)
+        assert json.loads(loaded) == []
 
 
 class TestEnvelope:

@@ -23,8 +23,36 @@ from ostro_stab import (
     origin_collisions,
     phase_speed_c0,
 )
+from ostro_stab.dispersion import XI_ROOT_TOL
 
 P111 = PhysicalParams(1, 1, 1)
+
+# The scan's xi points: uniform on (0, 1/2], and geometric below its step,
+# where the roots of pairs with mode 0 go as k grows.  It stops at 1e-6:
+# {-1, 1} has a double zero at xi = 0 for every k (omega(+-1) = 0, and
+# omega' is even), and below about 1e-7 rounding swamps its gap ~ xi^2.
+SCAN_XI = np.unique(np.concatenate([np.arange(1, 2**14 + 1) / 2**15,
+                                    np.geomspace(1e-6, 2.0**-15, 80)]))
+
+
+def scan_collision_xi(params, n, m):
+    """Roots of omega(n+xi) - omega(m+xi) on (0, 1/2] from its sign changes
+    on SCAN_XI, each bisected to rounding."""
+    c0 = phase_speed_c0(params)
+
+    def gap(xi):
+        return omega(params, c0, n + xi) - omega(params, c0, m + xi)
+
+    f = gap(SCAN_XI)
+    i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)
+    lo, hi, f_lo = SCAN_XI[i], SCAN_XI[i + 1], f[i]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = gap(mid)
+        left = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo = np.where(left, mid, lo), np.where(left, f_mid, f_lo)
+        hi = np.where(left, hi, mid)
+    return list(0.5 * (lo + hi))
 
 
 class TestOmega:
@@ -119,10 +147,34 @@ class TestCollisionWavenumber:
 
 
 class TestCollisionXi:
-    def test_tangent_root_at_threshold(self):
-        xis = collision_xi(PhysicalParams(1, 1, 2**0.5), -1, 0)
+    @pytest.mark.parametrize("beta, gamma, k", [
+        (1, 1, 2**0.5), (1, 2, 8**0.25), (2, 0.5, 1.0),
+        (0.7, 3.3, (4 * 3.3 / 0.7)**0.25),
+    ])
+    def test_tangent_root_at_threshold(self, beta, gamma, k):
+        # at k = (4*gamma/beta)^(1/4) the {-1,0} roots meet at x = -1/2, a
+        # double root that rounding of p would split or drop
+        xis = collision_xi(PhysicalParams(beta, gamma, k), -1, 0)
         assert len(xis) == 1
         assert xis[0] == pytest.approx(0.5, abs=1e-6)
+        assert xis == [0.5]
+        assert collision_xi(PhysicalParams(beta, gamma, k * (1 - 1e-9)), -1, 0) == []
+        (xi,) = collision_xi(PhysicalParams(beta, gamma, k * (1 + 1e-9)), -1, 0)
+        assert 0.4999 < xi < 0.5
+
+    @pytest.mark.parametrize("beta, gamma, k, xis", [
+        (2.3706874516249985, 0.4678721511574995, 0.30141831992385343, []),
+        (-0.4401626043419796, 2.898361259065137, 1.220080834119344,
+         [0.09736002338389538]),
+    ])
+    def test_dn2_double_root_at_zero_is_no_collision(self, beta, gamma, k, xis):
+        # at dn = 2 the quadratic in p factors as (1 + p)*(3*beta*k^4*p - gamma),
+        # and p = -1 is the double root x = -1: omega(-1) = omega(1) = 0 at
+        # xi = 0 for every k.  At these k rounding puts that p one ulp off
+        # -1, which would add a root xi ~ 1e-8 without the snap to x = -1.
+        got = collision_xi(PhysicalParams(beta, gamma, k), -1, 1)
+        assert len(got) == len(xis)
+        assert got == pytest.approx(xis, abs=XI_ROOT_TOL)
 
     def test_below_threshold_empty(self):
         assert collision_xi(PhysicalParams(1, 1, 1.2), -1, 0) == []
@@ -148,6 +200,25 @@ class TestCollisionXi:
             for xi0 in collision_xi(params, pair.n, pair.m):
                 assert collision_wavenumber(beta, gamma, pair.n, pair.m, xi0) \
                     == pytest.approx(k, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.floats(0.3, 3.0), negative=st.booleans(),
+           gamma=st.floats(0.3, 6.0), scale=st.floats(0.3, 3.0))
+    def test_matches_sign_change_scan(self, beta, negative, gamma, scale):
+        # the closed form against a scan of omega(n+xi) - omega(m+xi) for
+        # sign changes, refined by bisection, on every pair dn <= 4,
+        # |n|, |m| <= 6
+        try:
+            params = PhysicalParams(-beta if negative else beta, gamma,
+                                    scale * gamma**0.25)
+        except ResonantWavenumber:
+            assume(False)
+        for dn in range(1, 5):
+            for n in range(-6, 7 - dn):
+                expected = scan_collision_xi(params, n, n + dn)
+                got = collision_xi(params, n, n + dn)
+                assert len(got) == len(expected), (n, n + dn, got, expected)
+                assert got == pytest.approx(expected, abs=XI_ROOT_TOL)
 
     @pytest.mark.parametrize("k", [1.5, 1.8, 2.2])
     def test_events_consistent(self, k):
