@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import re
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dispersion, hill, reduced, stokes
-from .errors import DomainError, ResonantWavenumber
+from .errors import DomainError, ResonantWavenumber, Singularity
 
 SCHEMA_VERSION = "1"
 
@@ -307,16 +306,18 @@ def _cmd_figures(args):
     outdir = Path(args.out) if args.out else Path(".")
     tables = _FIGURES[args.which](args)
     # every value is checked before the first file is written
-    for name, (_, rows) in tables.items():
-        if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+    for name, (_, values, keep) in tables.items():
+        if not np.isfinite(values[keep]).all():
             raise DomainError(f"non-finite value in {name}")
-    for name, (header, rows) in tables.items():
-        _write_csv(outdir / name, _csv_comment(args), header, rows)
+    for name, table in tables.items():
+        _write_csv(outdir / name, _csv_comment(args), *table)
     return {"files": [str(outdir / name) for name in tables]}, None
 
 
 # ---------------------------------------------------------------------------
-# figure-data emitters: each returns {file name: (header, rows)}
+# figure-data emitters: each returns {file name: (header, values, keep)},
+# where values holds one (x, y) row per grid point and keep marks the rows
+# written; the others are blank rows
 
 def _csv_comment(args) -> str:
     vals = [("beta", args.beta), ("gamma", args.gamma), ("k", args.k),
@@ -325,27 +326,42 @@ def _csv_comment(args) -> str:
                            for name, v in vals)
 
 
-def _write_csv(path: Path, comment: str, header, rows) -> None:
+def _write_csv(path: Path, comment: str, header, values, keep) -> None:
+    """Write a comment line, the header and one row per point of values.
+
+    The bytes are those of csv.writer on rows (x, y), or () where keep is
+    false: floats by repr, as _fmt writes them, and CRLF line ends.
+    """
+    body = "".join([f"{x!r},{y!r}\r\n" if kept else "\r\n"
+                    for (x, y), kept in zip(values.tolist(), keep.tolist())])
     # created only once the inputs have passed validation
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            fh.write(comment + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            # floats are written by repr, as _fmt writes them
-            writer.writerows(rows)
+            fh.write(f"{comment}\n{','.join(header)}\r\n{body}")
     except OSError as exc:
         raise OutputError(path, exc) from exc
+
+
+def _k_rows(x, k4):
+    """Rows (x, k) with k = k4**(1/4), kept where k4 > 0.
+
+    The quarter power is taken per value on Python floats (libm pow), so
+    the digits do not depend on how numpy's array power is built.
+    """
+    keep = k4 > 0
+    k = np.full(k4.shape, np.nan)
+    k[keep] = [v ** 0.25 for v in k4[keep].tolist()]
+    return np.column_stack((x, k)), keep
 
 
 def _emit_k_curves(args) -> dict:
     tables = {}
     for dn in (1, 2, 3, 4):
         xs = np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
-        rows = [(x, K) if not math.isnan(K) else ()
-                for x, K in zip(xs.tolist(), dispersion.collision_K(xs, dn).tolist())]
-        tables[f"k_curves_dn{dn}.csv"] = (("x", "K"), rows)
+        K = dispersion.collision_K(xs, dn)
+        tables[f"k_curves_dn{dn}.csv"] = (
+            ("x", "K"), np.column_stack((xs, K)), ~np.isnan(K))
     return tables
 
 
@@ -357,20 +373,21 @@ def _emit_collision_ranges(args) -> dict:
     x = n + xi
     # xi = 0 is left out of the Floquet family: a blank row
     k4 = np.where(xi == 0, np.nan, dispersion._collision_k4(beta, gamma, x, m - n))
-    rows = [(xj, k4j**0.25) if k4j > 0 else ()
-            for xj, k4j in zip(x.tolist(), k4.tolist())]
-    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), rows)}
+    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), *_k_rows(x, k4))}
 
 
 def _emit_collision_contour(args) -> dict:
     beta, gamma = _coefficients(args)
     if beta <= 0:
         raise DomainError("collision contour requires beta > 0")
-    rows = []
-    for xi in hill.default_xi_grid(args.xi_grid).tolist():
-        k = dispersion.collision_wavenumber(beta, gamma, -1, 0, xi)
-        rows.append((xi, k) if k is not None else ())
-    return {"collision_contour.csv": (("xi", "k"), rows)}
+    # the {-1, 0} collision wavenumber of each grid xi
+    xi = hill.default_xi_grid(args.xi_grid)
+    x = -1 + xi
+    k4 = dispersion._collision_k4(beta, gamma, x, 1)
+    pole = np.isnan(k4)
+    if pole.any():
+        raise Singularity(f"collision kernel pole at x={x[pole].tolist()[0]!r}, dn=1")
+    return {"collision_contour.csv": (("xi", "k"), *_k_rows(xi, k4))}
 
 
 # plot-ready CSV files by --which name; singular points become blank rows

@@ -145,20 +145,28 @@ def omega(params: PhysicalParams, c: float, x):
 def _collision_k4(beta, gamma, x, dn):
     """k^4 = (gamma*dn/beta) * collision_K(x, dn) for scalar or array x.
 
-    NaN at the poles of the kernel: x = 0, x = -dn, or a cubic factor
-    vanishing relative to its terms.  A scalar x is evaluated with NumPy
-    scalars, whose cubes (libm pow) match Python float arithmetic bit for
-    bit where the array power loop may not, and comes back as a float.
+    With p = x*(x+dn) and s = 1 + p, the kernel is s / (p*dn*f), where
+    f = 3s + dn^2 - 4 = (y^3 - x^3 - dn)/dn for y = x + dn.  Both factors
+    are formed without cancellation from t = x + dn/2:
+    s = t^2 + (1 - dn^2/4), and f = 3t^2 + (dn^2/4 - 1), a sum of
+    non-negative terms for dn >= 2 and 3p at dn = 1.  At dn = 2, s = t^2
+    and f = 3s, so the removable pole at x = -1 cancels to rounding and
+    the kernel is 1/(6p) up to the last bits.  Products only: the scalar
+    and array paths agree bit for bit.
+
+    NaN at the poles: |x| or |x + dn| below ``_X_TOL``, and s == 0
+    exactly at dn = 2 (x = -1).  A scalar x comes back as a float.
     """
     x = np.asarray(x, dtype=float)[()]
     y = x + dn
-    cubic = y**3 - x**3 - dn
-    pole = ((np.abs(x) < _X_TOL) | (np.abs(y) < _X_TOL)
-            | (np.abs(cubic)
-               < _X_TOL * np.maximum(1.0, np.abs(x) ** 3 + np.abs(y) ** 3 + dn)))
+    p = x * y
+    t = x + 0.5 * dn
+    tt = t * t
+    s = tt + (1.0 - 0.25 * dn * dn)
+    f = 3.0 * p if dn == 1 else 3.0 * tt + (0.25 * dn * dn - 1.0)
+    pole = (np.abs(x) < _X_TOL) | (np.abs(y) < _X_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k4 = np.where(pole, np.nan,
-                      (gamma * dn / beta) * ((1.0 + x * y) / (x * y * cubic)))
+        k4 = np.where(pole, np.nan, (gamma * dn / beta) * (s / (p * (dn * f))))
     return float(k4) if k4.ndim == 0 else k4
 
 
@@ -167,8 +175,10 @@ def collision_K(x, dn: int):
 
     k^4 = (gamma*dn/beta) * collision_K(x, dn) is the wavenumber at which
     modes n and n + dn collide at Bloch index x = n + xi, so the kernel's
-    sign decides which sign of beta admits the collision.  A scalar x at a
-    pole of the formula (x = 0, x = -dn, or a vanishing cubic factor)
+    sign decides which sign of beta admits the collision.  It is computed
+    from p = x*(x+dn) without cubes (see ``_collision_k4``); at dn = 2 it
+    is 1/(6p), finite up to x = -1.  A scalar x at a pole of the formula
+    (x = 0, x = -dn, or x = -1 at dn = 2, where 0/0 is left undefined)
     raises Singularity; an array x gets NaN there.
     """
     if dn < 1:

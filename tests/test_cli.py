@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from ostro_stab import (
     PhysicalParams,
     TruncationConfig,
     cli,
+    dispersion,
     hill,
     max_growth,
     stokes_coefficients,
@@ -429,6 +431,85 @@ class TestFigures:
 
     def test_figures_requires_which(self):
         assert cli.main(["figures", "--beta", "1", "--gamma", "1"]) == 64
+
+
+class TestFigureCsv:
+    """_write_csv writes the bytes of csv.writer, kept here as the
+    reference, and no figure file is written unless every value is finite."""
+
+    @staticmethod
+    def reference_bytes(comment, header, values, keep):
+        buf = io.StringIO(newline="")
+        buf.write(comment + "\n")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(tuple(row) if kept else ()
+                         for row, kept in zip(values.tolist(), keep.tolist()))
+        return buf.getvalue().encode()
+
+    def check(self, tmp_path, values, keep):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, "# beta=1.0 gamma=", ("x", "k"), values, keep)
+        assert path.read_bytes() == self.reference_bytes(
+            "# beta=1.0 gamma=", ("x", "k"), values, keep)
+
+    def test_matches_csv_writer(self, tmp_path):
+        x = np.arange(-1023, 1025) / 2048.0 - 3  # dyadic, negative and not
+        y = np.concatenate([[1e300, -1.7976931348623157e308, 1e-300, 5e-324,
+                             -2.2250738585072014e-308, 0.0, -0.0, 1 / 3],
+                            np.geomspace(1e-300, 1e300, x.size - 8)])
+        keep = np.arange(x.size) % 7 != 3
+        keep[0] = keep[-1] = False  # blank first and last rows
+        self.check(tmp_path, np.column_stack((x, y)), keep)
+        self.check(tmp_path, np.column_stack((x, -y)), ~keep)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(allow_nan=False,
+                                             allow_infinity=False),
+                                   st.floats(allow_nan=False,
+                                             allow_infinity=False),
+                                   st.booleans()), max_size=40))
+    def test_matches_csv_writer_any_floats(self, rows):
+        values = np.array([r[:2] for r in rows], dtype=float).reshape(-1, 2)
+        keep = np.array([r[2] for r in rows], dtype=bool)
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(Path(tmp), values, keep)
+
+    @pytest.mark.parametrize("argv", [
+        "figures --which collision_ranges --beta 1e-300 --gamma 1e300 --n -1 --m 0",
+        "figures --which collision_contour --beta 1e-300 --gamma 1e300",
+    ])
+    def test_overflow_writes_nothing(self, argv, capsys, tmp_path):
+        assert cli.main(argv.split() + ["--out", str(tmp_path / "figs")]) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_last_table_checked_before_first_write(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # an inf in k_curves_dn4.csv keeps k_curves_dn1.csv from being written
+        collision_K = dispersion.collision_K
+
+        def inf_at_dn4(x, dn):
+            K = collision_K(x, dn)
+            return np.where(x == 0.5, np.inf, K) if dn == 4 else K
+        monkeypatch.setattr(dispersion, "collision_K", inf_at_dn4)
+        assert cli.main(["figures", "--which", "K_curves", "--beta", "1",
+                         "--gamma", "1", "--out", str(tmp_path / "figs")]) == 2
+        assert "non-finite value in k_curves_dn4.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_contour_pole_is_singularity(self, capsys, tmp_path, monkeypatch):
+        # a NaN on the contour grid raises Singularity (exit 2), not a blank row
+        k4 = dispersion._collision_k4
+
+        def nan_at_half(beta, gamma, x, dn):
+            return np.where(x == -0.5, np.nan, k4(beta, gamma, x, dn))
+        monkeypatch.setattr(dispersion, "_collision_k4", nan_at_half)
+        assert cli.main(["figures", "--which", "collision_contour", "--beta",
+                         "1", "--gamma", "6", "--xi-grid", "2",
+                         "--out", str(tmp_path / "figs")]) == 2
+        assert "collision kernel pole at x=-0.5," in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_help_lists_every_command(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from ostro_stab import (
     collision_interval,
     collision_wavenumber,
     collision_xi,
+    dispersion,
     enumerate_collision_pairs,
     krein_signature,
     omega,
@@ -24,6 +26,7 @@ from ostro_stab import (
     phase_speed_c0,
 )
 from ostro_stab.dispersion import XI_ROOT_TOL
+from ostro_stab.hill import default_xi_grid
 
 P111 = PhysicalParams(1, 1, 1)
 
@@ -114,6 +117,55 @@ class TestCollisionKernel:
             except Singularity:
                 ref.append(math.nan)
         np.testing.assert_array_equal(collision_K(xs, dn), ref)
+
+    @pytest.mark.parametrize("dn", [1, 2, 3, 4])
+    def test_matches_cubic_form_to_4_ulps(self, dn):
+        # the kernel against the cubic form at 50 digits on the points the
+        # program evaluates: the K_curves grid, the collision_interval
+        # samples of the pairs {-1, dn - 1}, and the collision_contour grid
+        samples = dispersion._XI_SAMPLES
+        xs = np.concatenate([
+            np.arange(-256 * (dn + 2), 513) / 256.0,
+            -1 + np.concatenate([-samples[:0:-1], samples]),
+            -1 + default_xi_grid(512),
+        ])
+        with mpmath.workdps(50):
+            ref = []
+            for x in map(mpmath.mpf, xs.tolist()):
+                y = x + dn
+                den = x * y * (y**3 - x**3 - dn)
+                ref.append(float((1 + x * y) / den) if den else math.nan)
+        ref = np.array(ref)
+        K = collision_K(xs, dn)
+        # the same poles: x = 0, x = -dn, and x = -1 at dn = 2
+        np.testing.assert_array_equal(np.isnan(K), np.isnan(ref))
+        assert np.isnan(ref).sum() == (3 if dn == 2 else 2)
+        ok = ~np.isnan(ref)
+        ulps = np.abs(K[ok] - ref[ok]) / np.spacing(np.abs(ref[ok]))
+        assert ulps.max() <= 4
+
+    def test_dn1_near_poles(self):
+        # near x = 0 and x = -1 the factor 3s - 3 of the dn = 1 kernel is
+        # 3p, whose cancellation in any form built from s would cost
+        # ~eps/|p| relative
+        xs = [c + sign * 10.0**-e for e in range(1, 11)
+              for sign in (1, -1) for c in (0, -1)]
+        with mpmath.workdps(50):
+            ref = [float((1 + p) / (3 * p**2))
+                   for p in (x * (x + 1) for x in map(mpmath.mpf, xs))]
+        for x, r in zip(xs, ref):
+            assert abs(collision_K(x, 1) - r) <= 8 * math.ulp(r), x
+
+    @pytest.mark.parametrize("xi", [1e-4, 1e-6, 1e-8])
+    def test_dn2_removable_pole(self, xi):
+        # at dn = 2 the kernel is 1/(6p): {-1, 1} has k^4 =
+        # gamma/(3*|beta|*(1 - xi^2)) up to xi -> 0, where 1 + p and the
+        # cubic factor both vanish like xi^2
+        with mpmath.workdps(50):
+            ref = float((1 / (3 * (1 - mpmath.mpf(xi) ** 2))) ** 0.25)
+        # x = -1 itself stays a pole: test_singularities
+        k = collision_wavenumber(-1, 1, -1, 1, xi)
+        assert abs(k - ref) <= 4 * math.ulp(ref)
 
     @settings(max_examples=150)
     @given(x=st.floats(-8, 8), dn=st.integers(1, 6))
