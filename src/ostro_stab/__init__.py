@@ -53,8 +53,6 @@ from .reduced import (
     eigenvalue_shifts,
     instability_threshold_dn1,
     predicted_growth_rate,
-    reduced_matrix_dn1,
-    reduced_matrix_dn2,
     reduced_pencil,
 )
 from .stokes import (

@@ -39,7 +39,6 @@ INTERNAL_EXIT = 1
 _TOLERANCES = {
     "collision_check": reduced.COLLISION_TOL,
     "xi_root": dispersion.XI_ROOT_TOL,
-    "pairing": hill.PAIRING_TOL,
     "omega_origin": dispersion.OMEGA_ORIGIN_TOL,
 }
 

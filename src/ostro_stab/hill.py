@@ -30,6 +30,10 @@ other sign: over each block of xi values, a hull of every mode's
 interval proves the others apart on the whole block.  A sweep refines
 its best point by parabolic steps on a lattice of 63 points certified
 in one call, and a certified maximiser is returned unsolved.
+
+The real solver returns exact conjugate pairs, so every solved spectrum
+is exactly symmetric under lambda -> -conj(lambda); a slice's
+``paired`` flag checks that bit for bit, with no tolerance.
 """
 
 from __future__ import annotations
@@ -55,13 +59,12 @@ __all__ = [
     "krein_of_eigenpair",
 ]
 
-# A spectrum counts as paired when some matching of lambda with
-# -conj(lambda) agrees within PAIRING_TOL*max(1, |lambda|) entry by entry.
-PAIRING_TOL = 1e-9
 # Largest matrix dimension 2N+1 the truncation may ask for.
 MAX_DIM = 10_000
 # Largest number of points of the default xi grid.
 MAX_XI_GRID = 2**20
+# Left end of the xi sweep, excluded from it.
+_XI_LO = 1.0 / 1024
 # |Re lambda| above this makes an eigenvalue a growth candidate.
 _RE_TRIGGER = 1e-12
 # |<L v, v>| below this on a unit eigenvector leaves its Krein sign undefined.
@@ -97,8 +100,7 @@ def default_xi_grid(num: int) -> np.ndarray:
     outside the scope of the high-frequency sweep.
     """
     _check_grid_size(num)
-    lo = 1.0 / 1024
-    return lo + (0.5 - lo) * np.arange(1, num + 1) / num
+    return _XI_LO + (0.5 - _XI_LO) * np.arange(1, num + 1) / num
 
 
 @dataclass(frozen=True)
@@ -221,39 +223,17 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def _pairing_ok(lam: np.ndarray, tol: float = PAIRING_TOL) -> bool:
-    """True when lambda -> -conj(lambda) maps the multiset onto itself.
+def _pairing_ok(lam: np.ndarray) -> bool:
+    """True when lambda -> -conj(lambda) maps the spectrum onto itself.
 
-    That is, some matching of lambda with -conj(lambda) agrees within
-    tol*max(1, |lambda|) entry by entry.  Sorted witness, greedy
-    fallback: the real solver's output is exactly symmetric, so sorting
-    both sides by (imag, real) lines the pairs up and the check costs one
-    sort.  Near ties in the imaginary part (complex-solver output) can
-    misalign the sorted order; only then does the greedy matcher decide.
+    lam must be sorted by (imag, real), as spectrum_slice sorts it; its
+    mirror -conj(lam), sorted the same way, must then equal it entry by
+    entry.  The check is exact: the real solver returns exact conjugate
+    pairs w, conj(w), and 1j*w is exact, so a paired spectrum matches its
+    mirror bit for bit.
     """
-    return _sorted_witness(lam, tol) or _greedy_matching(lam, tol)
-
-
-def _sorted_witness(lam: np.ndarray, tol: float) -> bool:
-    """Whether the (imag, real)-sorted lambda and -conj(lambda) agree pairwise."""
-    target = -np.conj(lam)
-    a = lam[np.lexsort((lam.real, lam.imag))]
-    b = target[np.lexsort((target.real, target.imag))]
-    return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(a))))
-
-
-def _greedy_matching(lam: np.ndarray, tol: float) -> bool:
-    """Match each lambda to its nearest unused -conj(lambda); O(n^2)."""
-    target = -np.conj(lam)
-    used = np.zeros(lam.size, dtype=bool)
-    for z in lam:
-        d = np.abs(target - z)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        if d[j] > tol * max(1.0, abs(z)):
-            return False
-        used[j] = True
-    return True
+    mirror = -np.conj(lam)
+    return bool(np.array_equal(lam, mirror[np.lexsort((mirror.real, mirror.imag))]))
 
 
 def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
@@ -262,7 +242,8 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
 
     The matrix is i times a real matrix R, so the real eigensolver is
     used, once; its output is exactly symmetric under
-    lambda -> -conj(lambda).  A growth candidate i*w, |Im w| above
+    lambda -> -conj(lambda), which ``paired`` checks exactly on the
+    (imag, real)-sorted eigenvalues.  A growth candidate i*w, |Im w| above
     _RE_TRIGGER, counts only when Re w lies in the span of an open
     cluster without a boundary mode (see _on_axis): outside every open
     span the certificate proved it real, so its real part is solver
@@ -293,7 +274,7 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
                          growth_clusters=tuple(grown))
 
 
-def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
+def _collision_seeds(wave: StokesWave, a) -> list[float]:
     """Candidate xi values near opposite-Krein collisions of this wave.
 
     Instability bubbles are centered within O(a^2) of the unperturbed
@@ -312,7 +293,7 @@ def _collision_seeds(wave: StokesWave, a, lo: float) -> list[float]:
         for xi0 in dispersion.collision_xi(wave.params, n, m):
             for d in offsets:
                 xi = xi0 + d
-                if lo < xi <= 0.5:
+                if _XI_LO < xi <= 0.5:
                     seeds.append(xi)
     return seeds
 
@@ -680,7 +661,7 @@ def max_growth(wave: StokesWave, a,
     is returned unsolved, its eigenvalues solved on first access.
     """
     grid = np.unique(np.concatenate([
-        cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
+        cfg.grid(), np.asarray(_collision_seeds(wave, a))
     ]))
     growth, solved = _growth(wave, a, grid, _on_axis(wave, a, grid, cfg.N)[1], cfg)
     i = int(np.argmax(growth))

@@ -8,9 +8,10 @@ characteristic equation det(B - (i*omega + i*mu)*I) = 0 is a real
 quadratic in mu; a negative discriminant means the perturbed eigenvalues
 leave the imaginary axis, i.e. instability.
 
-Pencils are built for dn = 1 (entries through a^2) and dn = 2 (through
-a^4).  Larger separations are rejected; their leading coupling enters at
-order a^dn and no reduction is constructed here.
+One constructor builds the pencil for dn = 1 (entries through a^2) and
+dn = 2 (through a^4) from the wave's dn-th harmonic and its speed
+correction.  Larger separations are rejected; their leading coupling
+enters at order a^dn and no reduction is constructed here.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .stokes import StokesWave, as_amplitude
 __all__ = [
     "ReducedPencil",
     "DiscriminantResult",
-    "reduced_matrix_dn1",
-    "reduced_matrix_dn2",
     "reduced_pencil",
     "eigenvalue_shifts",
     "discriminant_dn1",
@@ -74,53 +73,30 @@ def _checked_omega(wave: StokesWave, n: int, m: int, xi0: float) -> float:
     return w_n
 
 
-def reduced_matrix_dn1(wave: StokesWave, n: int, xi0: float, a) -> ReducedPencil:
-    """Pencil for the pair {n, n+1}, entries exact through a^2.
-
-    Diagonal corrections i*k^2*a^2*(index + xi0)*c2, off-diagonal coupling
-    -i*k^2*a*(other index + xi0); the Gram matrix is the identity at this
-    order.
-    """
-    a = as_amplitude(a).a
-    w = _checked_omega(wave, n, n + 1, xi0)
-    k2 = wave.params.k**2
-    p, q = n + xi0, n + 1 + xi0
-    B = np.array([
-        [1j * w + 1j * k2 * a**2 * p * wave.c2, -1j * k2 * a * q],
-        [-1j * k2 * a * p, 1j * w + 1j * k2 * a**2 * q * wave.c2],
-    ])
-    return ReducedPencil(B=B, omega=w, order=2, n=n, m=n + 1, xi0=xi0)
-
-
-def reduced_matrix_dn2(wave: StokesWave, n: int, xi0: float, a) -> ReducedPencil:
-    """Pencil for the pair {n, n+2}, entries exact through a^4.
-
-    The coupling is carried by the second harmonic of the wave, so both
-    diagonal (a^2*A2 + a^4*c4) and off-diagonal (a^2*A2 + a^4*A42)
-    corrections start at a^2.
-    """
-    a = as_amplitude(a).a
-    w = _checked_omega(wave, n, n + 2, xi0)
-    k2 = wave.params.k**2
-    p, q = n + xi0, n + 2 + xi0
-    diag = a**2 * wave.A2 + a**4 * wave.c4
-    off = a**2 * wave.A2 + a**4 * wave.A42
-    B = np.array([
-        [1j * w + 1j * k2 * diag * p, -1j * k2 * off * q],
-        [-1j * k2 * off * p, 1j * w + 1j * k2 * diag * q],
-    ])
-    return ReducedPencil(B=B, omega=w, order=4, n=n, m=n + 2, xi0=xi0)
-
-
 def reduced_pencil(wave: StokesWave, n: int, m: int, xi0: float, a) -> ReducedPencil:
-    """Dispatch on the mode separation; separations >= 3 are not analyzed."""
+    """Pencil for the pair {n, m}, dn = |m - n| <= 2, exact through a^(2*dn).
+
+    The coupling is carried by the wave's dn-th harmonic W_dn (W1 = a,
+    W2 = a^2*A2 + a^4*A42): off-diagonal -i*k^2*W_dn*(other index + xi0).
+    The diagonal is i*omega + i*k^2*(c - c0)*(index + xi0), with the speed
+    correction c - c0 kept through a^(2*dn).  Separations >= 3 are not
+    analyzed.
+    """
     n, m = min(n, m), max(n, m)
     dn = m - n
-    if dn == 1:
-        return reduced_matrix_dn1(wave, n, xi0, a)
-    if dn == 2:
-        return reduced_matrix_dn2(wave, n, xi0, a)
-    raise OrderNotAnalyzed(f"no reduced pencil for mode separation {dn}")
+    if not 1 <= dn <= 2:
+        raise OrderNotAnalyzed(f"no reduced pencil for mode separation {dn}")
+    a = as_amplitude(a).a
+    w = _checked_omega(wave, n, m, xi0)
+    W = stokes.harmonic_amplitudes(wave, a)[dn - 1]
+    dc = a**2 * wave.c2 if dn == 1 else a**2 * wave.c2 + a**4 * wave.c4
+    k2 = wave.params.k**2
+    p, q = n + xi0, m + xi0
+    B = np.array([
+        [1j * w + 1j * k2 * dc * p, -1j * k2 * W * q],
+        [-1j * k2 * W * p, 1j * w + 1j * k2 * dc * q],
+    ])
+    return ReducedPencil(B=B, omega=w, order=2 * dn, n=n, m=m, xi0=xi0)
 
 
 def eigenvalue_shifts(pencil: ReducedPencil) -> DiscriminantResult:

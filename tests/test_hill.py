@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ostro_stab import (
     ConvergenceFailure,
@@ -37,19 +35,17 @@ from ostro_stab.hill import (
     _RE_TRIGGER,
     _REFINE_ROUNDS,
     _SOLVE_NOISE,
+    _XI_LO,
     MAX_DIM,
     MAX_XI_GRID,
-    PAIRING_TOL,
     SpectrumSlice,
     _assemble_real,
     _CertifiedSlice,
     _collision_seeds,
     _critical_points,
-    _greedy_matching,
     _hulls,
     _on_axis,
     _pairing_ok,
-    _sorted_witness,
     _wave_terms,
 )
 from ostro_stab.stokes import A_MAX, as_amplitude
@@ -191,64 +187,25 @@ class TestEigenvalues:
         for target in 1j * omega(w.params, c0, x):
             assert np.min(np.abs(lam - target)) < 1e-12
 
-    def test_generic_solver_pairing(self):
-        # zgeev path keeps the -conj symmetry within tolerance
-        w = wave_at(1, 1, 1.6)
-        xi0 = collision_xi(w.params, -1, 0)[0]
-        lam = eigenvalues(assemble_matrix(w, 0.02, xi0, TruncationConfig(N=12)))
-        assert _pairing_ok(lam, tol=1e-9)
-
-
-def _matching_exists(lam, tol):
-    """Reference: a perfect matching of lambda with -conj(lambda) within
-    tol*max(1, |lambda|), by maximum bipartite matching."""
-    target = -np.conj(lam)
-    d = np.abs(lam[:, None] - target[None, :])
-    ok = d <= tol * np.maximum(1.0, np.abs(lam))[:, None]
-    match = maximum_bipartite_matching(csr_matrix(ok.astype(int)))
-    return bool(np.all(match >= 0))
-
 
 class TestPairing:
-    def test_near_tie_falls_back_to_greedy(self):
-        # imaginary parts 1e-15 apart with real parts +-v: sorting by
-        # (imag, real) pairs v with -v, so the witness fails although the
-        # nearest partners agree to 1e-15
-        v = 0.25
-        lam = np.array([v + 1.0j, -v + (1.0 + 1e-15) * 1j, 3.0j, -2.0j])
-        assert not _sorted_witness(lam, PAIRING_TOL)
-        assert _greedy_matching(lam, PAIRING_TOL)
-        assert _pairing_ok(lam)
-
     def test_unpaired_rejected(self):
         assert not _pairing_ok(np.array([0.1 + 1j, -0.1 + 1j, 0.2 + 2j]))
         assert not _pairing_ok(np.array([1e-3 + 1j, -1e-3 + (1 + 1e-6) * 1j]))
+
+    def test_mirror_off_by_one_ulp_rejected(self):
+        # the check is exact: a partner one ulp off its mirror image fails
+        x = 0.25
+        lam = np.array([-x + 1j, np.nextafter(x, 1.0) + 1j])
+        assert not _pairing_ok(lam)
+        assert _pairing_ok(np.array([-x + 1j, x + 1j]))
 
     def test_real_solver_output_exactly_paired(self):
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
         lam = 1j * eigenvalues(_assemble_real(w, 0.02, xi0, 32))
-        assert _sorted_witness(lam, 0.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(pairs=st.lists(st.tuples(
-               st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 2.0),
-               st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-40.0, 40.0),
-               st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-               min_size=1, max_size=10),
-           order=st.randoms(use_true_random=False))
-    def test_never_stricter_than_greedy(self, pairs, order):
-        # -conj-symmetric sets perturbed by up to 3*PAIRING_TOL
-        lam = []
-        for x, y, ex, ey in pairs:
-            lam += [x + 1j * y, -x + 1j * y + PAIRING_TOL * (ex + 1j * ey)]
-        order.shuffle(lam)
-        lam = np.array(lam)
-        ok = _pairing_ok(lam)
-        if _greedy_matching(lam, PAIRING_TOL):
-            assert ok
-        if ok:
-            assert _matching_exists(lam, PAIRING_TOL)
+        assert np.any(lam.real != 0.0)
+        assert _pairing_ok(lam[np.lexsort((lam.real, lam.imag))])
 
 
 class TestSpectrumSlice:
@@ -355,14 +312,24 @@ def eigenvector(R, mu):
 
 def filter_kept(R, L, w, margin):
     """Which eigenvalues i*w of R the eigenvector filters count; one
-    inverse-iteration solve decides each conjugate pair."""
+    inverse-iteration solve decides each conjugate pair.
+
+    The form of a growing pair's eigenvector is zero; the computed unit
+    eigenvector v is off by about its residual over the gap to the
+    nearest other eigenvalue, so its form may be off by twice that times
+    ||L v||.  A form within that first-order error is no evidence of a
+    definite form: at tiny growth the gap, twice the growth, is small.
+    """
     keep = np.abs(w.imag) <= _RE_TRIGGER
     for i in np.flatnonzero(w.imag > _RE_TRIGGER):
         v = eigenvector(R, w[i])
         if boundary_mass(v, margin) > BOUNDARY_MASS_LIMIT:
             continue
-        form = abs(np.vdot(v, L @ v)) / np.vdot(v, v).real
-        if form > KREIN_FORM_TOL * (1.0 + abs(w[i].real)):
+        Lv = L @ v
+        form = abs(np.vdot(v, Lv)) / np.vdot(v, v).real
+        gap = np.abs(np.delete(w, i) - w[i]).min()
+        error = 2.0 * np.linalg.norm(Lv) * np.linalg.norm(R @ v - w[i] * v) / gap
+        if form > KREIN_FORM_TOL * (1.0 + abs(w[i].real)) + error:
             continue
         keep[i] = keep[i + 1] = True
     return keep
@@ -578,7 +545,7 @@ class TestCertificate:
         except ResonantWavenumber:
             assume(False)
         if near != "uniform":
-            seeds = (_collision_seeds(w, a, lo=1e-3) if near == "opposite"
+            seeds = (_collision_seeds(w, a) if near == "opposite"
                      else _crossings(w, opposite=False))
             assume(seeds)
             xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
@@ -784,13 +751,13 @@ class TestWindowedCertificate:
         # around a collision seed: the verdicts are those of the
         # certificate computed on every mode of every slice
         w = _drawn_wave(beta, gamma, u)
-        seeds = _collision_seeds(w, a, lo=1.0 / 1024)
+        seeds = _collision_seeds(w, a)
         if sweep:
             xis = np.unique(np.concatenate([default_xi_grid(sweep), seeds]))
         else:
             assume(seeds)
             xi0 = seeds[int(pick * len(seeds))]
-            lo, hi = max(1.0 / 1024, xi0 - 10**width), min(0.5, xi0 + 10**width)
+            lo, hi = max(_XI_LO, xi0 - 10**width), min(0.5, xi0 + 10**width)
             xis = lo + (hi - lo) * np.arange(1, _LATTICE) / _LATTICE
         np.testing.assert_array_equal(_on_axis(w, a, xis, N)[0],
                                       full_width_on_axis(w, a, xis, N))
@@ -877,6 +844,11 @@ class TestOneSolve:
            N=st.one_of(st.integers(8, 37), st.sampled_from([48, 96])),
            pick=st.floats(0.0, 1.0, exclude_max=True),
            t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
+    # growth about 2e-12 at a = 1e-12 (xi0 = 0.1815, 0.1399): real, but
+    # the computed eigenvector's form is below its own first-order error
+    @example(beta=1.0, gamma=2.0, u=1.3389830508474576, a=1e-12, N=20,
+             pick=0.0, t=0.0, scale=0)
+    @example(beta=1.0, gamma=2.0, u=1.5, a=1e-12, N=48, pick=0.0, t=0.0, scale=0)
     def test_matches_two_solve_slice(self, beta, gamma, u, a, N, pick, t, scale):
         # within a*k^2/2 of an opposite-sign collision, where about a
         # fifth of the slices grow.  The cluster rule decides as the
@@ -926,7 +898,7 @@ def exhaustive_max_growth(wave, a, cfg):
     its two neighbours.  A grid on which nothing grows is not refined.
     """
     grid = np.unique(np.concatenate([
-        cfg.grid(), np.asarray(_collision_seeds(wave, a, lo=1.0 / 1024))
+        cfg.grid(), np.asarray(_collision_seeds(wave, a))
     ]))
     slices = [two_solve_slice(wave, a, t, cfg) for t in grid]
     best = max(slices, key=lambda s: s.max_real_part)
@@ -1191,7 +1163,7 @@ class TestConfig:
     def test_default_grid_range(self):
         grid = TruncationConfig().grid()
         assert grid.size == 512
-        assert grid[0] > 1.0 / 1024
+        assert grid[0] > _XI_LO
         assert grid[-1] == 0.5
 
     def test_boundary_mass(self):

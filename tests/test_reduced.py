@@ -11,10 +11,9 @@ from ostro_stab import (
     discriminant_dn1,
     eigenvalue_shifts,
     eigenvalues,
+    harmonic_amplitudes,
     instability_threshold_dn1,
     predicted_growth_rate,
-    reduced_matrix_dn1,
-    reduced_matrix_dn2,
     reduced_pencil,
     stokes_coefficients,
 )
@@ -43,7 +42,7 @@ class TestThreshold:
 class TestPencilDn1:
     def test_zero_amplitude_diagonal(self):
         w = wave_at(1, 1, 2**0.5)
-        pen = reduced_matrix_dn1(w, -1, 0.5, 0.0)
+        pen = reduced_pencil(w, -1, 0, 0.5, 0.0)
         np.testing.assert_array_equal(pen.B, 1j * pen.omega * np.eye(2))
         res = eigenvalue_shifts(pen)
         assert res.value == 0.0
@@ -53,13 +52,13 @@ class TestPencilDn1:
     def test_purely_imaginary_entries(self):
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
-        pen = reduced_matrix_dn1(w, -1, xi0, 0.05)
+        pen = reduced_pencil(w, -1, 0, xi0, 0.05)
         assert np.all(pen.B.real == 0.0)
 
     def test_offdiagonal_ratio_encodes_signatures(self):
         w = wave_at(1, 1, 2**0.5 * 1.05)
         xi0 = collision_xi(w.params, -1, 0)[0]
-        pen = reduced_matrix_dn1(w, -1, xi0, 0.03)
+        pen = reduced_pencil(w, -1, 0, xi0, 0.03)
         ratio = (pen.B[1, 0] / pen.B[0, 1]).real
         assert ratio == pytest.approx((-1 + xi0) / xi0, rel=1e-12)
         assert ratio < 0
@@ -68,21 +67,21 @@ class TestPencilDn1:
         w = wave_at(1, 1, 1.7)
         xi0 = collision_xi(w.params, -1, 0)[0]
         a = 0.04
-        pen = reduced_matrix_dn1(w, -1, xi0, a)
+        pen = reduced_pencil(w, -1, 0, xi0, a)
         expected = 1j * w.params.k**2 * a**2 * w.c2 * (2 * (-1) + 1 + 2 * xi0)
         assert pen.B.trace() - 2j * pen.omega == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_collision(self):
         w = wave_at(1, 1, 1.6)
         with pytest.raises(NotACollision):
-            reduced_matrix_dn1(w, -1, 0.1, 0.01)
+            reduced_pencil(w, -1, 0, 0.1, 0.01)
 
 
 class TestShifts:
     def test_threshold_case(self):
         # k^4 = 4, xi0 = 1/2: leading discriminant -0.04 at a = 0.1
         w = wave_at(1, 1, 2**0.5)
-        pen = reduced_matrix_dn1(w, -1, 0.5, 0.1)
+        pen = reduced_pencil(w, -1, 0, 0.5, 0.1)
         res = eigenvalue_shifts(pen)
         lead = discriminant_dn1(w, -1, 0.5, 0.1)
         assert lead == pytest.approx(-0.04, rel=1e-12)
@@ -93,7 +92,7 @@ class TestShifts:
     def test_shifts_match_generic_eigensolver(self):
         w = wave_at(1, 1, 1.8)
         xi0 = collision_xi(w.params, -1, 0)[0]
-        pen = reduced_matrix_dn1(w, -1, xi0, 0.02)
+        pen = reduced_pencil(w, -1, 0, xi0, 0.02)
         res = eigenvalue_shifts(pen)
         lam = eigenvalues(pen.B)
         expected = 1j * pen.omega + 1j * np.array(res.shifts)
@@ -111,7 +110,7 @@ class TestShifts:
             a = float(RNG.uniform(0.001, 0.02))
             w = wave_at(1, 1, k)
             xi0 = collision_xi(w.params, -1, 0)[0]
-            res = eigenvalue_shifts(reduced_matrix_dn1(w, -1, xi0, a))
+            res = eigenvalue_shifts(reduced_pencil(w, -1, 0, xi0, a))
             lead = discriminant_dn1(w, -1, xi0, a)
             assert abs(res.value - lead) <= 20 * a * abs(lead)
 
@@ -164,29 +163,36 @@ class TestPencilDn2:
     def test_zero_amplitude_diagonal(self):
         k = (4 / 9) ** 0.25
         w = wave_at(-1, 1, k)
-        pen = reduced_matrix_dn2(w, -1, 0.5, 0.0)
+        pen = reduced_pencil(w, -1, 1, 0.5, 0.0)
         np.testing.assert_array_equal(pen.B, 1j * pen.omega * np.eye(2))
 
-    def test_entry_formulas(self):
-        k = (4 / 9) ** 0.25
-        w = wave_at(-1, 1, k)
-        a, xi0 = 0.05, 0.5
-        pen = reduced_matrix_dn2(w, -1, xi0, a)
+    @pytest.mark.parametrize("beta, k, n, m", [
+        (-1, (4 / 9) ** 0.25, -1, 1),  # {-1,1}, second harmonic
+        (1, 2**0.5, -1, 0),            # {-1,0}, first harmonic
+    ], ids=["dn2", "dn1"])
+    def test_entry_formulas(self, beta, k, n, m):
+        # both pairs collide at xi0 = 1/2
+        w = wave_at(beta, 1, k)
+        dn, a, xi0 = m - n, 0.05, 0.5
+        pen = reduced_pencil(w, n, m, xi0, a)
+        assert pen.order == 2 * dn
         k2 = k**2
-        diag = a**2 * w.A2 + a**4 * w.c4
-        off = a**2 * w.A2 + a**4 * w.A42
-        assert pen.B[0, 0] == 1j * pen.omega + 1j * k2 * diag * (-1 + xi0)
-        assert pen.B[0, 1] == -1j * k2 * off * (1 + xi0)
-        assert pen.B[1, 0] == -1j * k2 * off * (-1 + xi0)
+        W = harmonic_amplitudes(w, a)[dn - 1]
+        assert W == (a if dn == 1 else a**2 * w.A2 + a**4 * w.A42)
+        diag = a**2 * w.c2 if dn == 1 else a**2 * w.A2 + a**4 * w.c4
+        assert pen.B[0, 0] == 1j * pen.omega + 1j * k2 * diag * (n + xi0)
+        assert pen.B[1, 1] == 1j * pen.omega + 1j * k2 * diag * (m + xi0)
+        assert pen.B[0, 1] == -1j * k2 * W * (m + xi0)
+        assert pen.B[1, 0] == -1j * k2 * W * (n + xi0)
         assert np.all(np.isfinite(pen.B))
         assert (pen.B[0, 1] / pen.B[1, 0]).real == pytest.approx(
-            (1 + xi0) / (-1 + xi0), rel=1e-12)
+            (m + xi0) / (n + xi0), rel=1e-12)
 
     def test_leading_discriminant_positive(self):
         # the pencil itself predicts no instability at this order
         k = (4 / 9) ** 0.25
         w = wave_at(-1, 1, k)
-        pen = reduced_matrix_dn2(w, -1, 0.5, 0.05)
+        pen = reduced_pencil(w, -1, 1, 0.5, 0.05)
         res = eigenvalue_shifts(pen)
         lead = 4 * k**4 * 0.05**4 * w.A2**2 * 0.5**2
         assert res.value == pytest.approx(lead, rel=1e-2)
@@ -208,3 +214,5 @@ class TestDispatch:
         w = wave_at(1, 1, 1.6)
         with pytest.raises(OrderNotAnalyzed):
             reduced_pencil(w, -1, 2, 0.3, 0.01)
+        with pytest.raises(OrderNotAnalyzed):
+            reduced_pencil(w, 1, 1, 0.3, 0.01)
