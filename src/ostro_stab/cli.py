@@ -36,6 +36,8 @@ USAGE_EXIT = 64
 DOMAIN_EXIT = 2
 INTERNAL_EXIT = 1
 
+_encode_str = json.encoder.encode_basestring_ascii
+
 _TOLERANCES = {
     "collision_check": reduced.COLLISION_TOL,
     "xi_root": dispersion.XI_ROOT_TOL,
@@ -61,7 +63,7 @@ class ResultEnvelope:
         }
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.to_dict()), indent=2) + "\n"
+        return _dumps(self.to_dict()) + "\n"
 
 
 def validate_envelope(doc: dict) -> None:
@@ -75,32 +77,80 @@ def validate_envelope(doc: dict) -> None:
         raise ValueError("inputs and results must be objects")
 
 
-def _jsonable(obj):
-    """JSON-ready copy of obj; a non-finite float raises DomainError."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _dumps(obj) -> str:
+    """The text of json.dumps(obj, indent=2), written in one pass, with
+    numpy values converted and every float checked.
+
+    An ndarray is written as its tolist(), a numpy bool, integer or float
+    as the Python value, a complex number as [re, im].  A non-finite
+    float anywhere raises DomainError.  Keys must be strings.
+    """
+    out = []
+    _dump(obj, "\n", out)
+    return "".join(out)
+
+
+def _dump(obj, nl: str, out: list) -> None:
+    """Append the text of obj to out; nl is the line break and indent of
+    the line obj starts on."""
+    t = type(obj)
+    if t is float:
+        if not math.isfinite(obj):
+            raise DomainError(f"non-finite result {obj!r}")
+        out.append(float.__repr__(obj))
+    elif t is str:
+        out.append(_encode_str(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out += (sep, _encode_str(key), ": ")
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    else:
+        _dump(_plain(obj), nl, out)
+
+
+def _plain(obj):
+    """The Python value written for a numpy value or a complex number."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite result {v!r}")
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt(x) -> str:
     """Shortest round-trip decimal form, capped at 17 significant digits."""
     if isinstance(x, float):
-        return repr(x)
+        return float.__repr__(x)
     return str(x)
 
 
@@ -177,16 +227,14 @@ def _cmd_dispersion(args):
     _require(args, "xi")
     dispersion.check_xi(args.xi)
     c0 = stokes.phase_speed_c0(params)
-    modes = []
-    for n in range(-args.n_range, args.n_range + 1):
-        x = n + args.xi
-        w = dispersion.omega(params, c0, x)
-        modes.append({
-            "n": n, "x": x, "omega": w,
-            "krein": dispersion.krein_signature(params, c0, x),
-        })
+    ns = np.arange(-args.n_range, args.n_range + 1)
+    x = ns + args.xi
+    columns = (ns.tolist(), x.tolist(), dispersion.omega(params, c0, x).tolist(),
+               dispersion.krein_signature(params, c0, x).tolist())
+    modes = [{"n": n, "x": xn, "omega": w, "krein": kappa}
+             for n, xn, w, kappa in zip(*columns)]
     rows = [("n", "x", "omega", "krein")]
-    rows += [(m["n"], _fmt(m["x"]), _fmt(m["omega"]), m["krein"]) for m in modes]
+    rows += [(n, _fmt(xn), _fmt(w), kappa) for n, xn, w, kappa in zip(*columns)]
     return {"c0": c0, "modes": modes}, rows
 
 
@@ -274,14 +322,16 @@ def _cmd_spectrum(args):
     cfg = hill.TruncationConfig(N=args.N, xi_grid=args.xi_grid)
     if args.xi is not None:
         sl = hill.spectrum_slice(wave, args.a, args.xi, cfg)
+        ev = sl.eigenvalues
+        eigenvalues = np.column_stack((ev.real, ev.imag)).tolist()
         results = {
             "xi": sl.xi, "max_real_part": sl.max_real_part, "paired": sl.paired,
             "growth_clusters": [{"modes": list(c.modes), "boundary": c.boundary}
                                 for c in sl.growth_clusters],
-            "eigenvalues": [[z.real, z.imag] for z in sl.eigenvalues],
+            "eigenvalues": eigenvalues,
         }
         rows = [("re", "im")]
-        rows += [(_fmt(z.real), _fmt(z.imag)) for z in sl.eigenvalues]
+        rows += [(_fmt(re), _fmt(im)) for re, im in eigenvalues]
         return results, rows
     xi_star, growth, sl = hill.max_growth(wave, args.a, cfg)
     results = {
@@ -480,8 +530,10 @@ def run(args: argparse.Namespace) -> tuple[str, str]:
 
     Raises DomainError for a non-finite float flag, before any work, and
     for a non-finite float anywhere in the results, before anything is
-    written.  Floating-point warnings are not raised or printed: an
-    overflow or an invalid operation shows as a non-finite result.
+    written: the results are checked in the one pass that serializes the
+    envelope, or, for CSV, before the first row.  Floating-point warnings
+    are not raised or printed: an overflow or an invalid operation shows
+    as a non-finite result.
     """
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -491,7 +543,6 @@ def run(args: argparse.Namespace) -> tuple[str, str]:
     with np.errstate(all="ignore"):
         results, rows = _HANDLERS[args.command](args)
     wall = time.perf_counter() - t0
-    results = _jsonable(results)
     diagnostics = {
         "N": args.N,
         "xi_grid": args.xi_grid,
@@ -503,6 +554,7 @@ def run(args: argparse.Namespace) -> tuple[str, str]:
         results=results, diagnostics=diagnostics,
     )
     if args.format == "csv" and rows:
+        _dumps(results)  # every result is checked before a row is written
         buf = io.StringIO()
         buf.write(_csv_comment(args) + "\n")
         writer = csv.writer(buf)

@@ -135,8 +135,9 @@ def omega(params: PhysicalParams, c: float, x):
     |x| falls below tolerance.
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(x_arr) < _X_TOL):
-        raise DivisionByZero(f"Bloch index too close to zero: {x}")
+    small = np.abs(x_arr) < _X_TOL
+    if small.any():
+        raise DivisionByZero(f"Bloch index too close to zero: {x_arr[small][0]}")
     k2 = params.k**2
     val = k2 * x_arr * (c - params.beta * k2 * x_arr**2) - params.gamma / x_arr
     return float(val) if val.ndim == 0 else val
@@ -263,12 +264,12 @@ def collision_events(params: PhysicalParams, n: int, m: int) -> list[CollisionEv
     return events
 
 
-def _admits_collision(beta: float, n: int, dn: int) -> bool:
+def _admits_collision(beta: float, n, dn: int):
     """Whether modes {n, n+dn} collide for this sign of beta, xi in (0, 1/2].
 
     Decided by the sign of collision_K(n + xi, dn) as xi -> 0+, which is
     constant on the admissible classification (beta > 0 needs a positive
-    kernel, beta < 0 a negative one).
+    kernel, beta < 0 a negative one).  An array of n gets a bool array.
     """
     K = collision_K(n + _XI_EPS, dn)
     return (K > 0) == (beta > 0)
@@ -286,11 +287,11 @@ def enumerate_collision_pairs(beta: float, dn_max: int, n_range: int) -> list[Co
         raise ValueError("n_range must be >= dn_max")
     pairs = []
     for dn in range(1, dn_max + 1):
-        for n in range(-n_range, n_range - dn + 1):
-            if _admits_collision(beta, n, dn):
-                m = n + dn
-                pairs.append(CollisionPair(n=n, m=m,
-                                           opposite_krein=(n <= -1 and m >= 0)))
+        ns = np.arange(-n_range, n_range - dn + 1)
+        for n in ns[_admits_collision(beta, ns, dn)].tolist():
+            m = n + dn
+            pairs.append(CollisionPair(n=n, m=m,
+                                       opposite_krein=(n <= -1 and m >= 0)))
     return pairs
 
 
@@ -334,12 +335,15 @@ def collision_interval(beta: float, gamma: float, n: int, m: int) -> CollisionIn
     return CollisionInterval(n=n, m=m, k_min=k_min, k_max=k_max)
 
 
-def krein_signature(params: PhysicalParams, c: float, x: float) -> int:
-    """Sign of omega(x)/x; 0 when |omega| < OMEGA_ORIGIN_TOL (origin collision)."""
+def krein_signature(params: PhysicalParams, c: float, x):
+    """Sign of omega(x)/x; 0 when |omega| < OMEGA_ORIGIN_TOL (origin collision).
+
+    A scalar x gets an int, an array of x an int array.
+    """
     w = omega(params, c, x)
-    if abs(w) < OMEGA_ORIGIN_TOL:
-        return 0
-    return 1 if w / x > 0 else -1
+    kappa = np.where(np.abs(w) < OMEGA_ORIGIN_TOL, 0,
+                     np.where(np.divide(w, x) > 0, 1, -1))
+    return int(kappa) if kappa.ndim == 0 else kappa
 
 
 def origin_collisions(beta: float, gamma: float, n_range: int) -> list[CollisionEvent]:

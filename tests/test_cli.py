@@ -20,6 +20,7 @@ from ostro_stab import (
     dispersion,
     hill,
     max_growth,
+    stokes,
     stokes_coefficients,
 )
 
@@ -275,6 +276,110 @@ class TestEnvelope:
             })
 
 
+def _leaf_pairs():
+    """(value, the plain value json.dumps writes for it) for every leaf
+    the serializer takes: JSON scalars, numpy scalars and complex."""
+    floats = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from((-0.0, 5e-324, 1e-5, 1e16, 1e22, -1.7976931348623157e308)))
+    i64 = st.integers(-2**63, 2**63 - 1)
+    return st.one_of(
+        st.text().map(lambda v: (v, v)),
+        st.sampled_from(('"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600"))
+        .map(lambda v: (v, v)),
+        st.integers().map(lambda v: (v, v)),
+        st.booleans().map(lambda v: (v, v)),
+        st.none().map(lambda v: (v, v)),
+        floats.map(lambda v: (v, v)),
+        floats.map(lambda v: (np.float64(v), v)),
+        st.floats(width=32, allow_nan=False, allow_infinity=False)
+        .map(lambda v: (np.float32(v), v)),
+        i64.map(lambda v: (np.int64(v), v)),
+        st.booleans().map(lambda v: (np.bool_(v), v)),
+        st.tuples(floats, floats).map(lambda v: (complex(*v), list(v))),
+        st.tuples(floats, floats).map(lambda v: (np.complex128(complex(*v)),
+                                                 list(v))),
+        st.lists(floats, max_size=6).map(lambda v: (np.array(v, dtype=float), v)),
+        st.lists(st.tuples(floats, floats), max_size=4).map(
+            lambda v: (np.array(v, dtype=float).reshape(-1, 2),
+                       [list(r) for r in v])),
+        st.lists(i64, max_size=4).map(lambda v: (np.array(v, dtype=np.int64), v)),
+        st.lists(st.tuples(floats, floats), max_size=3).map(
+            lambda v: (np.array([complex(*r) for r in v]), [list(r) for r in v])),
+    )
+
+
+def _envelope_pairs():
+    """(value, plain reference) for nested dicts, lists and tuples."""
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=5).map(
+                lambda v: ([o for o, _ in v], [r for _, r in v])),
+            st.lists(children, max_size=5).map(
+                lambda v: (tuple(o for o, _ in v), [r for _, r in v])),
+            st.dictionaries(st.text(max_size=8), children, max_size=5).map(
+                lambda d: ({k: o for k, (o, _) in d.items()},
+                           {k: r for k, (_, r) in d.items()})),
+        )
+    return st.recursive(_leaf_pairs(), containers, max_leaves=30)
+
+
+class TestSerializer:
+    """cli._dumps writes the bytes of json.dumps(..., indent=2) in one
+    pass and refuses every non-finite float."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_envelope_pairs())
+    @example(pair=({}, {}))
+    @example(pair=(([], {"": ()}), [[], {"": []}]))
+    def test_bytes_of_json_dumps(self, pair):
+        obj, reference = pair
+        assert cli._dumps(obj) == json.dumps(reference, indent=2)
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+        np.float32("inf"), complex(0.0, float("inf")),
+        np.complex128(complex(float("nan"), 1.0)),
+        np.array([1.0, float("inf")]), np.array([[0.0, 1.0], [float("nan"), 2.0]]),
+        np.array([1 + 1j, complex(1.0, float("nan"))]),
+    ], ids=repr)
+    @pytest.mark.parametrize("place", [
+        lambda v: v,
+        lambda v: {"results": {"pencils": [{"shifts": [[0.0, 1.0], v]}]}},
+        lambda v: [1, "x", (2.5, [v])],
+        lambda v: {"a": None, "b": True, "c": {"d": ("e", v)}},
+    ], ids=["top", "dict-list", "list-tuple", "deep-dict"])
+    def test_non_finite_domain_error(self, bad, place):
+        with pytest.raises(cli.DomainError, match="non-finite result"):
+            cli._dumps(place(bad))
+
+    def test_non_json_types_type_error(self):
+        with pytest.raises(TypeError):
+            cli._dumps({1: 2.0})
+        with pytest.raises(TypeError):
+            cli._dumps([object()])
+
+    @pytest.mark.parametrize("argv", [
+        "wave --beta 1 --gamma 1 --k 1.6 --a 0.01",
+        "threshold --beta 1 --gamma 6",
+        "collisions --beta -1 --gamma 1",
+        "collisions --beta 1 --gamma 1 --opposite-krein",
+        "dispersion --beta 1 --gamma 1 --k 1.4142135623730951 --xi 0.5",
+        "krein --beta 1 --gamma 1 --k 1.6 --n -1 --m 0",
+        "reduced --beta 1 --gamma 1 --k 1.6 --n -1 --m 0 --a 0.01",
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --xi 0.28 --N 8",
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 8 --xi-grid 16",
+        "figures --which K_curves --beta 1 --gamma 1",
+    ])
+    def test_every_command_round_trips(self, argv, capsys, tmp_path):
+        argv = argv.split()
+        if argv[0] == "figures":
+            argv += ["--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestCommands:
     def test_collisions_table(self, capsys):
         code, doc = run_json(capsys, [
@@ -350,6 +455,23 @@ class TestCommands:
         assert (r["max_real_part"] > 0) != boundary
         assert max(re for re, _ in r["eigenvalues"]) > 0.01
 
+    def test_spectrum_slice_csv_cells_are_floats(self, capsys):
+        # every CSV cell is a plain float literal, equal to the JSON eigenvalue
+        argv = ["spectrum", "--beta", "1", "--gamma", "1", "--k", "1.3",
+                "--a", "0.01", "--xi", "0.3", "--N", "8"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "re,im"
+        cells = [row for row in csv.reader(lines[2:])]
+        assert [[float(c) for c in row] for row in cells] == doc["results"]["eigenvalues"]
+        assert all(float(c).__repr__() == c for row in cells for c in row)
+
+    def test_fmt_writes_numpy_floats_plain(self):
+        for v in (-0.0, 5e-324, 1 / 3, -220601.012883971):
+            assert cli._fmt(np.float64(v)) == repr(v)
+
     def test_spectrum_sweeps_library_grid(self, capsys):
         code, doc = run_json(capsys, [
             "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.2",
@@ -370,6 +492,28 @@ class TestCommands:
         by_n = {m["n"]: m for m in doc["results"]["modes"]}
         assert by_n[0]["omega"] == pytest.approx(-3.515625, rel=1e-12)
         assert by_n[0]["krein"] == -1
+
+    @pytest.mark.parametrize("beta, k, xi", [
+        (1.0, 2**0.5, 0.5),   # origin collision of {0, -1}: krein 0
+        (1.0, 1.6, 0.2798306772509555),
+        (-1.0, 0.78, 0.01),
+    ])
+    def test_dispersion_rows_match_scalar_calls(self, beta, k, xi, capsys):
+        # the array evaluation gives the scalar omega and krein_signature
+        # bit for bit
+        params = PhysicalParams(beta, 1.0, k)
+        c0 = stokes.phase_speed_c0(params)
+        code, doc = run_json(capsys, [
+            "dispersion", "--beta", repr(beta), "--gamma", "1", "--k", repr(k),
+            "--xi", repr(xi)])
+        assert code == 0
+        expected = [{"n": n, "x": n + xi,
+                     "omega": dispersion.omega(params, c0, n + xi),
+                     "krein": dispersion.krein_signature(params, c0, n + xi)}
+                    for n in range(-6, 7)]
+        assert json.dumps(doc["results"]["modes"]) == json.dumps(expected)
+        if xi == 0.5 and beta > 0:
+            assert [m["krein"] for m in expected if m["n"] in (-1, 0)] == [0, 0]
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "th.json"

@@ -336,6 +336,20 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_collision_pairs(1.0, 4, 3)
 
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 0.3, -2.5])
+    def test_matches_scalar_rule(self, beta):
+        # one array call per dn decides as the scalar rule does, pair by pair
+        for dn_max in range(1, 7):
+            for n_range in range(dn_max, 11):
+                expected = [
+                    dispersion.CollisionPair(n, n + dn, n <= -1 <= 0 <= n + dn)
+                    for dn in range(1, dn_max + 1)
+                    for n in range(-n_range, n_range - dn + 1)
+                    if dispersion._admits_collision(beta, n, dn)]
+                pairs = enumerate_collision_pairs(beta, dn_max, n_range)
+                assert pairs == expected
+                assert all(type(p.n) is int and type(p.m) is int for p in pairs)
+
 
 class TestKreinSignature:
     def test_value(self):
@@ -345,6 +359,20 @@ class TestKreinSignature:
         params = PhysicalParams(1, 1, 2**0.5)
         c0 = phase_speed_c0(params)
         assert krein_signature(params, c0, 0.5) == 0
+        kappa = krein_signature(params, c0, np.array([-1.5, -0.5, 0.5, 1.5]))
+        assert kappa.tolist() == [-1, 0, 0, -1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6),
+           k=st.floats(0.3, 3), xi=st.floats(1e-3, 0.5),
+           n_range=st.integers(0, 8))
+    def test_array_matches_scalar(self, beta, gamma, k, xi, n_range):
+        params = PhysicalParams(beta, gamma, k)
+        c0 = phase_speed_c0(params)
+        x = np.arange(-n_range, n_range + 1) + xi
+        kappa = krein_signature(params, c0, x)
+        assert kappa.dtype.kind == "i"
+        assert kappa.tolist() == [krein_signature(params, c0, v) for v in x.tolist()]
 
     def test_opposite_signs_across_threshold_pair(self):
         params = PhysicalParams(1, 1, 1.6)

@@ -1183,10 +1183,14 @@ class TestModeSeparationTwo:
     first-harmonic path via the intermediate mode n+1, which enters the
     effective coupling at the same a^2 order as the direct second
     harmonic.  For the {-1,1} family the combined coupling pushes the
-    pair off the imaginary axis at O(a^2); for {-2,0} the combination
-    stays definite and the collision is quiescent.  Frozen values below
-    were cross-checked against second-order degenerate perturbation
-    theory (agreement to five digits).
+    pair off the imaginary axis at O(a^2).  The {-2,0} collision is
+    quiescent at leading order only at k^4 = gamma/|beta|, where
+    test_pair_m2_0_quiescent sits (k = 1); elsewhere it grows, e.g. at
+    beta = -1, gamma = 1, k = 2, a = 0.01 the slice at
+    xi = 0.010471489115157728, next to its collision, has max_real_part
+    1.169e-8 in the cluster [-2, 0].  Frozen values below were cross-checked against
+    second-order degenerate perturbation theory (agreement to five
+    digits).
     """
 
     def test_pair_m1_1_grows_at_second_order(self):
