@@ -196,6 +196,14 @@ def _ordered_wave(params: stokes.PhysicalParams, a: float) -> stokes.StokesWave:
     return wave
 
 
+def _n_range(args) -> int:
+    """--n-range, refused outside [0, hill.MAX_N_RANGE]."""
+    if not 0 <= args.n_range <= hill.MAX_N_RANGE:
+        raise DomainError(f"--n-range {args.n_range} not in "
+                          f"[0, {hill.MAX_N_RANGE}]")
+    return args.n_range
+
+
 def _coefficients(args) -> tuple[float, float]:
     """(beta, gamma), checked as PhysicalParams checks them, for the
     commands that take no wavenumber."""
@@ -223,11 +231,12 @@ def _cmd_wave(args):
 
 def _cmd_dispersion(args):
     """Bloch frequencies and Krein signatures at one xi"""
+    n_range = _n_range(args)
     params = _params(args)
     _require(args, "xi")
     dispersion.check_xi(args.xi)
     c0 = stokes.phase_speed_c0(params)
-    ns = np.arange(-args.n_range, args.n_range + 1)
+    ns = np.arange(-n_range, n_range + 1)
     x = ns + args.xi
     columns = (ns.tolist(), x.tolist(), dispersion.omega(params, c0, x).tolist(),
                dispersion.krein_signature(params, c0, x).tolist())
@@ -240,11 +249,12 @@ def _cmd_dispersion(args):
 
 def _cmd_collisions(args):
     """colliding mode pairs and origin collisions"""
+    n_range = _n_range(args)
     beta, gamma = _coefficients(args)
-    pairs = dispersion.enumerate_collision_pairs(beta, args.dn_max, args.n_range)
+    pairs = dispersion.enumerate_collision_pairs(beta, args.dn_max, n_range)
     if args.opposite_krein:
         pairs = [p for p in pairs if p.opposite_krein]
-    origin = dispersion.origin_collisions(beta, gamma, args.n_range)
+    origin = dispersion.origin_collisions(beta, gamma, n_range)
     results = {
         "pairs": [{"n": p.n, "m": p.m, "dn": p.dn,
                    "opposite_krein": p.opposite_krein} for p in pairs],
@@ -355,7 +365,7 @@ def _cmd_figures(args):
     outdir = Path(args.out) if args.out else Path(".")
     tables = _FIGURES[args.which](args)
     # every value is checked before the first file is written
-    for name, (_, values, keep) in tables.items():
+    for name, (_, values, keep, _) in tables.items():
         if not np.isfinite(values[keep]).all():
             raise DomainError(f"non-finite value in {name}")
     for name, table in tables.items():
@@ -364,9 +374,10 @@ def _cmd_figures(args):
 
 
 # ---------------------------------------------------------------------------
-# figure-data emitters: each returns {file name: (header, values, keep)},
-# where values holds one (x, y) row per grid point and keep marks the rows
-# written; the others are blank rows
+# figure-data emitters: each returns {file name: (header, values, keep,
+# text)}, where values holds one (x, y) row per grid point, keep marks the
+# rows written (the others are blank rows) and text holds the two columns
+# already formatted, or is None
 
 def _csv_comment(args) -> str:
     vals = [("beta", args.beta), ("gamma", args.gamma), ("k", args.k),
@@ -375,14 +386,22 @@ def _csv_comment(args) -> str:
                            for name, v in vals)
 
 
-def _write_csv(path: Path, comment: str, header, values, keep) -> None:
+def _write_csv(path: Path, comment: str, header, values, keep, text=None) -> None:
     """Write a comment line, the header and one row per point of values.
 
     The bytes are those of csv.writer on rows (x, y), or () where keep is
-    false: floats by repr, as _fmt writes them, and CRLF line ends.
+    false: floats by repr, as _fmt writes them, and CRLF line ends.  text
+    is the two columns as repr strings; without it the kept rows of values
+    are formatted here, column by column, and a blank row costs nothing.
     """
-    body = "".join([f"{x!r},{y!r}\r\n" if kept else "\r\n"
-                    for (x, y), kept in zip(values.tolist(), keep.tolist())])
+    kept = keep.tolist()
+    if text is None:
+        xs, ys = [iter(_repr_column(column)) for column in values[keep].T]
+        body = "".join([f"{next(xs)},{next(ys)}\r\n" if k else "\r\n"
+                        for k in kept])
+    else:
+        body = "".join([f"{x},{y}\r\n" if k else "\r\n"
+                        for x, y, k in zip(*text, kept)])
     # created only once the inputs have passed validation
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -390,6 +409,31 @@ def _write_csv(path: Path, comment: str, header, values, keep) -> None:
             fh.write(f"{comment}\n{','.join(header)}\r\n{body}")
     except OSError as exc:
         raise OutputError(path, exc) from exc
+
+
+def _repr_column(values) -> list[str]:
+    """The repr of each float of a 1-d array."""
+    return list(map(float.__repr__, values.tolist()))
+
+
+def _mirror_text(values) -> list[str]:
+    """_repr_column(values), formatting each pair of mirror points once.
+
+    The left half, centre included, is formatted.  A point of the right
+    half reuses the text of its mirror point where the two have the same
+    bits, and is formatted itself where they do not: the result is right
+    for any values, and cheapest for an array that reads the same
+    reversed.
+    """
+    n = values.size
+    h = (n + 1) // 2
+    text = _repr_column(values[:h])
+    right = text[:n - h][::-1]
+    bits = values.view(np.int64)
+    diff = np.flatnonzero(bits[h:] != bits[:n - h][::-1])
+    for j, t in zip(diff.tolist(), _repr_column(values[h:][diff])):
+        right[j] = t
+    return text + right
 
 
 def _k_rows(x, k4):
@@ -405,24 +449,34 @@ def _k_rows(x, k4):
 
 
 def _emit_k_curves(args) -> dict:
+    # the grid of dn is x = i/256, i in [-256*(dn+2), 512]: a tail of the
+    # dn = 4 grid with the same bits, so one array and its text serve all
+    x4 = np.arange(-256 * 6, 256 * 2 + 1) / 256.0
+    x4_text = _repr_column(x4)
     tables = {}
     for dn in (1, 2, 3, 4):
-        xs = np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
+        start = 256 * (4 - dn)
+        xs = x4[start:]
+        # symmetric about x = -dn/2, where x*(x+dn) and (x+dn/2)^2, and so
+        # the kernel, round alike: the right half repeats the left's text
         K = dispersion.collision_K(xs, dn)
         tables[f"k_curves_dn{dn}.csv"] = (
-            ("x", "K"), np.column_stack((xs, K)), ~np.isnan(K))
+            ("x", "K"), np.column_stack((xs, K)), ~np.isnan(K),
+            (x4_text[start:], _mirror_text(K)))
     return tables
 
 
 def _emit_collision_ranges(args) -> dict:
     _require(args, "beta", "gamma", "n", "m")
     beta, gamma = _coefficients(args)
+    if args.n == args.m:
+        raise DomainError("need two distinct modes")
     n, m = min(args.n, args.m), max(args.n, args.m)
     xi = np.arange(-1023, 1025) / 2048.0
     x = n + xi
     # xi = 0 is left out of the Floquet family: a blank row
     k4 = np.where(xi == 0, np.nan, dispersion._collision_k4(beta, gamma, x, m - n))
-    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), *_k_rows(x, k4))}
+    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), *_k_rows(x, k4), None)}
 
 
 def _emit_collision_contour(args) -> dict:
@@ -436,7 +490,7 @@ def _emit_collision_contour(args) -> dict:
     pole = np.isnan(k4)
     if pole.any():
         raise Singularity(f"collision kernel pole at x={x[pole].tolist()[0]!r}, dn=1")
-    return {"collision_contour.csv": (("xi", "k"), *_k_rows(xi, k4))}
+    return {"collision_contour.csv": (("xi", "k"), *_k_rows(xi, k4), None)}
 
 
 # plot-ready CSV files by --which name; singular points become blank rows
@@ -499,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dn-max", dest="dn_max", type=int, default=4,
                         help="largest mode separation (default 4)")
     parser.add_argument("--n-range", dest="n_range", type=int, default=6,
-                        help="mode index window |n| <= n_range (default 6)")
+                        help="mode index window |n| <= n_range, "
+                             f"0..{hill.MAX_N_RANGE} (default %(default)s)")
     parser.add_argument("--N", type=int, default=hill.TruncationConfig.N,
                         help="Fourier truncation, modes -N..N, "
                              f"8 <= N <= {(hill.MAX_DIM - 1) // 2} (default %(default)s)")

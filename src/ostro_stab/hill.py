@@ -63,6 +63,9 @@ __all__ = [
 MAX_DIM = 10_000
 # Largest number of points of the default xi grid.
 MAX_XI_GRID = 2**20
+# Largest mode index window |n| <= n_range of the dispersion and
+# collisions tables.
+MAX_N_RANGE = 1000
 # Left end of the xi sweep, excluded from it.
 _XI_LO = 1.0 / 1024
 # |Re lambda| above this makes an eigenvalue a growth candidate.

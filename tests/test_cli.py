@@ -193,6 +193,35 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n_range", [-1, hill.MAX_N_RANGE + 1])
+    @pytest.mark.parametrize("argv", [
+        "dispersion --beta 1 --gamma 1 --k 1.6 --xi 0.3",
+        "collisions --beta 1 --gamma 1",
+    ])
+    def test_n_range_bounds_domain_error(self, argv, n_range, capsys,
+                                         monkeypatch):
+        # the guard fires before any mode is evaluated
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluated modes past the --n-range guard")
+        for name in ("omega", "enumerate_collision_pairs", "origin_collisions"):
+            monkeypatch.setattr(dispersion, name, no_work)
+        assert cli.main(argv.split() + ["--n-range", str(n_range)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--n-range {n_range} not in [0, {hill.MAX_N_RANGE}]" in captured.err
+
+    def test_n_range_ceiling_runs(self, capsys):
+        n_range = str(hill.MAX_N_RANGE)
+        code, doc = run_json(capsys, [
+            "dispersion", "--beta", "1", "--gamma", "1", "--k", "1.6",
+            "--xi", "0.3", "--n-range", n_range])
+        assert code == 0
+        assert len(doc["results"]["modes"]) == 2 * hill.MAX_N_RANGE + 1
+        code, doc = run_json(capsys, [
+            "collisions", "--beta", "1", "--gamma", "1", "--n-range", n_range])
+        assert code == 0
+        assert len(doc["results"]["origin"]) == 2 * hill.MAX_N_RANGE + 1
+
     def test_slice_builds_no_xi_grid(self, capsys, monkeypatch):
         def no_grid(num):
             raise AssertionError(f"built a {num}-point xi grid for one slice")
@@ -575,6 +604,16 @@ class TestFigures:
         assert (a / "k_curves_dn2.csv").read_bytes() == \
                (b / "k_curves_dn2.csv").read_bytes()
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_collision_ranges_needs_two_modes(self, n, capsys, tmp_path):
+        assert cli.main(["figures", "--which", "collision_ranges", "--beta",
+                         "1", "--gamma", "1", "--n", n, "--m", n,
+                         "--out", str(tmp_path / "figs")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need two distinct modes" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_figures_requires_which(self):
         assert cli.main(["figures", "--beta", "1", "--gamma", "1"]) == 64
 
@@ -620,6 +659,54 @@ class TestFigureCsv:
         keep = np.array([r[2] for r in rows], dtype=bool)
         with tempfile.TemporaryDirectory() as tmp:
             self.check(Path(tmp), values, keep)
+
+    @staticmethod
+    def k_curves_grid(dn):
+        return np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
+
+    def test_k_curves_match_csv_writer(self, capsys, tmp_path):
+        # each file holds a fresh full-grid evaluation of the kernel
+        argv = ["figures", "--which", "K_curves", "--beta", "1", "--gamma",
+                "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        comment = cli._csv_comment(cli.build_parser().parse_args(argv))
+        for dn in (1, 2, 3, 4):
+            x = self.k_curves_grid(dn)
+            K = dispersion.collision_K(x, dn)
+            assert (tmp_path / f"k_curves_dn{dn}.csv").read_bytes() == \
+                self.reference_bytes(comment, ("x", "K"),
+                                     np.column_stack((x, K)), ~np.isnan(K))
+
+    def test_k_curves_take_no_physical_parameter(self, capsys, tmp_path):
+        # beta and gamma only echo in the comment line
+        for beta, gamma, d in (("1", "1", "a"), ("-2.5", "0.3", "b")):
+            assert cli.main(["figures", "--which", "K_curves", "--beta", beta,
+                             "--gamma", gamma, "--out", str(tmp_path / d)]) == 0
+        for dn in (1, 2, 3, 4):
+            name = f"k_curves_dn{dn}.csv"
+            a = (tmp_path / "a" / name).read_bytes().split(b"\n", 1)
+            b = (tmp_path / "b" / name).read_bytes().split(b"\n", 1)
+            assert a[0] != b[0]
+            assert a[1] == b[1]
+
+    @pytest.mark.parametrize("dn", [1, 2, 3, 4])
+    def test_k_curves_kernel_reads_same_reversed(self, dn):
+        # why each K column reuses its left half's text on the right: the
+        # kernel is bitwise symmetric about x = -dn/2, its poles included
+        K = dispersion.collision_K(self.k_curves_grid(dn), dn)
+        bits = K.view(np.int64)
+        assert np.isnan(K).any()
+        assert np.array_equal(bits, bits[::-1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(half=st.lists(st.floats(), max_size=20), centre=st.booleans(),
+           flips=st.sets(st.integers(0, 19)))
+    def test_mirror_text_of_any_floats(self, half, centre, flips):
+        # a palindrome with some right-half points changed: the text is
+        # right wherever the two halves differ, signed zeros and NaNs too
+        right = [-v if i in flips else v for i, v in enumerate(half)]
+        values = np.array(half + [0.0] * centre + right[::-1], dtype=float)
+        assert cli._mirror_text(values) == [repr(v) for v in values.tolist()]
 
     @pytest.mark.parametrize("argv", [
         "figures --which collision_ranges --beta 1e-300 --gamma 1e300 --n -1 --m 0",
