@@ -25,7 +25,6 @@ from .errors import (
     ConvergenceFailure,
     DivisionByZero,
     DomainError,
-    IndefiniteNearZero,
     NoCollision,
     NotACollision,
     NotUnstable,
@@ -42,7 +41,6 @@ from .hill import (
     assemble_matrix,
     default_xi_grid,
     eigenvalues,
-    krein_of_eigenpair,
     max_growth,
     spectrum_slice,
 )
@@ -64,7 +62,6 @@ from .stokes import (
     harmonic_amplitudes,
     phase_speed_c0,
     residual_F,
-    resonant_wavenumbers,
     stokes_coefficients,
 )
 

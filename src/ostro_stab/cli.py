@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One subcommand per analysis stage (wave, dispersion, collisions, krein,
-reduced, spectrum, threshold, figures).  Every run emits a ResultEnvelope
-(JSON or CSV) echoing the inputs and recording solver diagnostics, so
-results are reproducible byte for byte up to the wall-time field.
+reduced, spectrum, sweep, threshold, figures).  Every run emits a
+ResultEnvelope (JSON or CSV) echoing the inputs and recording solver
+diagnostics, so results are reproducible byte for byte up to the
+wall-time field.
 
 Exit codes: 0 success, 2 domain error (resonant wavenumber, xi out of
 range, below-threshold query, non-finite input or result, overflow, ...),
@@ -35,6 +36,9 @@ SCHEMA_VERSION = "1"
 USAGE_EXIT = 64
 DOMAIN_EXIT = 2
 INTERNAL_EXIT = 1
+
+# Largest number of points of a sweep along k or a.
+MAX_SWEEP = 1000
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -344,12 +348,47 @@ def _cmd_spectrum(args):
         rows += [(_fmt(re), _fmt(im)) for re, im in eigenvalues]
         return results, rows
     xi_star, growth, sl = hill.max_growth(wave, args.a, cfg)
+    # a certified maximiser is not solved; its solve would be paired
     results = {
-        "xi_star": xi_star, "growth": growth, "paired": sl.paired,
-        "slice": {"xi": sl.xi, "max_real_part": sl.max_real_part},
+        "xi_star": xi_star, "growth": growth, "paired": sl is None or sl.paired,
+        "slice": {"xi": xi_star, "max_real_part": growth},
     }
     rows = [("xi_star", "growth"), (_fmt(xi_star), _fmt(growth))]
     return results, rows
+
+
+def _cmd_sweep(args):
+    """xi sweeps along --k or --a, whichever is left out"""
+    _require(args, "beta", "gamma", "lo", "hi", "num")
+    if (args.k is None) == (args.a is None):
+        raise UsageError("sweep: give one of --k, --a; the other is swept")
+    if not 1 <= args.num <= MAX_SWEEP:
+        raise DomainError(f"--num {args.num} not in [1, {MAX_SWEEP}]")
+    if not 0 < args.lo < args.hi:
+        raise DomainError(f"need 0 < --lo < --hi, got {args.lo!r}, {args.hi!r}")
+    cfg = hill.TruncationConfig(N=args.N, xi_grid=args.xi_grid)
+    if args.a is None:
+        points = [(args.k, a) for a in
+                  np.geomspace(args.lo, args.hi, args.num).tolist()]
+    else:
+        points = [(k, args.a) for k in
+                  np.linspace(args.lo, args.hi, args.num).tolist()]
+    # every point is checked, and its {-1,0} rate predicted, before the
+    # first sweep; the rate is 0.0 where the pair does not collide
+    checked = []
+    for k, a in points:
+        wave = _ordered_wave(stokes.PhysicalParams(args.beta, args.gamma, k), a)
+        xis = dispersion.collision_xi(wave.params, -1, 0)
+        checked.append((wave, reduced.predicted_growth_rate(wave, -1, xis[0], a)
+                        if xis else 0.0))
+    out = []
+    for (k, a), (wave, predicted) in zip(points, checked):
+        xi_star, growth, _ = hill.max_growth(wave, a, cfg)
+        out.append({"k": k, "a": a, "xi_star": xi_star, "growth": growth,
+                    "predicted": predicted})
+    rows = [("k", "a", "xi_star", "growth", "predicted")]
+    rows += [tuple(map(_fmt, p.values())) for p in out]
+    return {"points": out}, rows
 
 
 def _cmd_threshold(args):
@@ -471,6 +510,9 @@ def _emit_collision_ranges(args) -> dict:
     beta, gamma = _coefficients(args)
     if args.n == args.m:
         raise DomainError("need two distinct modes")
+    # past it the grid n + xi loses the xi that tells its rows apart
+    if max(abs(args.n), abs(args.m)) > hill.MAX_N_RANGE:
+        raise DomainError(f"|--n|, |--m| must not exceed {hill.MAX_N_RANGE}")
     n, m = min(args.n, args.m), max(args.n, args.m)
     xi = np.arange(-1023, 1025) / 2048.0
     x = n + xi
@@ -511,6 +553,7 @@ _HANDLERS = {
     "krein": _cmd_krein,
     "reduced": _cmd_reduced,
     "spectrum": _cmd_spectrum,
+    "sweep": _cmd_sweep,
     "threshold": _cmd_threshold,
     "figures": _cmd_figures,
 }
@@ -567,9 +610,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--opposite-krein", dest="opposite_krein",
                         action="store_true",
                         help="keep only opposite-Krein pairs")
-    # last, so that the echoed inputs keep their key order
+    # --which and the sweep range last, so that the echoed inputs keep
+    # their key order
     parser.add_argument("--which", choices=_FIGURES,
                         help="figure data set to emit (figures command)")
+    parser.add_argument("--lo", type=float,
+                        help="sweep: first value of the swept --k or --a")
+    parser.add_argument("--hi", type=float,
+                        help="sweep: last value of the swept --k or --a")
+    parser.add_argument("--num", type=int,
+                        help="sweep: number of points, k evenly spaced, a "
+                             f"geometrically, 1..{MAX_SWEEP}")
     return parser
 
 

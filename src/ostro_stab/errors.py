@@ -47,9 +47,5 @@ class XiOutOfRange(DomainError):
     """Floquet exponent outside (0, 1/2]."""
 
 
-class IndefiniteNearZero(DomainError):
-    """Krein quadratic form numerically zero; signature undefined."""
-
-
 class ConvergenceFailure(Exception):
     """The dense eigensolver failed to converge (internal failure)."""

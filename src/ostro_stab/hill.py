@@ -29,7 +29,7 @@ the certificate looks only at the modes that can meet a mode of the
 other sign: over each block of xi values, a hull of every mode's
 interval proves the others apart on the whole block.  A sweep refines
 its best point by parabolic steps on a lattice of 63 points certified
-in one call, and a certified maximiser is returned unsolved.
+in one call, and a certified maximiser is not solved.
 
 The real solver returns exact conjugate pairs, so every solved spectrum
 is exactly symmetric under lambda -> -conj(lambda); a slice's
@@ -45,7 +45,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import dispersion, stokes
-from .errors import ConvergenceFailure, IndefiniteNearZero
+from .errors import ConvergenceFailure
 from .stokes import StokesWave, as_amplitude
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "eigenvalues",
     "spectrum_slice",
     "max_growth",
-    "krein_of_eigenpair",
 ]
 
 # Largest matrix dimension 2N+1 the truncation may ask for.
@@ -70,8 +69,6 @@ MAX_N_RANGE = 1000
 _XI_LO = 1.0 / 1024
 # |Re lambda| above this makes an eigenvalue a growth candidate.
 _RE_TRIGGER = 1e-12
-# |<L v, v>| below this on a unit eigenvector leaves its Krein sign undefined.
-_KREIN_ZERO_TOL = 1e-10
 # Refinement rounds around the best slice of the sweep, one solve at most
 # each, on a lattice of _LATTICE - 1 points evenly inside its bracket.
 _REFINE_ROUNDS = 3
@@ -608,31 +605,12 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
     return certified, clusters
 
 
-class _CertifiedSlice(SpectrumSlice):
-    """A slice that _on_axis proves free of growth, not yet solved.
-
-    Its solve gives max_real_part 0.0 and a paired spectrum (the real
-    solver's output is exactly paired), so those are set now; the
-    eigenvalues are solved on first access.
-    """
-
-    def __init__(self, wave: StokesWave, a, xi: float, cfg: TruncationConfig):
-        for name, value in (("xi", float(xi)), ("a", as_amplitude(a).a),
-                            ("max_real_part", 0.0), ("paired", True),
-                            ("_solve", functools.partial(spectrum_slice, wave, a,
-                                                         xi, cfg))):
-            object.__setattr__(self, name, value)
-
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return self._solve().eigenvalues
-
-
 def max_growth(wave: StokesWave, a,
-               cfg: TruncationConfig) -> tuple[float, float, SpectrumSlice]:
+               cfg: TruncationConfig) -> tuple[float, float, SpectrumSlice | None]:
     """Maximize max_real_part over the xi sweep, with parabolic refinement.
 
-    Returns (xi_star, growth, slice at xi_star).  The uniform grid is
+    Returns (xi_star, growth, slice at xi_star), the slice None when the
+    maximiser was certified and so not solved.  The uniform grid is
     augmented with collision-seeded candidates (see _collision_seeds):
     high-frequency bubbles can be far narrower than any practical
     uniform grid spacing, but they sit at the analytically known
@@ -660,8 +638,7 @@ def max_growth(wave: StokesWave, a,
     the bracket not yet visited, and keeps the best point and its
     neighbours.  A point replaces m only when it grows strictly more, so
     the first maximiser still wins ties.  A grid on which nothing grows
-    is not refined: its first point is returned.  A certified maximiser
-    is returned unsolved, its eigenvalues solved on first access.
+    is not refined: its first point is returned.
     """
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a))
@@ -695,8 +672,7 @@ def max_growth(wave: StokesWave, a,
                 lo, m, hi = (m, t, hi) if t[0] > m[0] else (lo, t, m)
             else:
                 lo, hi = (lo, t) if t[0] > m[0] else (t, hi)
-    best = m[2] if m[2] is not None else _CertifiedSlice(wave, a, m[0], cfg)
-    return best.xi, best.max_real_part, best
+    return float(m[0]), float(m[1]), m[2]
 
 
 def _growth(wave: StokesWave, a, xis: np.ndarray, clusters: list[tuple[Cluster, ...]],
@@ -713,21 +689,3 @@ def _growth(wave: StokesWave, a, xis: np.ndarray, clusters: list[tuple[Cluster, 
             solved[i] = spectrum_slice(wave, a, xis[i], cfg, open_)
             growth[i] = solved[i].max_real_part
     return growth, solved
-
-
-def krein_of_eigenpair(L: np.ndarray, v: np.ndarray) -> int:
-    """Sign of the energy quadratic form <L v, v> on a normalized eigenvector.
-
-    Real by self-adjointness of L.  Raises IndefiniteNearZero when the
-    form is numerically zero, the standard degeneracy on eigenvectors at
-    or past a collision that has left the imaginary axis.
-    """
-    v = np.asarray(v)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("zero eigenvector")
-    v = v / nrm
-    s = np.vdot(v, np.asarray(L) @ v)
-    if abs(s) < _KREIN_ZERO_TOL:
-        raise IndefiniteNearZero(f"quadratic form {s:.3e} below tolerance")
-    return 1 if s.real > 0 else -1

@@ -40,7 +40,6 @@ __all__ = [
     "as_amplitude",
     "check_coefficients",
     "phase_speed_c0",
-    "resonant_wavenumbers",
     "stokes_coefficients",
     "harmonic_amplitudes",
     "eval_profile",
@@ -129,21 +128,6 @@ class StokesWave:
 def phase_speed_c0(params: PhysicalParams) -> float:
     """Linear phase speed of the fundamental mode, gamma/k^2 + beta*k^2."""
     return params.gamma / params.k**2 + params.beta * params.k**2
-
-
-def resonant_wavenumbers(params: PhysicalParams, n_max: int) -> list[float]:
-    """Resonant carrier wavenumbers (gamma/(beta*n^2))**(1/4), 2 <= n <= n_max.
-
-    Real roots exist only for beta > 0; for beta < 0 the list is empty.
-    Returned in decreasing order (increasing n).
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if params.beta < 0:
-        return []
-    return [
-        (params.gamma / (params.beta * n**2)) ** 0.25 for n in range(2, n_max + 1)
-    ]
 
 
 def stokes_coefficients(params: PhysicalParams) -> StokesWave:

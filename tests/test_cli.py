@@ -222,6 +222,45 @@ class TestExitCodes:
         assert code == 0
         assert len(doc["results"]["origin"]) == 2 * hill.MAX_N_RANGE + 1
 
+    @pytest.mark.parametrize("argv, code", [
+        # the swept variable is the one of --k, --a left out
+        ("--k 1.6 --a 0.01 --lo 1.2 --hi 2.4 --num 3", 64),
+        ("--lo 1.2 --hi 2.4 --num 3", 64),
+        ("--a 0.01 --lo 1.2 --hi 2.4", 64),
+        ("--a 0.01 --lo 1.2 --num 3", 64),
+        ("--a 0.01 --lo 1.2 --hi 2.4 --num 0", 2),
+        ("--a 0.01 --lo 1.2 --hi 2.4 --num -3", 2),
+        (f"--a 0.01 --lo 1.2 --hi 2.4 --num {cli.MAX_SWEEP + 1}", 2),
+        ("--a 0.01 --lo 2.4 --hi 1.2 --num 3", 2),
+        ("--a 0.01 --lo 1.2 --hi 1.2 --num 3", 2),
+        ("--k 1.6 --lo 0 --hi 0.04 --num 3", 2),
+        ("--k 1.6 --lo -0.01 --hi 0.04 --num 3", 2),
+        ("--a nan --lo 1.2 --hi 2.4 --num 3", 2),
+        ("--a 0.01 --lo 1.2 --hi inf --num 3", 2),
+        # k = 0.5 = (1/16)^(1/4), the n = 4 resonance, mid-range
+        ("--a 0.005 --lo 0.4 --hi 0.6 --num 3", 2),
+        # the last point: an unordered expansion, an amplitude past A_MAX
+        ("--k 0.708 --lo 0.001 --hi 0.05 --num 4", 2),
+        ("--k 1.6 --lo 0.01 --hi 0.2 --num 3", 2),
+        ("--a 0.01 --lo 1.2 --hi 2.4 --num 3 --N 5000", 2),
+    ])
+    def test_sweep_refused_before_any_sweep(self, argv, code, capsys,
+                                            monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before every point was checked")
+        monkeypatch.setattr(hill, "max_growth", no_sweep)
+        assert cli.main(["sweep", "--beta", "1", "--gamma", "1",
+                         *argv.split()]) == code
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_num_ceiling_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(hill, "max_growth", lambda wave, a, cfg: (0.25, 0.0, None))
+        code, doc = run_json(capsys, [
+            "sweep", "--beta", "1", "--gamma", "1", "--a", "0.01", "--lo", "1.2",
+            "--hi", "2.4", "--num", str(cli.MAX_SWEEP)])
+        assert code == 0
+        assert len(doc["results"]["points"]) == cli.MAX_SWEEP
+
     def test_slice_builds_no_xi_grid(self, capsys, monkeypatch):
         def no_grid(num):
             raise AssertionError(f"built a {num}-point xi grid for one slice")
@@ -399,6 +438,7 @@ class TestSerializer:
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --xi 0.28 --N 8",
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 8 --xi-grid 16",
         "figures --which K_curves --beta 1 --gamma 1",
+        "sweep --beta -1 --gamma 1 --a 0.01 --lo 0.6 --hi 1 --num 2 --N 8 --xi-grid 16",
     ])
     def test_every_command_round_trips(self, argv, capsys, tmp_path):
         argv = argv.split()
@@ -513,6 +553,33 @@ class TestCommands:
         assert doc["results"]["growth"] == growth
         assert "growth_clusters" not in doc["results"]
 
+    @pytest.mark.parametrize("argv, swept, ends", [
+        ("--a 0.005 --lo 1.2 --hi 1.6", "k", [1.2, 1.6]),
+        ("--k 1.6 --lo 0.0025 --hi 0.04", "a", [0.0025, 0.04]),
+    ])
+    def test_sweep_matches_leading_order(self, argv, swept, ends, capsys):
+        # each point is max_growth at its (k, a, N), bit for bit, and on
+        # the unstable points it is the {-1,0} leading-order rate to 1%
+        argv = ["sweep", "--beta", "1", "--gamma", "1", *argv.split(),
+                "--num", "2", "--N", "8"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        points = doc["results"]["points"]
+        assert [p[swept] for p in points] == ends
+        for p in points:
+            wave = stokes_coefficients(PhysicalParams(1, 1, p["k"]))
+            xi_star, growth, _ = max_growth(wave, p["a"], TruncationConfig(N=8))
+            assert (p["xi_star"], p["growth"]) == (xi_star, growth)
+        unstable = [p for p in points if p["predicted"] > 0]
+        assert unstable
+        for p in unstable:
+            assert p["growth"] == pytest.approx(p["predicted"], rel=0.01)
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "k,a,xi_star,growth,predicted"
+        assert [row for row in csv.reader(lines[2:])] == \
+            [[repr(v) for v in p.values()] for p in points]
+
     def test_dispersion_modes(self, capsys):
         code, doc = run_json(capsys, [
             "dispersion", "--beta", "1", "--gamma", "1", "--k", "1",
@@ -613,6 +680,25 @@ class TestFigures:
         assert captured.out == ""
         assert "need two distinct modes" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n, m", [
+        ("100000000000000000000", "100000000000000000001"),
+        ("0", str(10**30)),
+        (str(-hill.MAX_N_RANGE - 1), "0"),
+    ])
+    def test_collision_ranges_bounds_modes(self, n, m, capsys, tmp_path):
+        # past the bound n + xi rounds to n on the whole grid
+        assert cli.main(["figures", "--which", "collision_ranges", "--beta",
+                         "1", "--gamma", "1", "--n", n, "--m", m,
+                         "--out", str(tmp_path / "figs")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must not exceed {hill.MAX_N_RANGE}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+        assert cli.main(["figures", "--which", "collision_ranges", "--beta",
+                         "1", "--gamma", "1", "--n", str(-hill.MAX_N_RANGE),
+                         "--m", str(hill.MAX_N_RANGE),
+                         "--out", str(tmp_path / "figs")]) == 0
 
     def test_figures_requires_which(self):
         assert cli.main(["figures", "--beta", "1", "--gamma", "1"]) == 64
@@ -751,8 +837,8 @@ def test_help_lists_every_command(capsys):
     assert all(f"\n  {name} " in out for name in cli._HANDLERS)
 
 
-_FLOAT_FLAGS = ("beta", "gamma", "k", "a", "xi")
-_INT_FLAGS = ("n", "m", "dn-max", "n-range", "xi-grid")
+_FLOAT_FLAGS = ("beta", "gamma", "k", "a", "xi", "lo", "hi")
+_INT_FLAGS = ("n", "m", "dn-max", "n-range", "xi-grid", "num")
 # arbitrary floats, plus ranges and values where commands succeed
 _FUZZ_FLOATS = st.one_of(
     st.floats(), st.floats(-3, 3), st.floats(-0.1, 0.1), st.floats(0, 0.5),
@@ -772,9 +858,13 @@ def _leaves(obj):
 def _cli_argv(draw):
     command = draw(st.sampled_from(sorted(cli._HANDLERS)))
     argv = [command]
-    # each flag is left out one time in eight, --xi of spectrum never; the
+    # each flag is left out one time in eight, --xi of spectrum never, and
+    # one of --k, --a of sweep always (the one it sweeps); the
     # --flag=value form passes values such as -1e-07 and -inf to the program
+    swept = draw(st.sampled_from(("k", "a"))) if command == "sweep" else None
     for name in _FLOAT_FLAGS:
+        if name == swept:
+            continue
         if draw(st.integers(0, 7)) < 7 or (name, command) == ("xi", "spectrum"):
             argv.append(f"--{name}={draw(_FUZZ_FLOATS)!r}")
     for name in _INT_FLAGS:
@@ -786,6 +876,13 @@ def _cli_argv(draw):
         argv.append("--opposite-krein")
     if command == "figures":
         argv += ["--which", draw(st.sampled_from(sorted(cli._FIGURES)))]
+    if command == "sweep" and draw(st.booleans()):
+        # half the sweeps also get a positive range, which the last --lo
+        # and --hi set: few arbitrary ranges pass every check
+        top = stokes.A_MAX if swept == "a" else 3.0
+        argv += [f"--{name}={v!r}" for name, v in zip(
+            ("lo", "hi"), sorted(draw(st.tuples(st.floats(1e-3, top),
+                                                st.floats(1e-3, top)))))]
     return argv
 
 
@@ -796,12 +893,15 @@ def _cli_argv(draw):
                "--m=0", "--a=0.01"])
 @example(argv=["reduced", "--beta=-1.0", "--gamma=1.0", "--k=0.78", "--n=-1",
                "--m=1", "--a=0.0", "--format=csv"])
+@example(argv=["sweep", "--beta=1.0", "--gamma=1.0", "--a=0.01", "--lo=1.2",
+               "--hi=1.6", "--num=2", "--N", "8", "--xi-grid=64"])
 def test_fuzz_exit_codes_and_finite_results(argv):
     """Arbitrary flag values exit 0, 2 or 64, and exit 0 only with finite
     results.
 
     ``spectrum`` always gets ``--xi`` and N <= 16: an xi sweep solves
-    hundreds of slices and is too slow for one fuzz case.
+    hundreds of slices and is too slow for one fuzz case.  A ``sweep``
+    makes at most 8 xi sweeps (--num <= 8), at N <= 16.
     """
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \

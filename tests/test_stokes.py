@@ -11,7 +11,6 @@ from ostro_stab import (
     eval_speed,
     phase_speed_c0,
     residual_F,
-    resonant_wavenumbers,
     stokes_coefficients,
 )
 
@@ -38,6 +37,14 @@ class TestParams:
         # just outside the default exclusion radius is fine
         PhysicalParams(1.0, 1.0, 0.25**0.25 * (1 + 1e-5))
 
+    @pytest.mark.parametrize("gamma, n", [(1.0, 2), (1.0, 3), (16.0, 2)])
+    def test_each_resonance_rejected(self, gamma, n):
+        # k = (gamma/(beta*n^2))^(1/4); beta < 0 has no resonance
+        k = (gamma / n**2) ** 0.25
+        with pytest.raises(ResonantWavenumber):
+            PhysicalParams(1.0, gamma, k)
+        PhysicalParams(-1.0, gamma, k)
+
     def test_negative_beta_never_resonant(self):
         PhysicalParams(-1.0, 1.0, 0.25**0.25)
 
@@ -53,24 +60,6 @@ class TestPhaseSpeed:
 
     def test_negative_beta(self):
         assert phase_speed_c0(PhysicalParams(-1, 6, 1)) == 5.0
-
-
-class TestResonantWavenumbers:
-    def test_decreasing_list(self):
-        ks = resonant_wavenumbers(PhysicalParams(1, 1, 1), 3)
-        assert ks == pytest.approx([0.25**0.25, (1 / 9) ** 0.25], rel=1e-15)
-        assert ks[0] > ks[1]
-
-    def test_empty_for_negative_beta(self):
-        assert resonant_wavenumbers(PhysicalParams(-1, 1, 1), 5) == []
-
-    def test_single(self):
-        ks = resonant_wavenumbers(PhysicalParams(1, 16, 2.0), 2)
-        assert ks == pytest.approx([2**0.5], rel=1e-15)
-
-    def test_n_max_validated(self):
-        with pytest.raises(ValueError):
-            resonant_wavenumbers(PhysicalParams(1, 1, 1), 1)
 
 
 class TestCoefficients:
