@@ -54,7 +54,6 @@ from .reduced import (
     reduced_pencil,
 )
 from .stokes import (
-    Amplitude,
     PhysicalParams,
     StokesWave,
     eval_profile,

@@ -2,7 +2,7 @@
 
 One subcommand per analysis stage (wave, dispersion, collisions, krein,
 reduced, spectrum, sweep, threshold, figures).  Every run emits a
-ResultEnvelope (JSON or CSV) echoing the inputs and recording solver
+result envelope (JSON or CSV) echoing the inputs and recording solver
 diagnostics, so results are reproducible byte for byte up to the
 wall-time field.
 
@@ -14,16 +14,13 @@ range, below-threshold query, non-finite input or result, overflow, ...),
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import re
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,27 +44,6 @@ _TOLERANCES = {
     "xi_root": dispersion.XI_ROOT_TOL,
     "omega_origin": dispersion.OMEGA_ORIGIN_TOL,
 }
-
-
-@dataclass
-class ResultEnvelope:
-    command: str
-    inputs: dict
-    results: dict
-    diagnostics: dict
-    schema_version: str = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
-        }
-
-    def to_json(self) -> str:
-        return _dumps(self.to_dict()) + "\n"
 
 
 def validate_envelope(doc: dict) -> None:
@@ -655,20 +631,16 @@ def run(args: argparse.Namespace) -> tuple[str, str]:
         "tolerances": dict(_TOLERANCES),
         "wall_time_s": wall,
     }
-    envelope = ResultEnvelope(
-        command=args.command, inputs=dict(vars(args)),
-        results=results, diagnostics=diagnostics,
-    )
     if args.format == "csv" and rows:
         _dumps(results)  # every result is checked before a row is written
-        buf = io.StringIO()
-        buf.write(_csv_comment(args) + "\n")
-        writer = csv.writer(buf)
-        for row in rows:
-            writer.writerow(row)
-        payload = buf.getvalue()
+        payload = _csv_comment(args) + "\n" + "".join(
+            [",".join(map(str, row)) + "\r\n" for row in rows])
     else:
-        payload = envelope.to_json()
+        payload = _dumps({
+            "schema_version": SCHEMA_VERSION, "command": args.command,
+            "inputs": vars(args), "results": results,
+            "diagnostics": diagnostics,
+        }) + "\n"
     out = args.out if args.command != "figures" else None
     return payload, out or ""
 

@@ -56,13 +56,8 @@ __all__ = [
 # only trips on raw user input.
 _X_TOL = 1e-12
 
-# Points of the uniform xi grid on (0, 1/2] that samples collision
-# intervals; its first point is also the probe used for the small-xi sign
-# of collision_K.
-_XI_GRID = 4096
-_XI_SAMPLES = np.arange(1, _XI_GRID + 1) / (2 * _XI_GRID)
-_XI_SAMPLES.flags.writeable = False
-_XI_EPS = 1.0 / (2 * _XI_GRID)
+# The xi of the probe that decides the small-xi sign of collision_K.
+_XI_EPS = 2.0**-13
 
 #: Absolute xi error bound of the closed-form collision roots away from a
 #: tangency (a double root in x, where xi moves like the square root of
@@ -310,27 +305,30 @@ def collision_interval(beta: float, gamma: float, n: int, m: int) -> CollisionIn
     xi = -(n+m)/2, which lies in the family only as xi = 0 or 1/2.  So
     each extremum is k^4 at xi = -1/2 (the open end), at xi = 1/2, at
     xi = 0 when neither mode is 0 (else a pole there makes k_max
-    math.inf), or the infimum 0 where 1 + p = 0; the dense samples stand
-    in for that, so k_min of such an interval is the least admissible
-    sample, a small positive number.
+    math.inf), or the infimum 0 where 1 + p = 0.  That zero is a root of
+    x^2 + dn*x + 1, which is real and simple only for dn >= 3 (at dn = 2
+    it cancels against the pole), and k^4 changes sign there, so one side
+    of it collides: k_min is then 0.0.  The roots lie more than 1 apart,
+    so at most one is in the family.
     """
+    if n == m:
+        raise ValueError("need two distinct modes")
     n, m = min(n, m), max(n, m)
     dn = m - n
-    if not (_admits_collision(beta, n, dn) or _admits_collision(beta, -m, dn)):
-        raise NoCollision(f"pair {{{n},{m}}} admits no collision for beta={beta}")
-
-    # xi = -1/2 .. -2/(2*_XI_GRID), then the positive samples
-    xs = np.concatenate([-_XI_SAMPLES[:0:-1], _XI_SAMPLES])
-    k4 = _collision_k4(beta, gamma, n + xs, dn)
+    k4 = _collision_k4(beta, gamma, n + np.array([-0.5, 0.5]), dn)
     if n and m:
         # xi = 0, where p = n*m; at dn = 2 the kernel is 1/(6p), whose
         # form removes the pole of {-1, 1} there
         k4 = np.append(k4, gamma / (3.0 * beta * n * m) if dn == 2
                        else _collision_k4(beta, gamma, n, dn))
     k4_adm = k4[k4 > 0]
-    if not k4_adm.size:
+    zero_inside = False
+    if dn >= 3:
+        r = dn + math.sqrt(dn * dn - 4.0)
+        zero_inside = any(abs(x - n) < 0.5 for x in (-2.0 / r, -0.5 * r))
+    if not (zero_inside or k4_adm.size):
         raise NoCollision(f"pair {{{n},{m}}} admits no collision for beta={beta}")
-    k_min = float(k4_adm.min() ** 0.25)
+    k_min = 0.0 if zero_inside else float(k4_adm.min() ** 0.25)
     k_max = math.inf if n == 0 or m == 0 else float(k4_adm.max() ** 0.25)
     return CollisionInterval(n=n, m=m, k_min=k_min, k_max=k_max)
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import dispersion, stokes
 from .errors import ConvergenceFailure
-from .stokes import StokesWave, as_amplitude
+from .stokes import StokesWave, check_amplitude
 
 __all__ = [
     "TruncationConfig",
@@ -183,7 +183,7 @@ def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> 
     dispersion.check_xi(xi)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2 = k**2
-    c, coupling = _wave_terms(wave, as_amplitude(a).a, cfg.N)
+    c, coupling = _wave_terms(wave, check_amplitude(a), cfg.N)
     x = np.arange(-cfg.N, cfg.N + 1) + xi
     L = coupling.copy()
     L[np.diag_indices_from(L)] = k2 * (c - beta * k2 * x**2) - gamma / x**2
@@ -203,7 +203,7 @@ def assemble_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np
 
 def _assemble_real(wave: StokesWave, a, xi: float, N: int) -> np.ndarray:
     """Imaginary part of the Bloch matrix; accepts any xi with n+xi != 0."""
-    c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
+    c, coupling = _wave_terms(wave, check_amplitude(a), N)
     x = np.arange(-N, N + 1) + xi
     R = x[:, None] * coupling
     R[np.diag_indices_from(R)] = dispersion.omega(wave.params, c, x)
@@ -252,14 +252,14 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
     them, on this xi alone and only when there is a candidate.
     """
     dispersion.check_xi(xi)
-    amp = as_amplitude(a)
-    w = eigenvalues(_assemble_real(wave, amp, xi, cfg.N))
+    a = check_amplitude(a)
+    w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
     candidate = np.abs(w.imag) > _RE_TRIGGER
     keep = ~candidate
     grown = []
     if candidate.any():
         if clusters is None:
-            clusters = _on_axis(wave, amp, np.array([xi], dtype=float), cfg.N)[1][0]
+            clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[1][0]
         for c in clusters:
             held = candidate & (c.lo <= w.real) & (w.real <= c.hi)
             if held.any():
@@ -269,7 +269,7 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
     lam = 1j * w
     max_re = float(lam.real[keep].max()) + 0.0 if keep.any() else 0.0
     lam = lam[np.lexsort((lam.real, lam.imag))]
-    return SpectrumSlice(xi=float(xi), a=amp.a, eigenvalues=lam,
+    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam,
                          max_real_part=max_re, paired=_pairing_ok(lam),
                          growth_clusters=tuple(grown))
 
@@ -283,8 +283,7 @@ def _collision_seeds(wave: StokesWave, a) -> list[float]:
     sweep is seeded with each xi0 plus a geometric ladder of offsets
     scaled by a*k^2.
     """
-    amp = abs(as_amplitude(a).a)
-    scale = amp * wave.params.k**2
+    scale = abs(check_amplitude(a)) * wave.params.k**2
     offsets = [0.0]
     for s in (0.001, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
         offsets += [s * scale, -s * scale]
@@ -488,7 +487,7 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
     coupled to it and theirs, and are taken in chunks of at most
     _CERTIFY_BLOCK*(2N+1) entries.
     """
-    c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
+    c, coupling = _wave_terms(wave, check_amplitude(a), N)
     abs_c = np.abs(coupling)
     row_sum = abs_c.sum(axis=1)
     n = np.arange(-N, N + 1)

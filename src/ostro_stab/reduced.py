@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dispersion, stokes
 from .errors import NotACollision, NotUnstable, OrderNotAnalyzed, WrongDispersionSign
-from .stokes import StokesWave, as_amplitude
+from .stokes import StokesWave, check_amplitude
 
 __all__ = [
     "ReducedPencil",
@@ -86,7 +86,7 @@ def reduced_pencil(wave: StokesWave, n: int, m: int, xi0: float, a) -> ReducedPe
     dn = m - n
     if not 1 <= dn <= 2:
         raise OrderNotAnalyzed(f"no reduced pencil for mode separation {dn}")
-    a = as_amplitude(a).a
+    a = check_amplitude(a)
     w = _checked_omega(wave, n, m, xi0)
     W = stokes.harmonic_amplitudes(wave, a)[dn - 1]
     dc = a**2 * wave.c2 if dn == 1 else a**2 * wave.c2 + a**4 * wave.c4
@@ -127,7 +127,7 @@ def eigenvalue_shifts(pencil: ReducedPencil) -> DiscriminantResult:
 
 def discriminant_dn1(wave: StokesWave, n: int, xi0: float, a) -> float:
     """Leading-order discriminant 4*k^4*a^2*(n+xi0)*(n+1+xi0) for dn = 1."""
-    a = as_amplitude(a).a
+    a = check_amplitude(a)
     return 4.0 * wave.params.k**4 * a**2 * (n + xi0) * (n + 1 + xi0)
 
 
@@ -138,7 +138,7 @@ def predicted_growth_rate(wave: StokesWave, n: int, xi0: float, a) -> float:
     signatures); otherwise NotUnstable.  Linear in |a|, the oracle target
     for the truncated-Fourier spectrum.
     """
-    a = as_amplitude(a).a
+    a = check_amplitude(a)
     product = (n + xi0) * (n + 1 + xi0)
     if product >= 0:
         raise NotUnstable(

@@ -21,7 +21,10 @@ correctness oracle.
 
 For beta > 0 the carrier wavenumbers (gamma/(beta*n^2))**(1/4), n >= 2,
 are fundamental/harmonic resonances where the expansion denominators
-vanish; those k are rejected.
+vanish; ``PhysicalParams`` rejects every k within relative distance
+``RESONANCE_RADIUS`` of one.  Near the n = 2, 3, 4 resonances each
+denominator is about 2*RESONANCE_RADIUS of its scale or more, so the
+coefficients of every accepted k are finite.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from .errors import ResonantWavenumber
 
 __all__ = [
     "PhysicalParams",
-    "Amplitude",
     "StokesWave",
-    "as_amplitude",
+    "check_amplitude",
     "check_coefficients",
     "phase_speed_c0",
     "stokes_coefficients",
@@ -49,23 +51,21 @@ __all__ = [
 
 # Largest |a| for which the fourth-order expansion is used.
 A_MAX = 0.1
-# An expansion denominator smaller than this times its natural scale
-# marks a resonant carrier wavenumber.
-_DENOM_TOL = 1e-9
+# Least relative distance of an accepted k from a resonant wavenumber.
+RESONANCE_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dispersion coefficient beta (nonzero), rotation gamma > 0, carrier k > 0.
 
-    For beta > 0, k must keep a relative distance ``resonance_radius``
+    For beta > 0, k must keep a relative distance ``RESONANCE_RADIUS``
     from every resonant wavenumber (gamma/(beta*n^2))**(1/4), n >= 2.
     """
 
     beta: float
     gamma: float
     k: float
-    resonance_radius: float = 1e-6
 
     def __post_init__(self):
         check_coefficients(self.beta, self.gamma)
@@ -73,7 +73,7 @@ class PhysicalParams:
             raise ValueError(f"k must be positive and finite, got {self.k}")
         if self.beta > 0:
             for n, kr in _nearby_resonances(self.beta, self.gamma, self.k):
-                if abs(self.k - kr) <= self.resonance_radius * kr:
+                if abs(self.k - kr) <= RESONANCE_RADIUS * kr:
                     raise ResonantWavenumber(
                         f"k={self.k} within exclusion radius of resonance "
                         f"k={kr} (n={n})"
@@ -88,27 +88,20 @@ def check_coefficients(beta: float, gamma: float) -> None:
         raise ValueError(f"beta must be finite and nonzero, got {beta}")
 
 
+def check_amplitude(a) -> float:
+    """a as a float; ValueError unless |a| <= A_MAX."""
+    a = float(a)
+    if not abs(a) <= A_MAX:
+        raise ValueError(f"|a|={abs(a)} exceeds a_max={A_MAX}")
+    return a
+
+
 def _nearby_resonances(beta, gamma, k):
     """Resonant wavenumbers with index near sqrt(gamma/beta)/k^2."""
     n_star = math.sqrt(gamma / beta) / k**2
     lo = max(2, int(math.floor(n_star)) - 2)
     hi = max(2, int(math.ceil(n_star)) + 2)
     return [(n, (gamma / (beta * n**2)) ** 0.25) for n in range(lo, hi + 1)]
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """Amplitude parameter, |a| <= A_MAX."""
-
-    a: float
-
-    def __post_init__(self):
-        if not abs(self.a) <= A_MAX:
-            raise ValueError(f"|a|={abs(self.a)} exceeds a_max={A_MAX}")
-
-
-def as_amplitude(a) -> Amplitude:
-    return a if isinstance(a, Amplitude) else Amplitude(float(a))
 
 
 @dataclass(frozen=True)
@@ -133,27 +126,16 @@ def phase_speed_c0(params: PhysicalParams) -> float:
 def stokes_coefficients(params: PhysicalParams) -> StokesWave:
     """Build the wave coefficients through fourth order in amplitude.
 
-    Raises ResonantWavenumber if any of the three expansion denominators
-    3*gamma - 12*beta*k^4, 8*gamma - 72*beta*k^4, 15*gamma - 240*beta*k^4
-    is smaller in magnitude than ``_DENOM_TOL`` times its natural scale
-    (these vanish exactly at the n = 2, 3, 4 resonances).
+    The expansion denominators 3*gamma - 12*beta*k^4,
+    8*gamma - 72*beta*k^4 and 15*gamma - 240*beta*k^4 vanish exactly at
+    the n = 2, 3, 4 resonances, which PhysicalParams keeps k away from.
     """
     beta, gamma, k = params.beta, params.gamma, params.k
     k2, k4 = k**2, k**4
-    denominators = (
-        (3 * gamma - 12 * beta * k4, 3 * gamma + 12 * abs(beta) * k4),
-        (8 * gamma - 72 * beta * k4, 8 * gamma + 72 * abs(beta) * k4),
-        (15 * gamma - 240 * beta * k4, 15 * gamma + 240 * abs(beta) * k4),
-    )
-    for d, scale in denominators:
-        if abs(d) < _DENOM_TOL * scale:
-            raise ResonantWavenumber(
-                f"expansion denominator {d} vanishes near k={k}"
-            )
-    A2 = 2 * k2 / denominators[0][0]
-    A3 = 9 * k2 * A2 / denominators[1][0]
+    A2 = 2 * k2 / (3 * gamma - 12 * beta * k4)
+    A3 = 9 * k2 * A2 / (8 * gamma - 72 * beta * k4)
     A42 = 2 * A2 * A3 - 2 * A2**3
-    A44 = 8 * k2 * (A2**2 + 2 * A3) / denominators[2][0]
+    A44 = 8 * k2 * (A2**2 + 2 * A3) / (15 * gamma - 240 * beta * k4)
     c2 = A2
     c4 = 3 * A2 * A3 - 2 * A2**3
     return StokesWave(
@@ -164,7 +146,7 @@ def stokes_coefficients(params: PhysicalParams) -> StokesWave:
 
 def harmonic_amplitudes(wave: StokesWave, a) -> np.ndarray:
     """Cosine-series amplitudes [W1, W2, W3, W4] of the profile at amplitude a."""
-    a = as_amplitude(a).a
+    a = check_amplitude(a)
     return np.array([
         a,
         a**2 * wave.A2 + a**4 * wave.A42,
@@ -188,7 +170,7 @@ def eval_profile(wave: StokesWave, a, z):
 
 def eval_speed(wave: StokesWave, a) -> float:
     """Wave speed c0 + a^2*c2 + a^4*c4 (even in a)."""
-    a = as_amplitude(a).a
+    a = check_amplitude(a)
     return wave.c0 + a**2 * wave.c2 + a**4 * wave.c4
 
 
@@ -203,12 +185,12 @@ def residual_F(wave: StokesWave, a, grid_size: int = 256) -> float:
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
-    amp = as_amplitude(a)
+    a = check_amplitude(a)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2, k4 = k**2, k**4
     z = 2 * np.pi * np.arange(grid_size) / grid_size
-    w = eval_profile(wave, amp, z)
-    c = eval_speed(wave, amp)
+    w = eval_profile(wave, a, z)
+    c = eval_speed(wave, a)
     # w has harmonics 1..4 and w^2 harmonics 0..8; anything above is FFT
     # rounding noise and would be blown up by the j^4 differentiation.
     w_hat = np.fft.rfft(w)

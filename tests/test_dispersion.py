@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ostro_stab import (
+    CollisionInterval,
     DivisionByZero,
     NoCollision,
     PhysicalParams,
@@ -36,6 +37,11 @@ P111 = PhysicalParams(1, 1, 1)
 # omega' is even), and below about 1e-7 rounding swamps its gap ~ xi^2.
 SCAN_XI = np.unique(np.concatenate([np.arange(1, 2**14 + 1) / 2**15,
                                     np.geomspace(1e-6, 2.0**-15, 80)]))
+
+
+# A dense sampling of the Floquet family xi in (-1/2, 1/2] \ {0}: the
+# 8191 points j/8192, j = -4096 .. 4096, j != 0, -1.
+FAMILY_XI = np.concatenate([np.arange(-4096, -1), np.arange(1, 4097)]) / 8192.0
 
 
 def scan_collision_xi(params, n, m):
@@ -120,13 +126,12 @@ class TestCollisionKernel:
 
     @pytest.mark.parametrize("dn", [1, 2, 3, 4])
     def test_matches_cubic_form_to_4_ulps(self, dn):
-        # the kernel against the cubic form at 50 digits on the points the
-        # program evaluates: the K_curves grid, the collision_interval
-        # samples of the pairs {-1, dn - 1}, and the collision_contour grid
-        samples = dispersion._XI_SAMPLES
+        # the kernel against the cubic form at 50 digits on the K_curves
+        # grid, a dense sampling of the Floquet family of the pairs
+        # {-1, dn - 1}, and the collision_contour grid
         xs = np.concatenate([
             np.arange(-256 * (dn + 2), 513) / 256.0,
-            -1 + np.concatenate([-samples[:0:-1], samples]),
+            -1 + FAMILY_XI,
             -1 + default_xi_grid(512),
         ])
         with mpmath.workdps(50):
@@ -303,7 +308,44 @@ class TestCollisionInterval:
         # {0,5} collides only on the xi < 0 branch; its infimum is 0
         iv = collision_interval(-1, 1, 0, 5)
         assert math.isinf(iv.k_max)
-        assert 0 < iv.k_min < 0.1
+        assert iv.k_min == 0.0
+
+    @pytest.mark.parametrize("n, m", [(-3, 0), (-4, 0)])
+    def test_zero_of_kernel_inside_family(self, n, m):
+        # 1 + p vanishes at x = (-dn +- sqrt(dn^2 - 4))/2, inside the family
+        assert collision_interval(-1, 1, n, m) == CollisionInterval(
+            n, m, 0.0, math.inf)
+
+    @given(beta=st.floats(0.05, 20.0), negative=st.booleans(),
+           gamma=st.floats(0.05, 20.0))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_dense_sampling(self, beta, negative, gamma):
+        # k^4 on FAMILY_XI and at xi = 0 (the removable pole at dn = 2
+        # taken as 1/(6p)); where 1 + p has no zero in the family the
+        # interval is the least and the greatest admissible sample,
+        # bit for bit
+        beta = -beta if negative else beta
+        for dn in range(1, 9):
+            for n in range(-8, 9):
+                m = n + dn
+                k4 = dispersion._collision_k4(beta, gamma, n + FAMILY_XI, dn)
+                if n and m:
+                    k4 = np.append(k4, gamma / (3.0 * beta * n * m) if dn == 2
+                                   else dispersion._collision_k4(beta, gamma, n, dn))
+                k4 = k4[k4 > 0]
+                roots = np.roots([1.0, dn, 1.0])
+                zero_inside = dn >= 3 and bool(np.any(np.abs(roots - n) < 0.5))
+                if not (k4.size or zero_inside):
+                    with pytest.raises(NoCollision):
+                        collision_interval(beta, gamma, n, m)
+                    continue
+                iv = collision_interval(beta, gamma, n, m)
+                assert (iv.n, iv.m) == (n, m)
+                # the least and the greatest admissible sample bound all
+                lo, hi = float(k4.min() ** 0.25), float(k4.max() ** 0.25)
+                assert iv.k_min <= lo and hi <= iv.k_max
+                assert iv.k_min == (0.0 if zero_inside else lo)
+                assert iv.k_max == (hi if n and m else math.inf)
 
     def test_no_collision(self):
         with pytest.raises(NoCollision):

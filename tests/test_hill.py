@@ -46,7 +46,7 @@ from ostro_stab.hill import (
     _pairing_ok,
     _wave_terms,
 )
-from ostro_stab.stokes import A_MAX, as_amplitude
+from ostro_stab.stokes import A_MAX, check_amplitude
 
 
 def wave_at(beta, gamma, k):
@@ -638,7 +638,7 @@ def full_width_on_axis(wave, a, xis, N):
     values; (b) and (c) on the slices left, with rows 2N+1 wide and delta
     taken over every mode.
     """
-    c, coupling = _wave_terms(wave, as_amplitude(a).a, N)
+    c, coupling = _wave_terms(wave, check_amplitude(a), N)
     abs_c = np.abs(coupling)
     row_sum = abs_c.sum(axis=1)
     n = np.arange(-N, N + 1)
@@ -810,12 +810,12 @@ def two_solve_slice(wave, a, xi, cfg):
     solves the slice again, and its eigenvalues and eigenvectors replace
     those of the first solve for the filters.
     """
-    amp = as_amplitude(a)
-    R = _assemble_real(wave, amp, xi, cfg.N)
+    a = check_amplitude(a)
+    R = _assemble_real(wave, a, xi, cfg.N)
     lam = 1j * eigenvalues(R)
     re = lam.real
     if np.any(np.abs(re) > _RE_TRIGGER):
-        w, keep = two_solve_kept(R, assemble_L_matrix(wave, amp, xi, cfg),
+        w, keep = two_solve_kept(R, assemble_L_matrix(wave, a, xi, cfg),
                                  cfg.boundary_margin)
         lam = 1j * w
         re = lam.real
@@ -823,7 +823,7 @@ def two_solve_slice(wave, a, xi, cfg):
     else:
         max_re = float(re.max()) + 0.0
     lam = lam[np.lexsort((lam.real, lam.imag))]
-    return SpectrumSlice(xi=float(xi), a=amp.a, eigenvalues=lam,
+    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam,
                          max_real_part=max_re, paired=_pairing_ok(lam))
 
 

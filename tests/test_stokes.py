@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ostro_stab import (
-    Amplitude,
     PhysicalParams,
     ResonantWavenumber,
     eval_profile,
@@ -13,6 +12,7 @@ from ostro_stab import (
     residual_F,
     stokes_coefficients,
 )
+from ostro_stab.stokes import RESONANCE_RADIUS, check_amplitude
 
 # frozen regression value, measured once on a 256-point grid
 RESIDUAL_A001 = 2.0543789574507034e-11
@@ -37,7 +37,7 @@ class TestParams:
         # just outside the default exclusion radius is fine
         PhysicalParams(1.0, 1.0, 0.25**0.25 * (1 + 1e-5))
 
-    @pytest.mark.parametrize("gamma, n", [(1.0, 2), (1.0, 3), (16.0, 2)])
+    @pytest.mark.parametrize("gamma, n", [(1.0, 2), (1.0, 3), (1.0, 4), (16.0, 2)])
     def test_each_resonance_rejected(self, gamma, n):
         # k = (gamma/(beta*n^2))^(1/4); beta < 0 has no resonance
         k = (gamma / n**2) ** 0.25
@@ -45,13 +45,25 @@ class TestParams:
             PhysicalParams(1.0, gamma, k)
         PhysicalParams(-1.0, gamma, k)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_finite_coefficients_just_outside_radius(self, n, side):
+        # the n = 2, 3, 4 resonances are where the expansion denominators
+        # vanish; the least distance PhysicalParams accepts keeps them finite
+        k = (1.0 / n**2) ** 0.25 * (1 + side * 1.01 * RESONANCE_RADIUS)
+        w = stokes_coefficients(PhysicalParams(1.0, 1.0, k))
+        assert np.isfinite([w.A2, w.A3, w.A42, w.A44, w.c4]).all()
+
     def test_negative_beta_never_resonant(self):
         PhysicalParams(-1.0, 1.0, 0.25**0.25)
 
     def test_amplitude_bound(self):
-        Amplitude(0.1)
-        with pytest.raises(ValueError):
-            Amplitude(0.2)
+        assert check_amplitude(0.1) == 0.1
+        assert check_amplitude(-0.1) == -0.1
+        assert type(check_amplitude(np.float64(0.05))) is float
+        for a in (0.2, -0.2, float("nan")):
+            with pytest.raises(ValueError):
+                check_amplitude(a)
 
 
 class TestPhaseSpeed:
@@ -80,13 +92,6 @@ class TestCoefficients:
         assert w.c2 == w.A2
         assert w.A42 == 2 * w.A2 * w.A3 - 2 * w.A2**3
         assert w.c4 == 3 * w.A2 * w.A3 - 2 * w.A2**3
-
-    def test_denominator_guard(self):
-        # sneak past the k-level exclusion, hit the denominator check
-        p = PhysicalParams(1.0, 1.0, 0.25**0.25 * (1 + 1e-13),
-                           resonance_radius=0.0)
-        with pytest.raises(ResonantWavenumber):
-            stokes_coefficients(p)
 
 
 class TestProfile:
