@@ -22,14 +22,17 @@ cluster proves every eigenvalue real when the cluster is one mode, modes
 of one sign, or a pair of opposite sign whose Schur-complement
 determinant is positive.  A slice whose every cluster passes scores 0.0,
 as its solve would, and an xi sweep does not solve it.  The rest are
-solved once, for their eigenvalues, and the clusters left open decide
-which growth counts: only growth whose frequency lies in an open cluster
-without one of the boundary_margin modes next to +-N.  Slice by slice,
-the certificate looks only at the modes that can meet a mode of the
-other sign: over each block of xi values, a hull of every mode's
-interval proves the others apart on the whole block.  A sweep refines
-its best point by parabolic steps on a lattice of 63 points certified
-in one call, and a certified maximiser is not solved.
+solved once, and the clusters left open decide which growth counts: only
+growth whose frequency lies in an open cluster without one of the
+boundary_margin modes next to +-N.  A sweep solves such a slice on a
+window of those clusters' modes only, two coupling-band widths wider on
+each side, and a residual guard in the whole matrix vouches for each
+eigenvalue that counts; a single slice query solves all 2N+1 modes.
+Slice by slice, the certificate looks only at the modes that can meet a
+mode of the other sign: over each block of xi values, a hull of every
+mode's interval proves the others apart on the whole block.  A sweep
+refines its best point by parabolic steps on a lattice of 63 points
+certified in one call, and a certified maximiser is not solved.
 
 The real solver returns exact conjugate pairs, so every solved spectrum
 is exactly symmetric under lambda -> -conj(lambda); a slice's
@@ -142,8 +145,10 @@ class Cluster(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class SpectrumSlice:
     """Eigenvalues of the truncated operator at one (a, xi), compared by
-    identity.  ``growth_clusters`` are the open clusters that hold a growth
-    candidate; it counts unless the cluster holds a boundary mode."""
+    identity: all 2N+1 of them, or, for a slice a sweep solved on a window,
+    the window's (see spectrum_slice).  ``growth_clusters`` are the open
+    clusters that hold a growth candidate; it counts unless the cluster
+    holds a boundary mode."""
 
     xi: float
     a: float
@@ -211,14 +216,24 @@ def _assemble_real(wave: StokesWave, a, xi: float, N: int) -> np.ndarray:
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense complex matrix (backward-stable solve)."""
+    """All eigenvalues of a dense square matrix (backward-stable solve).
+
+    The Hill layer passes the real R, whose complex eigenvalues the real
+    solver returns as exact conjugate pairs.
+    """
+    return _solve(np.linalg.eigvals, matrix)
+
+
+def _solve(solver, matrix: np.ndarray):
+    """``solver`` (np.linalg.eigvals or np.linalg.eig) on a square matrix
+    of at most MAX_DIM rows; LAPACK's failure is a ConvergenceFailure."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     if matrix.shape[0] > MAX_DIM:
         raise ValueError(f"matrix dimension exceeds the {MAX_DIM} guard")
     try:
-        return np.linalg.eigvals(matrix)
+        return solver(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -241,37 +256,82 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
     """Assemble and solve one (a, xi) slice.
 
     The matrix is i times a real matrix R, so the real eigensolver is
-    used, once; its output is exactly symmetric under
-    lambda -> -conj(lambda), which ``paired`` checks exactly on the
-    (imag, real)-sorted eigenvalues.  A growth candidate i*w, |Im w| above
-    _RE_TRIGGER, counts only when Re w lies in the span of an open
-    cluster without a boundary mode (see _on_axis): outside every open
-    span the certificate proved it real, so its real part is solver
-    noise; in a boundary cluster it is a truncation artifact.  A sweep
-    passes the slice's open ``clusters``; else _on_axis is asked for
-    them, on this xi alone and only when there is a candidate.
+    used; its output is exactly symmetric under lambda -> -conj(lambda),
+    which ``paired`` checks exactly on the (imag, real)-sorted
+    eigenvalues.  A growth candidate i*w, |Im w| above _RE_TRIGGER, counts
+    only when Re w lies in the span of an open cluster without a boundary
+    mode (see _on_axis): outside every open span the certificate proved it
+    real, so its real part is solver noise; in a boundary cluster it is a
+    truncation artifact.
+
+    Without ``clusters`` (a single query) all 2N+1 modes are solved, and
+    _on_axis is asked for the open clusters on this xi alone, only when
+    there is a candidate.  A sweep passes the slice's open clusters, and
+    only a window of R is solved: the modes of the open clusters without
+    a boundary mode, widened on each side by two widths of the coupling
+    band and clipped to -N..N (a window of every mode is the full solve).
+    Each counted eigenpair (mu, v) of the window, v of unit norm, must
+    pass a residual guard in R:
+    ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf.  Then mu is an
+    exact eigenvalue of R + E, ||E||_2 at most the window's backward
+    error plus that bound, inside the noise _on_axis allows the solve.
+    A slice that fails the guard is solved on all 2N+1 modes.  The
+    window slice holds the window's eigenvalues, and its growth_clusters
+    only the clusters that hold one of them; when every open cluster
+    holds a boundary mode, nothing can count, the window is empty and
+    the slice scores 0.0.
     """
     dispersion.check_xi(xi)
     a = check_amplitude(a)
-    w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
+    R = _assemble_real(wave, a, xi, cfg.N)
+    w = None
+    if clusters is not None:
+        # the window as rows lo..hi-1 of R; empty when every open cluster
+        # holds a boundary mode
+        rows = [n + cfg.N for c in clusters if not c.boundary for n in c.modes]
+        margin = 2 * len(stokes.harmonic_amplitudes(wave, a))
+        lo, hi = ((max(min(rows) - margin, 0), min(max(rows) + margin + 1, len(R)))
+                  if rows else (0, 0))
+        if hi - lo < len(R):
+            w, v = _solve(np.linalg.eig, R[lo:hi, lo:hi])
+            counted, grown = _attribute(w, clusters)
+            if counted.any():
+                rest = np.concatenate([R[:lo, lo:hi], R[hi:, lo:hi]]) @ v[:, counted]
+                bound = _CERTIFY_MARGIN * np.abs(R).sum(axis=1).max()
+                if not np.all(np.linalg.norm(rest, axis=0) <= bound):
+                    w = None
+    if w is None:
+        w = eigenvalues(R)
+        if clusters is None and np.any(np.abs(w.imag) > _RE_TRIGGER):
+            clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[1][0]
+        counted, grown = _attribute(w, clusters or ())
+    lam = 1j * w
+    keep = counted | (np.abs(w.imag) <= _RE_TRIGGER)
+    max_re = float(lam.real[keep].max()) + 0.0 if keep.any() else 0.0
+    lam = lam[np.lexsort((lam.real, lam.imag))]
+    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam,
+                         max_real_part=max_re, paired=_pairing_ok(lam),
+                         growth_clusters=grown)
+
+
+def _attribute(w: np.ndarray,
+               clusters: tuple[Cluster, ...]) -> tuple[np.ndarray, tuple[Cluster, ...]]:
+    """Which growth candidates count, and the clusters that hold one.
+
+    A candidate, |Im w| above _RE_TRIGGER, belongs to the cluster whose
+    span holds Re w, and counts unless that cluster holds a boundary mode.
+    """
     candidate = np.abs(w.imag) > _RE_TRIGGER
-    keep = ~candidate
+    counted = np.zeros(w.size, dtype=bool)
     grown = []
     if candidate.any():
-        if clusters is None:
-            clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[1][0]
         for c in clusters:
             held = candidate & (c.lo <= w.real) & (w.real <= c.hi)
             if held.any():
                 grown.append(c)
                 if not c.boundary:
-                    keep |= held
-    lam = 1j * w
-    max_re = float(lam.real[keep].max()) + 0.0 if keep.any() else 0.0
-    lam = lam[np.lexsort((lam.real, lam.imag))]
-    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam,
-                         max_real_part=max_re, paired=_pairing_ok(lam),
-                         growth_clusters=tuple(grown))
+                    counted |= held
+    return counted, tuple(grown)
 
 
 def _collision_seeds(wave: StokesWave, a) -> list[float]:
@@ -420,11 +480,17 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
         det = (|S1_pp| - e_pp)*(|S1_qq| - e_qq) - (|S1_pq| + e_pq)^2 > 0.
 
     Each certified eigenvalue is real, so lambda = i*mu lies on the
-    imaginary axis.  The solve must find that too.  It is backward stable
-    but does not keep the pencil structure: it solves a real perturbation
-    of R whose entries, as the pair sees them, are bounded by
-    eta = _SOLVE_NOISE*||R||_inf (1e3 times the cluster gap, room for the
-    backward-error constant of the dimension and the |X|^{1/2} scaling).
+    imaginary axis.  A solve of all 2N+1 modes must find that too.  It is
+    backward stable but does not keep the pencil structure: it solves a
+    real perturbation of R whose entries, as the pair sees them, are
+    bounded by eta = _SOLVE_NOISE*||R||_inf (1e3 times the cluster gap,
+    room for the backward-error constant of the dimension and the
+    |X|^{1/2} scaling).  A sweep solves an open slice on a window of R
+    only (see spectrum_slice).  There an eigenvalue counts only when the
+    residual of its eigenvector in R, beyond the window solve's own
+    backward error, is at most _CERTIFY_MARGIN*||R||_inf, so it too is
+    exact for a perturbation of R inside eta; the window's eigenvalues in
+    certified clusters do not count, whatever their rounding.
     The pair's eigenvalues are mid +- sqrt(det), det = dc^2/4 - h^2, dc
     the centre difference and h = |S1_pq| + e_pq the coupling bound;
     entries moved by eta lower det by at most eta*(|dc| + 2*h + eta).  So
@@ -609,11 +675,12 @@ def max_growth(wave: StokesWave, a,
     """Maximize max_real_part over the xi sweep, with parabolic refinement.
 
     Returns (xi_star, growth, slice at xi_star), the slice None when the
-    maximiser was certified and so not solved.  The uniform grid is
-    augmented with collision-seeded candidates (see _collision_seeds):
-    high-frequency bubbles can be far narrower than any practical
-    uniform grid spacing, but they sit at the analytically known
-    collision points.
+    maximiser was certified and so not solved.  A solved slice holds the
+    eigenvalues of its window, not all 2N+1 (see spectrum_slice).  The
+    uniform grid is augmented with collision-seeded candidates (see
+    _collision_seeds): high-frequency bubbles can be far narrower than
+    any practical uniform grid spacing, but they sit at the analytically
+    known collision points.
 
     Only slices that may grow are solved.  A slice that _on_axis
     certifies has every eigenvalue on the imaginary axis: by an inertia
@@ -624,7 +691,8 @@ def max_growth(wave: StokesWave, a,
     without a solve.  Growth can appear only where a colliding pair of
     opposite sign is not held apart, or in a larger mixed cluster; each
     solved slice gets those clusters, which decide what growth counts
-    (see spectrum_slice).  The grid is certified in one call.
+    and which window of modes is solved (see spectrum_slice).  The grid
+    is certified in one call.
 
     The refinement keeps the best grid point m and its bracket of grid
     neighbours, and visits only a lattice of _LATTICE - 1 points evenly
@@ -679,7 +747,7 @@ def _growth(wave: StokesWave, a, xis: np.ndarray, clusters: list[tuple[Cluster, 
     """max_real_part at each xi, and the solved slices by index.
 
     Certified slices, which have no open clusters, score 0.0 and are not
-    solved; the others are solved with their open clusters.
+    solved; the others are solved on the window of their open clusters.
     """
     growth = np.zeros(xis.size)
     solved = {}

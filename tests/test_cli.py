@@ -502,6 +502,21 @@ class TestCommands:
         assert r["max_real_part"] < 1e-8
         assert r["growth_clusters"] == []
 
+    def test_spectrum_slice_solves_every_mode(self, capsys):
+        # a --xi query solves all 2N+1 modes, not a window: at the {-1,0}
+        # collision its eigenvalues are the full real solve's, sorted by
+        # (imag, real), bit for bit
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6",
+            "--a", "0.01", "--xi", "0.27983", "--N", "32"])
+        assert code == 0
+        wave = stokes_coefficients(PhysicalParams(1, 1, 1.6))
+        lam = 1j * np.linalg.eigvals(hill._assemble_real(wave, 0.01, 0.27983, 32))
+        lam = lam[np.lexsort((lam.real, lam.imag))]
+        assert doc["results"]["eigenvalues"] == np.column_stack(
+            (lam.real, lam.imag)).tolist()
+        assert len(lam) == 65 and doc["results"]["max_real_part"] > 0.01
+
     @pytest.mark.parametrize("boundary", [False, True])
     def test_spectrum_slice_names_growth_clusters(self, capsys, monkeypatch,
                                                   boundary):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import eig, toeplitz
 
 from ostro_stab import (
     ConvergenceFailure,
@@ -877,9 +877,33 @@ class TestOneSolve:
             assert abs(sl.max_real_part - ref.max_real_part) <= tol
 
 
+def window_slice(wave, a, xi, cfg):
+    """Reference slice, solved as a sweep solves it.
+
+    A slice that _on_axis certifies on its own xi scores 0.0 unsolved.
+    Otherwise np.linalg.eig solves the modes of its open clusters without
+    a boundary mode, 8 more on each side (two widths of the 4 coupling
+    bands), clipped to -N..N; the cluster rule decides what counts.
+    """
+    a = check_amplitude(a)
+    N = cfg.N
+    clusters = _on_axis(wave, a, np.array([xi]), N)[1][0]
+    modes = [n for c in clusters if not c.boundary for n in c.modes]
+    lam, max_re = np.empty(0, dtype=complex), 0.0
+    if modes:
+        lo, hi = max(min(modes) - 8, -N) + N, min(max(modes) + 8, N) + N + 1
+        w = np.linalg.eig(_assemble_real(wave, a, xi, N)[lo:hi, lo:hi])[0]
+        keep = cluster_kept(w, clusters)
+        lam = 1j * w
+        max_re = float(lam.real[keep].max()) + 0.0 if keep.any() else 0.0
+        lam = lam[np.lexsort((lam.real, lam.imag))]
+    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam,
+                         max_real_part=max_re, paired=_pairing_ok(lam))
+
+
 def exhaustive_max_growth(wave, a, cfg):
-    """Reference sweep: solves every slice, grid and refinement alike, and
-    returns the refinement's probes too.
+    """Reference sweep: solves every slice, grid and refinement alike, as
+    window_slice does, and returns the refinement's probes too.
 
     The refinement, written out: the bracket's ends and its best point m
     are slices; each round probes the vertex of the parabola through
@@ -891,7 +915,7 @@ def exhaustive_max_growth(wave, a, cfg):
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a))
     ]))
-    slices = [two_solve_slice(wave, a, t, cfg) for t in grid]
+    slices = [window_slice(wave, a, t, cfg) for t in grid]
     best = max(slices, key=lambda s: s.max_real_part)
     i = slices.index(best)
     lo, hi = slices[max(i - 1, 0)], slices[min(i + 1, grid.size - 1)]
@@ -913,7 +937,7 @@ def exhaustive_max_growth(wave, a, cfg):
         j = min(free, key=lambda j: abs(lattice[j] - v))
         visited.add(j)
         probes.append(lattice[j])
-        t = two_solve_slice(wave, a, lattice[j], cfg)
+        t = window_slice(wave, a, lattice[j], cfg)
         # at a bracket end, best is that end
         ends = sorted({id(s): s for s in (lo, best, hi, t)}.values(),
                       key=lambda s: s.xi)
@@ -1082,6 +1106,121 @@ class TestMaxGrowth:
         _, g2, _ = max_growth(w, 0.02, CFG32)
         _, g1, _ = max_growth(w, 0.01, CFG32)
         assert 1.8 <= g2 / g1 <= 2.2
+
+
+# one wave of each group of the sweep benchmark: beta > 0 above and below
+# the {-1,0} threshold, and beta < 0
+BENCH_GROUPS = [
+    (1.0, 2.0, 1.3 * 8.0**0.25, 0.01),
+    (1.0, 2.0, 0.8 * 8.0**0.25, 0.01),
+    (-1.0, 3.0, 0.9 * 3.0**0.25, 0.015),
+]
+
+
+def recorded_sweep(wave, a, cfg):
+    """max_growth's result, with each slice it solved and its clusters."""
+    calls = []
+
+    def recording_slice(wave, a, xi, cfg, clusters=None):
+        sl = spectrum_slice(wave, a, xi, cfg, clusters)
+        calls.append((sl, clusters))
+        return sl
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hill, "spectrum_slice", recording_slice)
+        return max_growth(wave, a, cfg), calls
+
+
+class TestWindowSolve:
+    @settings(max_examples=30, deadline=None)
+    @given(**_WAVES, N=st.one_of(st.integers(8, 48), st.just(96)),
+           xi_grid=st.sampled_from([16, 64]))
+    def test_matches_full_solve(self, beta, gamma, u, a, N, xi_grid):
+        """Every slice a sweep solves on a window grows as two_solve_slice
+        does on all 2N+1 modes, within
+
+            tol = _RE_TRIGGER + 2*kappa*3*_CERTIFY_MARGIN*||R||_inf.
+
+        The full solve's growing eigenvalue is exact for R + E_f, ||E_f||_2
+        at most _CERTIFY_MARGIN*||R||_inf (TestOneSolve checks that
+        residual).  The window's counted eigenvalue is exact for R + E_w,
+        ||E_w||_2 at most the window solve's backward error, no larger for
+        a block of R, plus the guard's bound _CERTIFY_MARGIN*||R||_inf.
+        Both lie within kappa*||E||_2 of
+        the exact eigenvalue to first order, kappa the largest condition
+        number 1/|y^H x| (unit left and right eigenvectors) of an
+        eigenvalue of R off the real line, or 1 when there is none; the
+        factor 2 covers the second-order term.  _RE_TRIGGER covers growth
+        below the trigger, which is noise on either side.
+        """
+        w = _drawn_wave(beta, gamma, u)
+        cfg = TruncationConfig(N=N, xi_grid=xi_grid)
+        _, calls = recorded_sweep(w, a, cfg)
+        for sl, _ in calls:
+            R = _assemble_real(w, a, sl.xi, N)
+            norm = np.abs(R).sum(axis=1).max()
+            lam, left, right = eig(R, left=True)
+            kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
+            kappa = kappa[np.abs(lam.imag) > _RE_TRIGGER].max(initial=1.0)
+            tol = _RE_TRIGGER + 2 * kappa * 3 * _CERTIFY_MARGIN * norm
+            ref = two_solve_slice(w, a, sl.xi, cfg)
+            assert abs(sl.max_real_part - ref.max_real_part) <= tol
+
+    def test_guard_failure_falls_back_to_full_solve(self, monkeypatch):
+        # with the guard's bound at 0 no counted window eigenpair passes,
+        # and the slice is the full solve's, bit for bit
+        w = wave_at(1, 1, 1.6)
+        xi = collision_xi(w.params, -1, 0)[0]
+        clusters = _on_axis(w, 0.01, np.array([xi]), 32)[1][0]
+        full = spectrum_slice(w, 0.01, xi, CFG32)
+        window = spectrum_slice(w, 0.01, xi, CFG32, clusters)
+        assert full.eigenvalues.size == 65 and window.eigenvalues.size == 18
+        assert window.max_real_part == pytest.approx(full.max_real_part, rel=1e-12)
+        monkeypatch.setattr(hill, "_CERTIFY_MARGIN", 0.0)
+        sl = spectrum_slice(w, 0.01, xi, CFG32, clusters)
+        assert sl.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+        assert (sl.max_real_part, sl.paired) == (full.max_real_part, full.paired)
+        assert sl.growth_clusters == full.growth_clusters == clusters
+
+    def test_boundary_clusters_leave_an_empty_window(self, monkeypatch):
+        # at k = 0.708, a = 0.08, N = 9 the one open cluster holds every
+        # mode, the boundary modes among them: no growth can count, so
+        # nothing is solved and the slice scores 0.0
+        w, cfg = wave_at(1, 1, 0.708), TruncationConfig(N=9)
+        clusters = _on_axis(w, 0.08, np.array([0.1]), 9)[1][0]
+        assert [c.boundary for c in clusters] == [True]
+        monkeypatch.setattr(hill, "eigenvalues", None)
+        sl = spectrum_slice(w, 0.08, 0.1, cfg, clusters)
+        assert (sl.eigenvalues.size, sl.max_real_part, sl.paired) == (0, 0.0, True)
+        assert sl.growth_clusters == ()
+
+    @pytest.mark.parametrize("beta, gamma, k, a", BENCH_GROUPS)
+    def test_sweep_solves_windows_only(self, beta, gamma, k, a, monkeypatch):
+        # at N = 96 every matrix the sweep hands the solver is the window
+        # of the slice's open clusters, far below 2N+1 = 193
+        dims = []
+
+        def recording_solve(solver, matrix):
+            dims.append(matrix.shape[0])
+            return hill_solve(solver, matrix)
+
+        hill_solve = hill._solve
+        monkeypatch.setattr(hill, "_solve", recording_solve)
+        _, calls = recorded_sweep(wave_at(beta, gamma, k), a, TruncationConfig(N=96))
+        windows = []
+        for _, clusters in calls:
+            modes = [n for c in clusters if not c.boundary for n in c.modes]
+            windows.append(min(max(modes) + 8, 96) - max(min(modes) - 8, -96) + 1)
+        assert dims == windows
+        assert dims and max(dims) <= 24
+
+    @pytest.mark.parametrize("beta, gamma, k, a", BENCH_GROUPS)
+    def test_sweep_independent_of_truncation(self, beta, gamma, k, a):
+        # the windows hold the same modes at every N, so the sweep returns
+        # the same xi_star and growth, bit for bit
+        w = wave_at(beta, gamma, k)
+        results = {max_growth(w, a, TruncationConfig(N=N))[:2] for N in (32, 64, 96)}
+        assert len(results) == 1
 
 
 class TestKreinAtZeroAmplitude:
