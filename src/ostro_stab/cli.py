@@ -320,8 +320,10 @@ def _cmd_spectrum(args):
                                 for c in sl.growth_clusters],
             "eigenvalues": eigenvalues,
         }
-        rows = [("re", "im")]
-        rows += [(_fmt(re), _fmt(im)) for re, im in eigenvalues]
+        # 2N+1 rows of text that only --format csv writes
+        rows = None
+        if args.format == "csv":
+            rows = [("re", "im")] + [(_fmt(re), _fmt(im)) for re, im in eigenvalues]
         return results, rows
     xi_star, growth, sl = hill.max_growth(wave, args.a, cfg)
     # a certified maximiser is not solved; its solve would be paired

@@ -31,8 +31,10 @@ eigenvalue that counts; a single slice query solves all 2N+1 modes.
 Slice by slice, the certificate looks only at the modes that can meet a
 mode of the other sign: over each block of xi values, a hull of every
 mode's interval proves the others apart on the whole block.  A sweep
-refines its best point by parabolic steps on a lattice of 63 points
-certified in one call, and a certified maximiser is not solved.
+builds those hulls once, over its grid, and certifies on them both the
+grid and the lattice of 63 points inside the bracket of its best point,
+where it refines by parabolic steps; a certified maximiser is not
+solved.
 
 The real solver returns exact conjugate pairs, so every solved spectrum
 is exactly symmetric under lambda -> -conj(lambda); a slice's
@@ -179,6 +181,15 @@ def _wave_terms(wave: StokesWave, a: float, N: int) -> tuple[float, np.ndarray]:
     return stokes.eval_speed(wave, a), coupling
 
 
+@functools.lru_cache(maxsize=1)
+def _row_sums(wave: StokesWave, a: float, N: int) -> np.ndarray:
+    """sum_m |C_nm| over each row of the coupling of _wave_terms, so that
+    row n of R sums to |omega(n+xi)| + |n+xi|*row_sum_n in absolute value."""
+    row_sum = np.abs(_wave_terms(wave, a, N)[1]).sum(axis=1)
+    row_sum.flags.writeable = False
+    return row_sum
+
+
 def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np.ndarray:
     """Self-adjoint factor L, truncated to modes -N..N.
 
@@ -275,6 +286,9 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
     ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf.  Then mu is an
     exact eigenvalue of R + E, ||E||_2 at most the window's backward
     error plus that bound, inside the noise _on_axis allows the solve.
+    Only the window's columns are assembled, on its rows and the band
+    rows next to it (no other row reaches them), and ||R||_inf is the
+    largest row term |omega(n+xi)| + |n+xi|*sum_m |C_nm|, O(N) in all.
     A slice that fails the guard is solved on all 2N+1 modes.  The
     window slice holds the window's eigenvalues, and its growth_clusters
     only the clusters that hold one of them; when every open cluster
@@ -283,25 +297,34 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
     """
     dispersion.check_xi(xi)
     a = check_amplitude(a)
-    R = _assemble_real(wave, a, xi, cfg.N)
+    size = 2 * cfg.N + 1
     w = None
     if clusters is not None:
         # the window as rows lo..hi-1 of R; empty when every open cluster
         # holds a boundary mode
+        band = len(stokes.harmonic_amplitudes(wave, a))
         rows = [n + cfg.N for c in clusters if not c.boundary for n in c.modes]
-        margin = 2 * len(stokes.harmonic_amplitudes(wave, a))
-        lo, hi = ((max(min(rows) - margin, 0), min(max(rows) + margin + 1, len(R)))
+        lo, hi = ((max(min(rows) - 2 * band, 0), min(max(rows) + 2 * band + 1, size))
                   if rows else (0, 0))
-        if hi - lo < len(R):
-            w, v = _solve(np.linalg.eig, R[lo:hi, lo:hi])
+        if hi - lo < size:
+            # the window's columns of R on its rows and on the band rows
+            # around it, which hold every other nonzero of those columns
+            c, coupling = _wave_terms(wave, a, cfg.N)
+            x = np.arange(-cfg.N, cfg.N + 1) + xi
+            centre = dispersion.omega(wave.params, c, x)
+            top, bottom = max(lo - band, 0), min(hi + band, size)
+            cols = x[top:bottom, None] * coupling[top:bottom, lo:hi]
+            window = cols[lo - top:hi - top]
+            window[np.diag_indices_from(window)] = centre[lo:hi]
+            w, v = _solve(np.linalg.eig, window)
             counted, grown = _attribute(w, clusters)
             if counted.any():
-                rest = np.concatenate([R[:lo, lo:hi], R[hi:, lo:hi]]) @ v[:, counted]
-                bound = _CERTIFY_MARGIN * np.abs(R).sum(axis=1).max()
-                if not np.all(np.linalg.norm(rest, axis=0) <= bound):
+                rest = np.concatenate([cols[:lo - top], cols[hi - top:]]) @ v[:, counted]
+                norm = np.max(np.abs(centre) + np.abs(x) * _row_sums(wave, a, cfg.N))
+                if not np.all(np.linalg.norm(rest, axis=0) <= _CERTIFY_MARGIN * norm):
                     w = None
     if w is None:
-        w = eigenvalues(R)
+        w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
         if clusters is None and np.any(np.abs(w.imag) > _RE_TRIGGER):
             clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[1][0]
         counted, grown = _attribute(w, clusters or ())
@@ -514,9 +537,11 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
     certified slice has no open cluster.
 
     Only the modes that can meet a mode of the other sign are looked at
-    slice by slice.  The xi values are taken in blocks of _CERTIFY_BLOCK.
-    Over a block's span [lo, hi], mode n gets a hull that holds its
-    interval on every slice of the block.  Its centre omega(x), x in
+    slice by slice.  The sorted xi values are taken in blocks of
+    _CERTIFY_BLOCK, each spanning [lo, hi] from its first xi to the next
+    block's first, so the spans tile [xis[0], xis[-1]].  Over a block's
+    span, mode n gets a hull that holds its interval on every xi of the
+    span, given or not.  Its centre omega(x), x in
     [n+lo, n+hi], lies between the least and the largest of omega at both
     ends and at each real critical point inside (x = +-sqrt(u),
     3*beta*k^4*u^2 - k^2*c*u - gamma = 0).  Its radius is at most the
@@ -539,6 +564,16 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
     max(left_m - t, t - right_m) from its hull.  That bound stands in for
     it in delta, which can only make delta smaller and (c) stricter.
 
+    That set-up, the hulls and windows, is the plan (_plan), built once
+    for a sorted xi array.  _certify then takes any xi inside its span: in
+    a block without a window it is certified by the block's hulls, and
+    otherwise it goes through the slice-by-slice stage on the union of
+    the windows.  Every bound the plan holds is valid on the whole span
+    of its block, so an xi between the given ones is certified as soundly
+    as they are.  A sweep certifies its grid and then its refinement
+    lattice on one plan (see max_growth); _on_axis is a plan of its own
+    xis, then _certify.
+
     The rounding of the hulls: the computed ends are the exact ones up to
     the rounding of one centre and one radius.  At xi = lo and hi they are
     the slice expressions themselves; sqrt and the sums of non-negative
@@ -553,26 +588,60 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
     coupled to it and theirs, and are taken in chunks of at most
     _CERTIFY_BLOCK*(2N+1) entries.
     """
-    c, coupling = _wave_terms(wave, check_amplitude(a), N)
+    return _certify(_plan(wave, a, np.sort(xis), N), xis)
+
+
+class _Plan(NamedTuple):
+    """The set-up of _on_axis over a sorted xi array, built by _plan.
+
+    Block b of _CERTIFY_BLOCK xi values spans xis[64b] to the next
+    block's first xi, xis[min(64b + 64, size - 1)], so the spans tile
+    [xis[0], xis[-1]]; it is busy when its hulls leave a window.  The
+    rest serves the slice-by-slice stage, over the union of the busy
+    blocks' windows: ``modes`` holds the window, the modes coupled to it
+    (ext) and to those, and the modes whose terms can be the largest of
+    ||R||_inf (``top``, a mask on ``modes``), with their ``row_sum``;
+    ``e`` picks the ext modes out of ``modes`` and ``win`` the window out
+    of ``ext_modes``; ``to_ext`` is |C| from ``modes`` to ``ext_modes``,
+    and ``left_out``, ``right_out`` each block's hull ends of the modes
+    past ext.
+    """
+
+    params: stokes.PhysicalParams
+    c: float
+    coupling: np.ndarray
+    N: int
+    xis: np.ndarray
+    busy: np.ndarray
+    modes: np.ndarray
+    row_sum: np.ndarray
+    top: np.ndarray
+    e: np.ndarray
+    ext_modes: np.ndarray
+    win: np.ndarray
+    to_ext: np.ndarray
+    left_out: np.ndarray
+    right_out: np.ndarray
+
+
+def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
+    """Block hulls and windows of a sorted xi array, for _certify."""
+    a = check_amplitude(a)
+    c, coupling = _wave_terms(wave, a, N)
     abs_c = np.abs(coupling)
-    row_sum = abs_c.sum(axis=1)
+    row_sum = _row_sums(wave, a, N)
     n = np.arange(-N, N + 1)
-    params = wave.params
     # each block's hulls, and its window: the modes of its hull clusters
     # that hold modes of both signs of n+xi
-    blocks = np.arange(0, xis.size, _CERTIFY_BLOCK)
-    lo, hi = np.minimum.reduceat(xis, blocks), np.maximum.reduceat(xis, blocks)
-    left, right, norm_lo, norm_hi = _hulls(params, c, abs_c, row_sum, n, lo, hi)
+    first = np.arange(0, xis.size, _CERTIFY_BLOCK)
+    lo, hi = xis[first], xis[np.minimum(first + _CERTIFY_BLOCK, xis.size - 1)]
+    left, right, norm_lo, norm_hi = _hulls(wave.params, c, abs_c, row_sum, n, lo, hi)
     order, _, size, (plus, minus) = _runs(
         left, right, _CERTIFY_MARGIN * norm_hi.max(axis=1),
         n + hi[:, None] > 0, n + lo[:, None] < 0)
     windows = np.empty(left.shape, dtype=bool)
     windows.ravel()[order] = np.repeat((plus > 0) & (minus > 0), size)
     busy = windows.any(axis=1)
-    certified = np.ones(xis.size, dtype=bool)
-    clusters = [()] * xis.size
-    if not busy.any():
-        return certified, clusters
     # slice by slice: the windows and the modes coupled to them (ext), the
     # modes coupled to those (for their radii), and the modes whose terms
     # can be the largest of ||R||_inf
@@ -582,21 +651,41 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
     modes = np.flatnonzero(ext | abs_c[ext].any(axis=0) | top)
     e = np.flatnonzero(ext[modes])
     ext_modes = modes[e]
-    win = np.flatnonzero(window[ext_modes])
+    return _Plan(wave.params, c, coupling, N, xis, busy, modes, row_sum[modes],
+                 top[modes], e, ext_modes, np.flatnonzero(window[ext_modes]),
+                 abs_c[np.ix_(modes, ext_modes)], left[:, ~ext], right[:, ~ext])
+
+
+def _certify(plan: _Plan,
+             xis: np.ndarray) -> tuple[np.ndarray, list[tuple[Cluster, ...]]]:
+    """_on_axis's verdicts and open clusters, on the plan's set-up, for xi
+    values in any order inside its span.
+
+    An xi in a block that is not busy is certified by the block's hulls;
+    the others are taken slice by slice.
+    """
+    if xis.size and not plan.xis[0] <= xis.min() <= xis.max() <= plan.xis[-1]:
+        raise ValueError("xi outside the span of the certificate plan")
+    certified = np.ones(xis.size, dtype=bool)
+    clusters = [()] * xis.size
+    # the block whose span holds each xi
+    blk = np.minimum((np.searchsorted(plan.xis, xis, side="right") - 1)
+                     // _CERTIFY_BLOCK, plan.busy.size - 1)
+    rows = np.flatnonzero(plan.busy[blk])
+    if not rows.size:
+        return certified, clusters
+    params, c, coupling, N = plan.params, plan.c, plan.coupling, plan.N
+    modes, e, ext_modes, win = plan.modes, plan.e, plan.ext_modes, plan.win
     width = win.size
-    to_ext = abs_c[np.ix_(modes, ext_modes)]
-    left_out, right_out = left[:, ~ext], right[:, ~ext]
-    rows = np.flatnonzero(np.repeat(busy, np.diff(blocks, append=xis.size)))
-    step = max(1, _CERTIFY_BLOCK * n.size // modes.size)
+    step = max(1, _CERTIFY_BLOCK * (2 * N + 1) // modes.size)
     edge = N - TruncationConfig.boundary_margin
     for j in range(0, rows.size, step):
         idx = rows[j:j + step]
-        x = n[modes] + xis[idx, None]
+        x = (modes - N) + xis[idx, None]
         centre = dispersion.omega(params, c, x)
         s = np.sqrt(np.abs(x))
-        norm = np.max((np.abs(centre) + np.abs(x) * row_sum[modes])[:, top[modes]],
-                      axis=1)
-        radius = s[:, e] * (s @ to_ext)
+        norm = np.max((np.abs(centre) + np.abs(x) * plan.row_sum)[:, plan.top], axis=1)
+        radius = s[:, e] * (s @ plan.to_ext)
         x, centre, s = x[:, e], centre[:, e], s[:, e]
         # the window's clusters: start, size, modes n+xi > 0
         lft, rgt = centre[:, win] - radius[:, win], centre[:, win] + radius[:, win]
@@ -627,10 +716,10 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
         abs_p, abs_q = np.abs(bp), np.abs(bq)
         rho = radius[r] - abs_p - abs_q
         # the modes past ext enter delta by their hulls' distance from t
-        blk = idx[r] // _CERTIFY_BLOCK
+        b = blk[idx[r]]
         delta = np.minimum(
             (np.abs(diag) - rho).min(axis=1),
-            np.maximum(left_out[blk] - t[:, None], t[:, None] - right_out[blk])
+            np.maximum(plan.left_out[b] - t[:, None], t[:, None] - plan.right_out[b])
             .min(axis=1, initial=np.inf))
         # a slice with delta <= 0 fails anyway; its divisions may not be finite
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -644,7 +733,7 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray,
             f_p = np.sum(abs_up * rho, axis=1) / delta
             f_q = np.sum(abs_uq * rho, axis=1) / delta
             pinf, qinf = abs_p.max(axis=1), abs_q.max(axis=1)
-            rnd = (n.size + 16) * np.finfo(float).eps
+            rnd = (2 * N + 17) * np.finfo(float).eps
             e_pp = f_p * pinf + rnd * (np.abs(a_p) + np.sum(abs_p * abs_up, axis=1))
             e_qq = f_q * qinf + rnd * (np.abs(a_q) + np.sum(abs_q * abs_uq, axis=1))
             e_pq = (np.minimum(f_p * qinf, f_q * pinf)
@@ -691,12 +780,14 @@ def max_growth(wave: StokesWave, a,
     without a solve.  Growth can appear only where a colliding pair of
     opposite sign is not held apart, or in a larger mixed cluster; each
     solved slice gets those clusters, which decide what growth counts
-    and which window of modes is solved (see spectrum_slice).  The grid
-    is certified in one call.
+    and which window of modes is solved (see spectrum_slice).  The
+    certificate's hulls and windows are built once, over the grid (see
+    _on_axis), and the grid is certified on them in one call.
 
     The refinement keeps the best grid point m and its bracket of grid
     neighbours, and visits only a lattice of _LATTICE - 1 points evenly
-    inside the bracket, certified in one call.  Near a bubble's peak,
+    inside the bracket, certified in one more call on the grid's hulls
+    and windows, whose block spans tile the grid's range.  Near a bubble's peak,
     growth^2 is a parabola in xi (the growth is the imaginary part of a
     2x2 pencil's eigenvalue).  So each round aims at the vertex of the
     parabola through growth^2 at the bracket ends and m, or, with no
@@ -710,7 +801,8 @@ def max_growth(wave: StokesWave, a,
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a))
     ]))
-    growth, solved = _growth(wave, a, grid, _on_axis(wave, a, grid, cfg.N)[1], cfg)
+    plan = _plan(wave, a, grid, cfg.N)
+    growth, solved = _growth(wave, a, grid, _certify(plan, grid)[1], cfg)
     i = int(np.argmax(growth))
     # the bracket and its best point m, each (xi, growth, solved slice or None)
     lo, m, hi = ((grid[j], growth[j], solved.get(j))
@@ -718,7 +810,7 @@ def max_growth(wave: StokesWave, a,
     # a grid that grows nowhere brackets no bubble: its first point stands
     if m[1] > 0:
         lattice = lo[0] + (hi[0] - lo[0]) * np.arange(1, _LATTICE) / _LATTICE
-        open_lattice = _on_axis(wave, a, lattice, cfg.N)[1]
+        open_lattice = _certify(plan, lattice)[1]
         for _ in range(_REFINE_ROUNDS):
             # every point visited is m, a bracket end or outside the bracket
             free = np.flatnonzero((lo[0] < lattice) & (lattice < hi[0])

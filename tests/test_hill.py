@@ -963,16 +963,16 @@ class TestMaxGrowth:
         cfg = TruncationConfig(N=32, xi_grid=xi_grid)
         swept, probes = [], []
 
-        def recording_on_axis(wave, a, xis, N):
+        def recording_certify(plan, xis):
             swept.extend(xis)
-            return _on_axis(wave, a, xis, N)
+            return hill_certify(plan, xis)
 
         def recording_growth(wave, a, xis, clusters, cfg):
             probes.append(xis)
             return hill_growth(wave, a, xis, clusters, cfg)
 
-        hill_growth = hill._growth
-        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
+        hill_certify, hill_growth = hill._certify, hill._growth
+        monkeypatch.setattr(hill, "_certify", recording_certify)
         monkeypatch.setattr(hill, "_growth", recording_growth)
         xi_star, growth, sl = max_growth(w, a, cfg)
         ref_xi, ref_growth, ref, ref_probes = exhaustive_max_growth(w, a, cfg)
@@ -1011,21 +1011,22 @@ class TestMaxGrowth:
         assert xi_star in solved
 
     def test_visits_only_certified_lattice_points(self, monkeypatch):
-        # max_growth makes two _on_axis calls: the grid, then the 63
+        # max_growth makes two _certify calls: the grid, then the 63
         # lattice points inside the best grid point's bracket; every
         # refinement solve is one of those points, bit for bit
         w = wave_at(1, 1, 1.6)
         calls, solved = [], []
 
-        def recording_on_axis(wave, a, xis, N):
+        def recording_certify(plan, xis):
             calls.append(np.array(xis))
-            return _on_axis(wave, a, xis, N)
+            return hill_certify(plan, xis)
 
         def recording_slice(wave, a, xi, cfg, clusters=None):
             solved.append((len(calls), xi))
             return spectrum_slice(wave, a, xi, cfg, clusters)
 
-        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
+        hill_certify = hill._certify
+        monkeypatch.setattr(hill, "_certify", recording_certify)
         monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
         max_growth(w, 0.01, CFG16)
         assert len(calls) == 2
@@ -1045,10 +1046,11 @@ class TestMaxGrowth:
         # inside its bracket
         w = _drawn_wave(beta, gamma, u)
         calls, solved = [], []
+        hill_certify = hill._certify
 
-        def recording_on_axis(wave, a, xis, N):
+        def recording_certify(plan, xis):
             calls.append(np.array(xis))
-            return _on_axis(wave, a, xis, N)
+            return hill_certify(plan, xis)
 
         def recording_slice(wave, a, xi, cfg, clusters=None):
             sl = spectrum_slice(wave, a, xi, cfg, clusters)
@@ -1056,7 +1058,7 @@ class TestMaxGrowth:
             return sl
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hill, "_on_axis", recording_on_axis)
+            mp.setattr(hill, "_certify", recording_certify)
             mp.setattr(hill, "spectrum_slice", recording_slice)
             xi_star, growth, sl = max_growth(w, a, TruncationConfig(N=N, xi_grid=xi_grid))
         grid = calls[0]
@@ -1221,6 +1223,104 @@ class TestWindowSolve:
         w = wave_at(beta, gamma, k)
         results = {max_growth(w, a, TruncationConfig(N=N))[:2] for N in (32, 64, 96)}
         assert len(results) == 1
+
+
+def assert_same_certificate(w, a, N, lattice, certified, clusters):
+    """The verdicts and open clusters of _on_axis on ``lattice`` alone:
+    flags, modes and boundary flags equal, spans within 8*eps*||R||_inf
+    (the batch shape can reorder a radius's sums)."""
+    ref_certified, ref_clusters = _on_axis(w, a, lattice, N)
+    np.testing.assert_array_equal(certified, ref_certified)
+    assert ([[c[2:] for c in open_] for open_ in clusters]
+            == [[c[2:] for c in open_] for open_ in ref_clusters])
+    for xi, open_, ref in zip(lattice, clusters, ref_clusters):
+        if open_:
+            norm = np.abs(_assemble_real(w, a, xi, N)).sum(axis=1).max()
+            np.testing.assert_allclose([c[:2] for c in open_], [c[:2] for c in ref],
+                                       rtol=0, atol=8 * np.finfo(float).eps * norm)
+
+
+class TestPlan:
+    @settings(max_examples=100, deadline=None)
+    @given(**_WAVES, N=st.sampled_from([8, 16, 32, 96]),
+           xi_grid=st.sampled_from([16, 64, 512]),
+           pick=st.floats(0.0, 1.0, exclude_max=True), shift=st.integers(-2, 2))
+    def test_lattice_on_grid_plan(self, beta, gamma, u, a, N, xi_grid, pick, shift):
+        # a refinement lattice, in the bracket of a grid point next to a
+        # collision seed, certified on the plan of the sweep's grid, as
+        # max_growth certifies it: the certificate of the lattice alone
+        w = _drawn_wave(beta, gamma, u)
+        seeds = _collision_seeds(w, a)
+        assume(seeds)
+        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), seeds]))
+        i = int(np.searchsorted(grid, seeds[int(pick * len(seeds))])) + shift
+        i = min(max(i, 0), grid.size - 1)
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        lattice = lo + (hi - lo) * np.arange(1, _LATTICE) / _LATTICE
+        plan = hill._plan(w, a, grid, N)
+        assert_same_certificate(w, a, N, lattice, *hill._certify(plan, lattice))
+
+    @pytest.mark.parametrize("beta, gamma, k", [
+        (1.0, 1.0, 1.6), (1.0, 2.0, 1.3 * 8.0**0.25),
+    ])
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("at", ["last", "first"])
+    def test_bracket_across_block_boundary(self, beta, gamma, k, N, at):
+        # two blocks of xi values 2e-4 apart, 0.01 between them, the
+        # {-1,0} collision at the last xi of the first block or at the
+        # first of the second, and no window in the other block's hulls:
+        # the first block spans the gap, so a lattice point in the gap
+        # next to the collision is certified only if the first block's
+        # hulls prove it, and they reach the collision either way
+        w, a = wave_at(beta, gamma, k), 0.01
+        xi0 = collision_xi(w.params, -1, 0)[0]
+        near = xi0 + 2e-4 * np.arange(-_CERTIFY_BLOCK + 1, 1)
+        far = xi0 + 0.01 + 2e-4 * np.arange(_CERTIFY_BLOCK)
+        if at == "first":
+            near, far = 2 * xi0 - far[::-1], 2 * xi0 - near[::-1]
+        xis = np.concatenate([near, far])
+        i = _CERTIFY_BLOCK - (at == "last")
+        lattice = xis[i - 1] + (xis[i + 1] - xis[i - 1]) * np.arange(1, _LATTICE) / _LATTICE
+        gap = (xis[_CERTIFY_BLOCK - 1] < lattice) & (lattice < xis[_CERTIFY_BLOCK])
+        certified, clusters = hill._certify(hill._plan(w, a, xis, N), lattice)
+        assert not certified[gap].all()
+        assert_same_certificate(w, a, N, lattice, certified, clusters)
+
+    @pytest.mark.parametrize("beta, gamma, k, a", [
+        *BENCH_GROUPS,
+        (1.0, 1.0, 1.3, 1e-4),  # all stable: the grid is not refined
+    ])
+    def test_one_plan_per_sweep(self, beta, gamma, k, a, monkeypatch):
+        # max_growth builds one plan, from its grid and collision seeds,
+        # and certifies the grid and the refinement lattice on it
+        plans, certified = [], []
+        hill_plan, hill_certify = hill._plan, hill._certify
+
+        def recording_plan(wave, a, xis, N):
+            plans.append((np.array(xis), hill_plan(wave, a, xis, N)))
+            return plans[-1][1]
+
+        def recording_certify(plan, xis):
+            certified.append((plan, np.array(xis)))
+            return hill_certify(plan, xis)
+
+        monkeypatch.setattr(hill, "_plan", recording_plan)
+        monkeypatch.setattr(hill, "_certify", recording_certify)
+        w = wave_at(beta, gamma, k)
+        _, growth, _ = max_growth(w, a, CFG32)
+        assert len(plans) == 1
+        xis, plan = plans[0]
+        grid = np.unique(np.concatenate([CFG32.grid(), _collision_seeds(w, a)]))
+        assert xis.tobytes() == grid.tobytes()
+        assert [p is plan for p, _ in certified] == [True] * (2 if growth > 0 else 1)
+        assert certified[0][1].tobytes() == grid.tobytes()
+
+    def test_refuses_xi_outside_span(self):
+        w = wave_at(1, 1, 1.6)
+        plan = hill._plan(w, 0.01, default_xi_grid(64), 16)
+        for xi in (_XI_LO, 0.5 + 1e-9):
+            with pytest.raises(ValueError, match="span"):
+                hill._certify(plan, np.array([0.25, xi]))
 
 
 class TestKreinAtZeroAmplitude:
