@@ -127,13 +127,6 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form, capped at 17 significant digits."""
-    if isinstance(x, float):
-        return float.__repr__(x)
-    return str(x)
-
-
 def _require(args, *names):
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
@@ -205,7 +198,7 @@ def _cmd_wave(args):
     if args.a is not None:
         results["speed"] = stokes.eval_speed(wave, args.a)
         results["residual_l2"] = stokes.residual_F(wave, args.a)
-    rows = [("coefficient", "value")] + [(k, _fmt(v)) for k, v in results.items()]
+    rows = [("coefficient", "value")] + list(results.items())
     return results, rows
 
 
@@ -223,7 +216,7 @@ def _cmd_dispersion(args):
     modes = [{"n": n, "x": xn, "omega": w, "krein": kappa}
              for n, xn, w, kappa in zip(*columns)]
     rows = [("n", "x", "omega", "krein")]
-    rows += [(n, _fmt(xn), _fmt(w), kappa) for n, xn, w, kappa in zip(*columns)]
+    rows += list(zip(*columns))
     return {"c0": c0, "modes": modes}, rows
 
 
@@ -260,7 +253,7 @@ def _cmd_krein(args):
             "kappa_m": dispersion.krein_signature(params, c0, e.m + e.xi0),
         })
     rows = [("n", "m", "xi0", "omega", "kappa_n", "kappa_m", "opposite_krein")]
-    rows += [(e["n"], e["m"], _fmt(e["xi0"]), _fmt(e["omega"]),
+    rows += [(e["n"], e["m"], e["xi0"], e["omega"],
               e["kappa_n"], e["kappa_m"], e["opposite_krein"]) for e in out]
     return {"events": out}, rows
 
@@ -299,8 +292,8 @@ def _cmd_reduced(args):
                     wave, pencil.n, xi0, args.a)
         out.append(entry)
     rows = [("xi0", "omega", "discriminant", "growth_rate", "unstable")]
-    rows += [(_fmt(e["xi0"]), _fmt(e["omega"]), _fmt(e["discriminant"]),
-              _fmt(e["growth_rate"]), e["unstable"]) for e in out]
+    rows += [(e["xi0"], e["omega"], e["discriminant"], e["growth_rate"],
+              e["unstable"]) for e in out]
     return {"pencils": out}, rows
 
 
@@ -321,9 +314,7 @@ def _cmd_spectrum(args):
             "eigenvalues": eigenvalues,
         }
         # 2N+1 rows of text that only --format csv writes
-        rows = None
-        if args.format == "csv":
-            rows = [("re", "im")] + [(_fmt(re), _fmt(im)) for re, im in eigenvalues]
+        rows = [("re", "im")] + eigenvalues if args.format == "csv" else None
         return results, rows
     xi_star, growth, sl = hill.max_growth(wave, args.a, cfg)
     # a certified maximiser is not solved; its solve would be paired
@@ -331,7 +322,7 @@ def _cmd_spectrum(args):
         "xi_star": xi_star, "growth": growth, "paired": sl is None or sl.paired,
         "slice": {"xi": xi_star, "max_real_part": growth},
     }
-    rows = [("xi_star", "growth"), (_fmt(xi_star), _fmt(growth))]
+    rows = [("xi_star", "growth"), (xi_star, growth)]
     return results, rows
 
 
@@ -365,7 +356,7 @@ def _cmd_sweep(args):
         out.append({"k": k, "a": a, "xi_star": xi_star, "growth": growth,
                     "predicted": predicted})
     rows = [("k", "a", "xi_star", "growth", "predicted")]
-    rows += [tuple(map(_fmt, p.values())) for p in out]
+    rows += [tuple(p.values()) for p in out]
     return {"points": out}, rows
 
 
@@ -373,7 +364,7 @@ def _cmd_threshold(args):
     """instability threshold wavenumber (beta > 0)"""
     _require(args, "beta", "gamma")
     k_min = reduced.instability_threshold_dn1(args.beta, args.gamma)
-    return {"k_min": k_min}, [("k_min",), (_fmt(k_min),)]
+    return {"k_min": k_min}, [("k_min",), (k_min,)]
 
 
 def _cmd_figures(args):
@@ -399,15 +390,14 @@ def _cmd_figures(args):
 def _csv_comment(args) -> str:
     vals = [("beta", args.beta), ("gamma", args.gamma), ("k", args.k),
             ("a", args.a), ("N", args.N)]
-    return "# " + " ".join(f"{name}={_fmt(v) if v is not None else ''}"
-                           for name, v in vals)
+    return "# " + " ".join(f"{name}={'' if v is None else v}" for name, v in vals)
 
 
 def _write_csv(path: Path, comment: str, header, values, keep, text=None) -> None:
     """Write a comment line, the header and one row per point of values.
 
     The bytes are those of csv.writer on rows (x, y), or () where keep is
-    false: floats by repr, as _fmt writes them, and CRLF line ends.  text
+    false: floats by repr, which is their str, and CRLF line ends.  text
     is the two columns as repr strings; without it the kept rows of values
     are formatted here, column by column, and a blank row costs nothing.
     """

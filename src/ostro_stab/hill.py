@@ -80,8 +80,8 @@ _REFINE_ROUNDS = 3
 _LATTICE = 64
 # Golden-section fraction of a bracket side.
 _GOLDEN = (3.0 - 5.0**0.5) / 2.0
-# xi values per vectorised certificate block: bounds its (block, 2N+1)
-# temporaries to a few times one matrix.
+# xi values per certificate block, over which each mode gets one hull; the
+# slice-by-slice stage takes chunks of at most _CERTIFY_BLOCK*(2N+1) entries.
 _CERTIFY_BLOCK = 64
 # Least gap between clusters of Gershgorin intervals, relative to
 # ||R||_inf, for a slice to count as certified.
@@ -161,33 +161,43 @@ class SpectrumSlice:
 
 
 @functools.lru_cache(maxsize=1)
-def _wave_terms(wave: StokesWave, a: float, N: int) -> tuple[float, np.ndarray]:
-    """The xi-independent parts of one wave's matrices: speed c and coupling.
+def _wave_terms(wave: StokesWave, a: float,
+                N: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The xi-independent parts of one wave's matrices: speed c, the
+    coupling's first column col and its row sums.
 
-    The coupling is the off-diagonal part of L, a symmetric Toeplitz
+    The coupling C is the off-diagonal part of L, a symmetric Toeplitz
     matrix with -2*k^2*w_hat bands; the exponential Fourier coefficients
-    of w are half its cosine amplitudes, w_hat(+-j) = W_j / 2.  A sweep
-    builds them once, on its first slice.  The array is read-only because
-    every later slice of the same (wave, a, N) shares it: callers copy it
-    before writing a diagonal.
+    of w are half its cosine amplitudes, w_hat(+-j) = W_j / 2.  It is kept
+    as its bands only: C_nm = col[|n-m|], zero past |n-m| = 4 (see
+    _coupling).  row_sum_n = sum_m |C_nm| (see _abs_times), so that row n
+    of R sums to |omega(n+xi)| + |n+xi|*row_sum_n in absolute value.  A
+    sweep builds them once, on its first slice, in O(N); both arrays are
+    read-only because every later slice of the same (wave, a, N) shares
+    them.
     """
     k2 = wave.params.k**2
     col = np.zeros(2 * N + 1)
     for j, Wj in enumerate(stokes.harmonic_amplitudes(wave, a), start=1):
         col[j] = -2.0 * k2 * (Wj / 2.0)
-    i = np.arange(2 * N + 1)
-    coupling = col[np.abs(i[:, None] - i)]
-    coupling.flags.writeable = False
-    return stokes.eval_speed(wave, a), coupling
+    row_sum = _abs_times(col, np.ones(2 * N + 1))
+    col.flags.writeable = row_sum.flags.writeable = False
+    return stokes.eval_speed(wave, a), col, row_sum
 
 
-@functools.lru_cache(maxsize=1)
-def _row_sums(wave: StokesWave, a: float, N: int) -> np.ndarray:
-    """sum_m |C_nm| over each row of the coupling of _wave_terms, so that
-    row n of R sums to |omega(n+xi)| + |n+xi|*row_sum_n in absolute value."""
-    row_sum = np.abs(_wave_terms(wave, a, N)[1]).sum(axis=1)
-    row_sum.flags.writeable = False
-    return row_sum
+def _coupling(col: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The block C[rows, cols] of the coupling whose first column is col."""
+    return col[np.abs(rows[:, None] - cols)]
+
+
+def _abs_times(col: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|C| v along the last axis of v, C the coupling whose first column is
+    col, as a sum over the nonzero bands of col."""
+    out = np.zeros(v.shape)
+    for d in np.flatnonzero(col):
+        out[..., d:] += abs(col[d]) * v[..., :-d]
+        out[..., :-d] += abs(col[d]) * v[..., d:]
+    return out
 
 
 def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np.ndarray:
@@ -199,9 +209,10 @@ def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> 
     dispersion.check_xi(xi)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2 = k**2
-    c, coupling = _wave_terms(wave, check_amplitude(a), cfg.N)
-    x = np.arange(-cfg.N, cfg.N + 1) + xi
-    L = coupling.copy()
+    c, col, _ = _wave_terms(wave, check_amplitude(a), cfg.N)
+    i = np.arange(2 * cfg.N + 1)
+    x = i - cfg.N + xi
+    L = _coupling(col, i, i)
     L[np.diag_indices_from(L)] = k2 * (c - beta * k2 * x**2) - gamma / x**2
     return L
 
@@ -219,9 +230,10 @@ def assemble_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np
 
 def _assemble_real(wave: StokesWave, a, xi: float, N: int) -> np.ndarray:
     """Imaginary part of the Bloch matrix; accepts any xi with n+xi != 0."""
-    c, coupling = _wave_terms(wave, check_amplitude(a), N)
-    x = np.arange(-N, N + 1) + xi
-    R = x[:, None] * coupling
+    c, col, _ = _wave_terms(wave, check_amplitude(a), N)
+    i = np.arange(2 * N + 1)
+    x = i - N + xi
+    R = x[:, None] * _coupling(col, i, i)
     R[np.diag_indices_from(R)] = dispersion.omega(wave.params, c, x)
     return R
 
@@ -302,31 +314,32 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
     if clusters is not None:
         # the window as rows lo..hi-1 of R; empty when every open cluster
         # holds a boundary mode
-        band = len(stokes.harmonic_amplitudes(wave, a))
-        rows = [n + cfg.N for c in clusters if not c.boundary for n in c.modes]
+        c, col, row_sum = _wave_terms(wave, a, cfg.N)
+        band = np.flatnonzero(col).max(initial=0)
+        rows = [n + cfg.N for cl in clusters if not cl.boundary for n in cl.modes]
         lo, hi = ((max(min(rows) - 2 * band, 0), min(max(rows) + 2 * band + 1, size))
                   if rows else (0, 0))
         if hi - lo < size:
             # the window's columns of R on its rows and on the band rows
             # around it, which hold every other nonzero of those columns
-            c, coupling = _wave_terms(wave, a, cfg.N)
             x = np.arange(-cfg.N, cfg.N + 1) + xi
             centre = dispersion.omega(wave.params, c, x)
             top, bottom = max(lo - band, 0), min(hi + band, size)
-            cols = x[top:bottom, None] * coupling[top:bottom, lo:hi]
+            cols = x[top:bottom, None] * _coupling(col, np.arange(top, bottom),
+                                                   np.arange(lo, hi))
             window = cols[lo - top:hi - top]
             window[np.diag_indices_from(window)] = centre[lo:hi]
             w, v = _solve(np.linalg.eig, window)
             counted, grown = _attribute(w, clusters)
             if counted.any():
                 rest = np.concatenate([cols[:lo - top], cols[hi - top:]]) @ v[:, counted]
-                norm = np.max(np.abs(centre) + np.abs(x) * _row_sums(wave, a, cfg.N))
+                norm = np.max(np.abs(centre) + np.abs(x) * row_sum)
                 if not np.all(np.linalg.norm(rest, axis=0) <= _CERTIFY_MARGIN * norm):
                     w = None
     if w is None:
         w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
         if clusters is None and np.any(np.abs(w.imag) > _RE_TRIGGER):
-            clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[1][0]
+            clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[0]
         counted, grown = _attribute(w, clusters or ())
     lam = 1j * w
     keep = counted | (np.abs(w.imag) <= _RE_TRIGGER)
@@ -405,11 +418,12 @@ def _critical_points(params: stokes.PhysicalParams, c: float) -> np.ndarray:
     return np.concatenate([x, -x])
 
 
-def _hulls(params: stokes.PhysicalParams, c: float, abs_c: np.ndarray,
+def _hulls(params: stokes.PhysicalParams, c: float, col: np.ndarray,
            row_sum: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Bounds over xi in [lo, hi] on each mode's Gershgorin interval.
 
-    One row per span.  Returns the hull ends (left, right), and lower and
+    One row per span, on the coupling's bands col and row sums (see
+    _wave_terms).  Returns the hull ends (left, right), and lower and
     upper bounds on the mode's term |omega(x)| + |x|*row_sum of
     ||R||_inf (see _on_axis).  A mode whose span holds x = 0 meets the
     pole of omega: its hull is the whole line.
@@ -428,7 +442,7 @@ def _hulls(params: stokes.PhysicalParams, c: float, abs_c: np.ndarray,
     x_min = np.where(pole, 0.0, np.abs(ends).min(axis=0))
     x_max = np.abs(ends).max(axis=0)
     s = np.sqrt(x_max)
-    radius = s * (s @ abs_c)
+    radius = s * _abs_times(col, s)
     w_max = np.maximum(np.abs(c_lo), np.abs(c_hi))
     w_min = np.where(c_lo * c_hi > 0, np.minimum(np.abs(c_lo), np.abs(c_hi)), 0.0)
     return (c_lo - radius, c_hi + radius,
@@ -457,10 +471,9 @@ def _runs(left: np.ndarray, right: np.ndarray, gap: np.ndarray, *sides):
     return order, start, size, counts
 
 
-def _on_axis(wave: StokesWave, a, xis: np.ndarray,
-             N: int) -> tuple[np.ndarray, list[tuple[Cluster, ...]]]:
-    """Whether an inertia certificate proves each xi slice free of growth,
-    and each slice's clusters that it leaves open.
+def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster, ...]]:
+    """Each xi slice's clusters that an inertia certificate leaves open; a
+    slice without one is proven free of growth.
 
     R = X*C + diag(omega(n+xi)), X = diag(n+xi), is similar to Sigma*H
     with H = |X|^{1/2} L |X|^{1/2} symmetric and Sigma = sgn(X); its
@@ -604,12 +617,13 @@ class _Plan(NamedTuple):
     ``e`` picks the ext modes out of ``modes`` and ``win`` the window out
     of ``ext_modes``; ``to_ext`` is |C| from ``modes`` to ``ext_modes``,
     and ``left_out``, ``right_out`` each block's hull ends of the modes
-    past ext.
+    past ext.  ``col`` is the coupling's first column (see _wave_terms),
+    from which rule (c) cuts its pair rows.
     """
 
     params: stokes.PhysicalParams
     c: float
-    coupling: np.ndarray
+    col: np.ndarray
     N: int
     xis: np.ndarray
     busy: np.ndarray
@@ -625,17 +639,17 @@ class _Plan(NamedTuple):
 
 
 def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
-    """Block hulls and windows of a sorted xi array, for _certify."""
+    """Block hulls and windows of a sorted xi array, for _certify, in
+    O(N) memory per block: the modes that a set of modes couples to are
+    where |C| times the set's mask is positive (see _abs_times)."""
     a = check_amplitude(a)
-    c, coupling = _wave_terms(wave, a, N)
-    abs_c = np.abs(coupling)
-    row_sum = _row_sums(wave, a, N)
+    c, col, row_sum = _wave_terms(wave, a, N)
     n = np.arange(-N, N + 1)
     # each block's hulls, and its window: the modes of its hull clusters
     # that hold modes of both signs of n+xi
     first = np.arange(0, xis.size, _CERTIFY_BLOCK)
     lo, hi = xis[first], xis[np.minimum(first + _CERTIFY_BLOCK, xis.size - 1)]
-    left, right, norm_lo, norm_hi = _hulls(wave.params, c, abs_c, row_sum, n, lo, hi)
+    left, right, norm_lo, norm_hi = _hulls(wave.params, c, col, row_sum, n, lo, hi)
     order, _, size, (plus, minus) = _runs(
         left, right, _CERTIFY_MARGIN * norm_hi.max(axis=1),
         n + hi[:, None] > 0, n + lo[:, None] < 0)
@@ -646,35 +660,33 @@ def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
     # modes coupled to those (for their radii), and the modes whose terms
     # can be the largest of ||R||_inf
     window = windows[busy].any(axis=0)
-    ext = window | abs_c[window].any(axis=0)
+    ext = window | (_abs_times(col, window) > 0)
     top = (norm_hi >= norm_lo.max(axis=1, keepdims=True))[busy].any(axis=0)
-    modes = np.flatnonzero(ext | abs_c[ext].any(axis=0) | top)
+    modes = np.flatnonzero(ext | (_abs_times(col, ext) > 0) | top)
     e = np.flatnonzero(ext[modes])
     ext_modes = modes[e]
-    return _Plan(wave.params, c, coupling, N, xis, busy, modes, row_sum[modes],
+    return _Plan(wave.params, c, col, N, xis, busy, modes, row_sum[modes],
                  top[modes], e, ext_modes, np.flatnonzero(window[ext_modes]),
-                 abs_c[np.ix_(modes, ext_modes)], left[:, ~ext], right[:, ~ext])
+                 np.abs(_coupling(col, modes, ext_modes)), left[:, ~ext], right[:, ~ext])
 
 
-def _certify(plan: _Plan,
-             xis: np.ndarray) -> tuple[np.ndarray, list[tuple[Cluster, ...]]]:
-    """_on_axis's verdicts and open clusters, on the plan's set-up, for xi
-    values in any order inside its span.
+def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
+    """_on_axis's open clusters, on the plan's set-up, for xi values in
+    any order inside its span.
 
     An xi in a block that is not busy is certified by the block's hulls;
     the others are taken slice by slice.
     """
     if xis.size and not plan.xis[0] <= xis.min() <= xis.max() <= plan.xis[-1]:
         raise ValueError("xi outside the span of the certificate plan")
-    certified = np.ones(xis.size, dtype=bool)
     clusters = [()] * xis.size
     # the block whose span holds each xi
     blk = np.minimum((np.searchsorted(plan.xis, xis, side="right") - 1)
                      // _CERTIFY_BLOCK, plan.busy.size - 1)
     rows = np.flatnonzero(plan.busy[blk])
     if not rows.size:
-        return certified, clusters
-    params, c, coupling, N = plan.params, plan.c, plan.coupling, plan.N
+        return clusters
+    params, c, col, N = plan.params, plan.c, plan.col, plan.N
     modes, e, ext_modes, win = plan.modes, plan.e, plan.ext_modes, plan.win
     width = win.size
     step = max(1, _CERTIFY_BLOCK * (2 * N + 1) // modes.size)
@@ -707,8 +719,8 @@ def _certify(plan: _Plan,
         # rows b into D, and diag = Delta, the diagonal of D
         diag = np.sign(x[r]) * (ctr - t[:, None])
         a_p, a_q = diag[span, p], diag[span, q]
-        bp = s[r, p, None] * coupling[ext_modes[p, None], ext_modes] * s[r]
-        bq = s[r, q, None] * coupling[ext_modes[q, None], ext_modes] * s[r]
+        bp = s[r, p, None] * _coupling(col, ext_modes[p], ext_modes) * s[r]
+        bq = s[r, q, None] * _coupling(col, ext_modes[q], ext_modes) * s[r]
         h = bp[span, q]
         for row in (bp, bq):
             row[span, p] = row[span, q] = 0.0
@@ -747,7 +759,6 @@ def _certify(plan: _Plan,
                        & (d_q > 0) & (det > margin))]] = True
         runs = np.flatnonzero(failed)
         k, head = start[runs] // width, start[runs]
-        certified[idx[k]] = False
         # each open cluster: its span, widened by half the gap, and its modes
         lo_end = lft.ravel()[order[head]] - gap[k] / 2
         hi_end = np.maximum.reduceat(rgt.ravel()[order], start)[runs] + gap[k] / 2
@@ -756,7 +767,7 @@ def _certify(plan: _Plan,
                 idx[k], head, size[runs], lo_end, hi_end))):
             ns = tuple(sorted(mode_n[j:j + z]))
             clusters[i] += (Cluster(lo_j, hi_j, ns, max(map(abs, ns)) > edge),)
-    return certified, clusters
+    return clusters
 
 
 def max_growth(wave: StokesWave, a,
@@ -802,7 +813,7 @@ def max_growth(wave: StokesWave, a,
         cfg.grid(), np.asarray(_collision_seeds(wave, a))
     ]))
     plan = _plan(wave, a, grid, cfg.N)
-    growth, solved = _growth(wave, a, grid, _certify(plan, grid)[1], cfg)
+    growth, solved = _growth(wave, a, grid, _certify(plan, grid), cfg)
     i = int(np.argmax(growth))
     # the bracket and its best point m, each (xi, growth, solved slice or None)
     lo, m, hi = ((grid[j], growth[j], solved.get(j))
@@ -810,7 +821,7 @@ def max_growth(wave: StokesWave, a,
     # a grid that grows nowhere brackets no bubble: its first point stands
     if m[1] > 0:
         lattice = lo[0] + (hi[0] - lo[0]) * np.arange(1, _LATTICE) / _LATTICE
-        open_lattice = _certify(plan, lattice)[1]
+        open_lattice = _certify(plan, lattice)
         for _ in range(_REFINE_ROUNDS):
             # every point visited is m, a bracket end or outside the bracket
             free = np.flatnonzero((lo[0] < lattice) & (lattice < hi[0])

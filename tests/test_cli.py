@@ -525,9 +525,8 @@ class TestCommands:
         on_axis = hill._on_axis
 
         def flagged(wave, a, xis, N):
-            certified, clusters = on_axis(wave, a, xis, N)
-            return certified, [tuple(c._replace(boundary=boundary) for c in cs)
-                               for cs in clusters]
+            return [tuple(c._replace(boundary=boundary) for c in cs)
+                    for cs in on_axis(wave, a, xis, N)]
 
         monkeypatch.setattr(hill, "_on_axis", flagged)
         code, doc = run_json(capsys, [
@@ -552,9 +551,14 @@ class TestCommands:
         assert [[float(c) for c in row] for row in cells] == doc["results"]["eigenvalues"]
         assert all(float(c).__repr__() == c for row in cells for c in row)
 
-    def test_fmt_writes_numpy_floats_plain(self):
+    def test_csv_writes_numpy_floats_plain(self, capsys, monkeypatch):
+        # a CSV cell that holds an np.float64 reads as the float's repr
         for v in (-0.0, 5e-324, 1 / 3, -220601.012883971):
-            assert cli._fmt(np.float64(v)) == repr(v)
+            monkeypatch.setattr(cli.reduced, "instability_threshold_dn1",
+                                lambda beta, gamma, v=v: np.float64(v))
+            assert cli.main(["threshold", "--beta", "1", "--gamma", "1",
+                             "--format", "csv"]) == 0
+            assert capsys.readouterr().out.splitlines()[1:] == ["k_min", repr(v)]
 
     def test_spectrum_sweeps_library_grid(self, capsys):
         code, doc = run_json(capsys, [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -57,6 +59,14 @@ CFG16 = TruncationConfig(N=16)
 CFG32 = TruncationConfig(N=32)
 
 
+def dense_coupling(wave, a, N):
+    """The coupling of modes -N..N as a dense Toeplitz matrix, built from
+    the wave's cosine amplitudes W_j: -2*k^2*(W_j/2) at distance j."""
+    col = np.zeros(2 * N + 1)
+    col[1:5] = -2.0 * wave.params.k**2 * (harmonic_amplitudes(wave, a) / 2.0)
+    return toeplitz(col)
+
+
 class TestAssembly:
     def test_zero_amplitude_is_diagonal_dispersion(self):
         w = wave_at(1, 1, 1.3)
@@ -105,9 +115,7 @@ class TestAssembly:
         w = wave_at(1, 1, 1.6)
         beta, gamma, k2 = w.params.beta, w.params.gamma, w.params.k**2
         a, N = 0.03, 16
-        col = np.zeros(2 * N + 1)
-        col[1:5] = -2.0 * k2 * (harmonic_amplitudes(w, a) / 2.0)
-        T = toeplitz(col)
+        T = dense_coupling(w, a, N)
         c = eval_speed(w, a)
 
         def fresh_L(xi):
@@ -129,11 +137,13 @@ class TestAssembly:
                           (L2, fresh_L(0.37))):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        memo = _wave_terms(w, a, N)[1]
-        assert not memo.flags.writeable
-        with pytest.raises(ValueError):
-            memo[np.diag_indices_from(memo)] = 0.0
-        assert memo.tobytes() == T.tobytes()
+        # the memo holds the coupling's first column and its row sums
+        _, col, row_sum = _wave_terms(w, a, N)
+        for memo in (col, row_sum):
+            assert not memo.flags.writeable
+            with pytest.raises(ValueError):
+                memo[0] = 1.0
+        assert col.tobytes() == T[:, 0].tobytes()
 
 
 class TestFactorization:
@@ -383,7 +393,7 @@ class TestGrowthFilter:
         # boundary modes among them: the pair is dropped there, and counts
         # once the same cluster is passed as interior
         w, cfg = wave_at(1, 1, 0.708), TruncationConfig(N=9)
-        (cluster,) = _on_axis(w, 0.08, np.array([0.1]), 9)[1][0]
+        (cluster,) = _on_axis(w, 0.08, np.array([0.1]), 9)[0]
         assert cluster.modes == tuple(range(-9, 10)) and cluster.boundary
         x0 = self.centre(w, 0.08, 0.1, 9, 0)
         sl = self.solved_with_pair(monkeypatch, w, 0.08, 0.1, cfg, x0)
@@ -423,13 +433,14 @@ class TestGrowthFilter:
         assume(seeds)
         xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
         assume(1e-3 <= xi <= 0.5)
-        certified, clusters = _on_axis(w, a, np.array([xi]), N)
+        clusters = _on_axis(w, a, np.array([xi]), N)
         grid = np.unique(np.append(default_xi_grid(64), xi))
         i = int(np.searchsorted(grid, xi))
-        on_grid, grid_clusters = _on_axis(w, a, grid, N)
+        grid_clusters = _on_axis(w, a, grid, N)
         # the same clusters; their spans within the rounding of a radius,
         # whose sums the batch shape can reorder
-        assert on_grid[i] == certified[0]
+        certified = not clusters[0]
+        assert (not grid_clusters[i]) == certified
         assert [c[2:] for c in grid_clusters[i]] == [c[2:] for c in clusters[0]]
         norm = np.abs(_assemble_real(w, a, xi, N)).sum(axis=1).max()
         np.testing.assert_allclose([c[:2] for c in grid_clusters[i]],
@@ -439,7 +450,7 @@ class TestGrowthFilter:
         assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
         sl = spectrum_slice(w, a, xi, TruncationConfig(N=N))
         assert set(sl.growth_clusters) <= set(clusters[0])
-        if certified[0]:
+        if certified:
             assert clusters[0] == () and sl.max_real_part == 0.0
         lam = sl.eigenvalues
         if sl.max_real_part > _RE_TRIGGER:
@@ -470,7 +481,7 @@ class TestGrowthFilter:
         xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
         assume(1e-3 <= xi <= 0.5)
         xis = np.unique(np.append(default_xi_grid(16), xi))
-        _, clusters = _on_axis(w, a, xis, N)
+        clusters = _on_axis(w, a, xis, N)
         assume(any(clusters))
         for x, open_ in zip(xis, clusters):
             R = _assemble_real(w, a, x, N)
@@ -541,7 +552,7 @@ class TestCertificate:
             assume(seeds)
             xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
             assume(1e-3 <= xi <= 0.5)
-        assume(_on_axis(w, a, np.array([xi]), N)[0][0])
+        assume(not _on_axis(w, a, np.array([xi]), N)[0])
         sl = spectrum_slice(w, a, xi, TruncationConfig(N=N))
         assert sl.max_real_part == 0.0
         assert np.all(sl.eigenvalues.real == 0.0)
@@ -559,7 +570,7 @@ class TestCertificate:
         # the one-sign pairs {0,1} and {0,2} at 0.2088 and 0.02512
         w = wave_at(1, 1, 1.6)
         assert sorted(_clusters(w, a, xi, 16)) == clusters
-        assert _on_axis(w, a, np.array([xi]), 16)[0][0]
+        assert not _on_axis(w, a, np.array([xi]), 16)[0]
         assert spectrum_slice(w, a, xi, CFG16).max_real_part == 0.0
 
     @pytest.mark.parametrize("xi", [0.35, 0.36])
@@ -569,14 +580,14 @@ class TestCertificate:
         # real eigenvalue of three, so the slice is solved
         w = wave_at(1, 1, 0.85)
         assert _clusters(w, A_MAX, xi, 16) == [[-2, -1, 1]]
-        assert not _on_axis(w, A_MAX, np.array([xi]), 16)[0][0]
+        assert _on_axis(w, A_MAX, np.array([xi]), 16)[0]
 
     @pytest.mark.parametrize("a", [1e-4, 0.01, A_MAX])
     @pytest.mark.parametrize("N", [16, 32])
     def test_rejects_collision(self, a, N):
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
-        assert not _on_axis(w, a, np.array([xi0]), N)[0][0]
+        assert _on_axis(w, a, np.array([xi0]), N)[0]
 
     def test_margin_at_bubble_edge(self):
         # just past the edge of a bubble the pair's eigenvalues are barely
@@ -594,7 +605,7 @@ class TestCertificate:
             else:
                 outside = mid
         xis = outside + a * np.geomspace(1e-12, 1e-3, 50)
-        assert not np.any(_on_axis(w, a, xis, 16)[0])
+        assert all(_on_axis(w, a, xis, 16))
         for xi in xis:
             assert spectrum_slice(w, a, xi, CFG16).max_real_part == 0.0
 
@@ -605,7 +616,7 @@ class TestCertificate:
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
         xis = xi0 + np.linspace(-0.005, 0.005, 2001)
-        certified, _ = _on_axis(w, 0.01, xis, 16)
+        certified = np.array([not c for c in _on_axis(w, 0.01, xis, 16)])
         growth = np.array([spectrum_slice(w, 0.01, xi, CFG16).max_real_part
                            for xi in xis])
         assert not np.any(growth[certified] != 0.0)
@@ -621,7 +632,7 @@ class TestCertificate:
         # ones are left to the solve
         w = wave_at(-1, 1, 0.78)
         xis = 0.31538 + 0.01 * (a / 0.01)**2 * np.linspace(-1, 1, 801)
-        certified, _ = _on_axis(w, a, xis, N)
+        certified = np.array([not c for c in _on_axis(w, a, xis, N)])
         cfg = TruncationConfig(N=N)
         growth = np.array([spectrum_slice(w, a, xi, cfg).max_real_part
                            for xi in xis])
@@ -636,9 +647,10 @@ def full_width_on_axis(wave, a, xis, N):
 
     Rule (a) first, on every slice, in blocks of _CERTIFY_BLOCK xi
     values; (b) and (c) on the slices left, with rows 2N+1 wide and delta
-    taken over every mode.
+    taken over every mode, on the dense coupling.
     """
-    c, coupling = _wave_terms(wave, check_amplitude(a), N)
+    a = check_amplitude(a)
+    c, coupling = eval_speed(wave, a), dense_coupling(wave, a, N)
     abs_c = np.abs(coupling)
     row_sum = abs_c.sum(axis=1)
     n = np.arange(-N, N + 1)
@@ -750,7 +762,7 @@ class TestWindowedCertificate:
             xi0 = seeds[int(pick * len(seeds))]
             lo, hi = max(_XI_LO, xi0 - 10**width), min(0.5, xi0 + 10**width)
             xis = lo + (hi - lo) * np.arange(1, _LATTICE) / _LATTICE
-        np.testing.assert_array_equal(_on_axis(w, a, xis, N)[0],
+        np.testing.assert_array_equal([not c for c in _on_axis(w, a, xis, N)],
                                       full_width_on_axis(w, a, xis, N))
 
     @settings(max_examples=150, deadline=None)
@@ -759,14 +771,16 @@ class TestWindowedCertificate:
     def test_hulls_hold_every_interval(self, beta, gamma, u, a, N, lo, width):
         # intervals across [lo, hi], and at every mode's critical points
         # inside it, where omega turns, lie in their hulls up to the
-        # rounding of a centre and a radius, far inside the hull margin
+        # rounding of a centre and a radius, far inside the hull margin.
+        # The hulls take the banded sums of _wave_terms, the intervals
+        # the dense coupling's
         w = _drawn_wave(beta, gamma, u)
         hi = min(0.5, lo + 10**width)
-        c, coupling = _wave_terms(w, a, N)
-        abs_c = np.abs(coupling)
+        c, abs_c = eval_speed(w, a), np.abs(dense_coupling(w, a, N))
+        _, col, row_sum = _wave_terms(w, a, N)
         n = np.arange(-N, N + 1)
         left, right, norm_lo, norm_hi = (
-            v[0] for v in _hulls(w.params, c, abs_c, abs_c.sum(axis=1), n,
+            v[0] for v in _hulls(w.params, c, col, row_sum, n,
                                  np.array([lo]), np.array([hi])))
         turns = (_critical_points(w.params, c)[:, None] - n).ravel()
         xi = np.concatenate([np.linspace(lo, hi, 101),
@@ -868,7 +882,7 @@ class TestOneSolve:
         cand = np.abs(mu.imag) > _RE_TRIGGER
         L = assemble_L_matrix(w, a, xi, cfg)
         np.testing.assert_array_equal(
-            cluster_kept(mu, _on_axis(w, a, np.array([xi]), N)[1][0])[cand],
+            cluster_kept(mu, _on_axis(w, a, np.array([xi]), N)[0])[cand],
             filter_kept(R, L, mu, cfg.boundary_margin)[cand])
         if N <= 37:
             assert sl.max_real_part == ref.max_real_part
@@ -887,7 +901,7 @@ def window_slice(wave, a, xi, cfg):
     """
     a = check_amplitude(a)
     N = cfg.N
-    clusters = _on_axis(wave, a, np.array([xi]), N)[1][0]
+    clusters = _on_axis(wave, a, np.array([xi]), N)[0]
     modes = [n for c in clusters if not c.boundary for n in c.modes]
     lam, max_re = np.empty(0, dtype=complex), 0.0
     if modes:
@@ -991,7 +1005,7 @@ class TestMaxGrowth:
         if xi_grid == 64:
             # the maximiser was certified, so it is returned unsolved
             assert sl is None and growth == 0.0 and ref.paired
-            assert _on_axis(w, a, np.array([xi_star]), 32)[0][0]
+            assert not _on_axis(w, a, np.array([xi_star]), 32)[0]
 
     @pytest.mark.parametrize("beta, gamma, k, a, most", [
         (-1.0, 1.0, 0.78, 0.02, 37),           # {-1,1} held apart off its bubble
@@ -1173,7 +1187,7 @@ class TestWindowSolve:
         # and the slice is the full solve's, bit for bit
         w = wave_at(1, 1, 1.6)
         xi = collision_xi(w.params, -1, 0)[0]
-        clusters = _on_axis(w, 0.01, np.array([xi]), 32)[1][0]
+        clusters = _on_axis(w, 0.01, np.array([xi]), 32)[0]
         full = spectrum_slice(w, 0.01, xi, CFG32)
         window = spectrum_slice(w, 0.01, xi, CFG32, clusters)
         assert full.eigenvalues.size == 65 and window.eigenvalues.size == 18
@@ -1189,7 +1203,7 @@ class TestWindowSolve:
         # mode, the boundary modes among them: no growth can count, so
         # nothing is solved and the slice scores 0.0
         w, cfg = wave_at(1, 1, 0.708), TruncationConfig(N=9)
-        clusters = _on_axis(w, 0.08, np.array([0.1]), 9)[1][0]
+        clusters = _on_axis(w, 0.08, np.array([0.1]), 9)[0]
         assert [c.boundary for c in clusters] == [True]
         monkeypatch.setattr(hill, "eigenvalues", None)
         sl = spectrum_slice(w, 0.08, 0.1, cfg, clusters)
@@ -1221,16 +1235,31 @@ class TestWindowSolve:
         # the windows hold the same modes at every N, so the sweep returns
         # the same xi_star and growth, bit for bit
         w = wave_at(beta, gamma, k)
-        results = {max_growth(w, a, TruncationConfig(N=N))[:2] for N in (32, 64, 96)}
+        results = {max_growth(w, a, TruncationConfig(N=N))[:2]
+                   for N in (32, 64, 96, 1000, 2000)}
         assert len(results) == 1
 
+    @pytest.mark.parametrize("beta, gamma, k, a", BENCH_GROUPS)
+    def test_sweep_holds_no_dense_matrix(self, beta, gamma, k, a):
+        # the sweep keeps the coupling as its bands: at N = 2000 its traced
+        # peak stays below a quarter of one (2N+1)^2 float64 array
+        w, N = wave_at(beta, gamma, k), 2000
+        tracemalloc.start()
+        try:
+            max_growth(w, a, TruncationConfig(N=N))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * N + 1)**2 * 8 / 4
 
-def assert_same_certificate(w, a, N, lattice, certified, clusters):
+
+def assert_same_certificate(w, a, N, lattice, clusters):
     """The verdicts and open clusters of _on_axis on ``lattice`` alone:
-    flags, modes and boundary flags equal, spans within 8*eps*||R||_inf
-    (the batch shape can reorder a radius's sums)."""
-    ref_certified, ref_clusters = _on_axis(w, a, lattice, N)
-    np.testing.assert_array_equal(certified, ref_certified)
+    verdicts (a slice without open clusters is certified), modes and
+    boundary flags equal, spans within 8*eps*||R||_inf (the batch shape
+    can reorder a radius's sums)."""
+    ref_clusters = _on_axis(w, a, lattice, N)
+    assert [not c for c in clusters] == [not c for c in ref_clusters]
     assert ([[c[2:] for c in open_] for open_ in clusters]
             == [[c[2:] for c in open_] for open_ in ref_clusters])
     for xi, open_, ref in zip(lattice, clusters, ref_clusters):
@@ -1258,7 +1287,7 @@ class TestPlan:
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
         lattice = lo + (hi - lo) * np.arange(1, _LATTICE) / _LATTICE
         plan = hill._plan(w, a, grid, N)
-        assert_same_certificate(w, a, N, lattice, *hill._certify(plan, lattice))
+        assert_same_certificate(w, a, N, lattice, hill._certify(plan, lattice))
 
     @pytest.mark.parametrize("beta, gamma, k", [
         (1.0, 1.0, 1.6), (1.0, 2.0, 1.3 * 8.0**0.25),
@@ -1282,9 +1311,10 @@ class TestPlan:
         i = _CERTIFY_BLOCK - (at == "last")
         lattice = xis[i - 1] + (xis[i + 1] - xis[i - 1]) * np.arange(1, _LATTICE) / _LATTICE
         gap = (xis[_CERTIFY_BLOCK - 1] < lattice) & (lattice < xis[_CERTIFY_BLOCK])
-        certified, clusters = hill._certify(hill._plan(w, a, xis, N), lattice)
+        clusters = hill._certify(hill._plan(w, a, xis, N), lattice)
+        certified = np.array([not c for c in clusters])
         assert not certified[gap].all()
-        assert_same_certificate(w, a, N, lattice, certified, clusters)
+        assert_same_certificate(w, a, N, lattice, clusters)
 
     @pytest.mark.parametrize("beta, gamma, k, a", [
         *BENCH_GROUPS,
