@@ -28,6 +28,10 @@ boundary_margin modes next to +-N.  A sweep solves such a slice on a
 window of those clusters' modes only, two coupling-band widths wider on
 each side, and a residual guard in the whole matrix vouches for each
 eigenvalue that counts; a single slice query solves all 2N+1 modes.
+There is one window solver, _solve_windows: it takes all the open slices
+of a sweep stage (the grid, then each refinement round) and assembles
+those that share a window in one go, and the sweep builds a
+SpectrumSlice only for the slice it returns.
 Slice by slice, the certificate looks only at the modes that can meet a
 mode of the other sign: over each block of xi values, a hull of every
 mode's interval proves the others apart on the whole block.  A sweep
@@ -80,9 +84,11 @@ _REFINE_ROUNDS = 3
 _LATTICE = 64
 # Golden-section fraction of a bracket side.
 _GOLDEN = (3.0 - 5.0**0.5) / 2.0
-# xi values per certificate block, over which each mode gets one hull; the
-# slice-by-slice stage takes chunks of at most _CERTIFY_BLOCK*(2N+1) entries.
+# xi values per certificate block, over which each mode gets one hull.
 _CERTIFY_BLOCK = 64
+# Entries per chunk of the slice-by-slice stage, over the plan's modes: one
+# chunk for a sweep's grid at N = 32, bounded chunks for a large grid.
+_CERTIFY_ENTRIES = 2**17
 # Least gap between clusters of Gershgorin intervals, relative to
 # ||R||_inf, for a slice to count as certified.
 _CERTIFY_MARGIN = 64 * np.finfo(float).eps
@@ -148,7 +154,7 @@ class Cluster(NamedTuple):
 class SpectrumSlice:
     """Eigenvalues of the truncated operator at one (a, xi), compared by
     identity: all 2N+1 of them, or, for a slice a sweep solved on a window,
-    the window's (see spectrum_slice).  ``growth_clusters`` are the open
+    the window's (see _solve_windows).  ``growth_clusters`` are the open
     clusters that hold a growth candidate; it counts unless the cluster
     holds a boundary mode."""
 
@@ -289,65 +295,104 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
 
     Without ``clusters`` (a single query) all 2N+1 modes are solved, and
     _on_axis is asked for the open clusters on this xi alone, only when
-    there is a candidate.  A sweep passes the slice's open clusters, and
-    only a window of R is solved: the modes of the open clusters without
-    a boundary mode, widened on each side by two widths of the coupling
-    band and clipped to -N..N (a window of every mode is the full solve).
-    Each counted eigenpair (mu, v) of the window, v of unit norm, must
-    pass a residual guard in R:
-    ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf.  Then mu is an
-    exact eigenvalue of R + E, ||E||_2 at most the window's backward
-    error plus that bound, inside the noise _on_axis allows the solve.
-    Only the window's columns are assembled, on its rows and the band
-    rows next to it (no other row reaches them), and ||R||_inf is the
-    largest row term |omega(n+xi)| + |n+xi|*sum_m |C_nm|, O(N) in all.
-    A slice that fails the guard is solved on all 2N+1 modes.  The
-    window slice holds the window's eigenvalues, and its growth_clusters
-    only the clusters that hold one of them; when every open cluster
-    holds a boundary mode, nothing can count, the window is empty and
-    the slice scores 0.0.
+    there is a candidate.  With the slice's open clusters, as a sweep has
+    them, it is solved on their window by _solve_windows, the one window
+    solver, which max_growth calls on all the open slices of a stage at
+    once: the slice returned here is what a sweep builds for the slice it
+    returns.
     """
     dispersion.check_xi(xi)
     a = check_amplitude(a)
-    size = 2 * cfg.N + 1
-    w = None
     if clusters is not None:
-        # the window as rows lo..hi-1 of R; empty when every open cluster
-        # holds a boundary mode
-        c, col, row_sum = _wave_terms(wave, a, cfg.N)
-        band = np.flatnonzero(col).max(initial=0)
-        rows = [n + cfg.N for cl in clusters if not cl.boundary for n in cl.modes]
+        return _built(xi, a, *_solve_windows(wave, a, np.array([xi], dtype=float),
+                                             [clusters], cfg.N)[0])
+    w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
+    if np.any(np.abs(w.imag) > _RE_TRIGGER):
+        clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[0]
+    counted, grown = _attribute(w, clusters or ())
+    return _built(xi, a, _score(w, counted), w, grown)
+
+
+def _solve_windows(wave: StokesWave, a: float, xis: np.ndarray,
+                   clusters: list[tuple[Cluster, ...]],
+                   N: int) -> list[tuple[float, np.ndarray, tuple[Cluster, ...]]]:
+    """Each open slice's max_real_part, the eigenvalues w of R it was
+    solved for (i*w are the slice's) and its growth clusters.
+
+    Slice i is solved on the window of its open clusters ``clusters[i]``:
+    the modes of the clusters without a boundary mode, widened on each
+    side by two widths of the coupling band and clipped to -N..N (a
+    window of every mode is the full solve).  The slices that share a
+    window are assembled in one broadcast, each only on the window's
+    columns, on its rows and the band rows next to it (no other row
+    reaches them), and each is solved by its own np.linalg.eig: a stacked
+    solve of the windows can differ in the last bits.  Each counted
+    eigenpair (mu, v), v of unit norm, must pass a residual guard in R:
+    ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf.  Then mu is an
+    exact eigenvalue of R + E, ||E||_2 at most the window's backward
+    error plus that bound, inside the noise _on_axis allows the solve.
+    ||R||_inf, the largest row term |omega(n+xi)| + |n+xi|*sum_m |C_nm|,
+    O(N), is read only for a slice that counts growth.  A slice that
+    fails the guard is solved on all 2N+1 modes.  A window slice holds
+    the window's eigenvalues, and its growth clusters only the clusters
+    that hold one of them; when every open cluster holds a boundary mode,
+    nothing can count, the window is empty and the slice scores 0.0.
+    """
+    c, col, row_sum = _wave_terms(wave, a, N)
+    band, size = np.flatnonzero(col).max(initial=0), 2 * N + 1
+    # the windows as rows lo..hi-1 of R, empty when every open cluster
+    # holds a boundary mode, and the slices that share each
+    windows: dict[tuple[int, int], list[int]] = {}
+    for i, open_ in enumerate(clusters):
+        rows = [n + N for cl in open_ if not cl.boundary for n in cl.modes]
         lo, hi = ((max(min(rows) - 2 * band, 0), min(max(rows) + 2 * band + 1, size))
                   if rows else (0, 0))
-        if hi - lo < size:
-            # the window's columns of R on its rows and on the band rows
-            # around it, which hold every other nonzero of those columns
-            x = np.arange(-cfg.N, cfg.N + 1) + xi
-            centre = dispersion.omega(wave.params, c, x)
+        windows.setdefault((lo, hi), []).append(i)
+    out = [None] * xis.size
+    for (lo, hi), idx in windows.items():
+        full = hi - lo == size
+        if not full:
+            # the window's columns of R on its rows (window) and on the band
+            # rows around it (rest), which hold every other nonzero of them
             top, bottom = max(lo - band, 0), min(hi + band, size)
-            cols = x[top:bottom, None] * _coupling(col, np.arange(top, bottom),
-                                                   np.arange(lo, hi))
-            window = cols[lo - top:hi - top]
-            window[np.diag_indices_from(window)] = centre[lo:hi]
-            w, v = _solve(np.linalg.eig, window)
-            counted, grown = _attribute(w, clusters)
-            if counted.any():
-                rest = np.concatenate([cols[:lo - top], cols[hi - top:]]) @ v[:, counted]
-                norm = np.max(np.abs(centre) + np.abs(x) * row_sum)
-                if not np.all(np.linalg.norm(rest, axis=0) <= _CERTIFY_MARGIN * norm):
-                    w = None
-    if w is None:
-        w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
-        if clusters is None and np.any(np.abs(w.imag) > _RE_TRIGGER):
-            clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[0]
-        counted, grown = _attribute(w, clusters or ())
-    lam = 1j * w
+            x = np.arange(top - N, bottom - N) + xis[idx, None]
+            cols = x[:, :, None] * _coupling(col, np.arange(top, bottom), np.arange(lo, hi))
+            window, d = cols[:, lo - top:hi - top], np.arange(hi - lo)
+            window[:, d, d] = dispersion.omega(wave.params, c, x[:, lo - top:hi - top])
+            rest = np.concatenate([cols[:, :lo - top], cols[:, hi - top:]], axis=1)
+        for j, i in enumerate(idx):
+            w = None
+            if not full:
+                w, v = _solve(np.linalg.eig, window[j])
+                counted, grown = _attribute(w, clusters[i])
+                if counted.any():
+                    xf = np.arange(-N, N + 1) + xis[i]
+                    norm = np.max(np.abs(dispersion.omega(wave.params, c, xf))
+                                  + np.abs(xf) * row_sum)
+                    res = np.linalg.norm(rest[j] @ v[:, counted], axis=0)
+                    if not np.all(res <= _CERTIFY_MARGIN * norm):
+                        w = None
+            if w is None:
+                w = eigenvalues(_assemble_real(wave, a, xis[i], N))
+                counted, grown = _attribute(w, clusters[i])
+            out[i] = (_score(w, counted), w, grown)
+    return out
+
+
+def _score(w: np.ndarray, counted: np.ndarray) -> float:
+    """max_real_part of the slice i*w: the largest Re(i*w) = -Im w over
+    the counted candidates and the eigenvalues on the axis."""
     keep = counted | (np.abs(w.imag) <= _RE_TRIGGER)
-    max_re = float(lam.real[keep].max()) + 0.0 if keep.any() else 0.0
+    return float(-w.imag[keep].min()) + 0.0 if keep.any() else 0.0
+
+
+def _built(xi: float, a: float, growth: float, w: np.ndarray,
+           grown: tuple[Cluster, ...]) -> SpectrumSlice:
+    """The SpectrumSlice of eigenvalues i*w, sorted by (imag, real)."""
+    lam = 1j * w
     lam = lam[np.lexsort((lam.real, lam.imag))]
-    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam,
-                         max_real_part=max_re, paired=_pairing_ok(lam),
-                         growth_clusters=grown)
+    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam, max_real_part=growth,
+                         paired=_pairing_ok(lam), growth_clusters=grown)
 
 
 def _attribute(w: np.ndarray,
@@ -522,7 +567,7 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     bounded by eta = _SOLVE_NOISE*||R||_inf (1e3 times the cluster gap,
     room for the backward-error constant of the dimension and the
     |X|^{1/2} scaling).  A sweep solves an open slice on a window of R
-    only (see spectrum_slice).  There an eigenvalue counts only when the
+    only (see _solve_windows).  There an eigenvalue counts only when the
     residual of its eigenvector in R, beyond the window solve's own
     backward error, is at most _CERTIFY_MARGIN*||R||_inf, so it too is
     exact for a perturbation of R inside eta; the window's eigenvalues in
@@ -599,7 +644,9 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     eps*||R||_inf of rounding as the |Delta_m| - rho_m it stands in for.
     The slice-by-slice arrays are only as wide as the window, the modes
     coupled to it and theirs, and are taken in chunks of at most
-    _CERTIFY_BLOCK*(2N+1) entries.
+    _CERTIFY_ENTRIES entries over those modes, a fixed budget: a sweep's
+    grid at N = 32 is one chunk, and so is its lattice, while a grid of
+    MAX_XI_GRID points at large N is cut into chunks of bounded memory.
     """
     return _certify(_plan(wave, a, np.sort(xis), N), xis)
 
@@ -689,7 +736,7 @@ def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
     params, c, col, N = plan.params, plan.c, plan.col, plan.N
     modes, e, ext_modes, win = plan.modes, plan.e, plan.ext_modes, plan.win
     width = win.size
-    step = max(1, _CERTIFY_BLOCK * (2 * N + 1) // modes.size)
+    step = max(1, _CERTIFY_ENTRIES // modes.size)
     edge = N - TruncationConfig.boundary_margin
     for j in range(0, rows.size, step):
         idx = rows[j:j + step]
@@ -776,7 +823,11 @@ def max_growth(wave: StokesWave, a,
 
     Returns (xi_star, growth, slice at xi_star), the slice None when the
     maximiser was certified and so not solved.  A solved slice holds the
-    eigenvalues of its window, not all 2N+1 (see spectrum_slice).  The
+    eigenvalues of its window, not all 2N+1 (see _solve_windows).  Each
+    stage solves its open slices in one _solve_windows call, and keeps of
+    each only its growth and the raw solve; the returned slice is the only
+    one built as a SpectrumSlice, the same as spectrum_slice on its xi and
+    open clusters.  The
     uniform grid is augmented with collision-seeded candidates (see
     _collision_seeds): high-frequency bubbles can be far narrower than
     any practical uniform grid spacing, but they sit at the analytically
@@ -791,15 +842,15 @@ def max_growth(wave: StokesWave, a,
     without a solve.  Growth can appear only where a colliding pair of
     opposite sign is not held apart, or in a larger mixed cluster; each
     solved slice gets those clusters, which decide what growth counts
-    and which window of modes is solved (see spectrum_slice).  The
+    and which window of modes is solved (see _solve_windows).  The
     certificate's hulls and windows are built once, over the grid (see
     _on_axis), and the grid is certified on them in one call.
 
     The refinement keeps the best grid point m and its bracket of grid
     neighbours, and visits only a lattice of _LATTICE - 1 points evenly
     inside the bracket, certified in one more call on the grid's hulls
-    and windows, whose block spans tile the grid's range.  Near a bubble's peak,
-    growth^2 is a parabola in xi (the growth is the imaginary part of a
+    and windows, whose block spans tile the grid's range.  Near a bubble's
+    peak, growth^2 is a parabola in xi (the growth is the imaginary part of a
     2x2 pencil's eigenvalue).  So each round aims at the vertex of the
     parabola through growth^2 at the bracket ends and m, or, with no
     vertex inside, m at an end or not growing, at the golden-section
@@ -809,13 +860,14 @@ def max_growth(wave: StokesWave, a,
     the first maximiser still wins ties.  A grid on which nothing grows
     is not refined: its first point is returned.
     """
+    a = check_amplitude(a)
     grid = np.unique(np.concatenate([
         cfg.grid(), np.asarray(_collision_seeds(wave, a))
     ]))
     plan = _plan(wave, a, grid, cfg.N)
     growth, solved = _growth(wave, a, grid, _certify(plan, grid), cfg)
     i = int(np.argmax(growth))
-    # the bracket and its best point m, each (xi, growth, solved slice or None)
+    # the bracket and its best point m, each (xi, growth, solve or None)
     lo, m, hi = ((grid[j], growth[j], solved.get(j))
                  for j in (max(i - 1, 0), i, min(i + 1, grid.size - 1)))
     # a grid that grows nowhere brackets no bubble: its first point stands
@@ -842,20 +894,21 @@ def max_growth(wave: StokesWave, a,
                 lo, m, hi = (m, t, hi) if t[0] > m[0] else (lo, t, m)
             else:
                 lo, hi = (lo, t) if t[0] > m[0] else (t, hi)
-    return float(m[0]), float(m[1]), m[2]
+    return float(m[0]), float(m[1]), None if m[2] is None else _built(m[0], a, *m[2])
 
 
-def _growth(wave: StokesWave, a, xis: np.ndarray, clusters: list[tuple[Cluster, ...]],
-            cfg: TruncationConfig) -> tuple[np.ndarray, dict[int, SpectrumSlice]]:
-    """max_real_part at each xi, and the solved slices by index.
+def _growth(wave: StokesWave, a: float, xis: np.ndarray, clusters: list[tuple[Cluster, ...]],
+            cfg: TruncationConfig) -> tuple[np.ndarray, dict]:
+    """max_real_part at each xi, and each solved slice's (max_real_part,
+    w, growth clusters) by index (see _solve_windows).
 
     Certified slices, which have no open clusters, score 0.0 and are not
-    solved; the others are solved on the window of their open clusters.
+    solved; the others are solved on the windows of their open clusters,
+    all in one _solve_windows call.
     """
     growth = np.zeros(xis.size)
-    solved = {}
-    for i, open_ in enumerate(clusters):
-        if open_:
-            solved[i] = spectrum_slice(wave, a, xis[i], cfg, open_)
-            growth[i] = solved[i].max_real_part
+    open_ = [i for i, cl in enumerate(clusters) if cl]
+    solved = dict(zip(open_, _solve_windows(wave, a, xis[open_],
+                                            [clusters[i] for i in open_], cfg.N)))
+    growth[open_] = [g for g, _, _ in solved.values()]
     return growth, solved

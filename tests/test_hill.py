@@ -962,6 +962,20 @@ def exhaustive_max_growth(wave, a, cfg):
     return best.xi, best.max_real_part, best, probes
 
 
+def spy_solves(mp, record):
+    """Patch hill._solve_windows, the solver of every slice a sweep solves,
+    so that record(xi, growth, clusters) sees each slice it returns."""
+    solve = hill._solve_windows
+
+    def recording_solve(wave, a, xis, clusters, N):
+        out = solve(wave, a, xis, clusters, N)
+        for xi, open_, (growth, _, _) in zip(xis, clusters, out):
+            record(xi, growth, open_)
+        return out
+
+    mp.setattr(hill, "_solve_windows", recording_solve)
+
+
 class TestMaxGrowth:
     @pytest.mark.parametrize("beta, gamma, k, a, xi_grid, pairs", [
         (1.0, 2.0, 1.3 * 8.0**0.25, 0.01, 512, 0),    # above threshold
@@ -1014,12 +1028,7 @@ class TestMaxGrowth:
     ])
     def test_solves_few_slices(self, beta, gamma, k, a, most, monkeypatch):
         solved = []
-
-        def recording_slice(wave, a, xi, cfg, clusters=None):
-            solved.append(xi)
-            return spectrum_slice(wave, a, xi, cfg, clusters)
-
-        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
+        spy_solves(monkeypatch, lambda xi, growth, clusters: solved.append(xi))
         xi_star, _, _ = max_growth(wave_at(beta, gamma, k), a, CFG32)
         assert len(solved) <= most
         assert xi_star in solved
@@ -1035,13 +1044,9 @@ class TestMaxGrowth:
             calls.append(np.array(xis))
             return hill_certify(plan, xis)
 
-        def recording_slice(wave, a, xi, cfg, clusters=None):
-            solved.append((len(calls), xi))
-            return spectrum_slice(wave, a, xi, cfg, clusters)
-
         hill_certify = hill._certify
         monkeypatch.setattr(hill, "_certify", recording_certify)
-        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
+        spy_solves(monkeypatch, lambda xi, growth, clusters: solved.append((len(calls), xi)))
         max_growth(w, 0.01, CFG16)
         assert len(calls) == 2
         grid, lattice = calls
@@ -1066,14 +1071,9 @@ class TestMaxGrowth:
             calls.append(np.array(xis))
             return hill_certify(plan, xis)
 
-        def recording_slice(wave, a, xi, cfg, clusters=None):
-            sl = spectrum_slice(wave, a, xi, cfg, clusters)
-            solved.append((len(calls), xi, sl.max_real_part))
-            return sl
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hill, "_certify", recording_certify)
-            mp.setattr(hill, "spectrum_slice", recording_slice)
+            spy_solves(mp, lambda xi, growth, clusters: solved.append((len(calls), xi, growth)))
             xi_star, growth, sl = max_growth(w, a, TruncationConfig(N=N, xi_grid=xi_grid))
         grid = calls[0]
         on_grid = np.zeros(grid.size)
@@ -1092,12 +1092,7 @@ class TestMaxGrowth:
         w = wave_at(1, 1, 1.3)
         cfg = TruncationConfig(N=32, xi_grid=64)
         solved = []
-
-        def recording_slice(wave, a, xi, cfg, clusters=None):
-            solved.append(xi)
-            return spectrum_slice(wave, a, xi, cfg, clusters)
-
-        monkeypatch.setattr(hill, "spectrum_slice", recording_slice)
+        spy_solves(monkeypatch, lambda xi, growth, clusters: solved.append(xi))
         xi_star, growth, sl = max_growth(w, 1e-4, cfg)
         assert solved == []
         assert (growth, sl) == (0.0, None)
@@ -1134,17 +1129,14 @@ BENCH_GROUPS = [
 
 
 def recorded_sweep(wave, a, cfg):
-    """max_growth's result, with each slice it solved and its clusters."""
+    """max_growth's result, with each slice it solved: its xi, growth and
+    open clusters.  A sweep that grows has solved at least one slice."""
     calls = []
-
-    def recording_slice(wave, a, xi, cfg, clusters=None):
-        sl = spectrum_slice(wave, a, xi, cfg, clusters)
-        calls.append((sl, clusters))
-        return sl
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hill, "spectrum_slice", recording_slice)
-        return max_growth(wave, a, cfg), calls
+        spy_solves(mp, lambda xi, growth, clusters: calls.append((xi, growth, clusters)))
+        result = max_growth(wave, a, cfg)
+    assert calls or not result[1] > 0
+    return result, calls
 
 
 class TestWindowSolve:
@@ -1172,15 +1164,15 @@ class TestWindowSolve:
         w = _drawn_wave(beta, gamma, u)
         cfg = TruncationConfig(N=N, xi_grid=xi_grid)
         _, calls = recorded_sweep(w, a, cfg)
-        for sl, _ in calls:
-            R = _assemble_real(w, a, sl.xi, N)
+        for xi, growth, _ in calls:
+            R = _assemble_real(w, a, xi, N)
             norm = np.abs(R).sum(axis=1).max()
             lam, left, right = eig(R, left=True)
             kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
             kappa = kappa[np.abs(lam.imag) > _RE_TRIGGER].max(initial=1.0)
             tol = _RE_TRIGGER + 2 * kappa * 3 * _CERTIFY_MARGIN * norm
-            ref = two_solve_slice(w, a, sl.xi, cfg)
-            assert abs(sl.max_real_part - ref.max_real_part) <= tol
+            ref = two_solve_slice(w, a, xi, cfg)
+            assert abs(growth - ref.max_real_part) <= tol
 
     def test_guard_failure_falls_back_to_full_solve(self, monkeypatch):
         # with the guard's bound at 0 no counted window eigenpair passes,
@@ -1224,11 +1216,56 @@ class TestWindowSolve:
         monkeypatch.setattr(hill, "_solve", recording_solve)
         _, calls = recorded_sweep(wave_at(beta, gamma, k), a, TruncationConfig(N=96))
         windows = []
-        for _, clusters in calls:
+        for _, _, clusters in calls:
             modes = [n for c in clusters if not c.boundary for n in c.modes]
             windows.append(min(max(modes) + 8, 96) - max(min(modes) - 8, -96) + 1)
         assert dims == windows
         assert dims and max(dims) <= 24
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_WAVES, N=st.sampled_from([8, 32, 96]), xi_grid=st.sampled_from([16, 64]),
+           guard=st.booleans())
+    def test_batch_matches_one_slice_solves(self, beta, gamma, u, a, N, xi_grid, guard):
+        # the open slices of a sweep's grid in one batch, with a last slice
+        # whose clusters all hold a boundary mode (an empty window): each
+        # as spectrum_slice solves that xi alone, bit for bit.  With the
+        # guard's bound at 0, a slice that counts growth falls back to the
+        # full solve inside the batch
+        w, cfg = _drawn_wave(beta, gamma, u), TruncationConfig(N=N)
+        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a)]))
+        clusters = hill._certify(hill._plan(w, a, grid, N), grid)
+        open_ = [i for i, c in enumerate(clusters) if c]
+        assume(open_)
+        xis = grid[open_ + open_[:1]]
+        batch = ([clusters[i] for i in open_]
+                 + [tuple(c._replace(boundary=True) for c in clusters[open_[0]])])
+        with pytest.MonkeyPatch.context() as mp:
+            if not guard:
+                mp.setattr(hill, "_CERTIFY_MARGIN", 0.0)
+            solved = hill._solve_windows(w, a, xis, batch, N)
+            alone = [spectrum_slice(w, a, xi, cfg, c) for xi, c in zip(xis, batch)]
+        for xi, (growth, lam, grown), ref in zip(xis, solved, alone):
+            sl = hill._built(xi, a, growth, lam, grown)
+            assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+            assert (sl.max_real_part, sl.growth_clusters) == (ref.max_real_part,
+                                                              ref.growth_clusters)
+            if growth > _RE_TRIGGER and not guard:
+                assert lam.size == 2 * N + 1
+        assert (solved[-1][0], solved[-1][1].size) == (0.0, 0)
+
+    @pytest.mark.parametrize("beta, gamma, k, a", [
+        BENCH_GROUPS[0], BENCH_GROUPS[2], (-1.0, 1.0, 0.78, 0.02), (1.0, 1.0, 1.6, 0.01),
+    ])
+    def test_returned_slice_is_spectrum_slice(self, beta, gamma, k, a):
+        # the one slice max_growth builds is spectrum_slice's at xi_star on
+        # the open clusters the sweep solved it with, bit for bit
+        (xi_star, growth, sl), calls = recorded_sweep(wave_at(beta, gamma, k), a, CFG32)
+        (clusters,) = [c for xi, _, c in calls if xi == xi_star]
+        ref = spectrum_slice(wave_at(beta, gamma, k), a, xi_star, CFG32, clusters)
+        assert growth == sl.max_real_part > 0
+        assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert ((sl.xi, sl.a, sl.max_real_part, sl.paired, sl.growth_clusters)
+                == (ref.xi, ref.a, ref.max_real_part, ref.paired, ref.growth_clusters))
 
     @pytest.mark.parametrize("beta, gamma, k, a", BENCH_GROUPS)
     def test_sweep_independent_of_truncation(self, beta, gamma, k, a):
@@ -1253,12 +1290,13 @@ class TestWindowSolve:
         assert peak < (2 * N + 1)**2 * 8 / 4
 
 
-def assert_same_certificate(w, a, N, lattice, clusters):
-    """The verdicts and open clusters of _on_axis on ``lattice`` alone:
-    verdicts (a slice without open clusters is certified), modes and
-    boundary flags equal, spans within 8*eps*||R||_inf (the batch shape
-    can reorder a radius's sums)."""
-    ref_clusters = _on_axis(w, a, lattice, N)
+def assert_same_certificate(w, a, N, lattice, clusters, ref_clusters=None):
+    """The verdicts and open clusters of ``ref_clusters``, by default those
+    of _on_axis on ``lattice`` alone: verdicts (a slice without open
+    clusters is certified), modes and boundary flags equal, spans within
+    8*eps*||R||_inf (the batch shape can reorder a radius's sums)."""
+    if ref_clusters is None:
+        ref_clusters = _on_axis(w, a, lattice, N)
     assert [not c for c in clusters] == [not c for c in ref_clusters]
     assert ([[c[2:] for c in open_] for open_ in clusters]
             == [[c[2:] for c in open_] for open_ in ref_clusters])
@@ -1344,6 +1382,40 @@ class TestPlan:
         assert xis.tobytes() == grid.tobytes()
         assert [p is plan for p, _ in certified] == [True] * (2 if growth > 0 else 1)
         assert certified[0][1].tobytes() == grid.tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(**_WAVES, N=st.sampled_from([8, 16, 32]), xi_grid=st.sampled_from([16, 64, 512]))
+    def test_row_chunks_match_one_chunk(self, beta, gamma, u, a, N, xi_grid):
+        # a sweep's grid, which at N <= 32 the slice stage takes in one
+        # chunk, certified with the entry budget down to one row a chunk
+        w = _drawn_wave(beta, gamma, u)
+        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a)]))
+        plan = hill._plan(w, a, grid, N)
+        assert grid.size <= hill._CERTIFY_ENTRIES // plan.modes.size
+        clusters = hill._certify(plan, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hill, "_CERTIFY_ENTRIES", 1)
+            rows = hill._certify(plan, grid)
+        assert_same_certificate(w, a, N, grid, rows, clusters)
+
+    def test_entry_budget_bounds_memory(self):
+        # a 2^16-point grid of the beta < 0 benchmark wave at N = 32 has
+        # more than two chunks of busy rows; the stage holds about twenty
+        # arrays of at most _CERTIFY_ENTRIES entries at once, so its traced
+        # peak stays within 32 times the budget's 8 bytes an entry, where
+        # one chunk for the whole grid would take about twice that
+        beta, gamma, k, a = BENCH_GROUPS[2]
+        grid = default_xi_grid(2**16)
+        plan = hill._plan(wave_at(beta, gamma, k), a, grid, 32)
+        busy = plan.busy.repeat(_CERTIFY_BLOCK)[:grid.size].sum()
+        assert busy > 2 * (hill._CERTIFY_ENTRIES // plan.modes.size)
+        tracemalloc.start()
+        try:
+            hill._certify(plan, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * hill._CERTIFY_ENTRIES * 8
 
     def test_refuses_xi_outside_span(self):
         w = wave_at(1, 1, 1.6)
