@@ -28,10 +28,9 @@ boundary_margin modes next to +-N.  A sweep solves such a slice on a
 window of those clusters' modes only, two coupling-band widths wider on
 each side, and a residual guard in the whole matrix vouches for each
 eigenvalue that counts; a single slice query solves all 2N+1 modes.
-There is one window solver, _solve_windows: it takes all the open slices
-of a sweep stage (the grid, then each refinement round) and assembles
-those that share a window in one go, and the sweep builds a
-SpectrumSlice only for the slice it returns.
+The window solver, _solve_window, solves one open slice, and a sweep
+calls it on each open slice of its grid, then of each refinement round;
+it builds a SpectrumSlice only for the slice it returns.
 Slice by slice, the certificate looks only at the modes that can meet a
 mode of the other sign: over each block of xi values, a hull of every
 mode's interval proves the others apart on the whole block.  A sweep
@@ -154,7 +153,7 @@ class Cluster(NamedTuple):
 class SpectrumSlice:
     """Eigenvalues of the truncated operator at one (a, xi), compared by
     identity: all 2N+1 of them, or, for a slice a sweep solved on a window,
-    the window's (see _solve_windows).  ``growth_clusters`` are the open
+    the window's (see _solve_window).  ``growth_clusters`` are the open
     clusters that hold a growth candidate; it counts unless the cluster
     holds a boundary mode."""
 
@@ -280,9 +279,8 @@ def _pairing_ok(lam: np.ndarray) -> bool:
     return bool(np.array_equal(lam, mirror[np.lexsort((mirror.real, mirror.imag))]))
 
 
-def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
-                   clusters: tuple[Cluster, ...] | None = None) -> SpectrumSlice:
-    """Assemble and solve one (a, xi) slice.
+def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> SpectrumSlice:
+    """Assemble and solve one (a, xi) slice on all 2N+1 modes.
 
     The matrix is i times a real matrix R, so the real eigensolver is
     used; its output is exactly symmetric under lambda -> -conj(lambda),
@@ -291,92 +289,65 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig,
     only when Re w lies in the span of an open cluster without a boundary
     mode (see _on_axis): outside every open span the certificate proved it
     real, so its real part is solver noise; in a boundary cluster it is a
-    truncation artifact.
-
-    Without ``clusters`` (a single query) all 2N+1 modes are solved, and
-    _on_axis is asked for the open clusters on this xi alone, only when
-    there is a candidate.  With the slice's open clusters, as a sweep has
-    them, it is solved on their window by _solve_windows, the one window
-    solver, which max_growth calls on all the open slices of a stage at
-    once: the slice returned here is what a sweep builds for the slice it
-    returns.
+    truncation artifact.  _on_axis is asked for the open clusters on this
+    xi alone, only when there is a candidate.
     """
     dispersion.check_xi(xi)
     a = check_amplitude(a)
-    if clusters is not None:
-        return _built(xi, a, *_solve_windows(wave, a, np.array([xi], dtype=float),
-                                             [clusters], cfg.N)[0])
     w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
+    clusters = ()
     if np.any(np.abs(w.imag) > _RE_TRIGGER):
         clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[0]
-    counted, grown = _attribute(w, clusters or ())
+    counted, grown = _attribute(w, clusters)
     return _built(xi, a, _score(w, counted), w, grown)
 
 
-def _solve_windows(wave: StokesWave, a: float, xis: np.ndarray,
-                   clusters: list[tuple[Cluster, ...]],
-                   N: int) -> list[tuple[float, np.ndarray, tuple[Cluster, ...]]]:
-    """Each open slice's max_real_part, the eigenvalues w of R it was
-    solved for (i*w are the slice's) and its growth clusters.
+def _solve_window(wave: StokesWave, a: float, xi: float, clusters: tuple[Cluster, ...],
+                  N: int) -> tuple[float, np.ndarray, tuple[Cluster, ...]]:
+    """An open slice's max_real_part, the eigenvalues w of R it was solved
+    for (i*w are the slice's) and its growth clusters.
 
-    Slice i is solved on the window of its open clusters ``clusters[i]``:
-    the modes of the clusters without a boundary mode, widened on each
-    side by two widths of the coupling band and clipped to -N..N (a
-    window of every mode is the full solve).  The slices that share a
-    window are assembled in one broadcast, each only on the window's
+    The slice is solved on the window of its open ``clusters``: the modes
+    of the clusters without a boundary mode, widened on each side by two
+    widths of the coupling band and clipped to -N..N (a window of every
+    mode is the full solve).  It is assembled only on the window's
     columns, on its rows and the band rows next to it (no other row
-    reaches them), and each is solved by its own np.linalg.eig: a stacked
-    solve of the windows can differ in the last bits.  Each counted
-    eigenpair (mu, v), v of unit norm, must pass a residual guard in R:
-    ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf.  Then mu is an
-    exact eigenvalue of R + E, ||E||_2 at most the window's backward
-    error plus that bound, inside the noise _on_axis allows the solve.
-    ||R||_inf, the largest row term |omega(n+xi)| + |n+xi|*sum_m |C_nm|,
-    O(N), is read only for a slice that counts growth.  A slice that
-    fails the guard is solved on all 2N+1 modes.  A window slice holds
-    the window's eigenvalues, and its growth clusters only the clusters
-    that hold one of them; when every open cluster holds a boundary mode,
-    nothing can count, the window is empty and the slice scores 0.0.
+    reaches them), and solved by np.linalg.eig.  Each counted eigenpair
+    (mu, v), v of unit norm, must pass a residual guard in R:
+    ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf, ||R||_inf the
+    largest row term |omega(n+xi)| + |n+xi|*sum_m |C_nm|, O(N).  Then mu
+    is an exact eigenvalue of R + E, ||E||_2 at most the window's backward
+    error plus that bound, inside the noise _on_axis allows the solve.  A
+    slice that fails the guard is solved on all 2N+1 modes.  A window
+    slice holds the window's eigenvalues, and its growth clusters only the
+    clusters that hold one of them; when every open cluster holds a
+    boundary mode, nothing can count, the window is empty and the slice
+    scores 0.0 unsolved.
     """
     c, col, row_sum = _wave_terms(wave, a, N)
     band, size = np.flatnonzero(col).max(initial=0), 2 * N + 1
-    # the windows as rows lo..hi-1 of R, empty when every open cluster
-    # holds a boundary mode, and the slices that share each
-    windows: dict[tuple[int, int], list[int]] = {}
-    for i, open_ in enumerate(clusters):
-        rows = [n + N for cl in open_ if not cl.boundary for n in cl.modes]
-        lo, hi = ((max(min(rows) - 2 * band, 0), min(max(rows) + 2 * band + 1, size))
-                  if rows else (0, 0))
-        windows.setdefault((lo, hi), []).append(i)
-    out = [None] * xis.size
-    for (lo, hi), idx in windows.items():
-        full = hi - lo == size
-        if not full:
-            # the window's columns of R on its rows (window) and on the band
-            # rows around it (rest), which hold every other nonzero of them
-            top, bottom = max(lo - band, 0), min(hi + band, size)
-            x = np.arange(top - N, bottom - N) + xis[idx, None]
-            cols = x[:, :, None] * _coupling(col, np.arange(top, bottom), np.arange(lo, hi))
-            window, d = cols[:, lo - top:hi - top], np.arange(hi - lo)
-            window[:, d, d] = dispersion.omega(wave.params, c, x[:, lo - top:hi - top])
-            rest = np.concatenate([cols[:, :lo - top], cols[:, hi - top:]], axis=1)
-        for j, i in enumerate(idx):
-            w = None
-            if not full:
-                w, v = _solve(np.linalg.eig, window[j])
-                counted, grown = _attribute(w, clusters[i])
-                if counted.any():
-                    xf = np.arange(-N, N + 1) + xis[i]
-                    norm = np.max(np.abs(dispersion.omega(wave.params, c, xf))
-                                  + np.abs(xf) * row_sum)
-                    res = np.linalg.norm(rest[j] @ v[:, counted], axis=0)
-                    if not np.all(res <= _CERTIFY_MARGIN * norm):
-                        w = None
-            if w is None:
-                w = eigenvalues(_assemble_real(wave, a, xis[i], N))
-                counted, grown = _attribute(w, clusters[i])
-            out[i] = (_score(w, counted), w, grown)
-    return out
+    rows = [n + N for cl in clusters if not cl.boundary for n in cl.modes]
+    if not rows:
+        return 0.0, np.empty(0), ()
+    lo, hi = max(min(rows) - 2 * band, 0), min(max(rows) + 2 * band + 1, size)
+    if hi - lo < size:
+        # the window's columns of R on its rows (window) and on the band
+        # rows around it (rest), which hold every other nonzero of them
+        top, bottom = max(lo - band, 0), min(hi + band, size)
+        x = np.arange(-N, N + 1) + xi
+        centre = dispersion.omega(wave.params, c, x)
+        cols = x[top:bottom, None] * _coupling(col, np.arange(top, bottom), np.arange(lo, hi))
+        window, d = cols[lo - top:hi - top], np.arange(hi - lo)
+        window[d, d] = centre[lo:hi]
+        rest = np.concatenate([cols[:lo - top], cols[hi - top:]])
+        w, v = _solve(np.linalg.eig, window)
+        counted, grown = _attribute(w, clusters)
+        norm = np.max(np.abs(centre) + np.abs(x) * row_sum)
+        if np.all(np.linalg.norm(rest @ v[:, counted], axis=0) <= _CERTIFY_MARGIN * norm):
+            return _score(w, counted), w, grown
+    w = eigenvalues(_assemble_real(wave, a, xi, N))
+    counted, grown = _attribute(w, clusters)
+    return _score(w, counted), w, grown
 
 
 def _score(w: np.ndarray, counted: np.ndarray) -> float:
@@ -567,7 +538,7 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     bounded by eta = _SOLVE_NOISE*||R||_inf (1e3 times the cluster gap,
     room for the backward-error constant of the dimension and the
     |X|^{1/2} scaling).  A sweep solves an open slice on a window of R
-    only (see _solve_windows).  There an eigenvalue counts only when the
+    only (see _solve_window).  There an eigenvalue counts only when the
     residual of its eigenvector in R, beyond the window solve's own
     backward error, is at most _CERTIFY_MARGIN*||R||_inf, so it too is
     exact for a perturbation of R inside eta; the window's eigenvalues in
@@ -823,15 +794,13 @@ def max_growth(wave: StokesWave, a,
 
     Returns (xi_star, growth, slice at xi_star), the slice None when the
     maximiser was certified and so not solved.  A solved slice holds the
-    eigenvalues of its window, not all 2N+1 (see _solve_windows).  Each
-    stage solves its open slices in one _solve_windows call, and keeps of
-    each only its growth and the raw solve; the returned slice is the only
-    one built as a SpectrumSlice, the same as spectrum_slice on its xi and
-    open clusters.  The
-    uniform grid is augmented with collision-seeded candidates (see
-    _collision_seeds): high-frequency bubbles can be far narrower than
-    any practical uniform grid spacing, but they sit at the analytically
-    known collision points.
+    eigenvalues of its window, not all 2N+1 (see _solve_window).  Each
+    stage solves each of its open slices in one _solve_window call, and
+    keeps of each only its growth and the raw solve; the returned slice is
+    the only one built as a SpectrumSlice.  The uniform grid is augmented
+    with collision-seeded candidates (see _collision_seeds): high-frequency
+    bubbles can be far narrower than any practical uniform grid spacing,
+    but they sit at the analytically known collision points.
 
     Only slices that may grow are solved.  A slice that _on_axis
     certifies has every eigenvalue on the imaginary axis: by an inertia
@@ -842,7 +811,7 @@ def max_growth(wave: StokesWave, a,
     without a solve.  Growth can appear only where a colliding pair of
     opposite sign is not held apart, or in a larger mixed cluster; each
     solved slice gets those clusters, which decide what growth counts
-    and which window of modes is solved (see _solve_windows).  The
+    and which window of modes is solved (see _solve_window).  The
     certificate's hulls and windows are built once, over the grid (see
     _on_axis), and the grid is certified on them in one call.
 
@@ -900,15 +869,14 @@ def max_growth(wave: StokesWave, a,
 def _growth(wave: StokesWave, a: float, xis: np.ndarray, clusters: list[tuple[Cluster, ...]],
             cfg: TruncationConfig) -> tuple[np.ndarray, dict]:
     """max_real_part at each xi, and each solved slice's (max_real_part,
-    w, growth clusters) by index (see _solve_windows).
+    w, growth clusters) by index (see _solve_window).
 
     Certified slices, which have no open clusters, score 0.0 and are not
-    solved; the others are solved on the windows of their open clusters,
-    all in one _solve_windows call.
+    solved; each of the others is solved on the window of its open
+    clusters.
     """
+    solved = {i: _solve_window(wave, a, xis[i], cl, cfg.N)
+              for i, cl in enumerate(clusters) if cl}
     growth = np.zeros(xis.size)
-    open_ = [i for i, cl in enumerate(clusters) if cl]
-    solved = dict(zip(open_, _solve_windows(wave, a, xis[open_],
-                                            [clusters[i] for i in open_], cfg.N)))
-    growth[open_] = [g for g, _, _ in solved.values()]
+    growth[list(solved)] = [g for g, _, _ in solved.values()]
     return growth, solved

@@ -365,7 +365,9 @@ class TestGrowthFilter:
             return mu
 
         monkeypatch.setattr(hill, "eigenvalues", with_pair)
-        return spectrum_slice(w, a, xi, cfg, clusters)
+        if clusters is None:
+            return spectrum_slice(w, a, xi, cfg)
+        return hill._built(xi, a, *hill._solve_window(w, a, xi, clusters, cfg.N))
 
     def centre(self, w, a, xi, N, *modes):
         return np.mean([_assemble_real(w, a, xi, N)[n + N, n + N] for n in modes])
@@ -963,17 +965,16 @@ def exhaustive_max_growth(wave, a, cfg):
 
 
 def spy_solves(mp, record):
-    """Patch hill._solve_windows, the solver of every slice a sweep solves,
-    so that record(xi, growth, clusters) sees each slice it returns."""
-    solve = hill._solve_windows
+    """Patch hill._solve_window, the solver of every slice a sweep solves,
+    so that record(xi, growth, clusters) sees each slice it solves."""
+    solve = hill._solve_window
 
-    def recording_solve(wave, a, xis, clusters, N):
-        out = solve(wave, a, xis, clusters, N)
-        for xi, open_, (growth, _, _) in zip(xis, clusters, out):
-            record(xi, growth, open_)
+    def recording_solve(wave, a, xi, clusters, N):
+        out = solve(wave, a, xi, clusters, N)
+        record(xi, out[0], clusters)
         return out
 
-    mp.setattr(hill, "_solve_windows", recording_solve)
+    mp.setattr(hill, "_solve_window", recording_solve)
 
 
 class TestMaxGrowth:
@@ -1181,11 +1182,11 @@ class TestWindowSolve:
         xi = collision_xi(w.params, -1, 0)[0]
         clusters = _on_axis(w, 0.01, np.array([xi]), 32)[0]
         full = spectrum_slice(w, 0.01, xi, CFG32)
-        window = spectrum_slice(w, 0.01, xi, CFG32, clusters)
+        window = hill._built(xi, 0.01, *hill._solve_window(w, 0.01, xi, clusters, 32))
         assert full.eigenvalues.size == 65 and window.eigenvalues.size == 18
         assert window.max_real_part == pytest.approx(full.max_real_part, rel=1e-12)
         monkeypatch.setattr(hill, "_CERTIFY_MARGIN", 0.0)
-        sl = spectrum_slice(w, 0.01, xi, CFG32, clusters)
+        sl = hill._built(xi, 0.01, *hill._solve_window(w, 0.01, xi, clusters, 32))
         assert sl.eigenvalues.tobytes() == full.eigenvalues.tobytes()
         assert (sl.max_real_part, sl.paired) == (full.max_real_part, full.paired)
         assert sl.growth_clusters == full.growth_clusters == clusters
@@ -1194,11 +1195,12 @@ class TestWindowSolve:
         # at k = 0.708, a = 0.08, N = 9 the one open cluster holds every
         # mode, the boundary modes among them: no growth can count, so
         # nothing is solved and the slice scores 0.0
-        w, cfg = wave_at(1, 1, 0.708), TruncationConfig(N=9)
+        w = wave_at(1, 1, 0.708)
         clusters = _on_axis(w, 0.08, np.array([0.1]), 9)[0]
         assert [c.boundary for c in clusters] == [True]
         monkeypatch.setattr(hill, "eigenvalues", None)
-        sl = spectrum_slice(w, 0.08, 0.1, cfg, clusters)
+        monkeypatch.setattr(hill, "_solve", None)
+        sl = hill._built(0.1, 0.08, *hill._solve_window(w, 0.08, 0.1, clusters, 9))
         assert (sl.eigenvalues.size, sl.max_real_part, sl.paired) == (0, 0.0, True)
         assert sl.growth_clusters == ()
 
@@ -1223,45 +1225,48 @@ class TestWindowSolve:
         assert dims and max(dims) <= 24
 
     @settings(max_examples=25, deadline=None)
-    @given(**_WAVES, N=st.sampled_from([8, 32, 96]), xi_grid=st.sampled_from([16, 64]),
-           guard=st.booleans())
-    def test_batch_matches_one_slice_solves(self, beta, gamma, u, a, N, xi_grid, guard):
-        # the open slices of a sweep's grid in one batch, with a last slice
-        # whose clusters all hold a boundary mode (an empty window): each
-        # as spectrum_slice solves that xi alone, bit for bit.  With the
-        # guard's bound at 0, a slice that counts growth falls back to the
-        # full solve inside the batch
-        w, cfg = _drawn_wave(beta, gamma, u), TruncationConfig(N=N)
+    @given(**_WAVES, N=st.sampled_from([8, 32, 96]), xi_grid=st.sampled_from([16, 64]))
+    def test_guard_and_empty_window_on_grid_slices(self, beta, gamma, u, a, N, xi_grid):
+        # each open slice of a sweep's grid, solved alone.  With the
+        # guard's bound at 0, a slice whose window counts growth falls back
+        # to the full solve, bit for bit, and one that counts none is the
+        # window solve the guard does not read.  Its clusters relabelled as
+        # boundary clusters leave an empty window: 0.0, with no solve
+        w = _drawn_wave(beta, gamma, u)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a)]))
         clusters = hill._certify(hill._plan(w, a, grid, N), grid)
-        open_ = [i for i, c in enumerate(clusters) if c]
+        open_ = [(xi, c) for xi, c in zip(grid, clusters) if c]
         assume(open_)
-        xis = grid[open_ + open_[:1]]
-        batch = ([clusters[i] for i in open_]
-                 + [tuple(c._replace(boundary=True) for c in clusters[open_[0]])])
-        with pytest.MonkeyPatch.context() as mp:
-            if not guard:
+        for xi, c in open_:
+            ref = hill._solve_window(w, a, xi, c, N)
+            with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(hill, "_CERTIFY_MARGIN", 0.0)
-            solved = hill._solve_windows(w, a, xis, batch, N)
-            alone = [spectrum_slice(w, a, xi, cfg, c) for xi, c in zip(xis, batch)]
-        for xi, (growth, lam, grown), ref in zip(xis, solved, alone):
-            sl = hill._built(xi, a, growth, lam, grown)
-            assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-            assert (sl.max_real_part, sl.growth_clusters) == (ref.max_real_part,
-                                                              ref.growth_clusters)
-            if growth > _RE_TRIGGER and not guard:
-                assert lam.size == 2 * N + 1
-        assert (solved[-1][0], solved[-1][1].size) == (0.0, 0)
+                growth, lam, grown = hill._solve_window(w, a, xi, c, N)
+            if hill._attribute(ref[1], c)[0].any():
+                full = eigenvalues(_assemble_real(w, a, xi, N))
+                counted, full_grown = hill._attribute(full, c)
+                assert lam.tobytes() == full.tobytes()
+                assert (growth, grown) == (hill._score(full, counted), full_grown)
+            else:
+                assert lam.tobytes() == ref[1].tobytes()
+                assert (growth, grown) == (ref[0], ref[2])
+            boundary = tuple(cl._replace(boundary=True) for cl in c)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hill, "_solve", None)
+                mp.setattr(hill, "eigenvalues", None)
+                growth, lam, grown = hill._solve_window(w, a, xi, boundary, N)
+            assert (growth, lam.size, grown) == (0.0, 0, ())
 
     @pytest.mark.parametrize("beta, gamma, k, a", [
         BENCH_GROUPS[0], BENCH_GROUPS[2], (-1.0, 1.0, 0.78, 0.02), (1.0, 1.0, 1.6, 0.01),
     ])
     def test_returned_slice_is_spectrum_slice(self, beta, gamma, k, a):
-        # the one slice max_growth builds is spectrum_slice's at xi_star on
-        # the open clusters the sweep solved it with, bit for bit
+        # the one slice max_growth builds is the one-slice solve's at
+        # xi_star on the open clusters the sweep solved it with, bit for bit
         (xi_star, growth, sl), calls = recorded_sweep(wave_at(beta, gamma, k), a, CFG32)
         (clusters,) = [c for xi, _, c in calls if xi == xi_star]
-        ref = spectrum_slice(wave_at(beta, gamma, k), a, xi_star, CFG32, clusters)
+        ref = hill._built(xi_star, a, *hill._solve_window(wave_at(beta, gamma, k), a,
+                                                          xi_star, clusters, 32))
         assert growth == sl.max_real_part > 0
         assert sl.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
         assert ((sl.xi, sl.a, sl.max_real_part, sl.paired, sl.growth_clusters)
@@ -1385,13 +1390,15 @@ class TestPlan:
 
     @settings(max_examples=15, deadline=None)
     @given(**_WAVES, N=st.sampled_from([8, 16, 32]), xi_grid=st.sampled_from([16, 64, 512]))
+    # no block is busy, so the plan has no modes
+    @example(beta=1.0, gamma=1.0, u=0.75, a=5e-324, N=8, xi_grid=16)
     def test_row_chunks_match_one_chunk(self, beta, gamma, u, a, N, xi_grid):
         # a sweep's grid, which at N <= 32 the slice stage takes in one
         # chunk, certified with the entry budget down to one row a chunk
         w = _drawn_wave(beta, gamma, u)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a)]))
         plan = hill._plan(w, a, grid, N)
-        assert grid.size <= hill._CERTIFY_ENTRIES // plan.modes.size
+        assert grid.size * plan.modes.size <= hill._CERTIFY_ENTRIES
         clusters = hill._certify(plan, grid)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hill, "_CERTIFY_ENTRIES", 1)
