@@ -278,7 +278,7 @@ def _cmd_reduced(args):
         shifts = reduced.eigenvalue_shifts(pencil)
         entry = {
             "xi0": xi0, "omega": pencil.omega, "order": pencil.order,
-            "B_imag": pencil.B.imag.tolist(),
+            "B_imag": pencil.M.tolist(),
             "discriminant": shifts.value,
             "shifts": [[s.real, s.imag] for s in shifts.shifts],
             "unstable": shifts.unstable,
@@ -376,16 +376,16 @@ def _cmd_figures(args):
     for name, (_, values, keep, _) in tables.items():
         if not np.isfinite(values[keep]).all():
             raise DomainError(f"non-finite value in {name}")
-    for name, table in tables.items():
-        _write_csv(outdir / name, _csv_comment(args), *table)
+    for name, (header, _, _, rows) in tables.items():
+        _write_csv(outdir / name, _csv_comment(args), header, rows)
     return {"files": [str(outdir / name) for name in tables]}, None
 
 
 # ---------------------------------------------------------------------------
 # figure-data emitters: each returns {file name: (header, values, keep,
-# text)}, where values holds one (x, y) row per grid point, keep marks the
-# rows written (the others are blank rows) and text holds the two columns
-# already formatted, or is None
+# rows)}, where values holds one (x, y) row per grid point, keep marks the
+# rows written (the others are blank rows) and rows holds each row's text,
+# "x,y" or "" for a blank row
 
 def _csv_comment(args) -> str:
     vals = [("beta", args.beta), ("gamma", args.gamma), ("k", args.k),
@@ -393,22 +393,14 @@ def _csv_comment(args) -> str:
     return "# " + " ".join(f"{name}={'' if v is None else v}" for name, v in vals)
 
 
-def _write_csv(path: Path, comment: str, header, values, keep, text=None) -> None:
-    """Write a comment line, the header and one row per point of values.
+def _write_csv(path: Path, comment: str, header, rows) -> None:
+    """Write a comment line, the header and the rows' text.
 
-    The bytes are those of csv.writer on rows (x, y), or () where keep is
-    false: floats by repr, which is their str, and CRLF line ends.  text
-    is the two columns as repr strings; without it the kept rows of values
-    are formatted here, column by column, and a blank row costs nothing.
+    The bytes are those of csv.writer on rows (x, y), or () for a blank
+    row: floats by repr, which is their str, and CRLF line ends.
     """
-    kept = keep.tolist()
-    if text is None:
-        xs, ys = [iter(_repr_column(column)) for column in values[keep].T]
-        body = "".join([f"{next(xs)},{next(ys)}\r\n" if k else "\r\n"
-                        for k in kept])
-    else:
-        body = "".join([f"{x},{y}\r\n" if k else "\r\n"
-                        for x, y, k in zip(*text, kept)])
+    # each row, the last too, ends in CRLF; no rows, no body
+    body = "\r\n".join([*rows, ""])
     # created only once the inputs have passed validation
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -444,7 +436,8 @@ def _mirror_text(values) -> list[str]:
 
 
 def _k_rows(x, k4):
-    """Rows (x, k) with k = k4**(1/4), kept where k4 > 0.
+    """Rows (x, k) with k = k4**(1/4), kept where k4 > 0, and their text,
+    formatted in the kept rows only.
 
     The quarter power is taken per value on Python floats (libm pow), so
     the digits do not depend on how numpy's array power is built.
@@ -452,7 +445,11 @@ def _k_rows(x, k4):
     keep = k4 > 0
     k = np.full(k4.shape, np.nan)
     k[keep] = [v ** 0.25 for v in k4[keep].tolist()]
-    return np.column_stack((x, k)), keep
+    rows = [""] * k.size
+    for i, x_text, k_text in zip(np.flatnonzero(keep).tolist(),
+                                 _repr_column(x[keep]), _repr_column(k[keep])):
+        rows[i] = f"{x_text},{k_text}"
+    return np.column_stack((x, k)), keep, rows
 
 
 def _emit_k_curves(args) -> dict:
@@ -467,9 +464,10 @@ def _emit_k_curves(args) -> dict:
         # symmetric about x = -dn/2, where x*(x+dn) and (x+dn/2)^2, and so
         # the kernel, round alike: the right half repeats the left's text
         K = dispersion.collision_K(xs, dn)
-        tables[f"k_curves_dn{dn}.csv"] = (
-            ("x", "K"), np.column_stack((xs, K)), ~np.isnan(K),
-            (x4_text[start:], _mirror_text(K)))
+        keep = ~np.isnan(K)
+        rows = [f"{x},{k}" if kept else "" for x, k, kept in
+                zip(x4_text[start:], _mirror_text(K), keep.tolist())]
+        tables[f"k_curves_dn{dn}.csv"] = (("x", "K"), np.column_stack((xs, K)), keep, rows)
     return tables
 
 
@@ -486,7 +484,7 @@ def _emit_collision_ranges(args) -> dict:
     x = n + xi
     # xi = 0 is left out of the Floquet family: a blank row
     k4 = np.where(xi == 0, np.nan, dispersion._collision_k4(beta, gamma, x, m - n))
-    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), *_k_rows(x, k4), None)}
+    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), *_k_rows(x, k4))}
 
 
 def _emit_collision_contour(args) -> dict:
@@ -500,7 +498,7 @@ def _emit_collision_contour(args) -> dict:
     pole = np.isnan(k4)
     if pole.any():
         raise Singularity(f"collision kernel pole at x={x[pole].tolist()[0]!r}, dn=1")
-    return {"collision_contour.csv": (("xi", "k"), *_k_rows(xi, k4), None)}
+    return {"collision_contour.csv": (("xi", "k"), *_k_rows(xi, k4))}
 
 
 # plot-ready CSV files by --which name; singular points become blank rows

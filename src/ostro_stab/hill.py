@@ -28,9 +28,12 @@ boundary_margin modes next to +-N.  A sweep solves such a slice on a
 window of those clusters' modes only, two coupling-band widths wider on
 each side, and a residual guard in the whole matrix vouches for each
 eigenvalue that counts; a single slice query solves all 2N+1 modes.
-The window solver, _solve_window, solves one open slice, and a sweep
-calls it on each open slice of its grid, then of each refinement round;
-it builds a SpectrumSlice only for the slice it returns.
+The guard's scale is the slice's ||R||_inf, which the certificate
+computes once for its cluster gap and which the open clusters carry, so
+a window solve does no O(N) work.  The window solver, _solve_window,
+solves one open slice, and a sweep calls it on each open slice of its
+grid, then of each refinement round; it builds a SpectrumSlice only for
+the slice it returns.
 Slice by slice, the certificate looks only at the modes that can meet a
 mode of the other sign: over each block of xi values, a hull of every
 mode's interval proves the others apart on the whole block.  A sweep
@@ -141,12 +144,15 @@ class TruncationConfig:
 
 class Cluster(NamedTuple):
     """A cluster that _on_axis leaves open: its span [lo, hi] on the real
-    line, its modes n, and whether one is within boundary_margin of +-N."""
+    line, its modes n, whether one is within boundary_margin of +-N, and
+    its slice's ||R||_inf, which the certificate computed (see _on_axis)
+    and the window solve's residual guard reads (see _solve_window)."""
 
     lo: float
     hi: float
     modes: tuple[int, ...]
     boundary: bool
+    norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,19 +173,19 @@ class SpectrumSlice:
 
 @functools.lru_cache(maxsize=1)
 def _wave_terms(wave: StokesWave, a: float,
-                N: int) -> tuple[float, np.ndarray, np.ndarray]:
+                N: int) -> tuple[float, np.ndarray, np.ndarray, int]:
     """The xi-independent parts of one wave's matrices: speed c, the
-    coupling's first column col and its row sums.
+    coupling's first column col, its row sums and its band width.
 
     The coupling C is the off-diagonal part of L, a symmetric Toeplitz
     matrix with -2*k^2*w_hat bands; the exponential Fourier coefficients
     of w are half its cosine amplitudes, w_hat(+-j) = W_j / 2.  It is kept
     as its bands only: C_nm = col[|n-m|], zero past |n-m| = 4 (see
-    _coupling).  row_sum_n = sum_m |C_nm| (see _abs_times), so that row n
-    of R sums to |omega(n+xi)| + |n+xi|*row_sum_n in absolute value.  A
-    sweep builds them once, on its first slice, in O(N); both arrays are
-    read-only because every later slice of the same (wave, a, N) shares
-    them.
+    _coupling), the last nonzero at the band width.  row_sum_n =
+    sum_m |C_nm| (see _abs_times), so that row n of R sums to
+    |omega(n+xi)| + |n+xi|*row_sum_n in absolute value.  A sweep builds
+    them once, on its first slice, in O(N); both arrays are read-only
+    because every later slice of the same (wave, a, N) shares them.
     """
     k2 = wave.params.k**2
     col = np.zeros(2 * N + 1)
@@ -187,7 +193,8 @@ def _wave_terms(wave: StokesWave, a: float,
         col[j] = -2.0 * k2 * (Wj / 2.0)
     row_sum = _abs_times(col, np.ones(2 * N + 1))
     col.flags.writeable = row_sum.flags.writeable = False
-    return stokes.eval_speed(wave, a), col, row_sum
+    band = int(np.flatnonzero(col).max(initial=0))
+    return stokes.eval_speed(wave, a), col, row_sum, band
 
 
 def _coupling(col: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -214,7 +221,7 @@ def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> 
     dispersion.check_xi(xi)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2 = k**2
-    c, col, _ = _wave_terms(wave, check_amplitude(a), cfg.N)
+    c, col, _, _ = _wave_terms(wave, check_amplitude(a), cfg.N)
     i = np.arange(2 * cfg.N + 1)
     x = i - cfg.N + xi
     L = _coupling(col, i, i)
@@ -235,7 +242,7 @@ def assemble_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np
 
 def _assemble_real(wave: StokesWave, a, xi: float, N: int) -> np.ndarray:
     """Imaginary part of the Bloch matrix; accepts any xi with n+xi != 0."""
-    c, col, _ = _wave_terms(wave, check_amplitude(a), N)
+    c, col, _, _ = _wave_terms(wave, check_amplitude(a), N)
     i = np.arange(2 * N + 1)
     x = i - N + xi
     R = x[:, None] * _coupling(col, i, i)
@@ -315,8 +322,9 @@ def _solve_window(wave: StokesWave, a: float, xi: float, clusters: tuple[Cluster
     reaches them), and solved by np.linalg.eig.  Each counted eigenpair
     (mu, v), v of unit norm, must pass a residual guard in R:
     ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf, ||R||_inf the
-    largest row term |omega(n+xi)| + |n+xi|*sum_m |C_nm|, O(N).  Then mu
-    is an exact eigenvalue of R + E, ||E||_2 at most the window's backward
+    norm the certificate computed for the slice, which its clusters carry
+    (see Cluster); so no step of a window solve is O(N).  Then mu is an
+    exact eigenvalue of R + E, ||E||_2 at most the window's backward
     error plus that bound, inside the noise _on_axis allows the solve.  A
     slice that fails the guard is solved on all 2N+1 modes.  A window
     slice holds the window's eigenvalues, and its growth clusters only the
@@ -324,8 +332,8 @@ def _solve_window(wave: StokesWave, a: float, xi: float, clusters: tuple[Cluster
     boundary mode, nothing can count, the window is empty and the slice
     scores 0.0 unsolved.
     """
-    c, col, row_sum = _wave_terms(wave, a, N)
-    band, size = np.flatnonzero(col).max(initial=0), 2 * N + 1
+    c, col, _, band = _wave_terms(wave, a, N)
+    size = 2 * N + 1
     rows = [n + N for cl in clusters if not cl.boundary for n in cl.modes]
     if not rows:
         return 0.0, np.empty(0), ()
@@ -334,16 +342,15 @@ def _solve_window(wave: StokesWave, a: float, xi: float, clusters: tuple[Cluster
         # the window's columns of R on its rows (window) and on the band
         # rows around it (rest), which hold every other nonzero of them
         top, bottom = max(lo - band, 0), min(hi + band, size)
-        x = np.arange(-N, N + 1) + xi
-        centre = dispersion.omega(wave.params, c, x)
-        cols = x[top:bottom, None] * _coupling(col, np.arange(top, bottom), np.arange(lo, hi))
+        x = np.arange(top - N, bottom - N) + xi
+        cols = x[:, None] * _coupling(col, np.arange(top, bottom), np.arange(lo, hi))
         window, d = cols[lo - top:hi - top], np.arange(hi - lo)
-        window[d, d] = centre[lo:hi]
+        window[d, d] = dispersion.omega(wave.params, c, x[lo - top:hi - top])
         rest = np.concatenate([cols[:lo - top], cols[hi - top:]])
         w, v = _solve(np.linalg.eig, window)
         counted, grown = _attribute(w, clusters)
-        norm = np.max(np.abs(centre) + np.abs(x) * row_sum)
-        if np.all(np.linalg.norm(rest @ v[:, counted], axis=0) <= _CERTIFY_MARGIN * norm):
+        bound = _CERTIFY_MARGIN * clusters[0].norm
+        if np.all(np.linalg.norm(rest @ v[:, counted], axis=0) <= bound):
             return _score(w, counted), w, grown
     w = eigenvalues(_assemble_real(wave, a, xi, N))
     counted, grown = _attribute(w, clusters)
@@ -585,7 +592,9 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     The modes of the other hull clusters make up the block's window.  The
     slices of the blocks with a window are clustered as above on the
     union of their windows, each slice's ||R||_inf read off the modes
-    whose upper bound reaches the largest lower bound of its block.  Rule
+    whose upper bound reaches the largest lower bound of its block: they
+    hold the largest term, so this is the norm over all 2N+1 modes, bit
+    for bit.  Rule
     (c) reads rows and diagonal on the window and the modes coupled to it,
     which hold every nonzero of b_p and b_q.  Any other mode m has
     rho_m = r_m, so its row dominance |omega_m - t| - r_m is the signed
@@ -661,7 +670,7 @@ def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
     O(N) memory per block: the modes that a set of modes couples to are
     where |C| times the set's mask is positive (see _abs_times)."""
     a = check_amplitude(a)
-    c, col, row_sum = _wave_terms(wave, a, N)
+    c, col, row_sum, _ = _wave_terms(wave, a, N)
     n = np.arange(-N, N + 1)
     # each block's hulls, and its window: the modes of its hull clusters
     # that hold modes of both signs of n+xi
@@ -781,10 +790,10 @@ def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
         lo_end = lft.ravel()[order[head]] - gap[k] / 2
         hi_end = np.maximum.reduceat(rgt.ravel()[order], start)[runs] + gap[k] / 2
         mode_n = (ext_modes[win] - N)[order % width].tolist()
-        for i, j, z, lo_j, hi_j in zip(*(v.tolist() for v in (
-                idx[k], head, size[runs], lo_end, hi_end))):
+        for i, j, z, lo_j, hi_j, norm_i in zip(*(v.tolist() for v in (
+                idx[k], head, size[runs], lo_end, hi_end, norm[k]))):
             ns = tuple(sorted(mode_n[j:j + z]))
-            clusters[i] += (Cluster(lo_j, hi_j, ns, max(map(abs, ns)) > edge),)
+            clusters[i] += (Cluster(lo_j, hi_j, ns, max(map(abs, ns)) > edge, norm_i),)
     return clusters
 
 

@@ -2,11 +2,13 @@
 
 Near a collision i*omega of modes n and n + dn the spectrum of the
 linearized operator is governed, to leading order in the amplitude a, by
-a 2x2 matrix B: the action of the operator on the two colliding Fourier
-modes, whose Gram matrix is the identity at the orders kept here.  Its
-characteristic equation det(B - (i*omega + i*mu)*I) = 0 is a real
-quadratic in mu; a negative discriminant means the perturbed eigenvalues
-leave the imaginary axis, i.e. instability.
+a 2x2 pencil: the action of the operator on the two colliding Fourier
+modes, whose Gram matrix is the identity at the orders kept here.  Every
+entry of that action is i times a real number, so the pencil is i*M with
+M real, and it is kept as M.  Its eigenvalues i*(omega + mu) are those
+of i*M: mu solves the real quadratic det(M - (omega + mu)*I) = 0, and a
+negative discriminant means the perturbed eigenvalues leave the
+imaginary axis, i.e. instability.
 
 One constructor builds the pencil for dn = 1 (entries through a^2) and
 dn = 2 (through a^4) from the wave's dn-th harmonic and its speed
@@ -41,9 +43,9 @@ COLLISION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReducedPencil:
-    """2x2 pencil B at a collision; every entry of B is i times a real."""
+    """2x2 pencil at a collision, as the real M whose i*M it is."""
 
-    B: np.ndarray
+    M: np.ndarray
     omega: float
     order: int
     n: int
@@ -77,8 +79,8 @@ def reduced_pencil(wave: StokesWave, n: int, m: int, xi0: float, a) -> ReducedPe
     """Pencil for the pair {n, m}, dn = |m - n| <= 2, exact through a^(2*dn).
 
     The coupling is carried by the wave's dn-th harmonic W_dn (W1 = a,
-    W2 = a^2*A2 + a^4*A42): off-diagonal -i*k^2*W_dn*(other index + xi0).
-    The diagonal is i*omega + i*k^2*(c - c0)*(index + xi0), with the speed
+    W2 = a^2*A2 + a^4*A42): off-diagonal -k^2*W_dn*(other index + xi0) in
+    M.  The diagonal is omega + k^2*(c - c0)*(index + xi0), with the speed
     correction c - c0 kept through a^(2*dn).  Separations >= 3 are not
     analyzed.
     """
@@ -92,25 +94,23 @@ def reduced_pencil(wave: StokesWave, n: int, m: int, xi0: float, a) -> ReducedPe
     dc = a**2 * wave.c2 if dn == 1 else a**2 * wave.c2 + a**4 * wave.c4
     k2 = wave.params.k**2
     p, q = n + xi0, m + xi0
-    B = np.array([
-        [1j * w + 1j * k2 * dc * p, -1j * k2 * W * q],
-        [-1j * k2 * W * p, 1j * w + 1j * k2 * dc * q],
+    # + 0.0 makes a zero coupling (a = 0) +0.0, the value B_imag prints
+    M = np.array([
+        [w + k2 * dc * p, -k2 * W * q + 0.0],
+        [-k2 * W * p + 0.0, w + k2 * dc * q],
     ])
-    return ReducedPencil(B=B, omega=w, order=2 * dn, n=n, m=m, xi0=xi0)
+    return ReducedPencil(M=M, omega=w, order=2 * dn, n=n, m=m, xi0=xi0)
 
 
 def eigenvalue_shifts(pencil: ReducedPencil) -> DiscriminantResult:
-    """Solve det(B - (i*omega + i*mu)*I) = 0 exactly.
+    """Solve det(M - (omega + mu)*I) = 0 exactly.
 
-    G = -i*(B - i*omega*I) is real; mu solves
+    mu is an eigenvalue of the real G = M - omega*I, so it solves
     mu^2 - tr(G)*mu + det(G) = 0 with discriminant tr^2 - 4*det.  A
     negative discriminant gives a complex-conjugate pair of shifts and a
     positive growth rate max(Re(i*mu)).
     """
-    G_c = -1j * (pencil.B - 1j * pencil.omega * np.eye(2))
-    if np.max(np.abs(G_c.imag)) > 1e-12 * max(1.0, np.max(np.abs(G_c.real))):
-        raise ValueError("pencil entries are not purely imaginary")
-    G = G_c.real
+    G = pencil.M - pencil.omega * np.eye(2)
     tr = G[0, 0] + G[1, 1]
     det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
     disc = tr * tr - 4.0 * det

@@ -174,21 +174,20 @@ def eval_speed(wave: StokesWave, a) -> float:
     return wave.c0 + a**2 * wave.c2 + a**4 * wave.c4
 
 
-def residual_F(wave: StokesWave, a, grid_size: int = 256) -> float:
+def residual_F(wave: StokesWave, a) -> float:
     """Discrete L2 norm of the profile-equation residual at amplitude a.
 
     The residual c*k^2*w'' + beta*k^4*w'''' - k^2*(w^2)'' + gamma*w is
-    evaluated on a uniform grid with all derivatives taken spectrally.
-    The grid resolves every harmonic of w^2 exactly (w has 4 harmonics),
-    so the only error is the O(a^5) truncation of the expansion itself:
-    the returned norm must scale like a^5.
+    evaluated on a uniform grid of 256 points with all derivatives taken
+    spectrally.  The grid resolves every harmonic of w^2 exactly (w has 4
+    harmonics, w^2 has 8), so the only error is the O(a^5) truncation of
+    the expansion itself: the returned norm must scale like a^5.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
     a = check_amplitude(a)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2, k4 = k**2, k**4
-    z = 2 * np.pi * np.arange(grid_size) / grid_size
+    size = 256
+    z = 2 * np.pi * np.arange(size) / size
     w = eval_profile(wave, a, z)
     c = eval_speed(wave, a)
     # w has harmonics 1..4 and w^2 harmonics 0..8; anything above is FFT
@@ -204,5 +203,5 @@ def residual_F(wave: StokesWave, a, grid_size: int = 256) -> float:
         + k2 * j**2 * w2_hat
         + gamma * w_hat
     )
-    F = np.fft.irfft(F_hat, n=grid_size)
+    F = np.fft.irfft(F_hat, n=size)
     return float(np.sqrt(np.mean(F * F)))

@@ -739,7 +739,9 @@ class TestFigureCsv:
 
     def check(self, tmp_path, values, keep):
         path = tmp_path / "t.csv"
-        cli._write_csv(path, "# beta=1.0 gamma=", ("x", "k"), values, keep)
+        rows = [f"{x!r},{y!r}" if kept else ""
+                for (x, y), kept in zip(values.tolist(), keep.tolist())]
+        cli._write_csv(path, "# beta=1.0 gamma=", ("x", "k"), rows)
         assert path.read_bytes() == self.reference_bytes(
             "# beta=1.0 gamma=", ("x", "k"), values, keep)
 

@@ -137,13 +137,15 @@ class TestAssembly:
                           (L2, fresh_L(0.37))):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        # the memo holds the coupling's first column and its row sums
-        _, col, row_sum = _wave_terms(w, a, N)
+        # the memo holds the coupling's first column, its row sums and its
+        # band width
+        _, col, row_sum, band = _wave_terms(w, a, N)
         for memo in (col, row_sum):
             assert not memo.flags.writeable
             with pytest.raises(ValueError):
                 memo[0] = 1.0
         assert col.tobytes() == T[:, 0].tobytes()
+        assert band == np.flatnonzero(T[:, 0]).max()
 
 
 class TestFactorization:
@@ -779,7 +781,7 @@ class TestWindowedCertificate:
         w = _drawn_wave(beta, gamma, u)
         hi = min(0.5, lo + 10**width)
         c, abs_c = eval_speed(w, a), np.abs(dense_coupling(w, a, N))
-        _, col, row_sum = _wave_terms(w, a, N)
+        _, col, row_sum, _ = _wave_terms(w, a, N)
         n = np.arange(-N, N + 1)
         left, right, norm_lo, norm_hi = (
             v[0] for v in _hulls(w.params, c, col, row_sum, n,
@@ -1281,6 +1283,29 @@ class TestWindowSolve:
                    for N in (32, 64, 96, 1000, 2000)}
         assert len(results) == 1
 
+    @pytest.mark.parametrize("beta, gamma, k, a", [BENCH_GROUPS[0], BENCH_GROUPS[2]])
+    def test_window_solve_evaluates_omega_on_its_rows(self, beta, gamma, k, a):
+        # each slice a sweep solves at N = 2000, solved again with omega
+        # spied: the window solve evaluates it on no more than the window's
+        # rows, and reads ||R||_inf off the clusters
+        w, N = wave_at(beta, gamma, k), 2000
+        _, calls = recorded_sweep(w, a, TruncationConfig(N=N))
+        assert calls
+        for xi, growth, clusters in calls:
+            modes = [n for c in clusters if not c.boundary for n in c.modes]
+            window = min(max(modes) + 8, N) - max(min(modes) - 8, -N) + 1
+            evaluated = []
+
+            def spy(params, c, x):
+                evaluated.append(np.size(x))
+                return omega(params, c, x)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hill.dispersion, "omega", spy)
+                out = hill._solve_window(w, a, xi, clusters, N)
+            assert out[0] == growth and out[1].size == window
+            assert sum(evaluated) <= window
+
     @pytest.mark.parametrize("beta, gamma, k, a", BENCH_GROUPS)
     def test_sweep_holds_no_dense_matrix(self, beta, gamma, k, a):
         # the sweep keeps the coupling as its bands: at N = 2000 its traced
@@ -1298,8 +1323,8 @@ class TestWindowSolve:
 def assert_same_certificate(w, a, N, lattice, clusters, ref_clusters=None):
     """The verdicts and open clusters of ``ref_clusters``, by default those
     of _on_axis on ``lattice`` alone: verdicts (a slice without open
-    clusters is certified), modes and boundary flags equal, spans within
-    8*eps*||R||_inf (the batch shape can reorder a radius's sums)."""
+    clusters is certified), modes, boundary flags and norms equal, spans
+    within 8*eps*||R||_inf (the batch shape can reorder a radius's sums)."""
     if ref_clusters is None:
         ref_clusters = _on_axis(w, a, lattice, N)
     assert [not c for c in clusters] == [not c for c in ref_clusters]
@@ -1423,6 +1448,25 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 32 * hill._CERTIFY_ENTRIES * 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_WAVES, N=st.integers(8, 200), xi=st.floats(0.01, 0.5),
+           xi_grid=st.sampled_from([16, 64]))
+    def test_open_clusters_carry_the_full_norm(self, beta, gamma, u, a, N, xi, xi_grid):
+        # the ||R||_inf each open cluster carries, read off the plan's top
+        # modes, is the largest row term over all 2N+1 modes, bit for bit:
+        # top holds the arg-max
+        w = _drawn_wave(beta, gamma, u)
+        xis = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a),
+                                        [xi]]))
+        clusters = hill._certify(hill._plan(w, a, xis, N), xis)
+        assume(any(clusters))
+        c, _, row_sum, _ = _wave_terms(w, a, N)
+        for x0, open_ in zip(xis, clusters):
+            if open_:
+                x = np.arange(-N, N + 1) + x0
+                norm = np.max(np.abs(omega(w.params, c, x)) + np.abs(x) * row_sum)
+                assert {cl.norm for cl in open_} == {norm}
 
     def test_refuses_xi_outside_span(self):
         w = wave_at(1, 1, 1.6)

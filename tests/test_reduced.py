@@ -43,23 +43,27 @@ class TestPencilDn1:
     def test_zero_amplitude_diagonal(self):
         w = wave_at(1, 1, 2**0.5)
         pen = reduced_pencil(w, -1, 0, 0.5, 0.0)
-        np.testing.assert_array_equal(pen.B, 1j * pen.omega * np.eye(2))
+        np.testing.assert_array_equal(pen.M, pen.omega * np.eye(2))
+        # a zero coupling is a positive zero, as B_imag prints it
+        assert not np.signbit(pen.M[[0, 1], [1, 0]]).any()
         res = eigenvalue_shifts(pen)
         assert res.value == 0.0
         assert res.shifts == (0, 0)
         assert not res.unstable and res.growth_rate == 0.0
 
-    def test_purely_imaginary_entries(self):
+    def test_real_entries(self):
+        # the pencil i*M is kept as the real M
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
         pen = reduced_pencil(w, -1, 0, xi0, 0.05)
-        assert np.all(pen.B.real == 0.0)
+        assert pen.M.dtype == np.float64 and pen.M.shape == (2, 2)
+        assert np.all(np.isfinite(pen.M))
 
     def test_offdiagonal_ratio_encodes_signatures(self):
         w = wave_at(1, 1, 2**0.5 * 1.05)
         xi0 = collision_xi(w.params, -1, 0)[0]
         pen = reduced_pencil(w, -1, 0, xi0, 0.03)
-        ratio = (pen.B[1, 0] / pen.B[0, 1]).real
+        ratio = pen.M[1, 0] / pen.M[0, 1]
         assert ratio == pytest.approx((-1 + xi0) / xi0, rel=1e-12)
         assert ratio < 0
 
@@ -68,8 +72,8 @@ class TestPencilDn1:
         xi0 = collision_xi(w.params, -1, 0)[0]
         a = 0.04
         pen = reduced_pencil(w, -1, 0, xi0, a)
-        expected = 1j * w.params.k**2 * a**2 * w.c2 * (2 * (-1) + 1 + 2 * xi0)
-        assert pen.B.trace() - 2j * pen.omega == pytest.approx(expected, rel=1e-12)
+        expected = w.params.k**2 * a**2 * w.c2 * (2 * (-1) + 1 + 2 * xi0)
+        assert pen.M.trace() - 2 * pen.omega == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_collision(self):
         w = wave_at(1, 1, 1.6)
@@ -94,8 +98,9 @@ class TestShifts:
         xi0 = collision_xi(w.params, -1, 0)[0]
         pen = reduced_pencil(w, -1, 0, xi0, 0.02)
         res = eigenvalue_shifts(pen)
-        lam = eigenvalues(pen.B)
-        expected = 1j * pen.omega + 1j * np.array(res.shifts)
+        # M's eigenvalues are omega + mu
+        lam = eigenvalues(pen.M)
+        expected = pen.omega + np.array(res.shifts)
         # each eigenvalue against its nearest expected value, one to one:
         # the unstable pair shares its imaginary part, so no sort key
         # orders the two sides alike
@@ -164,7 +169,8 @@ class TestPencilDn2:
         k = (4 / 9) ** 0.25
         w = wave_at(-1, 1, k)
         pen = reduced_pencil(w, -1, 1, 0.5, 0.0)
-        np.testing.assert_array_equal(pen.B, 1j * pen.omega * np.eye(2))
+        np.testing.assert_array_equal(pen.M, pen.omega * np.eye(2))
+        assert not np.signbit(pen.M[[0, 1], [1, 0]]).any()
 
     @pytest.mark.parametrize("beta, k, n, m", [
         (-1, (4 / 9) ** 0.25, -1, 1),  # {-1,1}, second harmonic
@@ -180,12 +186,12 @@ class TestPencilDn2:
         W = harmonic_amplitudes(w, a)[dn - 1]
         assert W == (a if dn == 1 else a**2 * w.A2 + a**4 * w.A42)
         diag = a**2 * w.c2 if dn == 1 else a**2 * w.A2 + a**4 * w.c4
-        assert pen.B[0, 0] == 1j * pen.omega + 1j * k2 * diag * (n + xi0)
-        assert pen.B[1, 1] == 1j * pen.omega + 1j * k2 * diag * (m + xi0)
-        assert pen.B[0, 1] == -1j * k2 * W * (m + xi0)
-        assert pen.B[1, 0] == -1j * k2 * W * (n + xi0)
-        assert np.all(np.isfinite(pen.B))
-        assert (pen.B[0, 1] / pen.B[1, 0]).real == pytest.approx(
+        assert pen.M[0, 0] == pen.omega + k2 * diag * (n + xi0)
+        assert pen.M[1, 1] == pen.omega + k2 * diag * (m + xi0)
+        assert pen.M[0, 1] == -k2 * W * (m + xi0)
+        assert pen.M[1, 0] == -k2 * W * (n + xi0)
+        assert np.all(np.isfinite(pen.M))
+        assert pen.M[0, 1] / pen.M[1, 0] == pytest.approx(
             (m + xi0) / (n + xi0), rel=1e-12)
 
     def test_leading_discriminant_positive(self):

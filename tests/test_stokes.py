@@ -158,15 +158,3 @@ class TestResidual:
         r = residual_F(wave(), 0.01)
         assert r < 1e-8
         assert r == pytest.approx(RESIDUAL_A001, rel=1e-6)
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            residual_F(wave(), 0.01, grid_size=32)
-
-    @settings(max_examples=25, deadline=None)
-    @given(gs=st.sampled_from([64, 128, 256, 512]))
-    def test_grid_independent(self, gs):
-        # all harmonics of F are resolved at 64 points already
-        w = wave(-1, 1, 1)
-        assert residual_F(w, 0.03, gs) == pytest.approx(
-            residual_F(w, 0.03, 256), rel=1e-10)
