@@ -600,7 +600,14 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     rho_m = r_m, so its row dominance |omega_m - t| - r_m is the signed
     distance of t from its interval, at least the signed distance
     max(left_m - t, t - right_m) from its hull.  That bound stands in for
-    it in delta, which can only make delta smaller and (c) stricter.
+    it in delta, which can only make delta smaller and (c) stricter.  The
+    pair's hull cluster is mixed, so all of its modes are window modes,
+    and t lies inside it; every other mode's hull lies wholly below or
+    wholly above it.  So the least of those bounds is
+    min(above - t, t - below), above the least left end of the hulls
+    above the cluster and below the largest right end of those below it,
+    the same float (rounding is monotone); the plan holds both per block
+    and mode, so the bound costs O(1) per pair.
 
     That set-up, the hulls and windows, is the plan (_plan), built once
     for a sorted xi array.  _certify then takes any xi inside its span: in
@@ -642,10 +649,13 @@ class _Plan(NamedTuple):
     (ext) and to those, and the modes whose terms can be the largest of
     ||R||_inf (``top``, a mask on ``modes``), with their ``row_sum``;
     ``e`` picks the ext modes out of ``modes`` and ``win`` the window out
-    of ``ext_modes``; ``to_ext`` is |C| from ``modes`` to ``ext_modes``,
-    and ``left_out``, ``right_out`` each block's hull ends of the modes
-    past ext.  ``col`` is the coupling's first column (see _wave_terms),
-    from which rule (c) cuts its pair rows.
+    of ``ext_modes``; ``to_ext`` is |C| from ``modes`` to ``ext_modes``.
+    ``below`` and ``above`` hold, per block and ext mode, the nearest hull
+    end of the modes past ext below and above the mode's hull cluster (-inf
+    and inf where there is none); rule (c) reads them for a window mode,
+    whose hull cluster holds no mode past ext.  ``col`` is the coupling's
+    first column (see _wave_terms), from which rule (c) cuts its pair
+    rows.
     """
 
     params: stokes.PhysicalParams
@@ -661,8 +671,8 @@ class _Plan(NamedTuple):
     ext_modes: np.ndarray
     win: np.ndarray
     to_ext: np.ndarray
-    left_out: np.ndarray
-    right_out: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
 
 
 def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
@@ -692,9 +702,20 @@ def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
     modes = np.flatnonzero(ext | (_abs_times(col, ext) > 0) | top)
     e = np.flatnonzero(ext[modes])
     ext_modes = modes[e]
+    # in each block's order of left ends, the running max of the right ends
+    # and, from the end, the running min of the left ends of the modes past
+    # ext: at a mode of a hull cluster without such modes, the nearest hull
+    # end past ext below and above the cluster
+    ranked = order.reshape(left.shape)
+    far = ~ext[ranked % n.size]
+    below, above = np.empty(left.shape), np.empty(left.shape)
+    below.ravel()[order] = np.maximum.accumulate(
+        np.where(far, right.ravel()[ranked], -np.inf), axis=1).ravel()
+    above.ravel()[order] = np.minimum.accumulate(
+        np.where(far, left.ravel()[ranked], np.inf)[:, ::-1], axis=1)[:, ::-1].ravel()
     return _Plan(wave.params, c, col, N, xis, busy, modes, row_sum[modes],
                  top[modes], e, ext_modes, np.flatnonzero(window[ext_modes]),
-                 np.abs(_coupling(col, modes, ext_modes)), left[:, ~ext], right[:, ~ext])
+                 np.abs(_coupling(col, modes, ext_modes)), below[:, ext], above[:, ext])
 
 
 def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
@@ -756,10 +777,8 @@ def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
         rho = radius[r] - abs_p - abs_q
         # the modes past ext enter delta by their hulls' distance from t
         b = blk[idx[r]]
-        delta = np.minimum(
-            (np.abs(diag) - rho).min(axis=1),
-            np.maximum(plan.left_out[b] - t[:, None], t[:, None] - plan.right_out[b])
-            .min(axis=1, initial=np.inf))
+        delta = np.minimum((np.abs(diag) - rho).min(axis=1),
+                           np.minimum(plan.above[b, p] - t, t - plan.below[b, p]))
         # a slice with delta <= 0 fails anyway; its divisions may not be finite
         with np.errstate(divide="ignore", invalid="ignore"):
             up, uq = bp / diag, bq / diag

@@ -1468,6 +1468,25 @@ class TestPlan:
                 norm = np.max(np.abs(omega(w.params, c, x)) + np.abs(x) * row_sum)
                 assert {cl.norm for cl in open_} == {norm}
 
+    def test_far_modes_bound_certify_memory(self):
+        # rule (c) bounds the modes past ext by two hull ends a pair, not
+        # by a gather over them: at N = 2000 the sweep grid of the beta < 0
+        # benchmark wave, 512 of whose slices are busy, is certified within
+        # 2 MiB (1.05 MiB measured, as at N = 32; 16.3 MiB when every far
+        # mode's hull ends were gathered for each pair)
+        beta, gamma, k, a = BENCH_GROUPS[2]
+        w, N = wave_at(beta, gamma, k), 2000
+        grid = np.unique(np.concatenate([TruncationConfig(N=N).grid(), _collision_seeds(w, a)]))
+        plan = hill._plan(w, a, grid, N)
+        assert plan.busy.repeat(_CERTIFY_BLOCK)[:grid.size].sum() >= 512
+        tracemalloc.start()
+        try:
+            hill._certify(plan, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_refuses_xi_outside_span(self):
         w = wave_at(1, 1, 1.6)
         plan = hill._plan(w, 0.01, default_xi_grid(64), 16)
