@@ -31,16 +31,18 @@ eigenvalue that counts; a single slice query solves all 2N+1 modes.
 The guard's scale is the slice's ||R||_inf, which the certificate
 computes once for its cluster gap and which the open clusters carry, so
 a window solve does no O(N) work.  The window solver, _solve_window,
-solves one open slice, and a sweep calls it on each open slice of its
-grid, then of each refinement round; it builds a SpectrumSlice only for
-the slice it returns.
+solves one open slice; a sweep builds a SpectrumSlice only for the slice
+it returns.
 Slice by slice, the certificate looks only at the modes that can meet a
 mode of the other sign: over each block of xi values, a hull of every
-mode's interval proves the others apart on the whole block.  A sweep
-builds those hulls once, over its grid, and certifies on them both the
-grid and the lattice of 63 points inside the bracket of its best point,
-where it refines by parabolic steps; a certified maximiser is not
-solved.
+mode's interval proves the others apart on the whole block.
+
+A sweep looks at the uniform grid on (1/1024, 1/2] and at the seeds
+where the wave's bubbles peak: the root of each opposite-Krein pair's
+effective 2x2 detuning, and the modulational peak xi*, when these lie on
+(1/1024, 1/2].  It builds the hulls once over those xi values, certifies
+them in one call, solves the open ones once each and returns the
+largest growth; a certified maximiser is not solved.
 
 The real solver returns exact conjugate pairs, so every solved spectrum
 is exactly symmetric under lambda -> -conj(lambda); a slice's
@@ -80,12 +82,10 @@ MAX_N_RANGE = 1000
 _XI_LO = 1.0 / 1024
 # |Re lambda| above this makes an eigenvalue a growth candidate.
 _RE_TRIGGER = 1e-12
-# Refinement rounds around the best slice of the sweep, one solve at most
-# each, on a lattice of _LATTICE - 1 points evenly inside its bracket.
-_REFINE_ROUNDS = 3
-_LATTICE = 64
-# Golden-section fraction of a bracket side.
-_GOLDEN = (3.0 - 5.0**0.5) / 2.0
+# Modes on each side of a colliding pair in the window of its root search,
+# and the secant steps of the search (see _bubble_seeds).
+_ROOT_PAD = 8
+_ROOT_STEPS = 4
 # xi values per certificate block, over which each mode gets one hull.
 _CERTIFY_BLOCK = 64
 # Entries per chunk of the slice-by-slice stage, over the plan's modes: one
@@ -107,10 +107,12 @@ def _check_grid_size(num: int) -> None:
 def default_xi_grid(num: int) -> np.ndarray:
     """Uniform xi grid on (1/1024, 1/2], left endpoint excluded.
 
-    High-frequency instability bubbles are O(a) wide, which this
-    resolves for the amplitudes used here.  The excluded neighborhood of
-    xi = 0 is the modulational regime of the nearly-coalescing +-1 modes,
-    outside the scope of the high-frequency sweep.
+    (1/1024, 1/2] is the sweep's domain: max_growth looks at this grid
+    and at the seeds of _bubble_seeds inside it.  The grid finds growth
+    that no seed predicts; a bubble narrower than its spacing is found at
+    its seed.  A modulational peak xi* below 1/1024 lies outside the
+    domain, and the sweep reports only the flank of its bubble that
+    reaches into it, if any.
     """
     _check_grid_size(num)
     return _XI_LO + (0.5 - _XI_LO) * np.arange(1, num + 1) / num
@@ -393,27 +395,69 @@ def _attribute(w: np.ndarray,
     return counted, tuple(grown)
 
 
-def _collision_seeds(wave: StokesWave, a) -> list[float]:
-    """Candidate xi values near opposite-Krein collisions of this wave.
+def _bubble_seeds(wave: StokesWave, a: float, N: int) -> np.ndarray:
+    """The xi in (1/1024, 1/2] where this wave's instability bubbles peak.
 
-    Instability bubbles are centered within O(a^2) of the unperturbed
-    collision xi0 but can be orders of magnitude narrower than a uniform
-    sweep grid (half-width ~ growth / |d(omega_n - omega_m)/dxi|), so the
-    sweep is seeded with each xi0 plus a geometric ladder of offsets
-    scaled by a*k^2.
+    A high-frequency bubble of an opposite-Krein pair {n, m} peaks where
+    the pair's effective 2x2 is tuned (Deconinck & Trichtchenko 2017): at
+    the root of the detuning M_nn - M_mm of the Feshbach complement
+    M(t) = A - B (D - t)^-1 C of R onto the pair, R on a window of the
+    pair's modes +-_ROOT_PAD clipped to -N..N (a run of equal length for
+    every pair, so that each step is one stacked solve).  Each collision
+    xi0 of collision_xi starts a Newton step on the unperturbed slope
+    omega'(n+xi) - omega'(m+xi), then _ROOT_STEPS secant steps; t is the
+    mean of R_nn and R_mm at xi0, then the mean of M's diagonal at the
+    step before.  The modulational bubble of the +-1 modes peaks at
+    xi* = a*sqrt(2|c2|/(k|omega''(k)|)), omega''(k) = 6*beta*k + 2*gamma/k^3,
+    when omega''(k)*c2 < 0 (Lighthill 1965).  A seed only chooses where
+    the sweep looks: its growth is that of its certified window solve.
     """
-    scale = abs(check_amplitude(a)) * wave.params.k**2
-    offsets = [0.0]
-    for s in (0.001, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
-        offsets += [s * scale, -s * scale]
+    params, k = wave.params, wave.params.k
+    curv = 6.0 * params.beta * k + 2.0 * params.gamma / k**3
     seeds = []
-    for n, m in _opposite_pairs(wave.params.beta > 0):
-        for xi0 in dispersion.collision_xi(wave.params, n, m):
-            for d in offsets:
-                xi = xi0 + d
-                if _XI_LO < xi <= 0.5:
-                    seeds.append(xi)
-    return seeds
+    if curv * wave.c2 < 0:
+        seeds.append(abs(a) * np.sqrt(2.0 * abs(wave.c2) / (k * abs(curv))))
+    found = [(n, m, xi0) for n, m in _opposite_pairs(params.beta > 0)
+             for xi0 in dispersion.collision_xi(params, n, m)]
+    if found:
+        n, m, xi = (np.array(v) for v in zip(*found))
+        c, col, _, _ = _wave_terms(wave, a, N)
+        # each pair's window: n, m, then the rest of the run
+        size = min(2 * N + 1, 2 * _ROOT_PAD + 1 + int((m - n).max()))
+        run = np.clip(n - _ROOT_PAD, -N, N + 1 - size)[:, None] + np.arange(size)
+        rest = run[(run != n[:, None]) & (run != m[:, None])].reshape(n.size, size - 2)
+        modes = np.column_stack([n, m, rest])
+        coupling, d = col[np.abs(modes[:, :, None] - modes[:, None, :])], np.arange(size)
+        eye = np.eye(size - 2)
+
+        def detuning(xi, t):
+            x = modes + xi[:, None]
+            R = x[:, :, None] * coupling
+            R[:, d, d] = dispersion.omega(params, c, x)
+            M = R[:, :2, :2] - R[:, :2, 2:] @ np.linalg.solve(
+                R[:, 2:, 2:] - t[:, None, None] * eye, R[:, 2:, :2])
+            return M[:, 0, 0] - M[:, 1, 1], 0.5 * (M[:, 0, 0] + M[:, 1, 1])
+
+        # omega'(x) but its term k^2*c, which the slope's difference drops
+        x = np.stack([n + xi, m + xi])
+        dw = params.gamma / x**2 - 3.0 * params.beta * k**4 * x**2
+        f, t = detuning(xi, dispersion.omega(params, c, x).mean(axis=0))
+
+        def moved(xi, step):
+            # a step that is not finite has converged or stalled; xi in
+            # (0, 1) keeps every n+xi off the pole of omega at 0
+            return np.clip(np.where(np.isfinite(step), xi - step, xi),
+                           _XI_LO / 2, 1 - _XI_LO / 2)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / (dw[0] - dw[1])
+            for _ in range(_ROOT_STEPS):
+                new = moved(xi, step)
+                f_new, t = detuning(new, t)
+                step, xi, f = f_new * (new - xi) / (f_new - f), new, f_new
+            seeds += moved(xi, step).tolist()
+    seeds = np.array(seeds)
+    return seeds[(_XI_LO < seeds) & (seeds <= 0.5)]
 
 
 @functools.lru_cache(maxsize=2)
@@ -615,9 +659,8 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     otherwise it goes through the slice-by-slice stage on the union of
     the windows.  Every bound the plan holds is valid on the whole span
     of its block, so an xi between the given ones is certified as soundly
-    as they are.  A sweep certifies its grid and then its refinement
-    lattice on one plan (see max_growth); _on_axis is a plan of its own
-    xis, then _certify.
+    as they are.  A sweep certifies its grid and seeds on their own plan
+    (see max_growth); _on_axis is a plan of its own xis, then _certify.
 
     The rounding of the hulls: the computed ends are the exact ones up to
     the rounding of one centre and one radius.  At xi = lo and hi they are
@@ -632,8 +675,8 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     The slice-by-slice arrays are only as wide as the window, the modes
     coupled to it and theirs, and are taken in chunks of at most
     _CERTIFY_ENTRIES entries over those modes, a fixed budget: a sweep's
-    grid at N = 32 is one chunk, and so is its lattice, while a grid of
-    MAX_XI_GRID points at large N is cut into chunks of bounded memory.
+    grid at N = 32 is one chunk, while a grid of MAX_XI_GRID points at
+    large N is cut into chunks of bounded memory.
     """
     return _certify(_plan(wave, a, np.sort(xis), N), xis)
 
@@ -818,17 +861,17 @@ def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
 
 def max_growth(wave: StokesWave, a,
                cfg: TruncationConfig) -> tuple[float, float, SpectrumSlice | None]:
-    """Maximize max_real_part over the xi sweep, with parabolic refinement.
+    """Maximize max_real_part over the xi sweep: the grid and the seeds.
 
     Returns (xi_star, growth, slice at xi_star), the slice None when the
-    maximiser was certified and so not solved.  A solved slice holds the
-    eigenvalues of its window, not all 2N+1 (see _solve_window).  Each
-    stage solves each of its open slices in one _solve_window call, and
-    keeps of each only its growth and the raw solve; the returned slice is
-    the only one built as a SpectrumSlice.  The uniform grid is augmented
-    with collision-seeded candidates (see _collision_seeds): high-frequency
-    bubbles can be far narrower than any practical uniform grid spacing,
-    but they sit at the analytically known collision points.
+    maximiser was certified and so not solved; of equal growths the least
+    xi wins.  A solved slice holds the eigenvalues of its window, not all
+    2N+1 (see _solve_window).  The uniform grid (see default_xi_grid) is
+    joined by the seeds of _bubble_seeds: high-frequency bubbles can be
+    far narrower than any practical grid spacing, and the modulational one
+    can peak below the grid's first point, but each peaks at its seed.
+    The seeds only choose where to look; every growth is that of a
+    certified, guarded window solve.
 
     Only slices that may grow are solved.  A slice that _on_axis
     certifies has every eigenvalue on the imaginary axis: by an inertia
@@ -840,71 +883,17 @@ def max_growth(wave: StokesWave, a,
     opposite sign is not held apart, or in a larger mixed cluster; each
     solved slice gets those clusters, which decide what growth counts
     and which window of modes is solved (see _solve_window).  The
-    certificate's hulls and windows are built once, over the grid (see
-    _on_axis), and the grid is certified on them in one call.
-
-    The refinement keeps the best grid point m and its bracket of grid
-    neighbours, and visits only a lattice of _LATTICE - 1 points evenly
-    inside the bracket, certified in one more call on the grid's hulls
-    and windows, whose block spans tile the grid's range.  Near a bubble's
-    peak, growth^2 is a parabola in xi (the growth is the imaginary part of a
-    2x2 pencil's eigenvalue).  So each round aims at the vertex of the
-    parabola through growth^2 at the bracket ends and m, or, with no
-    vertex inside, m at an end or not growing, at the golden-section
-    point of the larger side; it solves the nearest lattice point inside
-    the bracket not yet visited, and keeps the best point and its
-    neighbours.  A point replaces m only when it grows strictly more, so
-    the first maximiser still wins ties.  A grid on which nothing grows
-    is not refined: its first point is returned.
+    certificate's hulls and windows are built once, over the grid and the
+    seeds (see _on_axis), and all of them are certified in one call; each
+    open slice is solved once, and only the returned one is built as a
+    SpectrumSlice.
     """
     a = check_amplitude(a)
-    grid = np.unique(np.concatenate([
-        cfg.grid(), np.asarray(_collision_seeds(wave, a))
-    ]))
-    plan = _plan(wave, a, grid, cfg.N)
-    growth, solved = _growth(wave, a, grid, _certify(plan, grid), cfg)
-    i = int(np.argmax(growth))
-    # the bracket and its best point m, each (xi, growth, solve or None)
-    lo, m, hi = ((grid[j], growth[j], solved.get(j))
-                 for j in (max(i - 1, 0), i, min(i + 1, grid.size - 1)))
-    # a grid that grows nowhere brackets no bubble: its first point stands
-    if m[1] > 0:
-        lattice = lo[0] + (hi[0] - lo[0]) * np.arange(1, _LATTICE) / _LATTICE
-        open_lattice = _certify(plan, lattice)
-        for _ in range(_REFINE_ROUNDS):
-            # every point visited is m, a bracket end or outside the bracket
-            free = np.flatnonzero((lo[0] < lattice) & (lattice < hi[0])
-                                  & (lattice != m[0]))
-            if not free.size:
-                break
-            (x0, g0, _), (x1, g1, _), (x2, g2, _) = lo, m, hi
-            d0, d2 = (x1 - x0) * (g1**2 - g2**2), (x2 - x1) * (g1**2 - g0**2)
-            v = np.nan
-            if g1 > 0 and x0 < x1 < x2 and d0 + d2 != 0:
-                v = x1 - 0.5 * ((x1 - x0) * d0 - (x2 - x1) * d2) / (d0 + d2)
-            if not x0 < v < x2:
-                v = x1 + _GOLDEN * (x2 - x1 if x2 - x1 >= x1 - x0 else x0 - x1)
-            j = free[np.argmin(np.abs(lattice[free] - v))]
-            g, s = _growth(wave, a, lattice[j:j + 1], open_lattice[j:j + 1], cfg)
-            t = (lattice[j], g[0], s.get(0))
-            if t[1] > m[1]:
-                lo, m, hi = (m, t, hi) if t[0] > m[0] else (lo, t, m)
-            else:
-                lo, hi = (lo, t) if t[0] > m[0] else (t, hi)
-    return float(m[0]), float(m[1]), None if m[2] is None else _built(m[0], a, *m[2])
-
-
-def _growth(wave: StokesWave, a: float, xis: np.ndarray, clusters: list[tuple[Cluster, ...]],
-            cfg: TruncationConfig) -> tuple[np.ndarray, dict]:
-    """max_real_part at each xi, and each solved slice's (max_real_part,
-    w, growth clusters) by index (see _solve_window).
-
-    Certified slices, which have no open clusters, score 0.0 and are not
-    solved; each of the others is solved on the window of its open
-    clusters.
-    """
+    xis = np.unique(np.concatenate([cfg.grid(), _bubble_seeds(wave, a, cfg.N)]))
     solved = {i: _solve_window(wave, a, xis[i], cl, cfg.N)
-              for i, cl in enumerate(clusters) if cl}
+              for i, cl in enumerate(_certify(_plan(wave, a, xis, cfg.N), xis)) if cl}
     growth = np.zeros(xis.size)
     growth[list(solved)] = [g for g, _, _ in solved.values()]
-    return growth, solved
+    i = int(np.argmax(growth))
+    return float(xis[i]), float(growth[i]), None if i not in solved else _built(
+        xis[i], a, *solved[i])

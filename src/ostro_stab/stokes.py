@@ -15,9 +15,9 @@ Through fourth order in the amplitude a,
     c = c0 + a^2*c2 + a^4*c4 + O(a^6),
 
 with closed-form coefficients.  ``residual_F`` evaluates the profile
-equation on the truncated expansion and returns its discrete L2 norm;
-the value must scale like a^5, which is this module's independent
-correctness oracle.
+equation on the truncated expansion and returns its L2 norm, the root
+mean square over a period; the value must scale like a^5, which is this
+module's independent correctness oracle.
 
 For beta > 0 the carrier wavenumbers (gamma/(beta*n^2))**(1/4), n >= 2,
 are fundamental/harmonic resonances where the expansion denominators
@@ -175,33 +175,28 @@ def eval_speed(wave: StokesWave, a) -> float:
 
 
 def residual_F(wave: StokesWave, a) -> float:
-    """Discrete L2 norm of the profile-equation residual at amplitude a.
+    """L2 norm of the profile-equation residual at amplitude a.
 
-    The residual c*k^2*w'' + beta*k^4*w'''' - k^2*(w^2)'' + gamma*w is
-    evaluated on a uniform grid of 256 points with all derivatives taken
-    spectrally.  The grid resolves every harmonic of w^2 exactly (w has 4
-    harmonics, w^2 has 8), so the only error is the O(a^5) truncation of
-    the expansion itself: the returned norm must scale like a^5.
+    The residual F = c*k^2*w'' + beta*k^4*w'''' - k^2*(w^2)'' + gamma*w is
+    a cosine series of harmonics 1..8, formed coefficient by coefficient.
+    With w = sum_i W_i cos(i z), harmonic j of w^2 sums the products
+    W_i*W_l/2 over i + l = j and |i - l| = j (the convolution of w's
+    exponential coefficients W_i/2), and
+
+        F_j = (gamma - c*k^2*j^2 + beta*k^4*j^4)*W_j + k^2*j^2*(w^2)_j.
+
+    F has zero mean, so by Parseval its norm, the root mean square over a
+    period, is sqrt(sum_j F_j^2 / 2).  The only error is the O(a^5)
+    truncation of the expansion itself: the returned norm must scale like
+    a^5.
     """
     a = check_amplitude(a)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
-    k2, k4 = k**2, k**4
-    size = 256
-    z = 2 * np.pi * np.arange(size) / size
-    w = eval_profile(wave, a, z)
-    c = eval_speed(wave, a)
-    # w has harmonics 1..4 and w^2 harmonics 0..8; anything above is FFT
-    # rounding noise and would be blown up by the j^4 differentiation.
-    w_hat = np.fft.rfft(w)
-    w_hat[5:] = 0.0
-    w2_hat = np.fft.rfft(w * w)
-    w2_hat[9:] = 0.0
-    j = np.arange(len(w_hat))
-    F_hat = (
-        -c * k2 * j**2 * w_hat
-        + beta * k4 * j**4 * w_hat
-        + k2 * j**2 * w2_hat
-        + gamma * w_hat
-    )
-    F = np.fft.irfft(F_hat, n=size)
-    return float(np.sqrt(np.mean(F * F)))
+    k2, c = k**2, eval_speed(wave, a)
+    W = harmonic_amplitudes(wave, a)
+    half = np.concatenate([W[::-1], [0.0], W]) / 2.0
+    w2 = 2.0 * np.convolve(half, half)[9:]
+    j2 = np.arange(1.0, 9.0) ** 2
+    Wj = np.concatenate([W, np.zeros(4)])
+    F = (gamma - c * k2 * j2 + beta * k2 * k2 * j2 * j2) * Wj + k2 * j2 * w2
+    return float(np.sqrt(0.5 * np.sum(F * F)))

@@ -163,10 +163,10 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_prints_no_numpy_warning(self, capsys):
-        # the residual's sum overflows: one error line, no numpy warning,
-        # also where warnings are errors (-W error::RuntimeWarning)
-        argv = ["wave", "--beta=4.657190547248174e+96", "--gamma=1.0",
-                "--k=1.0717681799107786e+18", "--a=0.0625"]
+        # beta*k^4*j^4 overflows in the residual's harmonic j = 2: one
+        # error line, no numpy warning, also where warnings are errors
+        # (-W error::RuntimeWarning)
+        argv = ["wave", "--beta=-1e200", "--gamma=1.0", "--k=1e27", "--a=0.0625"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -450,6 +450,20 @@ class TestSerializer:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("flags, xi_star, growth", [
+        # {-2,0}; the larger modulational bubble peaks below 1/1024
+        ("--beta -1 --gamma 1 --k 2.0 --a 0.01", 0.0104715, 1.1687e-8),
+        # the modulational bubble, below the grid's first point
+        ("--beta 1 --gamma 2.51238 --k 1.19522 --a 0.00719485", 0.0012014, 1.2464e-5),
+        # {-3,0}, a bubble far narrower than the grid's spacing
+        ("--beta -1 --gamma 5.87039 --k 1.04514 --a 0.0155491", 0.148037, 1.7152e-10),
+    ])
+    def test_sweep_finds_each_bubble_at_its_peak(self, capsys, flags, xi_star, growth):
+        code, doc = run_json(capsys, ["spectrum", *flags.split()])
+        assert code == 0
+        assert doc["results"]["xi_star"] == pytest.approx(xi_star, rel=1e-3)
+        assert doc["results"]["growth"] == pytest.approx(growth, rel=1e-3)
+
     def test_collisions_table(self, capsys):
         code, doc = run_json(capsys, [
             "collisions", "--beta", "1", "--gamma", "1", "--dn-max", "4",

@@ -32,16 +32,14 @@ from ostro_stab import (
 from ostro_stab.hill import (
     _CERTIFY_BLOCK,
     _CERTIFY_MARGIN,
-    _LATTICE,
     _RE_TRIGGER,
-    _REFINE_ROUNDS,
     _SOLVE_NOISE,
     _XI_LO,
     MAX_DIM,
     MAX_XI_GRID,
     SpectrumSlice,
     _assemble_real,
-    _collision_seeds,
+    _bubble_seeds,
     _critical_points,
     _hulls,
     _on_axis,
@@ -541,17 +539,17 @@ class TestCertificate:
         # wherever the certificate holds, the solve finds no growth at all.
         # k is u times the {-1,0} threshold (beta > 0) or gamma^(1/4)
         # (beta < 0).  Two thirds of the draws sit within a*k^2/2 (down to
-        # a thousandth of it) of a collision: of modes of opposite sign of
-        # n+xi, across the edge of its instability bubble, where clusters
-        # of two such modes are certified or not; or of modes of one sign,
-        # whose clusters are always certified
+        # a thousandth of it) of a bubble's peak, the sweep's seed, across
+        # the edge of the bubble, where clusters of two modes of opposite
+        # sign of n+xi are certified or not; or of a collision of modes of
+        # one sign, whose clusters are always certified
         k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
         try:
             w = wave_at(beta, gamma, k)
         except ResonantWavenumber:
             assume(False)
         if near != "uniform":
-            seeds = (_collision_seeds(w, a) if near == "opposite"
+            seeds = (_bubble_seeds(w, a, N).tolist() if near == "opposite"
                      else _crossings(w, opposite=False))
             assume(seeds)
             xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
@@ -592,6 +590,19 @@ class TestCertificate:
         w = wave_at(1, 1, 1.6)
         xi0 = collision_xi(w.params, -1, 0)[0]
         assert _on_axis(w, a, np.array([xi0]), N)[0]
+
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_far_modes_bound_delta(self, N):
+        # beta = gamma = 1, k = 0.34, a = 0.05, xi = 0.42: modes -8 and 9
+        # make a pair cluster 17 modes apart, whose ext reaches modes -4
+        # and 5.  Modes 0 and -3, past ext, lie 0.23 and 0.27 from the
+        # pair's midpoint t, nearer than any ext mode (0.98 and more):
+        # their hull distance is the least row dominance of D.  With it,
+        # rule (c) leaves the pair to the solve, as the certificate on
+        # every mode does; a delta of the ext modes alone certifies it
+        w, xi = wave_at(1, 1, 0.34), np.array([0.42])
+        assert [c.modes for c in _on_axis(w, 0.05, xi, N)[0]] == [(-8, 9)]
+        assert not full_width_on_axis(w, 0.05, xi, N)[0]
 
     def test_margin_at_bubble_edge(self):
         # just past the edge of a bubble the pair's eigenvalues are barely
@@ -753,19 +764,20 @@ class TestWindowedCertificate:
            sweep=st.sampled_from([16, 64, 512, 0]),
            pick=st.floats(0.0, 1.0, exclude_max=True), width=st.floats(-9.0, -1.0))
     def test_matches_full_width(self, beta, gamma, u, a, N, sweep, pick, width):
-        # a sweep grid with its collision seeds, as max_growth builds it, or
-        # (sweep = 0) the refinement lattice of a bracket 10^width wide
-        # around a collision seed: the verdicts are those of the
-        # certificate computed on every mode of every slice
+        # a sweep grid with its seeds, as max_growth builds it, or
+        # (sweep = 0) 63 points evenly inside a bracket 10^width wide around
+        # a seed or a collision: the verdicts are those of the certificate
+        # computed on every mode of every slice
         w = _drawn_wave(beta, gamma, u)
-        seeds = _collision_seeds(w, a)
+        seeds = _bubble_seeds(w, a, N)
         if sweep:
             xis = np.unique(np.concatenate([default_xi_grid(sweep), seeds]))
         else:
+            seeds = [*seeds, *_crossings(w, opposite=True)]
             assume(seeds)
             xi0 = seeds[int(pick * len(seeds))]
             lo, hi = max(_XI_LO, xi0 - 10**width), min(0.5, xi0 + 10**width)
-            xis = lo + (hi - lo) * np.arange(1, _LATTICE) / _LATTICE
+            xis = lo + (hi - lo) * np.arange(1, 64) / 64
         np.testing.assert_array_equal([not c for c in _on_axis(w, a, xis, N)],
                                       full_width_on_axis(w, a, xis, N))
 
@@ -920,50 +932,12 @@ def window_slice(wave, a, xi, cfg):
 
 
 def exhaustive_max_growth(wave, a, cfg):
-    """Reference sweep: solves every slice, grid and refinement alike, as
-    window_slice does, and returns the refinement's probes too.
-
-    The refinement, written out: the bracket's ends and its best point m
-    are slices; each round probes the vertex of the parabola through
-    their growth^2 (Brent's form), or the golden-section point of the
-    larger side, on the nearest lattice point strictly inside the
-    bracket that is neither m nor visited, and keeps the best slice and
-    its two neighbours.  A grid on which nothing grows is not refined.
-    """
-    grid = np.unique(np.concatenate([
-        cfg.grid(), np.asarray(_collision_seeds(wave, a))
-    ]))
-    slices = [window_slice(wave, a, t, cfg) for t in grid]
+    """Reference sweep: solves every slice of the grid and the seeds, as
+    window_slice does, and returns the first slice of largest growth."""
+    xis = np.unique(np.concatenate([cfg.grid(), _bubble_seeds(wave, a, cfg.N)]))
+    slices = [window_slice(wave, a, t, cfg) for t in xis]
     best = max(slices, key=lambda s: s.max_real_part)
-    i = slices.index(best)
-    lo, hi = slices[max(i - 1, 0)], slices[min(i + 1, grid.size - 1)]
-    lattice = lo.xi + (hi.xi - lo.xi) * np.arange(1, _LATTICE) / _LATTICE
-    visited, probes = set(), []
-    for _ in range(_REFINE_ROUNDS if best.max_real_part > 0 else 0):
-        (x0, f0), (x1, f1), (x2, f2) = ((s.xi, s.max_real_part**2)
-                                        for s in (lo, best, hi))
-        p = (x1 - x0)**2 * (f1 - f2) - (x1 - x2)**2 * (f1 - f0)
-        q = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
-        v = x1 - 0.5 * p / q if q and f1 and x0 < x1 < x2 else np.nan
-        if not x0 < v < x2:
-            side = x2 - x1 if x2 - x1 >= x1 - x0 else x0 - x1
-            v = x1 + 0.5 * (3.0 - np.sqrt(5.0)) * side
-        free = [j for j in range(lattice.size)
-                if x0 < lattice[j] < x2 and lattice[j] != x1 and j not in visited]
-        if not free:
-            break
-        j = min(free, key=lambda j: abs(lattice[j] - v))
-        visited.add(j)
-        probes.append(lattice[j])
-        t = window_slice(wave, a, lattice[j], cfg)
-        # at a bracket end, best is that end
-        ends = sorted({id(s): s for s in (lo, best, hi, t)}.values(),
-                      key=lambda s: s.xi)
-        if t.max_real_part > best.max_real_part:
-            best = t
-        k = ends.index(best)
-        lo, hi = ends[max(k - 1, 0)], ends[min(k + 1, len(ends) - 1)]
-    return best.xi, best.max_real_part, best, probes
+    return best.xi, best.max_real_part, best
 
 
 def spy_solves(mp, record):
@@ -988,28 +962,22 @@ class TestMaxGrowth:
         (-1.0, 3.0, 0.9 * 3.0**0.25, A_MAX, 512, 2),  # largest amplitude
         (1.0, 1.0, 1.3, 1e-4, 64, 0),                 # all stable
     ])
-    def test_matches_exhaustive_reference(self, beta, gamma, k, a, xi_grid,
-                                          pairs, monkeypatch):
+    def test_matches_slice_by_slice_reference(self, beta, gamma, k, a, xi_grid,
+                                              pairs, monkeypatch):
+        # every slice of the grid and the seeds, each certified on its own
+        # and solved on its window: the sweep's maximiser, bit for bit
         w = wave_at(beta, gamma, k)
         cfg = TruncationConfig(N=32, xi_grid=xi_grid)
-        swept, probes = [], []
+        swept = []
 
         def recording_certify(plan, xis):
             swept.extend(xis)
             return hill_certify(plan, xis)
 
-        def recording_growth(wave, a, xis, clusters, cfg):
-            probes.append(xis)
-            return hill_growth(wave, a, xis, clusters, cfg)
-
-        hill_certify, hill_growth = hill._certify, hill._growth
+        hill_certify = hill._certify
         monkeypatch.setattr(hill, "_certify", recording_certify)
-        monkeypatch.setattr(hill, "_growth", recording_growth)
         xi_star, growth, sl = max_growth(w, a, cfg)
-        ref_xi, ref_growth, ref, ref_probes = exhaustive_max_growth(w, a, cfg)
-        # the same probes, solved or certified, bit for bit
-        assert (np.concatenate([np.empty(0), *probes[1:]]).tobytes()
-                == np.array(ref_probes).tobytes())
+        ref_xi, ref_growth, ref = exhaustive_max_growth(w, a, cfg)
         assert (xi_star, growth) == (ref_xi, ref_growth)
         if sl is not None:
             assert (sl.paired, sl.max_real_part) == (ref.paired, ref.max_real_part)
@@ -1025,9 +993,11 @@ class TestMaxGrowth:
             assert not _on_axis(w, a, np.array([xi_star]), 32)[0]
 
     @pytest.mark.parametrize("beta, gamma, k, a, most", [
-        (-1.0, 1.0, 0.78, 0.02, 37),           # {-1,1} held apart off its bubble
-        (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 1),  # below threshold: nothing grows
-        (1.0, 1.0, 1.6, 0.01, 13),             # above: the {-1,0} bubble
+        (-1.0, 1.0, 0.78, 0.02, 31),           # {-1,1} held apart off its bubble
+        # below threshold: the modulational seed and the grid's first point,
+        # on the flank of its bubble
+        (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 2),
+        (1.0, 1.0, 1.6, 0.01, 4),              # above: the {-1,0} bubble
     ])
     def test_solves_few_slices(self, beta, gamma, k, a, most, monkeypatch):
         solved = []
@@ -1036,37 +1006,15 @@ class TestMaxGrowth:
         assert len(solved) <= most
         assert xi_star in solved
 
-    def test_visits_only_certified_lattice_points(self, monkeypatch):
-        # max_growth makes two _certify calls: the grid, then the 63
-        # lattice points inside the best grid point's bracket; every
-        # refinement solve is one of those points, bit for bit
-        w = wave_at(1, 1, 1.6)
-        calls, solved = [], []
-
-        def recording_certify(plan, xis):
-            calls.append(np.array(xis))
-            return hill_certify(plan, xis)
-
-        hill_certify = hill._certify
-        monkeypatch.setattr(hill, "_certify", recording_certify)
-        spy_solves(monkeypatch, lambda xi, growth, clusters: solved.append((len(calls), xi)))
-        max_growth(w, 0.01, CFG16)
-        assert len(calls) == 2
-        grid, lattice = calls
-        assert lattice.size == _LATTICE - 1 == 63
-        refined = [xi for call, xi in solved if call == 2]
-        assert refined
-        allowed = {t.tobytes() for t in lattice}
-        assert all(np.float64(xi).tobytes() in allowed for xi in refined)
-
     @settings(max_examples=40, deadline=None)
     @given(**_WAVES, N=st.sampled_from([8, 16, 32]),
            xi_grid=st.sampled_from([16, 64, 512]))
-    def test_refinement_keeps_best_grid_point(self, beta, gamma, u, a, N, xi_grid):
-        # at most one solve a refinement round, no slice solved twice, and
-        # the sweep's growth is at least the best grid slice's, at an xi
-        # inside its bracket
+    def test_growth_is_best_of_grid_and_seeds(self, beta, gamma, u, a, N, xi_grid):
+        # one _certify call, on the grid and the seeds; no slice solved
+        # twice; the growth is the largest of the solved slices', at the
+        # least xi that has it, and the returned slice is that slice
         w = _drawn_wave(beta, gamma, u)
+        cfg = TruncationConfig(N=N, xi_grid=xi_grid)
         calls, solved = [], []
         hill_certify = hill._certify
 
@@ -1076,18 +1024,19 @@ class TestMaxGrowth:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hill, "_certify", recording_certify)
-            spy_solves(mp, lambda xi, growth, clusters: solved.append((len(calls), xi, growth)))
-            xi_star, growth, sl = max_growth(w, a, TruncationConfig(N=N, xi_grid=xi_grid))
-        grid = calls[0]
-        on_grid = np.zeros(grid.size)
-        for call, xi, g in solved:
-            if call == 1:
-                on_grid[np.searchsorted(grid, xi)] = g
-        assert sum(call == 2 for call, _, _ in solved) <= _REFINE_ROUNDS
-        assert len({np.float64(xi).tobytes() for _, xi, _ in solved}) == len(solved)
-        i = int(np.argmax(on_grid))
-        assert growth == (0.0 if sl is None else sl.max_real_part) >= on_grid[i]
-        assert grid[max(i - 1, 0)] <= xi_star <= grid[min(i + 1, grid.size - 1)]
+            spy_solves(mp, lambda xi, growth, clusters: solved.append((xi, growth)))
+            xi_star, growth, sl = max_growth(w, a, cfg)
+        seeds = _bubble_seeds(w, a, N)
+        assert np.all((_XI_LO < seeds) & (seeds <= 0.5))
+        (xis,) = calls
+        assert xis.tobytes() == np.unique(np.concatenate([cfg.grid(), seeds])).tobytes()
+        assert len({np.float64(xi).tobytes() for xi, _ in solved}) == len(solved)
+        best = max([g for _, g in solved], default=0.0)
+        assert growth == best == (0.0 if sl is None else sl.max_real_part)
+        if sl is None:
+            assert xi_star == xis[0]
+        else:
+            assert xi_star == sl.xi == min(xi for xi, g in solved if g == best)
 
     def test_certified_maximiser_not_solved(self, monkeypatch):
         # nothing grows at a = 1e-4 and every slice is certified: no slice
@@ -1235,7 +1184,7 @@ class TestWindowSolve:
         # window solve the guard does not read.  Its clusters relabelled as
         # boundary clusters leave an empty window: 0.0, with no solve
         w = _drawn_wave(beta, gamma, u)
-        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a)]))
+        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N)]))
         clusters = hill._certify(hill._plan(w, a, grid, N), grid)
         open_ = [(xi, c) for xi, c in zip(grid, clusters) if c]
         assume(open_)
@@ -1343,17 +1292,18 @@ class TestPlan:
            xi_grid=st.sampled_from([16, 64, 512]),
            pick=st.floats(0.0, 1.0, exclude_max=True), shift=st.integers(-2, 2))
     def test_lattice_on_grid_plan(self, beta, gamma, u, a, N, xi_grid, pick, shift):
-        # a refinement lattice, in the bracket of a grid point next to a
-        # collision seed, certified on the plan of the sweep's grid, as
-        # max_growth certifies it: the certificate of the lattice alone
+        # 63 points evenly inside the bracket of a grid point next to a
+        # seed, certified on the plan of the sweep's grid and seeds: the
+        # certificate of those points alone, so that _certify holds for
+        # any xi inside a plan's span
         w = _drawn_wave(beta, gamma, u)
-        seeds = _collision_seeds(w, a)
-        assume(seeds)
+        seeds = _bubble_seeds(w, a, N)
+        assume(seeds.size)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), seeds]))
-        i = int(np.searchsorted(grid, seeds[int(pick * len(seeds))])) + shift
+        i = int(np.searchsorted(grid, seeds[int(pick * seeds.size)])) + shift
         i = min(max(i, 0), grid.size - 1)
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        lattice = lo + (hi - lo) * np.arange(1, _LATTICE) / _LATTICE
+        lattice = lo + (hi - lo) * np.arange(1, 64) / 64
         plan = hill._plan(w, a, grid, N)
         assert_same_certificate(w, a, N, lattice, hill._certify(plan, lattice))
 
@@ -1377,7 +1327,7 @@ class TestPlan:
             near, far = 2 * xi0 - far[::-1], 2 * xi0 - near[::-1]
         xis = np.concatenate([near, far])
         i = _CERTIFY_BLOCK - (at == "last")
-        lattice = xis[i - 1] + (xis[i + 1] - xis[i - 1]) * np.arange(1, _LATTICE) / _LATTICE
+        lattice = xis[i - 1] + (xis[i + 1] - xis[i - 1]) * np.arange(1, 64) / 64
         gap = (xis[_CERTIFY_BLOCK - 1] < lattice) & (lattice < xis[_CERTIFY_BLOCK])
         clusters = hill._certify(hill._plan(w, a, xis, N), lattice)
         certified = np.array([not c for c in clusters])
@@ -1386,11 +1336,11 @@ class TestPlan:
 
     @pytest.mark.parametrize("beta, gamma, k, a", [
         *BENCH_GROUPS,
-        (1.0, 1.0, 1.3, 1e-4),  # all stable: the grid is not refined
+        (1.0, 1.0, 1.3, 1e-4),  # all stable
     ])
     def test_one_plan_per_sweep(self, beta, gamma, k, a, monkeypatch):
-        # max_growth builds one plan, from its grid and collision seeds,
-        # and certifies the grid and the refinement lattice on it
+        # max_growth builds one plan, from its grid and seeds, and
+        # certifies them on it in one call
         plans, certified = [], []
         hill_plan, hill_certify = hill._plan, hill._certify
 
@@ -1405,13 +1355,12 @@ class TestPlan:
         monkeypatch.setattr(hill, "_plan", recording_plan)
         monkeypatch.setattr(hill, "_certify", recording_certify)
         w = wave_at(beta, gamma, k)
-        _, growth, _ = max_growth(w, a, CFG32)
-        assert len(plans) == 1
-        xis, plan = plans[0]
-        grid = np.unique(np.concatenate([CFG32.grid(), _collision_seeds(w, a)]))
+        max_growth(w, a, CFG32)
+        ((xis, plan),) = plans
+        grid = np.unique(np.concatenate([CFG32.grid(), _bubble_seeds(w, a, 32)]))
         assert xis.tobytes() == grid.tobytes()
-        assert [p is plan for p, _ in certified] == [True] * (2 if growth > 0 else 1)
-        assert certified[0][1].tobytes() == grid.tobytes()
+        ((certified_plan, certified_xis),) = certified
+        assert certified_plan is plan and certified_xis.tobytes() == grid.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(**_WAVES, N=st.sampled_from([8, 16, 32]), xi_grid=st.sampled_from([16, 64, 512]))
@@ -1421,7 +1370,7 @@ class TestPlan:
         # a sweep's grid, which at N <= 32 the slice stage takes in one
         # chunk, certified with the entry budget down to one row a chunk
         w = _drawn_wave(beta, gamma, u)
-        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a)]))
+        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N)]))
         plan = hill._plan(w, a, grid, N)
         assert grid.size * plan.modes.size <= hill._CERTIFY_ENTRIES
         clusters = hill._certify(plan, grid)
@@ -1457,7 +1406,7 @@ class TestPlan:
         # modes, is the largest row term over all 2N+1 modes, bit for bit:
         # top holds the arg-max
         w = _drawn_wave(beta, gamma, u)
-        xis = np.unique(np.concatenate([default_xi_grid(xi_grid), _collision_seeds(w, a),
+        xis = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N),
                                         [xi]]))
         clusters = hill._certify(hill._plan(w, a, xis, N), xis)
         assume(any(clusters))
@@ -1476,7 +1425,7 @@ class TestPlan:
         # mode's hull ends were gathered for each pair)
         beta, gamma, k, a = BENCH_GROUPS[2]
         w, N = wave_at(beta, gamma, k), 2000
-        grid = np.unique(np.concatenate([TruncationConfig(N=N).grid(), _collision_seeds(w, a)]))
+        grid = np.unique(np.concatenate([TruncationConfig(N=N).grid(), _bubble_seeds(w, a, N)]))
         plan = hill._plan(w, a, grid, N)
         assert plan.busy.repeat(_CERTIFY_BLOCK)[:grid.size].sum() >= 512
         tracemalloc.start()
