@@ -318,10 +318,7 @@ def _cmd_spectrum(args):
         return results, rows
     xi_star, growth, sl = hill.max_growth(wave, args.a, cfg)
     # a certified maximiser is not solved; its solve would be paired
-    results = {
-        "xi_star": xi_star, "growth": growth, "paired": sl is None or sl.paired,
-        "slice": {"xi": xi_star, "max_real_part": growth},
-    }
+    results = {"xi_star": xi_star, "growth": growth, "paired": sl is None or sl.paired}
     rows = [("xi_star", "growth"), (xi_star, growth)]
     return results, rows
 

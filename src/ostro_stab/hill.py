@@ -40,9 +40,9 @@ mode's interval proves the others apart on the whole block.
 A sweep looks at the uniform grid on (1/1024, 1/2] and at the seeds
 where the wave's bubbles peak: the root of each opposite-Krein pair's
 effective 2x2 detuning, and the modulational peak xi*, when these lie on
-(1/1024, 1/2].  It builds the hulls once over those xi values, certifies
-them in one call, solves the open ones once each and returns the
-largest growth; a certified maximiser is not solved.
+(1/1024, 1/2].  It certifies all of those xi values in one pass, solves
+the open ones once each and returns the largest growth; a certified
+maximiser is not solved.
 
 The real solver returns exact conjugate pairs, so every solved spectrum
 is exactly symmetric under lambda -> -conj(lambda); a slice's
@@ -88,8 +88,9 @@ _ROOT_PAD = 8
 _ROOT_STEPS = 4
 # xi values per certificate block, over which each mode gets one hull.
 _CERTIFY_BLOCK = 64
-# Entries per chunk of the slice-by-slice stage, over the plan's modes: one
-# chunk for a sweep's grid at N = 32, bounded chunks for a large grid.
+# Entries per chunk of the certificate's slice-by-slice stage, over the modes
+# it reads: one chunk for a sweep's grid at N = 32, bounded chunks for a
+# large grid.
 _CERTIFY_ENTRIES = 2**17
 # Least gap between clusters of Gershgorin intervals, relative to
 # ||R||_inf, for a slice to count as certified.
@@ -617,11 +618,11 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     certified slice has no open cluster.
 
     Only the modes that can meet a mode of the other sign are looked at
-    slice by slice.  The sorted xi values are taken in blocks of
+    slice by slice.  The ascending xi values are taken in blocks of
     _CERTIFY_BLOCK, each spanning [lo, hi] from its first xi to the next
     block's first, so the spans tile [xis[0], xis[-1]].  Over a block's
     span, mode n gets a hull that holds its interval on every xi of the
-    span, given or not.  Its centre omega(x), x in
+    span.  Its centre omega(x), x in
     [n+lo, n+hi], lies between the least and the largest of omega at both
     ends and at each real critical point inside (x = +-sqrt(u),
     3*beta*k^4*u^2 - k^2*c*u - gamma = 0).  Its radius is at most the
@@ -650,17 +651,15 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     wholly above it.  So the least of those bounds is
     min(above - t, t - below), above the least left end of the hulls
     above the cluster and below the largest right end of those below it,
-    the same float (rounding is monotone); the plan holds both per block
-    and mode, so the bound costs O(1) per pair.
+    the same float (rounding is monotone); both are held per block and
+    mode, so the bound costs O(1) per pair.
 
-    That set-up, the hulls and windows, is the plan (_plan), built once
-    for a sorted xi array.  _certify then takes any xi inside its span: in
-    a block without a window it is certified by the block's hulls, and
-    otherwise it goes through the slice-by-slice stage on the union of
-    the windows.  Every bound the plan holds is valid on the whole span
-    of its block, so an xi between the given ones is certified as soundly
-    as they are.  A sweep certifies its grid and seeds on their own plan
-    (see max_growth); _on_axis is a plan of its own xis, then _certify.
+    The xi values must be ascending, or a block's span would miss xi
+    values of its own block, whose slices its hulls would then certify
+    unsoundly; _on_axis refuses any other order.  A span still reaches
+    the next block's first xi, past its own last one, although no slice
+    between the two is asked for: a shorter span could only tighten the
+    hulls, and would change which slices are certified.
 
     The rounding of the hulls: the computed ends are the exact ones up to
     the rounding of one centre and one radius.  At xi = lo and hi they are
@@ -678,51 +677,9 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     grid at N = 32 is one chunk, while a grid of MAX_XI_GRID points at
     large N is cut into chunks of bounded memory.
     """
-    return _certify(_plan(wave, a, np.sort(xis), N), xis)
-
-
-class _Plan(NamedTuple):
-    """The set-up of _on_axis over a sorted xi array, built by _plan.
-
-    Block b of _CERTIFY_BLOCK xi values spans xis[64b] to the next
-    block's first xi, xis[min(64b + 64, size - 1)], so the spans tile
-    [xis[0], xis[-1]]; it is busy when its hulls leave a window.  The
-    rest serves the slice-by-slice stage, over the union of the busy
-    blocks' windows: ``modes`` holds the window, the modes coupled to it
-    (ext) and to those, and the modes whose terms can be the largest of
-    ||R||_inf (``top``, a mask on ``modes``), with their ``row_sum``;
-    ``e`` picks the ext modes out of ``modes`` and ``win`` the window out
-    of ``ext_modes``; ``to_ext`` is |C| from ``modes`` to ``ext_modes``.
-    ``below`` and ``above`` hold, per block and ext mode, the nearest hull
-    end of the modes past ext below and above the mode's hull cluster (-inf
-    and inf where there is none); rule (c) reads them for a window mode,
-    whose hull cluster holds no mode past ext.  ``col`` is the coupling's
-    first column (see _wave_terms), from which rule (c) cuts its pair
-    rows.
-    """
-
-    params: stokes.PhysicalParams
-    c: float
-    col: np.ndarray
-    N: int
-    xis: np.ndarray
-    busy: np.ndarray
-    modes: np.ndarray
-    row_sum: np.ndarray
-    top: np.ndarray
-    e: np.ndarray
-    ext_modes: np.ndarray
-    win: np.ndarray
-    to_ext: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
-
-
-def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
-    """Block hulls and windows of a sorted xi array, for _certify, in
-    O(N) memory per block: the modes that a set of modes couples to are
-    where |C| times the set's mask is positive (see _abs_times)."""
     a = check_amplitude(a)
+    if np.any(xis[1:] < xis[:-1]):
+        raise ValueError("the certificate's xi values must be ascending")
     c, col, row_sum, _ = _wave_terms(wave, a, N)
     n = np.arange(-N, N + 1)
     # each block's hulls, and its window: the modes of its hull clusters
@@ -736,6 +693,11 @@ def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
     windows = np.empty(left.shape, dtype=bool)
     windows.ravel()[order] = np.repeat((plus > 0) & (minus > 0), size)
     busy = windows.any(axis=1)
+    # the slices of the blocks with a window; the others are certified by
+    # their blocks' hulls
+    rows = np.flatnonzero(busy.repeat(_CERTIFY_BLOCK)[:xis.size])
+    if not rows.size:
+        return [()] * xis.size
     # slice by slice: the windows and the modes coupled to them (ext), the
     # modes coupled to those (for their radii), and the modes whose terms
     # can be the largest of ||R||_inf
@@ -745,6 +707,9 @@ def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
     modes = np.flatnonzero(ext | (_abs_times(col, ext) > 0) | top)
     e = np.flatnonzero(ext[modes])
     ext_modes = modes[e]
+    win = np.flatnonzero(window[ext_modes])
+    row_sum, top = row_sum[modes], top[modes]
+    to_ext = np.abs(_coupling(col, modes, ext_modes))
     # in each block's order of left ends, the running max of the right ends
     # and, from the end, the running min of the left ends of the modes past
     # ext: at a mode of a hull cluster without such modes, the nearest hull
@@ -756,39 +721,21 @@ def _plan(wave: StokesWave, a, xis: np.ndarray, N: int) -> _Plan:
         np.where(far, right.ravel()[ranked], -np.inf), axis=1).ravel()
     above.ravel()[order] = np.minimum.accumulate(
         np.where(far, left.ravel()[ranked], np.inf)[:, ::-1], axis=1)[:, ::-1].ravel()
-    return _Plan(wave.params, c, col, N, xis, busy, modes, row_sum[modes],
-                 top[modes], e, ext_modes, np.flatnonzero(window[ext_modes]),
-                 np.abs(_coupling(col, modes, ext_modes)), below[:, ext], above[:, ext])
-
-
-def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
-    """_on_axis's open clusters, on the plan's set-up, for xi values in
-    any order inside its span.
-
-    An xi in a block that is not busy is certified by the block's hulls;
-    the others are taken slice by slice.
-    """
-    if xis.size and not plan.xis[0] <= xis.min() <= xis.max() <= plan.xis[-1]:
-        raise ValueError("xi outside the span of the certificate plan")
+    below, above = below[:, ext], above[:, ext]
+    # free the hull stage's (blocks, 2N+1) arrays before the slice stage
+    # allocates its own
+    del left, right, norm_lo, norm_hi, order, windows, ranked, far
     clusters = [()] * xis.size
-    # the block whose span holds each xi
-    blk = np.minimum((np.searchsorted(plan.xis, xis, side="right") - 1)
-                     // _CERTIFY_BLOCK, plan.busy.size - 1)
-    rows = np.flatnonzero(plan.busy[blk])
-    if not rows.size:
-        return clusters
-    params, c, col, N = plan.params, plan.c, plan.col, plan.N
-    modes, e, ext_modes, win = plan.modes, plan.e, plan.ext_modes, plan.win
     width = win.size
     step = max(1, _CERTIFY_ENTRIES // modes.size)
     edge = N - TruncationConfig.boundary_margin
     for j in range(0, rows.size, step):
         idx = rows[j:j + step]
         x = (modes - N) + xis[idx, None]
-        centre = dispersion.omega(params, c, x)
+        centre = dispersion.omega(wave.params, c, x)
         s = np.sqrt(np.abs(x))
-        norm = np.max((np.abs(centre) + np.abs(x) * plan.row_sum)[:, plan.top], axis=1)
-        radius = s[:, e] * (s @ plan.to_ext)
+        norm = np.max((np.abs(centre) + np.abs(x) * row_sum)[:, top], axis=1)
+        radius = s[:, e] * (s @ to_ext)
         x, centre, s = x[:, e], centre[:, e], s[:, e]
         # the window's clusters: start, size, modes n+xi > 0
         lft, rgt = centre[:, win] - radius[:, win], centre[:, win] + radius[:, win]
@@ -819,9 +766,9 @@ def _certify(plan: _Plan, xis: np.ndarray) -> list[tuple[Cluster, ...]]:
         abs_p, abs_q = np.abs(bp), np.abs(bq)
         rho = radius[r] - abs_p - abs_q
         # the modes past ext enter delta by their hulls' distance from t
-        b = blk[idx[r]]
+        b = idx[r] // _CERTIFY_BLOCK
         delta = np.minimum((np.abs(diag) - rho).min(axis=1),
-                           np.minimum(plan.above[b, p] - t, t - plan.below[b, p]))
+                           np.minimum(above[b, p] - t, t - below[b, p]))
         # a slice with delta <= 0 fails anyway; its divisions may not be finite
         with np.errstate(divide="ignore", invalid="ignore"):
             up, uq = bp / diag, bq / diag
@@ -882,16 +829,15 @@ def max_growth(wave: StokesWave, a,
     without a solve.  Growth can appear only where a colliding pair of
     opposite sign is not held apart, or in a larger mixed cluster; each
     solved slice gets those clusters, which decide what growth counts
-    and which window of modes is solved (see _solve_window).  The
-    certificate's hulls and windows are built once, over the grid and the
-    seeds (see _on_axis), and all of them are certified in one call; each
-    open slice is solved once, and only the returned one is built as a
+    and which window of modes is solved (see _solve_window).  The grid
+    and the seeds, sorted, are certified in one _on_axis pass; each open
+    slice is solved once, and only the returned one is built as a
     SpectrumSlice.
     """
     a = check_amplitude(a)
     xis = np.unique(np.concatenate([cfg.grid(), _bubble_seeds(wave, a, cfg.N)]))
     solved = {i: _solve_window(wave, a, xis[i], cl, cfg.N)
-              for i, cl in enumerate(_certify(_plan(wave, a, xis, cfg.N), xis)) if cl}
+              for i, cl in enumerate(_on_axis(wave, a, xis, cfg.N)) if cl}
     growth = np.zeros(xis.size)
     growth[list(solved)] = [g for g, _, _ in solved.values()]
     i = int(np.argmax(growth))

@@ -582,9 +582,9 @@ class TestCommands:
         wave = stokes_coefficients(PhysicalParams(1, 1, 1.2))
         xi_star, growth, _ = max_growth(wave, 0.01,
                                         TruncationConfig(N=16, xi_grid=64))
+        assert doc["results"].keys() == {"xi_star", "growth", "paired"}
         assert doc["results"]["xi_star"] == xi_star
         assert doc["results"]["growth"] == growth
-        assert "growth_clusters" not in doc["results"]
 
     @pytest.mark.parametrize("argv, swept, ends", [
         ("--a 0.005 --lo 1.2 --hi 1.6", "k", [1.2, 1.6]),

@@ -970,12 +970,12 @@ class TestMaxGrowth:
         cfg = TruncationConfig(N=32, xi_grid=xi_grid)
         swept = []
 
-        def recording_certify(plan, xis):
+        def recording_on_axis(wave, a, xis, N):
             swept.extend(xis)
-            return hill_certify(plan, xis)
+            return hill_on_axis(wave, a, xis, N)
 
-        hill_certify = hill._certify
-        monkeypatch.setattr(hill, "_certify", recording_certify)
+        hill_on_axis = hill._on_axis
+        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
         xi_star, growth, sl = max_growth(w, a, cfg)
         ref_xi, ref_growth, ref = exhaustive_max_growth(w, a, cfg)
         assert (xi_star, growth) == (ref_xi, ref_growth)
@@ -1010,20 +1010,20 @@ class TestMaxGrowth:
     @given(**_WAVES, N=st.sampled_from([8, 16, 32]),
            xi_grid=st.sampled_from([16, 64, 512]))
     def test_growth_is_best_of_grid_and_seeds(self, beta, gamma, u, a, N, xi_grid):
-        # one _certify call, on the grid and the seeds; no slice solved
+        # one _on_axis call, on the grid and the seeds; no slice solved
         # twice; the growth is the largest of the solved slices', at the
         # least xi that has it, and the returned slice is that slice
         w = _drawn_wave(beta, gamma, u)
         cfg = TruncationConfig(N=N, xi_grid=xi_grid)
         calls, solved = [], []
-        hill_certify = hill._certify
+        hill_on_axis = hill._on_axis
 
-        def recording_certify(plan, xis):
+        def recording_on_axis(wave, a, xis, N):
             calls.append(np.array(xis))
-            return hill_certify(plan, xis)
+            return hill_on_axis(wave, a, xis, N)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hill, "_certify", recording_certify)
+            mp.setattr(hill, "_on_axis", recording_on_axis)
             spy_solves(mp, lambda xi, growth, clusters: solved.append((xi, growth)))
             xi_star, growth, sl = max_growth(w, a, cfg)
         seeds = _bubble_seeds(w, a, N)
@@ -1185,7 +1185,7 @@ class TestWindowSolve:
         # boundary clusters leave an empty window: 0.0, with no solve
         w = _drawn_wave(beta, gamma, u)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N)]))
-        clusters = hill._certify(hill._plan(w, a, grid, N), grid)
+        clusters = _on_axis(w, a, grid, N)
         open_ = [(xi, c) for xi, c in zip(grid, clusters) if c]
         assume(open_)
         for xi, c in open_:
@@ -1269,13 +1269,11 @@ class TestWindowSolve:
         assert peak < (2 * N + 1)**2 * 8 / 4
 
 
-def assert_same_certificate(w, a, N, lattice, clusters, ref_clusters=None):
-    """The verdicts and open clusters of ``ref_clusters``, by default those
-    of _on_axis on ``lattice`` alone: verdicts (a slice without open
-    clusters is certified), modes, boundary flags and norms equal, spans
-    within 8*eps*||R||_inf (the batch shape can reorder a radius's sums)."""
-    if ref_clusters is None:
-        ref_clusters = _on_axis(w, a, lattice, N)
+def assert_same_certificate(w, a, N, lattice, clusters, ref_clusters):
+    """The verdicts and open clusters of ``ref_clusters``: verdicts (a
+    slice without open clusters is certified), modes, boundary flags and
+    norms equal, spans within 8*eps*||R||_inf (the batch shape can reorder
+    a radius's sums)."""
     assert [not c for c in clusters] == [not c for c in ref_clusters]
     assert ([[c[2:] for c in open_] for open_ in clusters]
             == [[c[2:] for c in open_] for open_ in ref_clusters])
@@ -1286,113 +1284,54 @@ def assert_same_certificate(w, a, N, lattice, clusters, ref_clusters=None):
                                        rtol=0, atol=8 * np.finfo(float).eps * norm)
 
 
-class TestPlan:
-    @settings(max_examples=100, deadline=None)
-    @given(**_WAVES, N=st.sampled_from([8, 16, 32, 96]),
-           xi_grid=st.sampled_from([16, 64, 512]),
-           pick=st.floats(0.0, 1.0, exclude_max=True), shift=st.integers(-2, 2))
-    def test_lattice_on_grid_plan(self, beta, gamma, u, a, N, xi_grid, pick, shift):
-        # 63 points evenly inside the bracket of a grid point next to a
-        # seed, certified on the plan of the sweep's grid and seeds: the
-        # certificate of those points alone, so that _certify holds for
-        # any xi inside a plan's span
-        w = _drawn_wave(beta, gamma, u)
-        seeds = _bubble_seeds(w, a, N)
-        assume(seeds.size)
-        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), seeds]))
-        i = int(np.searchsorted(grid, seeds[int(pick * seeds.size)])) + shift
-        i = min(max(i, 0), grid.size - 1)
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        lattice = lo + (hi - lo) * np.arange(1, 64) / 64
-        plan = hill._plan(w, a, grid, N)
-        assert_same_certificate(w, a, N, lattice, hill._certify(plan, lattice))
+def chunked_on_axis(w, a, xis, N):
+    """_on_axis's clusters of ``xis``, and the slices of each chunk its
+    slice-by-slice stage took: _runs clusters the hulls once, one row a
+    block, then the intervals of each chunk, one row a slice."""
+    rows = []
+    runs = hill._runs
 
-    @pytest.mark.parametrize("beta, gamma, k", [
-        (1.0, 1.0, 1.6), (1.0, 2.0, 1.3 * 8.0**0.25),
-    ])
-    @pytest.mark.parametrize("N", [16, 32])
-    @pytest.mark.parametrize("at", ["last", "first"])
-    def test_bracket_across_block_boundary(self, beta, gamma, k, N, at):
-        # two blocks of xi values 2e-4 apart, 0.01 between them, the
-        # {-1,0} collision at the last xi of the first block or at the
-        # first of the second, and no window in the other block's hulls:
-        # the first block spans the gap, so a lattice point in the gap
-        # next to the collision is certified only if the first block's
-        # hulls prove it, and they reach the collision either way
-        w, a = wave_at(beta, gamma, k), 0.01
-        xi0 = collision_xi(w.params, -1, 0)[0]
-        near = xi0 + 2e-4 * np.arange(-_CERTIFY_BLOCK + 1, 1)
-        far = xi0 + 0.01 + 2e-4 * np.arange(_CERTIFY_BLOCK)
-        if at == "first":
-            near, far = 2 * xi0 - far[::-1], 2 * xi0 - near[::-1]
-        xis = np.concatenate([near, far])
-        i = _CERTIFY_BLOCK - (at == "last")
-        lattice = xis[i - 1] + (xis[i + 1] - xis[i - 1]) * np.arange(1, 64) / 64
-        gap = (xis[_CERTIFY_BLOCK - 1] < lattice) & (lattice < xis[_CERTIFY_BLOCK])
-        clusters = hill._certify(hill._plan(w, a, xis, N), lattice)
-        certified = np.array([not c for c in clusters])
-        assert not certified[gap].all()
-        assert_same_certificate(w, a, N, lattice, clusters)
+    def recording_runs(left, *rest):
+        rows.append(left.shape[0])
+        return runs(left, *rest)
 
-    @pytest.mark.parametrize("beta, gamma, k, a", [
-        *BENCH_GROUPS,
-        (1.0, 1.0, 1.3, 1e-4),  # all stable
-    ])
-    def test_one_plan_per_sweep(self, beta, gamma, k, a, monkeypatch):
-        # max_growth builds one plan, from its grid and seeds, and
-        # certifies them on it in one call
-        plans, certified = [], []
-        hill_plan, hill_certify = hill._plan, hill._certify
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hill, "_runs", recording_runs)
+        clusters = _on_axis(w, a, xis, N)
+    return clusters, rows[1:]
 
-        def recording_plan(wave, a, xis, N):
-            plans.append((np.array(xis), hill_plan(wave, a, xis, N)))
-            return plans[-1][1]
 
-        def recording_certify(plan, xis):
-            certified.append((plan, np.array(xis)))
-            return hill_certify(plan, xis)
-
-        monkeypatch.setattr(hill, "_plan", recording_plan)
-        monkeypatch.setattr(hill, "_certify", recording_certify)
-        w = wave_at(beta, gamma, k)
-        max_growth(w, a, CFG32)
-        ((xis, plan),) = plans
-        grid = np.unique(np.concatenate([CFG32.grid(), _bubble_seeds(w, a, 32)]))
-        assert xis.tobytes() == grid.tobytes()
-        ((certified_plan, certified_xis),) = certified
-        assert certified_plan is plan and certified_xis.tobytes() == grid.tobytes()
-
+class TestOnAxisPass:
     @settings(max_examples=15, deadline=None)
     @given(**_WAVES, N=st.sampled_from([8, 16, 32]), xi_grid=st.sampled_from([16, 64, 512]))
-    # no block is busy, so the plan has no modes
+    # no block is busy, so no slice is taken slice by slice
     @example(beta=1.0, gamma=1.0, u=0.75, a=5e-324, N=8, xi_grid=16)
     def test_row_chunks_match_one_chunk(self, beta, gamma, u, a, N, xi_grid):
         # a sweep's grid, which at N <= 32 the slice stage takes in one
         # chunk, certified with the entry budget down to one row a chunk
         w = _drawn_wave(beta, gamma, u)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N)]))
-        plan = hill._plan(w, a, grid, N)
-        assert grid.size * plan.modes.size <= hill._CERTIFY_ENTRIES
-        clusters = hill._certify(plan, grid)
+        clusters, chunks = chunked_on_axis(w, a, grid, N)
+        assert len(chunks) <= 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hill, "_CERTIFY_ENTRIES", 1)
-            rows = hill._certify(plan, grid)
+            rows, chunks = chunked_on_axis(w, a, grid, N)
+        assert chunks == [1] * len(chunks)
         assert_same_certificate(w, a, N, grid, rows, clusters)
 
     def test_entry_budget_bounds_memory(self):
-        # a 2^16-point grid of the beta < 0 benchmark wave at N = 32 has
-        # more than two chunks of busy rows; the stage holds about twenty
-        # arrays of at most _CERTIFY_ENTRIES entries at once, so its traced
-        # peak stays within 32 times the budget's 8 bytes an entry, where
-        # one chunk for the whole grid would take about twice that
+        # a 2^16-point grid of the beta < 0 benchmark wave at N = 32 is
+        # certified in more than two chunks; the slice stage holds about
+        # twenty arrays of at most _CERTIFY_ENTRIES entries at once, and
+        # the hull stage's arrays are released before it, so the traced
+        # peak of _on_axis stays within 32 times the budget's 8 bytes an
+        # entry (21.5 MiB measured; 62-65 MiB with the whole grid one chunk)
         beta, gamma, k, a = BENCH_GROUPS[2]
-        grid = default_xi_grid(2**16)
-        plan = hill._plan(wave_at(beta, gamma, k), a, grid, 32)
-        busy = plan.busy.repeat(_CERTIFY_BLOCK)[:grid.size].sum()
-        assert busy > 2 * (hill._CERTIFY_ENTRIES // plan.modes.size)
+        w, grid = wave_at(beta, gamma, k), default_xi_grid(2**16)
+        assert len(chunked_on_axis(w, a, grid, 32)[1]) > 2
         tracemalloc.start()
         try:
-            hill._certify(plan, grid)
+            _on_axis(w, a, grid, 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1402,13 +1341,13 @@ class TestPlan:
     @given(**_WAVES, N=st.integers(8, 200), xi=st.floats(0.01, 0.5),
            xi_grid=st.sampled_from([16, 64]))
     def test_open_clusters_carry_the_full_norm(self, beta, gamma, u, a, N, xi, xi_grid):
-        # the ||R||_inf each open cluster carries, read off the plan's top
-        # modes, is the largest row term over all 2N+1 modes, bit for bit:
-        # top holds the arg-max
+        # the ||R||_inf each open cluster carries, read off the top modes,
+        # is the largest row term over all 2N+1 modes, bit for bit: top
+        # holds the arg-max
         w = _drawn_wave(beta, gamma, u)
         xis = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N),
                                         [xi]]))
-        clusters = hill._certify(hill._plan(w, a, xis, N), xis)
+        clusters = _on_axis(w, a, xis, N)
         assume(any(clusters))
         c, _, row_sum, _ = _wave_terms(w, a, N)
         for x0, open_ in zip(xis, clusters):
@@ -1420,28 +1359,29 @@ class TestPlan:
     def test_far_modes_bound_certify_memory(self):
         # rule (c) bounds the modes past ext by two hull ends a pair, not
         # by a gather over them: at N = 2000 the sweep grid of the beta < 0
-        # benchmark wave, 512 of whose slices are busy, is certified within
-        # 2 MiB (1.05 MiB measured, as at N = 32; 16.3 MiB when every far
-        # mode's hull ends were gathered for each pair)
+        # benchmark wave, 512 of whose slices are taken slice by slice, is
+        # certified within 6 MiB, hull stage included (4.53 MiB measured;
+        # the slice stage alone took 16.3 MiB when every far mode's hull
+        # ends were gathered for each pair)
         beta, gamma, k, a = BENCH_GROUPS[2]
         w, N = wave_at(beta, gamma, k), 2000
         grid = np.unique(np.concatenate([TruncationConfig(N=N).grid(), _bubble_seeds(w, a, N)]))
-        plan = hill._plan(w, a, grid, N)
-        assert plan.busy.repeat(_CERTIFY_BLOCK)[:grid.size].sum() >= 512
+        assert sum(chunked_on_axis(w, a, grid, N)[1]) >= 512
         tracemalloc.start()
         try:
-            hill._certify(plan, grid)
+            _on_axis(w, a, grid, N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 6 * 2**20
 
-    def test_refuses_xi_outside_span(self):
-        w = wave_at(1, 1, 1.6)
-        plan = hill._plan(w, 0.01, default_xi_grid(64), 16)
-        for xi in (_XI_LO, 0.5 + 1e-9):
-            with pytest.raises(ValueError, match="span"):
-                hill._certify(plan, np.array([0.25, xi]))
+    def test_refuses_xis_out_of_order(self):
+        # a block's span holds the block's own xi values only when they
+        # ascend, so any other order is refused
+        w, grid = wave_at(1, 1, 1.6), default_xi_grid(64)
+        for xis in (grid[::-1], grid[[0, 2, 1, *range(3, 64)]]):
+            with pytest.raises(ValueError, match="ascending"):
+                _on_axis(w, 0.01, xis, 16)
 
 
 class TestKreinAtZeroAmplitude:
