@@ -1302,6 +1302,73 @@ def chunked_on_axis(w, a, xis, N):
 
 
 class TestOnAxisPass:
+    @settings(max_examples=100, deadline=None)
+    @given(**_WAVES, N=st.sampled_from([8, 16, 32, 96]),
+           xi_grid=st.sampled_from([16, 64, 512]),
+           pick=st.floats(0.0, 1.0, exclude_max=True), shift=st.integers(-2, 2))
+    def test_lattice_among_grid(self, beta, gamma, u, a, N, xi_grid, pick, shift):
+        # 63 points evenly inside the bracket of a grid point next to a
+        # seed, certified in one pass with the sweep's grid and seeds:
+        # the certificate of those points alone, so a slice's verdict does
+        # not hang on which other xi values share its block
+        w = _drawn_wave(beta, gamma, u)
+        seeds = _bubble_seeds(w, a, N)
+        assume(seeds.size)
+        grid = np.unique(np.concatenate([default_xi_grid(xi_grid), seeds]))
+        i = int(np.searchsorted(grid, seeds[int(pick * seeds.size)])) + shift
+        i = min(max(i, 0), grid.size - 1)
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        lattice = lo + (hi - lo) * np.arange(1, 64) / 64
+        xis = np.unique(np.concatenate([grid, lattice]))
+        clusters = _on_axis(w, a, xis, N)
+        clusters = [clusters[j] for j in np.searchsorted(xis, lattice)]
+        assert_same_certificate(w, a, N, lattice, clusters, _on_axis(w, a, lattice, N))
+
+    @pytest.mark.parametrize("beta, gamma, k", [
+        (1.0, 1.0, 1.6), (1.0, 2.0, 1.3 * 8.0**0.25),
+    ])
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("at", ["last", "first"])
+    def test_collision_at_block_boundary(self, beta, gamma, k, N, at):
+        # two blocks of xi values 2e-4 apart, 0.01 between them, the
+        # {-1,0} collision at the last xi of the first block or at the
+        # first of the second, and no window in the other block's hulls:
+        # the collision's slice is left open, and every slice has the
+        # certificate it has alone, so each block's slices are read off
+        # that block's hulls and rows
+        w, a = wave_at(beta, gamma, k), 0.01
+        xi0 = collision_xi(w.params, -1, 0)[0]
+        near = xi0 + 2e-4 * np.arange(-_CERTIFY_BLOCK + 1, 1)
+        far = xi0 + 0.01 + 2e-4 * np.arange(_CERTIFY_BLOCK)
+        if at == "first":
+            near, far = 2 * xi0 - far[::-1], 2 * xi0 - near[::-1]
+        xis = np.concatenate([near, far])
+        clusters = _on_axis(w, a, xis, N)
+        assert clusters[_CERTIFY_BLOCK - (at == "last")]
+        alone = [_on_axis(w, a, xis[j:j + 1], N)[0] for j in range(xis.size)]
+        assert_same_certificate(w, a, N, xis, clusters, alone)
+
+    @pytest.mark.parametrize("beta, gamma, k, a", [
+        *BENCH_GROUPS,
+        (1.0, 1.0, 1.3, 1e-4),  # all stable
+    ])
+    def test_one_pass_per_sweep(self, beta, gamma, k, a, monkeypatch):
+        # max_growth certifies its grid and seeds, ascending, in one
+        # _on_axis pass
+        passes = []
+        hill_on_axis = hill._on_axis
+
+        def recording_on_axis(wave, a, xis, N):
+            passes.append(np.array(xis))
+            return hill_on_axis(wave, a, xis, N)
+
+        monkeypatch.setattr(hill, "_on_axis", recording_on_axis)
+        w = wave_at(beta, gamma, k)
+        max_growth(w, a, CFG32)
+        (xis,) = passes
+        grid = np.unique(np.concatenate([CFG32.grid(), _bubble_seeds(w, a, 32)]))
+        assert xis.tobytes() == grid.tobytes()
+
     @settings(max_examples=15, deadline=None)
     @given(**_WAVES, N=st.sampled_from([8, 16, 32]), xi_grid=st.sampled_from([16, 64, 512]))
     # no block is busy, so no slice is taken slice by slice
