@@ -22,12 +22,13 @@ cluster proves every eigenvalue real when the cluster is one mode, modes
 of one sign, or a pair of opposite sign whose Schur-complement
 determinant is positive.  A slice whose every cluster passes scores 0.0,
 as its solve would, and an xi sweep does not solve it.  The rest are
-solved once, and the clusters left open decide which growth counts: only
-growth whose frequency lies in an open cluster without one of the
-boundary_margin modes next to +-N.  A sweep solves such a slice on a
-window of those clusters' modes only, two coupling-band widths wider on
-each side, and a residual guard in the whole matrix vouches for each
-eigenvalue that counts; a single slice query solves all 2N+1 modes.
+solved once, and the clusters left open alone decide which growth counts:
+any eigenvalue off the imaginary axis, however small its real part, whose
+frequency lies in an open cluster without one of the boundary_margin
+modes next to +-N.  A sweep solves such a slice on a window of those
+clusters' modes only, two coupling-band widths wider on each side, and a
+residual guard in the whole matrix vouches for each eigenvalue that
+counts; a single slice query solves all 2N+1 modes.
 The guard's scale is the slice's ||R||_inf, which the certificate
 computes once for its cluster gap and which the open clusters carry, so
 a window solve does no O(N) work.  The window solver, _solve_window,
@@ -80,8 +81,6 @@ MAX_XI_GRID = 2**20
 MAX_N_RANGE = 1000
 # Left end of the xi sweep, excluded from it.
 _XI_LO = 1.0 / 1024
-# |Re lambda| above this makes an eigenvalue a growth candidate.
-_RE_TRIGGER = 1e-12
 # Modes on each side of a colliding pair in the window of its root search,
 # and the secant steps of the search (see _bubble_seeds).
 _ROOT_PAD = 8
@@ -163,8 +162,10 @@ class SpectrumSlice:
     """Eigenvalues of the truncated operator at one (a, xi), compared by
     identity: all 2N+1 of them, or, for a slice a sweep solved on a window,
     the window's (see _solve_window).  ``growth_clusters`` are the open
-    clusters that hold a growth candidate; it counts unless the cluster
-    holds a boundary mode."""
+    clusters that hold a growth candidate, an eigenvalue off the imaginary
+    axis however small its real part; it counts unless the cluster holds a
+    boundary mode.  ``max_real_part`` is the largest counted real part, or
+    0.0."""
 
     xi: float
     a: float
@@ -263,13 +264,17 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def _solve(solver, matrix: np.ndarray):
-    """``solver`` (np.linalg.eigvals or np.linalg.eig) on a square matrix
-    of at most MAX_DIM rows; LAPACK's failure is a ConvergenceFailure."""
+    """``solver`` (np.linalg.eigvals or np.linalg.eig) on a finite square
+    matrix of at most MAX_DIM rows; LAPACK's failure is a
+    ConvergenceFailure.  A matrix that overflowed to inf or holds NaN is
+    refused before LAPACK runs, as bad input, not an internal failure."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     if matrix.shape[0] > MAX_DIM:
         raise ValueError(f"matrix dimension exceeds the {MAX_DIM} guard")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix entries must be finite")
     try:
         return solver(matrix)
     except np.linalg.LinAlgError as exc:
@@ -295,18 +300,19 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> Spe
     The matrix is i times a real matrix R, so the real eigensolver is
     used; its output is exactly symmetric under lambda -> -conj(lambda),
     which ``paired`` checks exactly on the (imag, real)-sorted
-    eigenvalues.  A growth candidate i*w, |Im w| above _RE_TRIGGER, counts
-    only when Re w lies in the span of an open cluster without a boundary
-    mode (see _on_axis): outside every open span the certificate proved it
-    real, so its real part is solver noise; in a boundary cluster it is a
-    truncation artifact.  _on_axis is asked for the open clusters on this
-    xi alone, only when there is a candidate.
+    eigenvalues.  A growth candidate i*w, any eigenvalue off the imaginary
+    axis (Im w != 0; the real solver returns each real w with an imaginary
+    part of exactly 0.0), counts only when Re w lies in the span of an open
+    cluster without a boundary mode (see _on_axis): outside every open span
+    the certificate proved it real, so its real part is solver noise; in a
+    boundary cluster it is a truncation artifact.  _on_axis is asked for
+    the open clusters on this xi alone, only when there is a candidate.
     """
     dispersion.check_xi(xi)
     a = check_amplitude(a)
     w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
     clusters = ()
-    if np.any(np.abs(w.imag) > _RE_TRIGGER):
+    if np.any(w.imag):
         clusters = _on_axis(wave, a, np.array([xi], dtype=float), cfg.N)[0]
     counted, grown = _attribute(w, clusters)
     return _built(xi, a, _score(w, counted), w, grown)
@@ -362,9 +368,9 @@ def _solve_window(wave: StokesWave, a: float, xi: float, clusters: tuple[Cluster
 
 def _score(w: np.ndarray, counted: np.ndarray) -> float:
     """max_real_part of the slice i*w: the largest Re(i*w) = -Im w over
-    the counted candidates and the eigenvalues on the axis."""
-    keep = counted | (np.abs(w.imag) <= _RE_TRIGGER)
-    return float(-w.imag[keep].min()) + 0.0 if keep.any() else 0.0
+    the counted candidates, which come in conjugate pairs, or 0.0 when
+    none counts."""
+    return float(-w.imag[counted].min()) if counted.any() else 0.0
 
 
 def _built(xi: float, a: float, growth: float, w: np.ndarray,
@@ -380,10 +386,10 @@ def _attribute(w: np.ndarray,
                clusters: tuple[Cluster, ...]) -> tuple[np.ndarray, tuple[Cluster, ...]]:
     """Which growth candidates count, and the clusters that hold one.
 
-    A candidate, |Im w| above _RE_TRIGGER, belongs to the cluster whose
+    A candidate, an eigenvalue with Im w != 0, belongs to the cluster whose
     span holds Re w, and counts unless that cluster holds a boundary mode.
     """
-    candidate = np.abs(w.imag) > _RE_TRIGGER
+    candidate = w.imag != 0
     counted = np.zeros(w.size, dtype=bool)
     grown = []
     if candidate.any():

@@ -108,7 +108,10 @@ def eigenvalue_shifts(pencil: ReducedPencil) -> DiscriminantResult:
     mu is an eigenvalue of the real G = M - omega*I, so it solves
     mu^2 - tr(G)*mu + det(G) = 0 with discriminant tr^2 - 4*det.  A
     negative discriminant gives a complex-conjugate pair of shifts and a
-    positive growth rate max(Re(i*mu)).
+    positive growth rate max(Re(i*mu)), so ``unstable`` (disc < 0) holds
+    exactly when the growth rate is positive.  The discriminant scales
+    like a^2 at dn = 1, so no fixed cut-off below 0 could tell a small
+    amplitude from a stable one.
     """
     G = pencil.M - pencil.omega * np.eye(2)
     tr = G[0, 0] + G[1, 1]
@@ -120,7 +123,7 @@ def eigenvalue_shifts(pencil: ReducedPencil) -> DiscriminantResult:
     return DiscriminantResult(
         value=float(disc),
         shifts=mu,
-        unstable=disc < -1e-14,
+        unstable=disc < 0,
         growth_rate=float(growth),
     )
 

@@ -505,6 +505,18 @@ class TestCommands:
         assert pen["growth_rate"] == pytest.approx(pen["predicted_growth_rate"],
                                                    rel=1e-3)
 
+    def test_reduced_pencil_unstable_at_tiny_amplitude(self, capsys):
+        # the dn = 1 discriminant scales like a^2 (-5.3e-16 here): any
+        # negative one is unstable, with growth at the leading-order rate
+        code, doc = run_json(capsys, [
+            "reduced", "--beta", "1", "--gamma", "1", "--k", "1.6",
+            "--n", "-1", "--m", "0", "--a", "1e-8"])
+        assert code == 0
+        pen = doc["results"]["pencils"][0]
+        assert pen["discriminant"] < 0 and pen["unstable"] is True
+        assert pen["predicted_growth_rate"] == pytest.approx(pen["growth_rate"],
+                                                             rel=1e-9)
+
     def test_spectrum_slice(self, capsys):
         code, doc = run_json(capsys, [
             "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.3",
@@ -551,6 +563,17 @@ class TestCommands:
         assert r["growth_clusters"] == [{"modes": [-1, 0], "boundary": boundary}]
         assert (r["max_real_part"] > 0) != boundary
         assert max(re for re, _ in r["eigenvalues"]) > 0.01
+
+    def test_spectrum_slice_names_sub_picoscale_growth(self, capsys):
+        # a {-4,0} bubble peaks near 2.4e-13, at order a^4: its growth
+        # counts and its open cluster is listed, however small
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "-1", "--gamma", "1.12795", "--k", "0.620027",
+            "--a", "0.0143143", "--xi", "0.09050255045736069"])
+        assert code == 0
+        r = doc["results"]
+        assert r["max_real_part"] == pytest.approx(2.4367e-13, rel=1e-3)
+        assert r["growth_clusters"] == [{"modes": [-4, 0], "boundary": False}]
 
     def test_spectrum_slice_csv_cells_are_floats(self, capsys):
         # every CSV cell is a plain float literal, equal to the JSON eigenvalue
@@ -930,6 +953,11 @@ def _cli_argv(draw):
                "--m=1", "--a=0.0", "--format=csv"])
 @example(argv=["sweep", "--beta=1.0", "--gamma=1.0", "--a=0.01", "--lo=1.2",
                "--hi=1.6", "--num=2", "--N", "8", "--xi-grid=64"])
+# the Bloch matrix overflows to inf: refused with exit 2, before LAPACK runs
+@example(argv=["spectrum", "--beta=1.8589625809806455e+277", "--gamma=1.0",
+               "--k=11241138.0", "--a=0.0", "--xi=0.5", "--lo=0.0", "--hi=0.0",
+               "--n=0", "--m=0", "--dn-max=0", "--n-range=0", "--xi-grid=1",
+               "--num=0", "--N", "8", "--format", "json"])
 def test_fuzz_exit_codes_and_finite_results(argv):
     """Arbitrary flag values exit 0, 2 or 64, and exit 0 only with finite
     results.

@@ -32,7 +32,6 @@ from ostro_stab import (
 from ostro_stab.hill import (
     _CERTIFY_BLOCK,
     _CERTIFY_MARGIN,
-    _RE_TRIGGER,
     _SOLVE_NOISE,
     _XI_LO,
     MAX_DIM,
@@ -187,6 +186,11 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.ones((3, 2)))
 
+    def test_non_finite_rejected(self):
+        # an overflowed matrix is bad input, not a LAPACK failure
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues(np.array([[np.inf]]))
+
     def test_matches_dispersion_at_zero_amplitude(self):
         w = wave_at(1, 6, 2.5)
         c0 = phase_speed_c0(w.params)
@@ -321,8 +325,8 @@ def filter_kept(R, L, w, margin):
     ||L v||.  A form within that first-order error is no evidence of a
     definite form: at tiny growth the gap, twice the growth, is small.
     """
-    keep = np.abs(w.imag) <= _RE_TRIGGER
-    for i in np.flatnonzero(w.imag > _RE_TRIGGER):
+    keep = w.imag == 0
+    for i in np.flatnonzero(w.imag > 0):
         v = eigenvector(R, w[i])
         if boundary_mass(v, margin) > BOUNDARY_MASS_LIMIT:
             continue
@@ -339,7 +343,7 @@ def filter_kept(R, L, w, margin):
 def cluster_kept(w, clusters):
     """Which eigenvalues i*w count by the cluster rule: those on the axis,
     and the candidates whose Re w lies in a non-boundary span."""
-    candidate = np.abs(w.imag) > _RE_TRIGGER
+    candidate = w.imag != 0
     keep = ~candidate
     for c in clusters:
         if not c.boundary:
@@ -455,7 +459,7 @@ class TestGrowthFilter:
         if certified:
             assert clusters[0] == () and sl.max_real_part == 0.0
         lam = sl.eigenvalues
-        if sl.max_real_part > _RE_TRIGGER:
+        if sl.max_real_part > 0:
             top = lam.imag[lam.real == sl.max_real_part]
             assert any(c.lo <= z <= c.hi and not c.boundary
                        for c in clusters[0] for z in top)
@@ -821,7 +825,7 @@ def two_solve_kept(R, L, margin):
     """
     w, V = np.linalg.eig(R)
     lam = 1j * w
-    keep = np.abs(lam.real) <= _RE_TRIGGER
+    keep = lam.real == 0
     for i in np.flatnonzero(~keep):
         v = V[:, i]
         if boundary_mass(v, margin) > BOUNDARY_MASS_LIMIT:
@@ -836,7 +840,7 @@ def two_solve_kept(R, L, margin):
 def two_solve_slice(wave, a, xi, cfg):
     """Reference slice: eigenvalues, and a second dense solve on growth.
 
-    When some eigenvalue has a real part above trigger, np.linalg.eig
+    When some eigenvalue is off the imaginary axis, np.linalg.eig
     solves the slice again, and its eigenvalues and eigenvectors replace
     those of the first solve for the filters.
     """
@@ -844,7 +848,7 @@ def two_solve_slice(wave, a, xi, cfg):
     R = _assemble_real(wave, a, xi, cfg.N)
     lam = 1j * eigenvalues(R)
     re = lam.real
-    if np.any(np.abs(re) > _RE_TRIGGER):
+    if np.any(re):
         w, keep = two_solve_kept(R, assemble_L_matrix(wave, a, xi, cfg),
                                  cfg.boundary_margin)
         lam = 1j * w
@@ -892,10 +896,10 @@ class TestOneSolve:
         R = _assemble_real(w, a, xi, N)
         tol = 64 * np.finfo(float).eps * np.abs(R).sum(axis=1).max()
         mu = eigenvalues(R)
-        for m in mu[mu.imag > _RE_TRIGGER]:
+        for m in mu[mu.imag > 0]:
             v = eigenvector(R, m)
             assert np.linalg.norm(R @ v - m * v) <= tol
-        cand = np.abs(mu.imag) > _RE_TRIGGER
+        cand = mu.imag != 0
         L = assemble_L_matrix(w, a, xi, cfg)
         np.testing.assert_array_equal(
             cluster_kept(mu, _on_axis(w, a, np.array([xi]), N)[0])[cand],
@@ -1099,7 +1103,7 @@ class TestWindowSolve:
         """Every slice a sweep solves on a window grows as two_solve_slice
         does on all 2N+1 modes, within
 
-            tol = _RE_TRIGGER + 2*kappa*3*_CERTIFY_MARGIN*||R||_inf.
+            tol = 2*kappa*3*_CERTIFY_MARGIN*||R||_inf.
 
         The full solve's growing eigenvalue is exact for R + E_f, ||E_f||_2
         at most _CERTIFY_MARGIN*||R||_inf (TestOneSolve checks that
@@ -1110,8 +1114,7 @@ class TestWindowSolve:
         the exact eigenvalue to first order, kappa the largest condition
         number 1/|y^H x| (unit left and right eigenvectors) of an
         eigenvalue of R off the real line, or 1 when there is none; the
-        factor 2 covers the second-order term.  _RE_TRIGGER covers growth
-        below the trigger, which is noise on either side.
+        factor 2 covers the second-order term.
         """
         w = _drawn_wave(beta, gamma, u)
         cfg = TruncationConfig(N=N, xi_grid=xi_grid)
@@ -1121,8 +1124,8 @@ class TestWindowSolve:
             norm = np.abs(R).sum(axis=1).max()
             lam, left, right = eig(R, left=True)
             kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
-            kappa = kappa[np.abs(lam.imag) > _RE_TRIGGER].max(initial=1.0)
-            tol = _RE_TRIGGER + 2 * kappa * 3 * _CERTIFY_MARGIN * norm
+            kappa = kappa[lam.imag != 0].max(initial=1.0)
+            tol = 2 * kappa * 3 * _CERTIFY_MARGIN * norm
             ref = two_solve_slice(w, a, xi, cfg)
             assert abs(growth - ref.max_real_part) <= tol
 

@@ -93,6 +93,17 @@ class TestShifts:
         assert res.unstable
         assert res.growth_rate == pytest.approx(0.1, rel=1e-3)
 
+    @pytest.mark.parametrize("a", [1e-10, 1e-8, 1e-6, 0.01])
+    def test_unstable_exactly_when_growth(self, a):
+        # the dn = 1 discriminant scales like a^2, down to -5e-20 here: any
+        # negative one is unstable, with the leading-order growth rate
+        w = wave_at(1, 1, 1.6)
+        xi0 = collision_xi(w.params, -1, 0)[0]
+        res = eigenvalue_shifts(reduced_pencil(w, -1, 0, xi0, a))
+        assert res.value < 0 and res.unstable and res.growth_rate > 0
+        assert res.growth_rate == pytest.approx(
+            predicted_growth_rate(w, -1, xi0, a), rel=1e-3)
+
     def test_shifts_match_generic_eigensolver(self):
         w = wave_at(1, 1, 1.8)
         xi0 = collision_xi(w.params, -1, 0)[0]
