@@ -59,11 +59,12 @@ def validate_envelope(doc: dict) -> None:
 
 def _dumps(obj) -> str:
     """The text of json.dumps(obj, indent=2), written in one pass, with
-    numpy values converted and every float checked.
+    every float checked.
 
-    An ndarray is written as its tolist(), a numpy bool, integer or float
-    as the Python value, a complex number as [re, im].  A non-finite
-    float anywhere raises DomainError.  Keys must be strings.
+    obj holds plain Python values only: dicts with string keys, lists,
+    tuples, strings, ints, floats, bools and None.  Any other value,
+    a numpy scalar, an ndarray or a complex number, raises TypeError,
+    and a non-finite float anywhere raises DomainError.
     """
     out = []
     _dump(obj, "\n", out)
@@ -109,22 +110,7 @@ def _dump(obj, nl: str, out: list) -> None:
     elif t is bool:
         out.append("true" if obj else "false")
     else:
-        _dump(_plain(obj), nl, out)
-
-
-def _plain(obj):
-    """The Python value written for a numpy value or a complex number."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        raise TypeError(f"{t.__name__} is not JSON serializable")
 
 
 def _require(args, *names):

@@ -52,10 +52,6 @@ __all__ = [
     "origin_collisions",
 ]
 
-# Bloch indices x = n + xi never reach zero for xi in (0, 1/2]; the guard
-# only trips on raw user input.
-_X_TOL = 1e-12
-
 # The xi of the probe that decides the small-xi sign of collision_K.
 _XI_EPS = 2.0**-13
 
@@ -127,12 +123,13 @@ def omega(params: PhysicalParams, c: float, x):
 
     With c = c0 this is the unperturbed Bloch frequency at index x = n + xi.
     Odd in x.  Accepts scalars or arrays; raises DivisionByZero when any
-    |x| falls below tolerance.
+    x is zero, its pole.  A nonzero x, however small, is evaluated: the
+    frequency is finite until gamma/x overflows.
     """
     x_arr = np.asarray(x, dtype=float)
-    small = np.abs(x_arr) < _X_TOL
-    if small.any():
-        raise DivisionByZero(f"Bloch index too close to zero: {x_arr[small][0]}")
+    zero = x_arr == 0
+    if zero.any():
+        raise DivisionByZero(f"Bloch index is zero: {x_arr[zero][0]}")
     k2 = params.k**2
     val = k2 * x_arr * (c - params.beta * k2 * x_arr**2) - params.gamma / x_arr
     return float(val) if val.ndim == 0 else val
@@ -150,8 +147,10 @@ def _collision_k4(beta, gamma, x, dn):
     the kernel is 1/(6p) up to the last bits.  Products only: the scalar
     and array paths agree bit for bit.
 
-    NaN at the poles: |x| or |x + dn| below ``_X_TOL``, and s == 0
-    exactly at dn = 2 (x = -1).  A scalar x comes back as a float.
+    NaN at the poles: x == 0 or x + dn == 0, and s == 0 exactly at
+    dn = 2 (x = -1).  Any other x, however close to a pole, is evaluated,
+    and is inf only where p*f underflows.  A scalar x comes back as a
+    float.
     """
     x = np.asarray(x, dtype=float)[()]
     y = x + dn
@@ -160,7 +159,7 @@ def _collision_k4(beta, gamma, x, dn):
     tt = t * t
     s = tt + (1.0 - 0.25 * dn * dn)
     f = 3.0 * p if dn == 1 else 3.0 * tt + (0.25 * dn * dn - 1.0)
-    pole = (np.abs(x) < _X_TOL) | (np.abs(y) < _X_TOL)
+    pole = (x == 0) | (y == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         k4 = np.where(pole, np.nan, (gamma * dn / beta) * (s / (p * (dn * f))))
     return float(k4) if k4.ndim == 0 else k4

@@ -16,7 +16,7 @@ class ResonantWavenumber(DomainError):
 
 
 class DivisionByZero(DomainError):
-    """Bloch index n + xi too close to zero."""
+    """Bloch index n + xi equal to zero, the pole of the dispersion relation."""
 
 
 class Singularity(DomainError):

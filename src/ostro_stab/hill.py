@@ -76,6 +76,10 @@ __all__ = [
 MAX_DIM = 10_000
 # Largest number of points of the default xi grid.
 MAX_XI_GRID = 2**20
+# Largest number of (block, mode) entries, (2N+1)*ceil(xi_grid/64), of the
+# certificate's hull stage, which holds them all at once: about 130 traced
+# bytes each at N >= 200, so about 0.55 GB at the bound.
+MAX_HULL_ENTRIES = 2**22
 # Largest mode index window |n| <= n_range of the dispersion and
 # collisions tables.
 MAX_N_RANGE = 1000
@@ -125,7 +129,9 @@ class TruncationConfig:
     ``xi_grid`` is the number of points of ``default_xi_grid``, which
     ``grid()`` builds on demand; a single slice never builds it.  The
     ``boundary_margin`` modes next to +-N are considered contaminated by
-    truncation and are ignored when attributing growth.
+    truncation and are ignored when attributing growth.  Both sizes are
+    bounded at construction, before any work: 2N+1 <= MAX_DIM, xi_grid
+    <= MAX_XI_GRID, and (2N+1)*ceil(xi_grid/64) <= MAX_HULL_ENTRIES.
     """
 
     N: int = 32
@@ -139,6 +145,10 @@ class TruncationConfig:
             raise ValueError(f"2N+1 = {2 * self.N + 1} exceeds the {MAX_DIM} "
                              "matrix-dimension guard")
         _check_grid_size(self.xi_grid)
+        entries = (2 * self.N + 1) * -(-self.xi_grid // _CERTIFY_BLOCK)
+        if entries > MAX_HULL_ENTRIES:
+            raise ValueError(f"(2N+1)*ceil(xi_grid/{_CERTIFY_BLOCK}) = {entries} "
+                             f"exceeds the {MAX_HULL_ENTRIES} hull-entry guard")
 
     def grid(self) -> np.ndarray:
         return default_xi_grid(self.xi_grid)
@@ -681,7 +691,9 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     coupled to it and theirs, and are taken in chunks of at most
     _CERTIFY_ENTRIES entries over those modes, a fixed budget: a sweep's
     grid at N = 32 is one chunk, while a grid of MAX_XI_GRID points at
-    large N is cut into chunks of bounded memory.
+    large N is cut into chunks of bounded memory.  The hull stage's
+    (blocks, 2N+1) arrays are held whole; TruncationConfig bounds their
+    entries by MAX_HULL_ENTRIES.
     """
     a = check_amplitude(a)
     if np.any(xis[1:] < xis[:-1]):

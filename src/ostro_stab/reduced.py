@@ -114,18 +114,14 @@ def eigenvalue_shifts(pencil: ReducedPencil) -> DiscriminantResult:
     amplitude from a stable one.
     """
     G = pencil.M - pencil.omega * np.eye(2)
-    tr = G[0, 0] + G[1, 1]
-    det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+    tr = float(G[0, 0] + G[1, 1])
+    det = float(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0])
     disc = tr * tr - 4.0 * det
     root = cmath.sqrt(disc)
     mu = ((tr + root) / 2.0, (tr - root) / 2.0)
     growth = max((1j * mu[0]).real, (1j * mu[1]).real, 0.0)
     return DiscriminantResult(
-        value=float(disc),
-        shifts=mu,
-        unstable=disc < 0,
-        growth_rate=float(growth),
-    )
+        value=disc, shifts=mu, unstable=disc < 0, growth_rate=growth)
 
 
 def discriminant_dn1(wave: StokesWave, n: int, xi0: float, a) -> float:

@@ -97,7 +97,9 @@ class TestExitCodes:
         if argv[0] == "figures":
             argv += ["--out", str(tmp_path / "figs")]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, out", [
@@ -178,6 +180,10 @@ class TestExitCodes:
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 5000 --xi 0.3",
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --xi-grid 0",
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --xi-grid 1048577",
+        # (2N+1)*ceil(xi_grid/64) past hill.MAX_HULL_ENTRIES
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 2000 --xi-grid 1048576",
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 128 --xi-grid 1048576",
+        "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 4999 --xi-grid 65536",
         "figures --which collision_contour --beta 1 --gamma 6 --xi-grid 0",
     ])
     def test_size_bounds_domain_error(self, argv, capsys, tmp_path, monkeypatch):
@@ -190,7 +196,9 @@ class TestExitCodes:
         if argv[0] == "figures":
             argv += ["--out", str(tmp_path / "figs")]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n_range", [-1, hill.MAX_N_RANGE + 1])
@@ -209,6 +217,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--n-range {n_range} not in [0, {hill.MAX_N_RANGE}]" in captured.err
+
+    def test_hull_entries_ceiling_runs(self, capsys, monkeypatch):
+        # N = 32 on the largest grid passes the guard (its sweep is
+        # stubbed: it takes seconds), and N = 4999 sweeps the default grid
+        monkeypatch.setattr(hill, "max_growth", lambda wave, a, cfg: (0.25, 0.0, None))
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6", "--a", "0.01",
+            "--N", "32", "--xi-grid", str(hill.MAX_XI_GRID)])
+        assert code == 0
+        assert doc["diagnostics"]["xi_grid"] == hill.MAX_XI_GRID
+        monkeypatch.undo()
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6", "--a", "0.01",
+            "--N", "4999"])
+        assert code == 0
+        assert doc["results"]["growth"] > 0
 
     def test_n_range_ceiling_runs(self, capsys):
         n_range = str(hill.MAX_N_RANGE)
@@ -243,6 +267,7 @@ class TestExitCodes:
         ("--k 0.708 --lo 0.001 --hi 0.05 --num 4", 2),
         ("--k 1.6 --lo 0.01 --hi 0.2 --num 3", 2),
         ("--a 0.01 --lo 1.2 --hi 2.4 --num 3 --N 5000", 2),
+        ("--a 0.01 --lo 1.2 --hi 2.4 --num 3 --N 2000 --xi-grid 1048576", 2),
     ])
     def test_sweep_refused_before_any_sweep(self, argv, code, capsys,
                                             monkeypatch):
@@ -346,11 +371,10 @@ class TestEnvelope:
 
 def _leaf_pairs():
     """(value, the plain value json.dumps writes for it) for every leaf
-    the serializer takes: JSON scalars, numpy scalars and complex."""
+    the serializer takes: the JSON scalars of Python."""
     floats = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from((-0.0, 5e-324, 1e-5, 1e16, 1e22, -1.7976931348623157e308)))
-    i64 = st.integers(-2**63, 2**63 - 1)
     return st.one_of(
         st.text().map(lambda v: (v, v)),
         st.sampled_from(('"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600"))
@@ -359,21 +383,6 @@ def _leaf_pairs():
         st.booleans().map(lambda v: (v, v)),
         st.none().map(lambda v: (v, v)),
         floats.map(lambda v: (v, v)),
-        floats.map(lambda v: (np.float64(v), v)),
-        st.floats(width=32, allow_nan=False, allow_infinity=False)
-        .map(lambda v: (np.float32(v), v)),
-        i64.map(lambda v: (np.int64(v), v)),
-        st.booleans().map(lambda v: (np.bool_(v), v)),
-        st.tuples(floats, floats).map(lambda v: (complex(*v), list(v))),
-        st.tuples(floats, floats).map(lambda v: (np.complex128(complex(*v)),
-                                                 list(v))),
-        st.lists(floats, max_size=6).map(lambda v: (np.array(v, dtype=float), v)),
-        st.lists(st.tuples(floats, floats), max_size=4).map(
-            lambda v: (np.array(v, dtype=float).reshape(-1, 2),
-                       [list(r) for r in v])),
-        st.lists(i64, max_size=4).map(lambda v: (np.array(v, dtype=np.int64), v)),
-        st.lists(st.tuples(floats, floats), max_size=3).map(
-            lambda v: (np.array([complex(*r) for r in v]), [list(r) for r in v])),
     )
 
 
@@ -392,9 +401,20 @@ def _envelope_pairs():
     return st.recursive(_leaf_pairs(), containers, max_leaves=30)
 
 
+# where a bad leaf sits in the envelope, and the ids of those places
+_PLACES = [
+    lambda v: v,
+    lambda v: {"results": {"pencils": [{"shifts": [[0.0, 1.0], v]}]}},
+    lambda v: [1, "x", (2.5, [v])],
+    lambda v: {"a": None, "b": True, "c": {"d": ("e", v)}},
+]
+_PLACE_IDS = ["top", "dict-list", "list-tuple", "deep-dict"]
+
+
 class TestSerializer:
     """cli._dumps writes the bytes of json.dumps(..., indent=2) in one
-    pass and refuses every non-finite float."""
+    pass, refuses every non-finite float, and takes no value json.dumps
+    does not take."""
 
     @settings(max_examples=300, deadline=None)
     @given(pair=_envelope_pairs())
@@ -405,20 +425,25 @@ class TestSerializer:
         assert cli._dumps(obj) == json.dumps(reference, indent=2)
 
     @pytest.mark.parametrize("bad", [
-        float("nan"), float("inf"), -float("inf"), np.float64("nan"),
-        np.float32("inf"), complex(0.0, float("inf")),
+        float("nan"), float("inf"), -float("inf"),
+    ], ids=repr)
+    @pytest.mark.parametrize("place", _PLACES, ids=_PLACE_IDS)
+    def test_non_finite_domain_error(self, bad, place):
+        with pytest.raises(cli.DomainError, match="non-finite result"):
+            cli._dumps(place(bad))
+
+    @pytest.mark.parametrize("bad", [
+        np.float64("nan"), np.float32("inf"), complex(0.0, float("inf")),
         np.complex128(complex(float("nan"), 1.0)),
         np.array([1.0, float("inf")]), np.array([[0.0, 1.0], [float("nan"), 2.0]]),
         np.array([1 + 1j, complex(1.0, float("nan"))]),
+        np.float64(0.5), np.bool_(True), np.int64(3), 1 + 2j, np.array([1.0]),
     ], ids=repr)
-    @pytest.mark.parametrize("place", [
-        lambda v: v,
-        lambda v: {"results": {"pencils": [{"shifts": [[0.0, 1.0], v]}]}},
-        lambda v: [1, "x", (2.5, [v])],
-        lambda v: {"a": None, "b": True, "c": {"d": ("e", v)}},
-    ], ids=["top", "dict-list", "list-tuple", "deep-dict"])
-    def test_non_finite_domain_error(self, bad, place):
-        with pytest.raises(cli.DomainError, match="non-finite result"):
+    @pytest.mark.parametrize("place", _PLACES, ids=_PLACE_IDS)
+    def test_numpy_and_complex_type_error(self, bad, place):
+        # the writer takes only what json.dumps takes: a numpy value or a
+        # complex number, finite or not, is a TypeError, not a result
+        with pytest.raises(TypeError, match="is not JSON serializable"):
             cli._dumps(place(bad))
 
     def test_non_json_types_type_error(self):
@@ -588,14 +613,25 @@ class TestCommands:
         assert [[float(c) for c in row] for row in cells] == doc["results"]["eigenvalues"]
         assert all(float(c).__repr__() == c for row in cells for c in row)
 
-    def test_csv_writes_numpy_floats_plain(self, capsys, monkeypatch):
-        # a CSV cell that holds an np.float64 reads as the float's repr
+    def test_csv_writes_floats_by_repr(self, capsys, monkeypatch):
+        # a CSV cell that holds a float reads as the float's repr
         for v in (-0.0, 5e-324, 1 / 3, -220601.012883971):
             monkeypatch.setattr(cli.reduced, "instability_threshold_dn1",
-                                lambda beta, gamma, v=v: np.float64(v))
+                                lambda beta, gamma, v=v: v)
             assert cli.main(["threshold", "--beta", "1", "--gamma", "1",
                              "--format", "csv"]) == 0
             assert capsys.readouterr().out.splitlines()[1:] == ["k_min", repr(v)]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_numpy_result_is_internal_error(self, fmt, capsys, monkeypatch):
+        # a handler that leaks an np.float64 is a bug: exit 1, nothing printed
+        monkeypatch.setattr(cli.reduced, "instability_threshold_dn1",
+                            lambda beta, gamma: np.float64(2**0.5))
+        assert cli.main(["threshold", "--beta", "1", "--gamma", "1",
+                         "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float64 is not JSON serializable" in captured.err
 
     def test_spectrum_sweeps_library_grid(self, capsys):
         code, doc = run_json(capsys, [
@@ -644,6 +680,16 @@ class TestCommands:
         by_n = {m["n"]: m for m in doc["results"]["modes"]}
         assert by_n[0]["omega"] == pytest.approx(-3.515625, rel=1e-12)
         assert by_n[0]["krein"] == -1
+
+    def test_dispersion_tiny_xi(self, capsys):
+        # a tiny nonzero Bloch index is no pole: omega = -gamma/x dominates
+        code, doc = run_json(capsys, [
+            "dispersion", "--beta", "1", "--gamma", "1", "--k", "1",
+            "--xi", "1e-13", "--n-range", "0"])
+        assert code == 0
+        (mode,) = doc["results"]["modes"]
+        assert mode["omega"] == pytest.approx(-1e13, rel=1e-15)
+        assert mode["krein"] == -1
 
     @pytest.mark.parametrize("beta, k, xi", [
         (1.0, 2**0.5, 0.5),   # origin collision of {0, -1}: krein 0
@@ -953,6 +999,12 @@ def _cli_argv(draw):
                "--m=1", "--a=0.0", "--format=csv"])
 @example(argv=["sweep", "--beta=1.0", "--gamma=1.0", "--a=0.01", "--lo=1.2",
                "--hi=1.6", "--num=2", "--N", "8", "--xi-grid=64"])
+# a tiny nonzero Bloch index runs (exit 0, finite); a sweep past the
+# hull-entry guard is refused (exit 2) before any slice is solved
+@example(argv=["dispersion", "--beta=1.0", "--gamma=1.0", "--k=1.0",
+               "--xi=1e-13", "--n-range=0"])
+@example(argv=["spectrum", "--beta=1.0", "--gamma=1.0", "--k=1.6", "--a=0.01",
+               "--N", "2000", "--xi-grid=1048576"])
 # the Bloch matrix overflows to inf: refused with exit 2, before LAPACK runs
 @example(argv=["spectrum", "--beta=1.8589625809806455e+277", "--gamma=1.0",
                "--k=11241138.0", "--a=0.0", "--xi=0.5", "--lo=0.0", "--hi=0.0",

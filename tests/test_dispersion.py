@@ -83,8 +83,16 @@ class TestOmega:
             omega(P111, 2.0, xs), [omega(P111, 2.0, float(x)) for x in xs])
 
     def test_near_zero_rejected(self):
+        # x = 0 is the pole: rejected, alone or anywhere in an array
         with pytest.raises(DivisionByZero):
-            omega(P111, 2.0, 1e-14)
+            omega(P111, 2.0, 0.0)
+        with pytest.raises(DivisionByZero):
+            omega(P111, 2.0, np.array([0.5, -0.0, 1.0]))
+
+    def test_tiny_index_finite(self):
+        # a nonzero index, however small, is no pole: -gamma/x dominates
+        assert omega(P111, 2.0, 1e-14) == pytest.approx(-1e14, rel=1e-15)
+        assert omega(P111, 2.0, -1e-14) == pytest.approx(1e14, rel=1e-15)
 
 
 class TestCollisionKernel:
@@ -107,6 +115,13 @@ class TestCollisionKernel:
     def test_singularities(self, x, dn):
         with pytest.raises(Singularity):
             collision_K(x, dn)
+
+    def test_tiny_index_finite(self):
+        # next to a pole, not at it: 1/(3p) at dn = 1, p = x*(x + 1)
+        assert collision_K(1e-13, 1) == pytest.approx(1 / 3e-26, rel=1e-12)
+        assert collision_K(-1 - 2.0**-52, 1) == pytest.approx(
+            2.0**104 / 3, rel=1e-12)
+        assert np.isfinite(collision_K(np.array([1e-13, -2 + 1e-12]), 2)).all()
 
     def test_dn_validated(self):
         with pytest.raises(ValueError):

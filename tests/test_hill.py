@@ -35,6 +35,7 @@ from ostro_stab.hill import (
     _SOLVE_NOISE,
     _XI_LO,
     MAX_DIM,
+    MAX_HULL_ENTRIES,
     MAX_XI_GRID,
     SpectrumSlice,
     _assemble_real,
@@ -1490,6 +1491,23 @@ class TestConfig:
             # rejected at construction, before any grid exists
             with pytest.raises(ValueError, match="xi grid size"):
                 TruncationConfig(xi_grid=num)
+
+    def test_hull_entries_bounded(self):
+        # the hull stage holds (2N+1) * ceil(xi_grid/64) entries at once:
+        # past the bound a pair is rejected at construction, before any
+        # sweep; N = 32 on the largest grid and N = 4999 on the default
+        # grid stay legal
+        assert TruncationConfig(N=32, xi_grid=MAX_XI_GRID).xi_grid == MAX_XI_GRID
+        assert TruncationConfig(N=4999).N == 4999
+        assert TruncationConfig(N=127, xi_grid=MAX_XI_GRID).N == 127
+        # 9999 * 419 blocks fit, 9999 * 420 do not; the last block may be
+        # partial
+        assert TruncationConfig(N=4999, xi_grid=419 * _CERTIFY_BLOCK).N == 4999
+        for N, xi_grid in ((128, MAX_XI_GRID), (2000, MAX_XI_GRID),
+                           (4999, 419 * _CERTIFY_BLOCK + 1)):
+            assert (2 * N + 1) * -(-xi_grid // _CERTIFY_BLOCK) > MAX_HULL_ENTRIES
+            with pytest.raises(ValueError, match="hull-entry guard"):
+                TruncationConfig(N=N, xi_grid=xi_grid)
 
     def test_default_grid_range(self):
         grid = TruncationConfig().grid()

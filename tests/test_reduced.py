@@ -104,6 +104,17 @@ class TestShifts:
         assert res.growth_rate == pytest.approx(
             predicted_growth_rate(w, -1, xi0, a), rel=1e-3)
 
+    @pytest.mark.parametrize("k, n, unstable", [(1.6, -1, True), (0.6, 1, False)])
+    def test_fields_are_python_values(self, k, n, unstable):
+        # every field has the type its annotation declares, not a numpy
+        # scalar, on the unstable {-1,0} and the same-signature {1,2}
+        w = wave_at(1, 1, k)
+        xi0 = collision_xi(w.params, n, n + 1)[0]
+        res = eigenvalue_shifts(reduced_pencil(w, n, n + 1, xi0, 0.01))
+        assert res.unstable is unstable
+        assert type(res.value) is float and type(res.growth_rate) is float
+        assert [type(s) for s in res.shifts] == [complex, complex]
+
     def test_shifts_match_generic_eigensolver(self):
         w = wave_at(1, 1, 1.8)
         xi0 = collision_xi(w.params, -1, 0)[0]
