@@ -2,9 +2,9 @@
 
 One subcommand per analysis stage (wave, dispersion, collisions, krein,
 reduced, spectrum, sweep, threshold, figures).  Every run emits a
-result envelope (JSON or CSV) echoing the inputs and recording solver
-diagnostics, so results are reproducible byte for byte up to the
-wall-time field.
+result envelope (JSON or CSV) echoing the inputs, with the wall time as
+its only diagnostic, so results are reproducible byte for byte up to
+that field.
 
 Exit codes: 0 success, 2 domain error (resonant wavenumber, xi out of
 range, below-threshold query, non-finite input or result, overflow, ...),
@@ -38,23 +38,6 @@ INTERNAL_EXIT = 1
 MAX_SWEEP = 1000
 
 _encode_str = json.encoder.encode_basestring_ascii
-
-_TOLERANCES = {
-    "collision_check": reduced.COLLISION_TOL,
-    "xi_root": dispersion.XI_ROOT_TOL,
-    "omega_origin": dispersion.OMEGA_ORIGIN_TOL,
-}
-
-
-def validate_envelope(doc: dict) -> None:
-    """Round-trip schema check for emitted envelopes."""
-    for key in ("schema_version", "command", "inputs", "results", "diagnostics"):
-        if key not in doc:
-            raise ValueError(f"envelope missing key {key!r}")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unknown schema version {doc['schema_version']!r}")
-    if not isinstance(doc["inputs"], dict) or not isinstance(doc["results"], dict):
-        raise ValueError("inputs and results must be objects")
 
 
 def _dumps(obj) -> str:
@@ -598,12 +581,6 @@ def run(args: argparse.Namespace) -> tuple[str, str]:
     with np.errstate(all="ignore"):
         results, rows = _HANDLERS[args.command](args)
     wall = time.perf_counter() - t0
-    diagnostics = {
-        "N": args.N,
-        "xi_grid": args.xi_grid,
-        "tolerances": dict(_TOLERANCES),
-        "wall_time_s": wall,
-    }
     if args.format == "csv" and rows:
         _dumps(results)  # every result is checked before a row is written
         payload = _csv_comment(args) + "\n" + "".join(
@@ -612,7 +589,7 @@ def run(args: argparse.Namespace) -> tuple[str, str]:
         payload = _dumps({
             "schema_version": SCHEMA_VERSION, "command": args.command,
             "inputs": vars(args), "results": results,
-            "diagnostics": diagnostics,
+            "diagnostics": {"wall_time_s": wall},
         }) + "\n"
     out = args.out if args.command != "figures" else None
     return payload, out or ""

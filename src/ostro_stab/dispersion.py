@@ -23,6 +23,13 @@ so for a given k the relation is a quadratic in p.  This module solves
 both directions of that relation in closed form (k given xi, xi given
 k), classifies all colliding pairs, computes the wavenumber interval
 swept by a collision family, and evaluates Krein signatures.
+
+Two answers turn on a rounded quantity being zero: a double root in x of
+that quadratic, and omega = 0, a collision at the spectral origin with
+Krein signature 0.  Both are decided by one share of rounding,
+``_ROUNDING``, of the quantity's own scale, never by an absolute bound,
+so a change of units, which multiplies every omega by one factor,
+changes neither answer.
 """
 
 from __future__ import annotations
@@ -55,22 +62,19 @@ __all__ = [
 # The xi of the probe that decides the small-xi sign of collision_K.
 _XI_EPS = 2.0**-13
 
-#: Absolute xi error bound of the closed-form collision roots away from a
-#: tangency (a double root in x, where xi moves like the square root of
-#: any perturbation of k).
-XI_ROOT_TOL = 1e-12
-
-# dn^2 + 4p within this share of dn^2 of zero is a double root in x; it is
-# snapped to x = -dn/2, where rounding of p would split it or drop it.
-_DOUBLE_ROOT_TOL = 64 * np.finfo(float).eps
-
-#: |omega| below this is treated as a collision at the spectral origin.
-OMEGA_ORIGIN_TOL = 1e-10
+# The share of its scale within which a rounded quantity is zero: dn^2 + 4p
+# in collision_xi (a double root in x) and omega at a Bloch index (a
+# collision at the spectral origin).
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class CollisionEvent:
-    """One resolved collision of i*omega(n+xi0) and i*omega(m+xi0)."""
+    """One resolved collision of i*omega(n+xi0) and i*omega(m+xi0).
+
+    ``at_origin`` holds exactly where ``krein_signature`` is 0 at n + xi0:
+    omega is zero to rounding relative to its own scale.
+    """
 
     n: int
     m: int
@@ -133,6 +137,27 @@ def omega(params: PhysicalParams, c: float, x):
     k2 = params.k**2
     val = k2 * x_arr * (c - params.beta * k2 * x_arr**2) - params.gamma / x_arr
     return float(val) if val.ndim == 0 else val
+
+
+def _omega_scale(params: PhysicalParams, c: float, x):
+    """k^2*|x|*|c| + |beta|*k^4*|x|^3 + gamma/|x|, the sum of the
+    magnitudes of omega's three terms at x.
+
+    It bounds |omega(x)| and, times eps, its rounding: where omega is
+    zero that rounding, the rounding of k included, is about 10*eps
+    times the scale.  It scales with omega, so a zero test made on it
+    gives the same answer in any units.
+    """
+    ax = np.abs(x)
+    k2 = params.k**2
+    return (k2 * ax * abs(c) + abs(params.beta) * k2 * k2 * (ax * ax * ax)
+            + params.gamma / ax)
+
+
+def _is_zero(params: PhysicalParams, c: float, x, w):
+    """Whether w = omega(params, c, x) is zero to rounding: |w| at most
+    ``_ROUNDING`` times ``_omega_scale``."""
+    return np.abs(w) <= _ROUNDING * _omega_scale(params, c, x)
 
 
 def _collision_k4(beta, gamma, x, dn):
@@ -219,8 +244,9 @@ def collision_xi(params: PhysicalParams, n: int, m: int) -> list[float]:
     x = -dn/2: the tangency at the end of a collision interval
     (xi = 1/2), or the root p = -1 at dn = 2, which is xi = 0
     (omega(-1) = omega(1) = 0 for every k) and so no collision.  Away
-    from a tangency the roots are accurate to ``XI_ROOT_TOL``; an empty
-    list means no collision at this k.
+    from a tangency the roots are accurate to about 1e-12 in xi; near
+    one, xi moves like the square root of any perturbation of k.  An
+    empty list means no collision at this k.
     """
     if n == m:
         raise ValueError("need two distinct modes")
@@ -235,7 +261,7 @@ def collision_xi(params: PhysicalParams, n: int, m: int) -> list[float]:
     xs = []
     for p in (q / (3.0 * B), -gamma / q):
         d = dn * dn + 4.0 * p
-        if abs(d) <= _DOUBLE_ROOT_TOL * dn * dn:
+        if abs(d) <= _ROUNDING * dn * dn:
             xs.append(-0.5 * dn)
         elif d > 0:
             s = math.sqrt(d)
@@ -252,7 +278,7 @@ def collision_events(params: PhysicalParams, n: int, m: int) -> list[CollisionEv
         w = omega(params, c0, n + xi0)
         events.append(CollisionEvent(
             n=n, m=m, xi0=xi0, k=params.k, omega=w,
-            at_origin=abs(w) <= OMEGA_ORIGIN_TOL,
+            at_origin=bool(_is_zero(params, c0, n + xi0, w)),
             opposite_krein=(n + xi0) * (m + xi0) < 0,
         ))
     return events
@@ -333,12 +359,17 @@ def collision_interval(beta: float, gamma: float, n: int, m: int) -> CollisionIn
 
 
 def krein_signature(params: PhysicalParams, c: float, x):
-    """Sign of omega(x)/x; 0 when |omega| < OMEGA_ORIGIN_TOL (origin collision).
+    """Sign of omega(x)/x; 0 where omega(x) is zero to rounding.
 
-    A scalar x gets an int, an array of x an int array.
+    omega counts as zero, a collision at the spectral origin, where
+    |omega(x)| is at most 64*eps times the sum of the magnitudes of its
+    three terms, k^2*|x|*|c| + |beta|*k^4*|x|^3 + gamma/|x|.  The test
+    is relative to omega's own scale, so the signature does not depend
+    on units: rescaling (beta, gamma) by any power of two gives the
+    same answer.  A scalar x gets an int, an array of x an int array.
     """
     w = omega(params, c, x)
-    kappa = np.where(np.abs(w) < OMEGA_ORIGIN_TOL, 0,
+    kappa = np.where(_is_zero(params, c, x, w), 0,
                      np.where(np.divide(w, x) > 0, 1, -1))
     return int(kappa) if kappa.ndim == 0 else kappa
 

@@ -19,14 +19,13 @@ enters at order a^dn and no reduction is constructed here.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dispersion, stokes
 from .errors import NotACollision, NotUnstable, OrderNotAnalyzed, WrongDispersionSign
-from .stokes import StokesWave, check_amplitude
+from .stokes import StokesWave, check_amplitude, check_coefficients
 
 __all__ = [
     "ReducedPencil",
@@ -38,6 +37,8 @@ __all__ = [
     "instability_threshold_dn1",
 ]
 
+#: Largest gap omega(n + xi0) - omega(m + xi0), as a share of omega's
+#: scale, that reduced_pencil takes for a collision.
 COLLISION_TOL = 1e-8
 
 
@@ -64,11 +65,20 @@ class DiscriminantResult:
 
 
 def _checked_omega(wave: StokesWave, n: int, m: int, xi0: float) -> float:
-    """Collision frequency at (n, m, xi0); NotACollision if the gap exceeds tolerance."""
-    c0 = stokes.phase_speed_c0(wave.params)
-    w_n = dispersion.omega(wave.params, c0, n + xi0)
-    w_m = dispersion.omega(wave.params, c0, m + xi0)
-    if abs(w_n - w_m) > COLLISION_TOL * max(1.0, abs(w_n), abs(w_m)):
+    """Collision frequency omega(n + xi0) at c = c0.
+
+    NotACollision where |omega(n + xi0) - omega(m + xi0)| exceeds
+    ``COLLISION_TOL`` times the larger scale of the two frequencies, the
+    sum of the magnitudes of omega's terms (``dispersion._omega_scale``).
+    The bound has omega's units, so the check gives the same answer for
+    any rescaling of beta and gamma.
+    """
+    params, c0 = wave.params, stokes.phase_speed_c0(wave.params)
+    w_n = dispersion.omega(params, c0, n + xi0)
+    w_m = dispersion.omega(params, c0, m + xi0)
+    scale = max(dispersion._omega_scale(params, c0, n + xi0),
+                dispersion._omega_scale(params, c0, m + xi0))
+    if abs(w_n - w_m) > COLLISION_TOL * scale:
         raise NotACollision(
             f"omega gap {abs(w_n - w_m):.3e} at (n={n}, m={m}, xi0={xi0})"
         )
@@ -154,6 +164,5 @@ def instability_threshold_dn1(beta: float, gamma: float) -> float:
     """
     if not beta > 0:
         raise WrongDispersionSign("threshold defined for beta > 0 only")
-    if not (beta < math.inf and 0 < gamma < math.inf):
-        raise ValueError(f"need finite beta and gamma > 0, got {beta}, {gamma}")
+    check_coefficients(beta, gamma)
     return (4.0 * gamma / beta) ** 0.25

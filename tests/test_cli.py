@@ -226,7 +226,7 @@ class TestExitCodes:
             "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6", "--a", "0.01",
             "--N", "32", "--xi-grid", str(hill.MAX_XI_GRID)])
         assert code == 0
-        assert doc["diagnostics"]["xi_grid"] == hill.MAX_XI_GRID
+        assert doc["inputs"]["xi_grid"] == hill.MAX_XI_GRID
         monkeypatch.undo()
         code, doc = run_json(capsys, [
             "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6", "--a", "0.01",
@@ -294,7 +294,7 @@ class TestExitCodes:
             "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6",
             "--a", "0.01", "--xi", "0.3", "--N", "8", "--xi-grid", "1048576"])
         assert code == 0
-        assert doc["diagnostics"]["xi_grid"] == 1048576
+        assert doc["inputs"]["xi_grid"] == 1048576
 
     @staticmethod
     def _run(*args):
@@ -340,15 +340,16 @@ class TestEnvelope:
         code, doc = run_json(capsys, ["wave", "--beta", "1", "--gamma", "1",
                                       "--k", "1", "--a", "0.05"])
         assert code == 0
-        cli.validate_envelope(doc)
-        assert doc["schema_version"] == "1"
+        assert set(doc) == {"schema_version", "command", "inputs", "results",
+                            "diagnostics"}
+        assert doc["schema_version"] == cli.SCHEMA_VERSION == "1"
         assert doc["inputs"]["beta"] == 1.0
         assert doc["results"]["A2"] == pytest.approx(-2 / 9, rel=1e-15)
         assert doc["results"]["residual_l2"] < 1e-7
-        assert "wall_time_s" in doc["diagnostics"]
-        # the pairing check is exact, so it has no tolerance to echo
-        assert set(doc["diagnostics"]["tolerances"]) == {
-            "collision_check", "xi_root", "omega_origin"}
+        # N and xi_grid are inputs, echoed there only; no module constant
+        # is echoed
+        assert set(doc["diagnostics"]) == {"wall_time_s"}
+        assert doc["inputs"]["N"] == hill.TruncationConfig.N
 
     def test_determinism_modulo_wall_time(self, capsys):
         argv = ["collisions", "--beta", "-1", "--gamma", "1",
@@ -358,15 +359,6 @@ class TestEnvelope:
         doc1["diagnostics"].pop("wall_time_s")
         doc2["diagnostics"].pop("wall_time_s")
         assert json.dumps(doc1, indent=2) == json.dumps(doc2, indent=2)
-
-    def test_validate_rejects_bad_docs(self):
-        with pytest.raises(ValueError):
-            cli.validate_envelope({"schema_version": "1"})
-        with pytest.raises(ValueError):
-            cli.validate_envelope({
-                "schema_version": "0", "command": "x", "inputs": {},
-                "results": {}, "diagnostics": {},
-            })
 
 
 def _leaf_pairs():
@@ -471,7 +463,9 @@ class TestSerializer:
             argv += ["--out", str(tmp_path)]
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert set(doc["diagnostics"]) == {"wall_time_s"}
 
 
 class TestCommands:
@@ -720,6 +714,42 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["results"]["k_min"] == pytest.approx(2**0.5, rel=1e-12)
+
+
+class TestUnits:
+    """Each command at gamma = 1e-12 is its gamma = 1 counterpart with k
+    scaled by 1e-3: every omega shrinks by 1e-12 and every xi stays put.
+    The answers are the same."""
+
+    def test_dispersion_krein(self, capsys):
+        def krein(gamma, k):
+            code, doc = run_json(capsys, [
+                "dispersion", "--beta", "1", "--gamma", gamma, "--k", k,
+                "--xi", "0.25", "--n-range", "2"])
+            assert code == 0
+            return [mode["krein"] for mode in doc["results"]["modes"]]
+        assert krein("1e-12", "1.3e-4") == krein("1", "0.13") == [1, -1, -1, 1, 1]
+
+    def test_krein_opposite_collision(self, capsys):
+        def events(gamma, k):
+            code, doc = run_json(capsys, [
+                "krein", "--beta", "-1", "--gamma", gamma, "--k", k,
+                "--n", "-1", "--m", "1"])
+            assert code == 0
+            return [(e["at_origin"], e["kappa_n"], e["kappa_m"], e["opposite_krein"])
+                    for e in doc["results"]["events"]]
+        assert events("1e-12", "8e-4") == events("1", "0.8") == [(False, -1, 1, True)]
+
+    @pytest.mark.parametrize("gamma, k, a", [("1e-12", "8e-4", "1e-8"),
+                                             ("1", "0.8", "0.01")])
+    def test_reduced_refuses_non_collision(self, gamma, k, a, capsys):
+        # xi = 0.2 is not the collision xi0 = 0.4315: the gap is 2.6% of omega
+        code = cli.main(["reduced", "--beta", "-1", "--gamma", gamma, "--k", k,
+                         "--n", "-1", "--m", "1", "--a", a, "--xi", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "omega gap" in captured.err
 
 
 class TestFigures:

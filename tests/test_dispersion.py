@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ostro_stab import (
@@ -26,10 +26,14 @@ from ostro_stab import (
     origin_collisions,
     phase_speed_c0,
 )
-from ostro_stab.dispersion import XI_ROOT_TOL
 from ostro_stab.hill import default_xi_grid
 
 P111 = PhysicalParams(1, 1, 1)
+
+# The closed-form collision roots are accurate to this in xi away from a
+# tangency (a double root in x, where xi moves like the square root of
+# any perturbation of k).
+XI_ROOT_TOL = 1e-12
 
 # The scan's xi points: uniform on (0, 1/2], and geometric below its step,
 # where the roots of pairs with mode 0 go as k grows.  It stops at 1e-6:
@@ -441,6 +445,55 @@ class TestKreinSignature:
         k_minus = krein_signature(params, c0, -1 + xi0)
         k_plus = krein_signature(params, c0, xi0)
         assert k_minus * k_plus == -1
+
+
+class TestUnits:
+    """Multiplying (beta, gamma) by 2^j multiplies c0 and every omega by 2^j
+    bit for bit and leaves every collision xi as it is, so no answer may
+    change: each zero test is made on omega's own scale."""
+
+    PAIRS = [(-1, 0), (-1, 1), (-2, 0), (-3, 0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(beta=st.floats(0.3, 3.0), negative=st.booleans(),
+           gamma=st.floats(0.3, 6.0), scale=st.floats(0.3, 3.0),
+           xi=st.floats(1e-3, 0.5), j=st.integers(-40, 40))
+    @example(beta=1.0, negative=False, gamma=1.0, scale=2**0.5, xi=0.5, j=-40)
+    @example(beta=1.0, negative=False, gamma=1.0, scale=2**0.5, xi=0.5, j=40)
+    def test_rescaling_changes_no_answer(self, beta, negative, gamma, scale,
+                                         xi, j):
+        beta = -beta if negative else beta
+        k = scale * (gamma / abs(beta)) ** 0.25
+        try:
+            params = PhysicalParams(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        unit = 2.0**j
+        scaled = PhysicalParams(beta * unit, gamma * unit, k)
+
+        def answers(params, unit):
+            c0 = phase_speed_c0(params)
+            events = [(e.xi0, e.omega / unit, e.at_origin, e.opposite_krein)
+                      for n, m in self.PAIRS
+                      for e in collision_events(params, n, m)]
+            kappa = [krein_signature(params, c0, np.arange(-6, 7) + x).tolist()
+                     for x in [xi] + [e[0] for e in events]]
+            return events, kappa
+
+        assert answers(scaled, unit) == answers(params, 1.0)
+
+    @pytest.mark.parametrize("gamma", [1.0, 6.0])
+    def test_at_origin_exactly_where_krein_is_zero(self, gamma):
+        seen = 0
+        for origin in origin_collisions(1.0, gamma, 3):
+            params = PhysicalParams(1.0, gamma, origin.k)
+            c0 = phase_speed_c0(params)
+            for e in collision_events(params, origin.n, origin.m):
+                kappa_n = krein_signature(params, c0, e.n + e.xi0)
+                kappa_m = krein_signature(params, c0, e.m + e.xi0)
+                assert e.at_origin == (kappa_n == 0) == (kappa_m == 0)
+                seen += e.at_origin
+        assert seen == 7
 
 
 class TestOriginCollisions:

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ostro_stab import (
     NotACollision,
     NotUnstable,
     OrderNotAnalyzed,
     PhysicalParams,
+    ResonantWavenumber,
     WrongDispersionSign,
     collision_xi,
     discriminant_dn1,
@@ -17,6 +22,7 @@ from ostro_stab import (
     reduced_pencil,
     stokes_coefficients,
 )
+from ostro_stab.reduced import _checked_omega
 
 RNG = np.random.default_rng(20240817)
 
@@ -37,6 +43,16 @@ class TestThreshold:
             instability_threshold_dn1(-1, 1)
         with pytest.raises(ValueError):
             instability_threshold_dn1(1, -1)
+
+    @pytest.mark.parametrize("beta, gamma, message", [
+        (1.0, 0.0, "gamma must be positive and finite"),
+        (1.0, math.inf, "gamma must be positive and finite"),
+        (math.inf, 1.0, "beta must be finite and nonzero"),
+    ])
+    def test_invalid_coefficients(self, beta, gamma, message):
+        # the check PhysicalParams makes
+        with pytest.raises(ValueError, match=message):
+            instability_threshold_dn1(beta, gamma)
 
 
 class TestPencilDn1:
@@ -79,6 +95,43 @@ class TestPencilDn1:
         w = wave_at(1, 1, 1.6)
         with pytest.raises(NotACollision):
             reduced_pencil(w, -1, 0, 0.1, 0.01)
+
+
+class TestCollisionCheck:
+    PAIRS = [(-1, 0), (-1, 1), (-2, 0), (-3, 0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.floats(0.3, 3.0), negative=st.booleans(),
+           gamma=st.floats(0.3, 6.0), scale=st.floats(0.3, 3.0),
+           j=st.integers(-40, 40))
+    @example(beta=1.0, negative=True, gamma=1.0, scale=0.8, j=-40)
+    @example(beta=1.0, negative=False, gamma=1.0, scale=1.6, j=40)
+    def test_rescaling_changes_no_verdict(self, beta, negative, gamma, scale, j):
+        # multiplying (beta, gamma) by 2^j multiplies every omega and its
+        # scale by 2^j bit for bit: a collision, and a point 1e-3 off one,
+        # are told apart in any units
+        beta = -beta if negative else beta
+        k = scale * (gamma / abs(beta)) ** 0.25
+        try:
+            params = PhysicalParams(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        unit = 2.0**j
+        scaled = PhysicalParams(beta * unit, gamma * unit, k)
+
+        def verdicts(params, unit):
+            wave = stokes_coefficients(params)
+            out = []
+            for n, m in self.PAIRS:
+                for xi0 in collision_xi(params, n, m):
+                    for xi in (xi0, xi0 + 1e-3):
+                        try:
+                            out.append(_checked_omega(wave, n, m, xi) / unit)
+                        except NotACollision:
+                            out.append(None)
+            return out
+
+        assert verdicts(scaled, unit) == verdicts(params, 1.0)
 
 
 class TestShifts:
