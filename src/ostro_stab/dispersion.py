@@ -299,14 +299,14 @@ def enumerate_collision_pairs(beta: float, dn_max: int, n_range: int) -> list[Co
     """All colliding pairs {n, n+dn} with dn <= dn_max and |n|, |m| <= n_range.
 
     Each pair carries ``opposite_krein``, true exactly when n <= -1 <= 0 <= m
-    so that (n + xi)(m + xi) < 0 throughout xi in (0, 1/2].
+    so that (n + xi)(m + xi) < 0 throughout xi in (0, 1/2].  Only dn up to
+    2*n_range has a pair inside the window, so a dn_max past it costs
+    nothing.
     """
     if dn_max < 1:
         raise ValueError("dn_max must be >= 1")
-    if n_range < dn_max:
-        raise ValueError("n_range must be >= dn_max")
     pairs = []
-    for dn in range(1, dn_max + 1):
+    for dn in range(1, min(dn_max, 2 * n_range) + 1):
         ns = np.arange(-n_range, n_range - dn + 1)
         for n in ns[_admits_collision(beta, ns, dn)].tolist():
             m = n + dn

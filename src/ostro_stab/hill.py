@@ -76,18 +76,16 @@ __all__ = [
 MAX_DIM = 10_000
 # Largest number of points of the default xi grid.
 MAX_XI_GRID = 2**20
-# Largest number of (block, mode) entries, (2N+1)*ceil(xi_grid/64), of the
-# certificate's hull stage, which holds them all at once: about 130 traced
-# bytes each at N >= 200, so about 0.55 GB at the bound.
+# Largest number of (block, mode) entries, (2N+1)*ceil(xi_grid/64), of a
+# sweep's certificate hull stage, which holds them all at once: about 130
+# traced bytes each at N >= 200, so about 0.55 GB at the bound.
 MAX_HULL_ENTRIES = 2**22
 # Largest mode index window |n| <= n_range of the dispersion and
 # collisions tables.
 MAX_N_RANGE = 1000
 # Left end of the xi sweep, excluded from it.
 _XI_LO = 1.0 / 1024
-# Modes on each side of a colliding pair in the window of its root search,
-# and the secant steps of the search (see _bubble_seeds).
-_ROOT_PAD = 8
+# Secant steps of each pair's root search (see _bubble_seeds).
 _ROOT_STEPS = 4
 # xi values per certificate block, over which each mode gets one hull.
 _CERTIFY_BLOCK = 64
@@ -96,8 +94,9 @@ _CERTIFY_BLOCK = 64
 # large grid.
 _CERTIFY_ENTRIES = 2**17
 # Least gap between clusters of Gershgorin intervals, relative to
-# ||R||_inf, for a slice to count as certified.
-_CERTIFY_MARGIN = 64 * np.finfo(float).eps
+# ||R||_inf, for a slice to count as certified: the one share of rounding
+# the analytic layer also decides its zeros by.
+_CERTIFY_MARGIN = dispersion._ROUNDING
 # Bound, relative to ||R||_inf, on the entries of the real perturbation
 # that the eigensolver's output is exact for, as a colliding pair sees it.
 _SOLVE_NOISE = 1e3 * _CERTIFY_MARGIN
@@ -129,9 +128,10 @@ class TruncationConfig:
     ``xi_grid`` is the number of points of ``default_xi_grid``, which
     ``grid()`` builds on demand; a single slice never builds it.  The
     ``boundary_margin`` modes next to +-N are considered contaminated by
-    truncation and are ignored when attributing growth.  Both sizes are
-    bounded at construction, before any work: 2N+1 <= MAX_DIM, xi_grid
-    <= MAX_XI_GRID, and (2N+1)*ceil(xi_grid/64) <= MAX_HULL_ENTRIES.
+    truncation and are ignored when attributing growth.  Each size is
+    bounded at construction, before any work: 2N+1 <= MAX_DIM and
+    xi_grid <= MAX_XI_GRID.  The bound on the pair, which only a sweep
+    needs, is checked where the sweep starts (see max_growth).
     """
 
     N: int = 32
@@ -145,10 +145,6 @@ class TruncationConfig:
             raise ValueError(f"2N+1 = {2 * self.N + 1} exceeds the {MAX_DIM} "
                              "matrix-dimension guard")
         _check_grid_size(self.xi_grid)
-        entries = (2 * self.N + 1) * -(-self.xi_grid // _CERTIFY_BLOCK)
-        if entries > MAX_HULL_ENTRIES:
-            raise ValueError(f"(2N+1)*ceil(xi_grid/{_CERTIFY_BLOCK}) = {entries} "
-                             f"exceeds the {MAX_HULL_ENTRIES} hull-entry guard")
 
     def grid(self) -> np.ndarray:
         return default_xi_grid(self.xi_grid)
@@ -419,8 +415,10 @@ def _bubble_seeds(wave: StokesWave, a: float, N: int) -> np.ndarray:
     the pair's effective 2x2 is tuned (Deconinck & Trichtchenko 2017): at
     the root of the detuning M_nn - M_mm of the Feshbach complement
     M(t) = A - B (D - t)^-1 C of R onto the pair, R on a window of the
-    pair's modes +-_ROOT_PAD clipped to -N..N (a run of equal length for
-    every pair, so that each step is one stacked solve).  Each collision
+    pair's modes widened on each side by two widths of the coupling band,
+    as a window solve is (see _solve_window), and clipped to -N..N (a run
+    of equal length for every pair, so that each step is one stacked
+    solve; at a = 0 the band is 0 and M is A).  Each collision
     xi0 of collision_xi starts a Newton step on the unperturbed slope
     omega'(n+xi) - omega'(m+xi), then _ROOT_STEPS secant steps; t is the
     mean of R_nn and R_mm at xi0, then the mean of M's diagonal at the
@@ -438,10 +436,10 @@ def _bubble_seeds(wave: StokesWave, a: float, N: int) -> np.ndarray:
              for xi0 in dispersion.collision_xi(params, n, m)]
     if found:
         n, m, xi = (np.array(v) for v in zip(*found))
-        c, col, _, _ = _wave_terms(wave, a, N)
+        c, col, _, band = _wave_terms(wave, a, N)
         # each pair's window: n, m, then the rest of the run
-        size = min(2 * N + 1, 2 * _ROOT_PAD + 1 + int((m - n).max()))
-        run = np.clip(n - _ROOT_PAD, -N, N + 1 - size)[:, None] + np.arange(size)
+        size = min(2 * N + 1, 4 * band + 1 + int((m - n).max()))
+        run = np.clip(n - 2 * band, -N, N + 1 - size)[:, None] + np.arange(size)
         rest = run[(run != n[:, None]) & (run != m[:, None])].reshape(n.size, size - 2)
         modes = np.column_stack([n, m, rest])
         coupling, d = col[np.abs(modes[:, :, None] - modes[:, None, :])], np.arange(size)
@@ -692,8 +690,9 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     _CERTIFY_ENTRIES entries over those modes, a fixed budget: a sweep's
     grid at N = 32 is one chunk, while a grid of MAX_XI_GRID points at
     large N is cut into chunks of bounded memory.  The hull stage's
-    (blocks, 2N+1) arrays are held whole; TruncationConfig bounds their
-    entries by MAX_HULL_ENTRIES.
+    (blocks, 2N+1) arrays are held whole; max_growth bounds their entries
+    by MAX_HULL_ENTRIES before a sweep starts, and a single slice's pass
+    has one block.
     """
     a = check_amplitude(a)
     if np.any(xis[1:] < xis[:-1]):
@@ -851,7 +850,15 @@ def max_growth(wave: StokesWave, a,
     and the seeds, sorted, are certified in one _on_axis pass; each open
     slice is solved once, and only the returned one is built as a
     SpectrumSlice.
+
+    That pass holds 2N+1 hull entries per block of 64 xi values at once
+    (see _on_axis), so a cfg with (2N+1)*ceil(xi_grid/64) above
+    MAX_HULL_ENTRIES is refused with ValueError before any work.
     """
+    entries = (2 * cfg.N + 1) * -(-cfg.xi_grid // _CERTIFY_BLOCK)
+    if entries > MAX_HULL_ENTRIES:
+        raise ValueError(f"(2N+1)*ceil(xi_grid/{_CERTIFY_BLOCK}) = {entries} "
+                         f"exceeds the {MAX_HULL_ENTRIES} hull-entry guard")
     a = check_amplitude(a)
     xis = np.unique(np.concatenate([cfg.grid(), _bubble_seeds(wave, a, cfg.N)]))
     solved = {i: _solve_window(wave, a, xis[i], cl, cfg.N)

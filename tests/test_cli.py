@@ -38,6 +38,16 @@ def read_csv(path):
     return comment, rows
 
 
+def forbid_hill_work(monkeypatch, message):
+    """Make every Hill-layer step that seeds, certifies or solves a slice
+    fail the test with ``message``."""
+    def no_work(*args, **kwargs):
+        raise AssertionError(message)
+    for name in ("spectrum_slice", "eigenvalues", "_solve_window", "_on_axis",
+                 "_bubble_seeds"):
+        monkeypatch.setattr(hill, name, no_work)
+
+
 class TestExitCodes:
     def test_threshold_ok(self, capsys):
         code, doc = run_json(capsys, ["threshold", "--beta", "1", "--gamma", "6"])
@@ -184,14 +194,14 @@ class TestExitCodes:
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 2000 --xi-grid 1048576",
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 128 --xi-grid 1048576",
         "spectrum --beta 1 --gamma 1 --k 1.6 --a 0.01 --N 4999 --xi-grid 65536",
+        "sweep --beta 1 --gamma 1 --a 0.01 --lo 1.2 --hi 1.6 --num 2 --N 128 "
+        "--xi-grid 1048576",
         "figures --which collision_contour --beta 1 --gamma 6 --xi-grid 0",
     ])
     def test_size_bounds_domain_error(self, argv, capsys, tmp_path, monkeypatch):
-        # the guards must fire before any slice is solved
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved a slice past the size guard")
-        monkeypatch.setattr(hill, "spectrum_slice", no_solve)
-        monkeypatch.setattr(hill, "max_growth", no_solve)
+        # the guards must fire before any slice is seeded, certified or
+        # solved; a sweep's hull-entry guard is checked inside max_growth
+        forbid_hill_work(monkeypatch, "solved a slice past the size guard")
         argv = argv.split()
         if argv[0] == "figures":
             argv += ["--out", str(tmp_path / "figs")]
@@ -219,9 +229,10 @@ class TestExitCodes:
         assert f"--n-range {n_range} not in [0, {hill.MAX_N_RANGE}]" in captured.err
 
     def test_hull_entries_ceiling_runs(self, capsys, monkeypatch):
-        # N = 32 on the largest grid passes the guard (its sweep is
-        # stubbed: it takes seconds), and N = 4999 sweeps the default grid
-        monkeypatch.setattr(hill, "max_growth", lambda wave, a, cfg: (0.25, 0.0, None))
+        # N = 32 on the largest grid passes max_growth's guard (its
+        # certificate is stubbed to certify every slice: the pass takes
+        # seconds), and N = 4999 sweeps the default grid
+        monkeypatch.setattr(hill, "_on_axis", lambda wave, a, xis, N: [()] * xis.size)
         code, doc = run_json(capsys, [
             "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6", "--a", "0.01",
             "--N", "32", "--xi-grid", str(hill.MAX_XI_GRID)])
@@ -233,6 +244,12 @@ class TestExitCodes:
             "--N", "4999"])
         assert code == 0
         assert doc["results"]["growth"] > 0
+        # a single slice builds no grid, so the sweep's bound does not apply
+        code, doc = run_json(capsys, [
+            "spectrum", "--beta", "1", "--gamma", "1", "--k", "1.6", "--a", "0.01",
+            "--xi", "0.3", "--N", "128", "--xi-grid", str(hill.MAX_XI_GRID)])
+        assert code == 0
+        assert len(doc["results"]["eigenvalues"]) == 257
 
     def test_n_range_ceiling_runs(self, capsys):
         n_range = str(hill.MAX_N_RANGE)
@@ -271,9 +288,9 @@ class TestExitCodes:
     ])
     def test_sweep_refused_before_any_sweep(self, argv, code, capsys,
                                             monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("swept before every point was checked")
-        monkeypatch.setattr(hill, "max_growth", no_sweep)
+        # max_growth itself refuses a sweep past the hull-entry guard, so
+        # the spies sit on the work a sweep does
+        forbid_hill_work(monkeypatch, "swept before every point was checked")
         assert cli.main(["sweep", "--beta", "1", "--gamma", "1",
                          *argv.split()]) == code
         assert capsys.readouterr().out == ""
@@ -493,6 +510,13 @@ class TestCommands:
         origin = doc["results"]["origin"]
         assert any(e["n"] == 0 and e["k"] == pytest.approx(2**0.5)
                    for e in origin)
+        # a window narrower than --dn-max lists the pairs that fit in it
+        code, doc = run_json(capsys, [
+            "collisions", "--beta", "1", "--gamma", "1", "--n-range", "2",
+            "--opposite-krein"])
+        assert code == 0
+        pairs = {(p["n"], p["m"]) for p in doc["results"]["pairs"]}
+        assert pairs == {(-1, 0), (-2, 1), (-1, 2), (-2, 2)}
 
     def test_collisions_csv(self, capsys):
         code = cli.main(["collisions", "--beta", "-1", "--gamma", "1",

@@ -394,14 +394,22 @@ class TestEnumerate:
     def test_validation(self):
         with pytest.raises(ValueError):
             enumerate_collision_pairs(1.0, 0, 6)
-        with pytest.raises(ValueError):
-            enumerate_collision_pairs(1.0, 4, 3)
+        # a window narrower than dn_max is legal: it lists the pairs that
+        # fit in it, as the scalar rule does
+        assert enumerate_collision_pairs(1.0, 4, 3) == [
+            dispersion.CollisionPair(n, n + dn, n <= -1 <= 0 <= n + dn)
+            for dn in range(1, 5) for n in range(-3, 4 - dn)
+            if dispersion._admits_collision(1.0, n, dn)]
+        assert enumerate_collision_pairs(1.0, 4, 0) == []
+        # a huge dn_max costs no more than the window's widest pair
+        assert (enumerate_collision_pairs(1.0, 10**9, 6)
+                == enumerate_collision_pairs(1.0, 12, 6))
 
     @pytest.mark.parametrize("beta", [1.0, -1.0, 0.3, -2.5])
     def test_matches_scalar_rule(self, beta):
         # one array call per dn decides as the scalar rule does, pair by pair
         for dn_max in range(1, 7):
-            for n_range in range(dn_max, 11):
+            for n_range in range(11):
                 expected = [
                     dispersion.CollisionPair(n, n + dn, n <= -1 <= 0 <= n + dn)
                     for dn in range(1, dn_max + 1)

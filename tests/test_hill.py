@@ -26,6 +26,7 @@ from ostro_stab import (
     omega,
     phase_speed_c0,
     predicted_growth_rate,
+    reduced_pencil,
     spectrum_slice,
     stokes_coefficients,
 )
@@ -1085,6 +1086,51 @@ BENCH_GROUPS = [
 ]
 
 
+class TestExactRescaling:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
+           u=st.floats(0.5, 1.6), j=st.integers(64, 819),
+           i=st.integers(-12, 1), xi=st.floats(0.01, 0.5))
+    def test_power_of_two_maps(self, beta, gamma, u, j, i, xi):
+        # Two rescalings are exact in floating point, powers of two being
+        # exact factors.  (beta, gamma, a) -> s*(beta, gamma, a), s = 4^i,
+        # multiplies every entry of R by s (time runs s times faster), so
+        # growth and eigenvalues scale by s bit for bit and xi* stays.
+        # (beta, k, a) -> (beta/16, 2k, a/4) keeps beta*k^4/gamma and
+        # a*k^2/gamma, and every entry of R: nothing changes by a bit.  A
+        # test on absolute sizes anywhere in the sweep would break either.
+        # Two limits of the arithmetic, not of the sweep, shape the draws:
+        # LAPACK's eigenvalues of 2R differ from twice those of R in the
+        # last bit on about 2% of slices (it takes square roots of single
+        # entries), so s is an even power of two; and libm's pow is not
+        # always exact under a power-of-two scaling, so a = j/2^16 and k on
+        # a 2^-10 lattice make the Stokes expansion's a**3, a**4 and k**4
+        # exact.  Its powers of A2 (A2**2 in A44) can still move R by a
+        # bit, on about 4 draws in 10^4, so the draws are derandomized.
+        k = round(1024 * u * (4.0 * gamma if beta > 0 else gamma) ** 0.25) / 1024
+        try:
+            w = wave_at(beta, gamma, k)
+        except ResonantWavenumber:
+            assume(False)
+        a, s = j / 2**16, 4.0**i
+        xi_star, growth, _ = max_growth(w, a, CFG32)
+        sl = spectrum_slice(w, a, xi, CFG32)
+        pencils = [(p.n, p.m, xi0) for p in enumerate_collision_pairs(beta, 2, 2)
+                   if p.opposite_krein for xi0 in collision_xi(w.params, p.n, p.m)]
+        for v, b, f in ((wave_at(s * beta, s * gamma, k), s * a, s),
+                        (wave_at(beta / 16, gamma, 2 * k), a / 4, 1.0)):
+            assert max_growth(v, b, CFG32)[:2] == (xi_star, f * growth)
+            scaled = spectrum_slice(v, b, xi, CFG32)
+            assert scaled.max_real_part == f * sl.max_real_part
+            for part in ("real", "imag"):
+                assert (getattr(scaled.eigenvalues, part).tobytes()
+                        == (f * getattr(sl.eigenvalues, part)).tobytes())
+            for n, m, xi0 in pencils:
+                assert xi0 in collision_xi(v.params, n, m)
+                M = reduced_pencil(w, n, m, xi0, a).M
+                assert reduced_pencil(v, n, m, xi0, b).M.tobytes() == (f * M).tobytes()
+
+
 def recorded_sweep(wave, a, cfg):
     """max_growth's result, with each slice it solved: its xi, growth and
     open clusters.  A sweep that grows has solved at least one slice."""
@@ -1492,22 +1538,38 @@ class TestConfig:
             with pytest.raises(ValueError, match="xi grid size"):
                 TruncationConfig(xi_grid=num)
 
-    def test_hull_entries_bounded(self):
-        # the hull stage holds (2N+1) * ceil(xi_grid/64) entries at once:
-        # past the bound a pair is rejected at construction, before any
-        # sweep; N = 32 on the largest grid and N = 4999 on the default
-        # grid stay legal
+    def test_hull_entries_bounded(self, monkeypatch):
+        # a sweep's hull stage holds (2N+1) * ceil(xi_grid/64) entries at
+        # once: past the bound max_growth refuses the sweep before any
+        # work, while the config itself, and a single slice on it, stay
+        # legal.  N = 32 on the largest grid and N = 4999 on the default
+        # grid pass the guard (test_cli runs both).
+        w = wave_at(1, 1, 1.6)
         assert TruncationConfig(N=32, xi_grid=MAX_XI_GRID).xi_grid == MAX_XI_GRID
         assert TruncationConfig(N=4999).N == 4999
-        assert TruncationConfig(N=127, xi_grid=MAX_XI_GRID).N == 127
-        # 9999 * 419 blocks fit, 9999 * 420 do not; the last block may be
-        # partial
-        assert TruncationConfig(N=4999, xi_grid=419 * _CERTIFY_BLOCK).N == 4999
+        for N, xi_grid in ((127, MAX_XI_GRID), (4999, 419 * _CERTIFY_BLOCK)):
+            # 255 * 16384 and 9999 * 419 blocks fit: the sweep starts (its
+            # certificate is stubbed to certify every slice)
+            with monkeypatch.context() as mp:
+                mp.setattr(hill, "_on_axis", lambda wave, a, xis, N: [()] * xis.size)
+                _, growth, sl = max_growth(w, 0.01, TruncationConfig(N=N, xi_grid=xi_grid))
+            assert growth == 0.0 and sl is None
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a sweep past the hull-entry guard started")
+        # 9999 * 420 blocks do not fit: the last block may be partial
         for N, xi_grid in ((128, MAX_XI_GRID), (2000, MAX_XI_GRID),
                            (4999, 419 * _CERTIFY_BLOCK + 1)):
             assert (2 * N + 1) * -(-xi_grid // _CERTIFY_BLOCK) > MAX_HULL_ENTRIES
-            with pytest.raises(ValueError, match="hull-entry guard"):
-                TruncationConfig(N=N, xi_grid=xi_grid)
+            cfg = TruncationConfig(N=N, xi_grid=xi_grid)
+            assert (cfg.N, cfg.xi_grid) == (N, xi_grid)
+            with monkeypatch.context() as mp:
+                mp.setattr(hill, "_bubble_seeds", no_work)
+                mp.setattr(hill, "_on_axis", no_work)
+                with pytest.raises(ValueError, match="hull-entry guard"):
+                    max_growth(w, 0.01, cfg)
+        sl = spectrum_slice(w, 0.01, 0.3, TruncationConfig(N=128, xi_grid=MAX_XI_GRID))
+        assert sl.eigenvalues.size == 257 and sl.paired
 
     def test_default_grid_range(self):
         grid = TruncationConfig().grid()
