@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dispersion, hill, reduced, stokes
-from .errors import DomainError, ResonantWavenumber, Singularity
+from .errors import DomainError, Singularity
 
 SCHEMA_VERSION = "1"
 
@@ -119,22 +119,11 @@ def _params(args) -> stokes.PhysicalParams:
 
 
 def _ordered_wave(params: stokes.PhysicalParams, a: float) -> stokes.StokesWave:
-    """The Stokes wave of params, refused where its expansion is not
-    ordered at amplitude a.
-
-    Next to a harmonic resonance the expansion coefficients blow up, and
-    a harmonic W_j, j >= 2, can reach the fundamental W_1 = a.  The
-    truncated profile is then no small-amplitude wave, and any growth or
-    pencil computed on it is spurious.
-    """
+    """The Stokes wave of params, refused up front, by
+    stokes.harmonic_amplitudes, where its expansion is not ordered at
+    amplitude a: a sweep checks every point before its first sweep."""
     wave = stokes.stokes_coefficients(params)
-    W = np.abs(stokes.harmonic_amplitudes(wave, a))
-    j = int(np.argmax(W[1:])) + 1
-    if W[j] >= W[0] > 0:
-        raise ResonantWavenumber(
-            f"expansion not ordered at a={a!r}: harmonic W{j + 1} = "
-            f"{W[j]:.3g} is not smaller than |a| (k={params.k!r} is near "
-            "a harmonic resonance)")
+    stokes.harmonic_amplitudes(wave, a)
     return wave
 
 

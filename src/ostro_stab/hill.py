@@ -60,7 +60,7 @@ import numpy as np
 
 from . import dispersion, stokes
 from .errors import ConvergenceFailure
-from .stokes import StokesWave, check_amplitude
+from .stokes import StokesWave
 
 __all__ = [
     "TruncationConfig",
@@ -231,7 +231,7 @@ def assemble_L_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> 
     dispersion.check_xi(xi)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2 = k**2
-    c, col, _, _ = _wave_terms(wave, check_amplitude(a), cfg.N)
+    c, col, _, _ = _wave_terms(wave, a, cfg.N)
     i = np.arange(2 * cfg.N + 1)
     x = i - cfg.N + xi
     L = _coupling(col, i, i)
@@ -252,7 +252,7 @@ def assemble_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np
 
 def _assemble_real(wave: StokesWave, a, xi: float, N: int) -> np.ndarray:
     """Imaginary part of the Bloch matrix; accepts any xi with n+xi != 0."""
-    c, col, _, _ = _wave_terms(wave, check_amplitude(a), N)
+    c, col, _, _ = _wave_terms(wave, a, N)
     i = np.arange(2 * N + 1)
     x = i - N + xi
     R = x[:, None] * _coupling(col, i, i)
@@ -315,7 +315,6 @@ def spectrum_slice(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> Spe
     the open clusters on this xi alone, only when there is a candidate.
     """
     dispersion.check_xi(xi)
-    a = check_amplitude(a)
     w = eigenvalues(_assemble_real(wave, a, xi, cfg.N))
     clusters = ()
     if np.any(w.imag):
@@ -384,7 +383,7 @@ def _built(xi: float, a: float, growth: float, w: np.ndarray,
     """The SpectrumSlice of eigenvalues i*w, sorted by (imag, real)."""
     lam = 1j * w
     lam = lam[np.lexsort((lam.real, lam.imag))]
-    return SpectrumSlice(xi=float(xi), a=a, eigenvalues=lam, max_real_part=growth,
+    return SpectrumSlice(xi=float(xi), a=float(a), eigenvalues=lam, max_real_part=growth,
                          paired=_pairing_ok(lam), growth_clusters=grown)
 
 
@@ -694,7 +693,6 @@ def _on_axis(wave: StokesWave, a, xis: np.ndarray, N: int) -> list[tuple[Cluster
     by MAX_HULL_ENTRIES before a sweep starts, and a single slice's pass
     has one block.
     """
-    a = check_amplitude(a)
     if np.any(xis[1:] < xis[:-1]):
         raise ValueError("the certificate's xi values must be ascending")
     c, col, row_sum, _ = _wave_terms(wave, a, N)
@@ -859,7 +857,6 @@ def max_growth(wave: StokesWave, a,
     if entries > MAX_HULL_ENTRIES:
         raise ValueError(f"(2N+1)*ceil(xi_grid/{_CERTIFY_BLOCK}) = {entries} "
                          f"exceeds the {MAX_HULL_ENTRIES} hull-entry guard")
-    a = check_amplitude(a)
     xis = np.unique(np.concatenate([cfg.grid(), _bubble_seeds(wave, a, cfg.N)]))
     solved = {i: _solve_window(wave, a, xis[i], cl, cfg.N)
               for i, cl in enumerate(_on_axis(wave, a, xis, cfg.N)) if cl}

@@ -98,9 +98,8 @@ def reduced_pencil(wave: StokesWave, n: int, m: int, xi0: float, a) -> ReducedPe
     dn = m - n
     if not 1 <= dn <= 2:
         raise OrderNotAnalyzed(f"no reduced pencil for mode separation {dn}")
-    a = check_amplitude(a)
-    w = _checked_omega(wave, n, m, xi0)
     W = stokes.harmonic_amplitudes(wave, a)[dn - 1]
+    w = _checked_omega(wave, n, m, xi0)
     dc = a**2 * wave.c2 if dn == 1 else a**2 * wave.c2 + a**4 * wave.c4
     k2 = wave.params.k**2
     p, q = n + xi0, m + xi0

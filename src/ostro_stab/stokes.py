@@ -25,6 +25,15 @@ vanish; ``PhysicalParams`` rejects every k within relative distance
 ``RESONANCE_RADIUS`` of one.  Near the n = 2, 3, 4 resonances each
 denominator is about 2*RESONANCE_RADIUS of its scale or more, so the
 coefficients of every accepted k are finite.
+
+No bound is put on the bare amplitude a: every ratio W_{j+1}/W_1 of the
+profile's harmonics depends only on beta*k^4/gamma and a*k^2/gamma, so a
+cap on a would refuse in one set of units a wave it accepts in another.
+What keeps the truncated profile a small-amplitude wave is that its
+expansion is ordered: ``harmonic_amplitudes``, through which the
+profile, its residual, the Bloch matrices and the reduced pencils take
+the wave at an amplitude, refuses any a at which a harmonic W_j, j >= 2,
+is not smaller than the fundamental W_1 = a.
 """
 
 from __future__ import annotations
@@ -49,8 +58,6 @@ __all__ = [
     "residual_F",
 ]
 
-# Largest |a| for which the fourth-order expansion is used.
-A_MAX = 0.1
 # Least relative distance of an accepted k from a resonant wavenumber.
 RESONANCE_RADIUS = 1e-6
 
@@ -89,10 +96,11 @@ def check_coefficients(beta: float, gamma: float) -> None:
 
 
 def check_amplitude(a) -> float:
-    """a as a float; ValueError unless |a| <= A_MAX."""
+    """a as a float; ValueError unless it is finite.  Whether the
+    expansion is ordered at a is harmonic_amplitudes' check."""
     a = float(a)
-    if not abs(a) <= A_MAX:
-        raise ValueError(f"|a|={abs(a)} exceeds a_max={A_MAX}")
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     return a
 
 
@@ -145,14 +153,27 @@ def stokes_coefficients(params: PhysicalParams) -> StokesWave:
 
 
 def harmonic_amplitudes(wave: StokesWave, a) -> np.ndarray:
-    """Cosine-series amplitudes [W1, W2, W3, W4] of the profile at amplitude a."""
+    """Cosine-series amplitudes [W1, W2, W3, W4] of the profile at amplitude a.
+
+    ResonantWavenumber where the expansion is not ordered at a: some
+    harmonic |W_j|, j >= 2, is not finite, or is not smaller than
+    |W_1| = |a| > 0.  A harmonic reaches the fundamental next to a
+    harmonic resonance, where the coefficients blow up, or where
+    a*k^2/gamma is not small; the truncated profile is then no
+    small-amplitude wave, and any growth or pencil computed on it is
+    spurious.
+    """
     a = check_amplitude(a)
-    return np.array([
-        a,
-        a**2 * wave.A2 + a**4 * wave.A42,
-        a**3 * wave.A3,
-        a**4 * wave.A44,
-    ])
+    W = [a, a**2 * wave.A2 + a**4 * wave.A42, a**3 * wave.A3, a**4 * wave.A44]
+    # at a = 0 a harmonic is 0 unless a coefficient is not finite
+    if not all(Wj == 0 or abs(Wj) < abs(a) for Wj in W[1:]):
+        H = np.abs(W)
+        j = int(np.argmax(H[1:])) + 1
+        raise ResonantWavenumber(
+            f"expansion not ordered at a={a!r}: harmonic W{j + 1} = "
+            f"{H[j]:.3g} is not smaller than |a| (k={wave.params.k!r} is "
+            "near a harmonic resonance, or |a| is not small)")
+    return np.array(W)
 
 
 def eval_profile(wave: StokesWave, a, z):
@@ -190,10 +211,9 @@ def residual_F(wave: StokesWave, a) -> float:
     truncation of the expansion itself: the returned norm must scale like
     a^5.
     """
-    a = check_amplitude(a)
+    W = harmonic_amplitudes(wave, a)
     beta, gamma, k = wave.params.beta, wave.params.gamma, wave.params.k
     k2, c = k**2, eval_speed(wave, a)
-    W = harmonic_amplitudes(wave, a)
     half = np.concatenate([W[::-1], [0.0], W]) / 2.0
     w2 = 2.0 * np.convolve(half, half)[9:]
     j2 = np.arange(1.0, 9.0) ** 2

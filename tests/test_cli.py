@@ -125,12 +125,13 @@ class TestExitCodes:
         assert captured.err.startswith("ostro-stab: error: cannot write ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        "spectrum --beta 1 --gamma 1 --k 0.7075 --a 0.05",
-        "spectrum --beta 1 --gamma 1 --k 0.708 --a 0.05",
-        "reduced --beta 1 --gamma 1 --k 0.708 --n -1 --m 0 --a 0.05",
+    @pytest.mark.parametrize("argv, a", [
+        ("spectrum --beta 1 --gamma 1 --k 0.7075 --a 0.05", "0.05"),
+        ("spectrum --beta 1 --gamma 1 --k 0.708 --a 0.05", "0.05"),
+        ("reduced --beta 1 --gamma 1 --k 0.708 --n -1 --m 0 --a 0.05", "0.05"),
+        ("wave --beta 1 --gamma 1 --k 0.708 --a 0.08", "0.08"),
     ])
-    def test_unordered_expansion_domain_error(self, argv, capsys, monkeypatch):
+    def test_unordered_expansion_domain_error(self, argv, a, capsys, monkeypatch):
         # next to the second-harmonic resonance k = 2^(-1/2) the harmonic W2
         # outgrows a = W1: refused before any slice is solved
         def no_solve(*args, **kwargs):
@@ -141,7 +142,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "ostro-stab: domain error: expansion not ordered at a=0.05")
+            f"ostro-stab: domain error: expansion not ordered at a={a}")
         assert captured.err.count("\n") == 1
 
     def test_ordered_expansion_near_resonance_runs(self, capsys):
@@ -280,9 +281,10 @@ class TestExitCodes:
         ("--a 0.01 --lo 1.2 --hi inf --num 3", 2),
         # k = 0.5 = (1/16)^(1/4), the n = 4 resonance, mid-range
         ("--a 0.005 --lo 0.4 --hi 0.6 --num 3", 2),
-        # the last point: an unordered expansion, an amplitude past A_MAX
+        # the last point's expansion is not ordered: next to a resonance,
+        # and far from any at an amplitude so large that W3 outgrows a
         ("--k 0.708 --lo 0.001 --hi 0.05 --num 4", 2),
-        ("--k 1.6 --lo 0.01 --hi 0.2 --num 3", 2),
+        ("--k 1.6 --lo 0.01 --hi 20 --num 3", 2),
         ("--a 0.01 --lo 1.2 --hi 2.4 --num 3 --N 5000", 2),
         ("--a 0.01 --lo 1.2 --hi 2.4 --num 3 --N 2000 --xi-grid 1048576", 2),
     ])
@@ -294,6 +296,14 @@ class TestExitCodes:
         assert cli.main(["sweep", "--beta", "1", "--gamma", "1",
                          *argv.split()]) == code
         assert capsys.readouterr().out == ""
+
+    def test_sweep_past_a_0_1_runs(self, capsys):
+        # no bound on the bare amplitude: a = 0.2 is ordered at k = 1.6
+        code, doc = run_json(capsys, [
+            "sweep", "--beta", "1", "--gamma", "1", "--k", "1.6", "--lo", "0.01",
+            "--hi", "0.2", "--num", "3"])
+        assert code == 0
+        assert [p["a"] for p in doc["results"]["points"]][::2] == [0.01, 0.2]
 
     def test_sweep_num_ceiling_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(hill, "max_growth", lambda wave, a, cfg: (0.25, 0.0, None))
@@ -776,6 +786,20 @@ class TestUnits:
         assert "omega gap" in captured.err
 
 
+    @pytest.mark.parametrize("command", [
+        ["spectrum"], ["reduced", "--n", "-1", "--m", "0"]])
+    def test_amplitude_rescaled(self, command, capsys):
+        # (beta, k, a) -> (8^4*beta, k/8, 64*a) keeps beta*k^4/gamma,
+        # a*k^2/gamma and every entry of the matrices: a = 0.64 there is
+        # the wave a = 0.01 is here, and gets the same results bit for bit
+        def results(beta, k, a):
+            code, doc = run_json(capsys, [*command, "--beta", beta, "--gamma", "1",
+                                          "--k", k, "--a", a])
+            assert code == 0
+            return json.dumps(doc["results"])
+        assert results("4096", "0.2", "0.64") == results("1", "1.6", "0.01")
+
+
 class TestFigures:
     def test_k_curves(self, tmp_path, capsys):
         code, doc = run_json(capsys, ["figures", "--which", "K_curves",
@@ -1037,7 +1061,7 @@ def _cli_argv(draw):
     if command == "sweep" and draw(st.booleans()):
         # half the sweeps also get a positive range, which the last --lo
         # and --hi set: few arbitrary ranges pass every check
-        top = stokes.A_MAX if swept == "a" else 3.0
+        top = 0.1 if swept == "a" else 3.0
         argv += [f"--{name}={v!r}" for name, v in zip(
             ("lo", "hi"), sorted(draw(st.tuples(st.floats(1e-3, top),
                                                 st.floats(1e-3, top)))))]

@@ -47,15 +47,42 @@ from ostro_stab.hill import (
     _pairing_ok,
     _wave_terms,
 )
-from ostro_stab.stokes import A_MAX, check_amplitude
+from ostro_stab.stokes import check_amplitude
+
+# the largest amplitude drawn
+A_HI = 0.1
 
 
 def wave_at(beta, gamma, k):
     return stokes_coefficients(PhysicalParams(beta, gamma, k))
 
 
+def ordered_wave(beta, gamma, k, a):
+    """wave_at(beta, gamma, k); a draw is assumed away where k is resonant
+    or where the expansion is not ordered at amplitude a, next to the
+    K = beta*k^4/gamma = 1/4 resonance."""
+    try:
+        w = wave_at(beta, gamma, k)
+        harmonic_amplitudes(w, a)
+    except ResonantWavenumber:
+        assume(False)
+    return w
+
+
+def _drawn_wave(beta, gamma, u, a):
+    # k is u times the {-1,0} threshold (beta > 0) or gamma^(1/4) (beta < 0)
+    return ordered_wave(beta, gamma, u * (4.0 * gamma if beta > 0 else gamma) ** 0.25, a)
+
+
 CFG16 = TruncationConfig(N=16)
 CFG32 = TruncationConfig(N=32)
+
+# beta = -1/4096, gamma = 1, k = 6.7, a = 0.095: the image under
+# (beta, k, a) -> (beta/8^4, 8k, a/64) of beta = -1, k = 0.8375, a = 6.08,
+# an ordered expansion (|W3| = 0.85|W1|) so large that at N = 9, xi = 0.1
+# one open cluster holds every mode, the boundary modes among them, and
+# the truncated slice has a pair growing at 2.9
+BOUNDARY_BGK, BOUNDARY_A, BOUNDARY_XI = (-1 / 4096, 1.0, 6.7), 0.095, 0.1
 
 
 def dense_coupling(wave, a, N):
@@ -255,14 +282,11 @@ class TestSpectrumSlice:
         assert sl.max_real_part < 1e-8
 
     def test_boundary_growth_filtered(self):
-        # at k just above half the threshold, next to the second-harmonic
-        # resonance, the truncated slice has a growing pair carried by the
-        # boundary modes; its energy form vanishes, and it lies in the
-        # one uncertified cluster, which holds the boundary modes: the
-        # boundary rule drops it
-        w = wave_at(1, 1, 0.708)
-        sl = spectrum_slice(w, 0.08, 0.1, TruncationConfig(N=9))
-        assert sl.eigenvalues.real.max() > 3.0
+        # the truncated slice's growing pair lies in the one uncertified
+        # cluster, which holds the boundary modes: the boundary rule drops it
+        w = wave_at(*BOUNDARY_BGK)
+        sl = spectrum_slice(w, BOUNDARY_A, BOUNDARY_XI, TruncationConfig(N=9))
+        assert sl.eigenvalues.real.max() > 2.5
         assert sl.max_real_part == 0.0
         assert [c.boundary for c in sl.growth_clusters] == [True]
 
@@ -357,7 +381,7 @@ class TestGrowthFilter:
     # a fake conjugate pair x0 +- i*G injected into a solved slice, in
     # place of the two real eigenvalues nearest x0: it counts only when x0
     # lies in an uncertified cluster that holds no boundary mode.  At
-    # beta = gamma = 1, k = 1.6, a = A_MAX, xi = 0.00648 the opposite-sign
+    # beta = gamma = 1, k = 1.6, a = A_HI, xi = 0.00648 the opposite-sign
     # pair {-1,1} is left open, and modes 0 and 3 overlap in a cluster of
     # one sign
     G, XI = 0.5, 0.006484242121060531
@@ -380,9 +404,9 @@ class TestGrowthFilter:
 
     def test_indefinite_pair_kept(self, monkeypatch):
         w = wave_at(1, 1, 1.6)
-        assert sorted(_clusters(w, A_MAX, self.XI, 16)) == [[-1, 1], [0, 3]]
-        x0 = self.centre(w, A_MAX, self.XI, 16, -1, 1)
-        sl = self.solved_with_pair(monkeypatch, w, A_MAX, self.XI, CFG16, x0)
+        assert sorted(_clusters(w, A_HI, self.XI, 16)) == [[-1, 1], [0, 3]]
+        x0 = self.centre(w, A_HI, self.XI, 16, -1, 1)
+        sl = self.solved_with_pair(monkeypatch, w, A_HI, self.XI, CFG16, x0)
         assert sl.max_real_part == self.G
         assert [(c.modes, c.boundary) for c in sl.growth_clusters] == [((-1, 1), False)]
 
@@ -390,26 +414,27 @@ class TestGrowthFilter:
         # the one-sign cluster {0, 3} is proven real (rule (b)): the pair is
         # solver noise there, and the slice keeps its own growth
         w = wave_at(1, 1, 1.6)
-        x0 = self.centre(w, A_MAX, self.XI, 16, 0, 3)
-        growth = spectrum_slice(w, A_MAX, self.XI, CFG16).max_real_part
-        sl = self.solved_with_pair(monkeypatch, w, A_MAX, self.XI, CFG16, x0)
+        x0 = self.centre(w, A_HI, self.XI, 16, 0, 3)
+        growth = spectrum_slice(w, A_HI, self.XI, CFG16).max_real_part
+        sl = self.solved_with_pair(monkeypatch, w, A_HI, self.XI, CFG16, x0)
         assert 0.0 < sl.max_real_part == growth < self.G
         assert [c.modes for c in sl.growth_clusters] == [(-1, 1)]
 
     def test_boundary_cluster_dropped(self, monkeypatch):
-        # at k = 0.708, a = 0.08, N = 9 one cluster holds every mode, the
-        # boundary modes among them: the pair is dropped there, and counts
-        # once the same cluster is passed as interior
-        w, cfg = wave_at(1, 1, 0.708), TruncationConfig(N=9)
-        (cluster,) = _on_axis(w, 0.08, np.array([0.1]), 9)[0]
+        # on the boundary wave one cluster holds every mode, the boundary
+        # modes among them: the pair is dropped there, and counts once the
+        # same cluster is passed as interior
+        w, a, xi = wave_at(*BOUNDARY_BGK), BOUNDARY_A, BOUNDARY_XI
+        cfg = TruncationConfig(N=9)
+        (cluster,) = _on_axis(w, a, np.array([xi]), 9)[0]
         assert cluster.modes == tuple(range(-9, 10)) and cluster.boundary
-        x0 = self.centre(w, 0.08, 0.1, 9, 0)
-        sl = self.solved_with_pair(monkeypatch, w, 0.08, 0.1, cfg, x0)
+        x0 = self.centre(w, a, xi, 9, 0)
+        sl = self.solved_with_pair(monkeypatch, w, a, xi, cfg, x0)
         assert sl.max_real_part == 0.0
         assert sl.growth_clusters == (cluster,)
         interior = (cluster._replace(boundary=False),)
-        sl = self.solved_with_pair(monkeypatch, w, 0.08, 0.1, cfg, x0, interior)
-        assert sl.max_real_part > 3.0
+        sl = self.solved_with_pair(monkeypatch, w, a, xi, cfg, x0, interior)
+        assert sl.max_real_part > 2.5
 
     def test_singular_shift(self):
         # R - i*I is exactly singular: a bare solve fails, the reference
@@ -423,7 +448,7 @@ class TestGrowthFilter:
 
     @settings(max_examples=150, deadline=None)
     @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
-           u=st.floats(0.5, 1.6), a=st.floats(0.0, A_MAX, exclude_min=True),
+           u=st.floats(0.5, 1.6), a=st.floats(0.0, A_HI, exclude_min=True),
            N=st.integers(8, 48), pick=st.floats(0.0, 1.0, exclude_max=True),
            t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
     def test_counted_growth_in_uncertified_span(self, beta, gamma, u, a, N, pick,
@@ -432,11 +457,8 @@ class TestGrowthFilter:
         # is carried by an eigenvalue in a non-boundary span that _on_axis
         # returns for that xi, alone or among the sweep grid, and a
         # certified slice counts none
-        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
-        try:
-            w = wave_at(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
+        w = _drawn_wave(beta, gamma, u, a)
+        k = w.params.k
         seeds = _crossings(w, opposite=True)
         assume(seeds)
         xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
@@ -469,7 +491,7 @@ class TestGrowthFilter:
 
     @settings(max_examples=150, deadline=None)
     @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
-           u=st.floats(0.5, 1.6), a=st.floats(0.0, A_MAX, exclude_min=True),
+           u=st.floats(0.5, 1.6), a=st.floats(0.0, A_HI, exclude_min=True),
            N=st.integers(8, 48), pick=st.floats(0.0, 1.0, exclude_max=True),
            t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
     def test_open_span_widened_by_half_gap(self, beta, gamma, u, a, N, pick, t,
@@ -479,11 +501,8 @@ class TestGrowthFilter:
         # Gershgorin intervals, read off the assembled matrix, widened by
         # half the cluster gap _CERTIFY_MARGIN*||R||_inf on each side, up
         # to the rounding of a centre and a radius
-        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
-        try:
-            w = wave_at(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
+        w = _drawn_wave(beta, gamma, u, a)
+        k = w.params.k
         seeds = _crossings(w, opposite=True)
         assume(seeds)
         xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
@@ -536,7 +555,7 @@ class TestCertificate:
     @settings(max_examples=300, deadline=None)
     @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
            u=st.floats(0.5, 1.6),
-           a=st.floats(0.0, A_MAX, exclude_min=True),
+           a=st.floats(0.0, A_HI, exclude_min=True),
            N=st.integers(8, 48), xi=st.floats(1e-3, 0.5),
            near=st.sampled_from(["uniform", "opposite", "same"]),
            pick=st.floats(0.0, 1.0, exclude_max=True),
@@ -549,11 +568,8 @@ class TestCertificate:
         # the edge of the bubble, where clusters of two modes of opposite
         # sign of n+xi are certified or not; or of a collision of modes of
         # one sign, whose clusters are always certified
-        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
-        try:
-            w = wave_at(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
+        w = _drawn_wave(beta, gamma, u, a)
+        k = w.params.k
         if near != "uniform":
             seeds = (_bubble_seeds(w, a, N).tolist() if near == "opposite"
                      else _crossings(w, opposite=False))
@@ -567,11 +583,11 @@ class TestCertificate:
 
     @pytest.mark.parametrize("a, xi, clusters", [
         (0.01, 0.2088, [[0, 1]]),                      # one sign
-        (A_MAX, 0.2088, [[0, 1]]),
+        (A_HI, 0.2088, [[0, 1]]),
         (0.01, 0.025115910621102442, [[-1, 1], [0, 2]]),  # and a pair
-        (A_MAX, 0.025115910621102442, [[-1, 1], [0, 2]]),
+        (A_HI, 0.025115910621102442, [[-1, 1], [0, 2]]),
         (0.01, 0.2828306772509555, [[-1, 0]]),         # xi0 + 0.003: a pair
-        (A_MAX, 0.2998306772509555, [[-1, 0]]),        # xi0 + 0.02, off its bubble
+        (A_HI, 0.2998306772509555, [[-1, 0]]),        # xi0 + 0.02, off its bubble
     ])
     def test_certifies_overlapping_clusters(self, a, xi, clusters):
         # beta = gamma = 1, k = 1.6: {-1,0} collides at xi0 = 0.27983, and
@@ -587,10 +603,10 @@ class TestCertificate:
         # overlap: the inertia count across them is odd, which proves one
         # real eigenvalue of three, so the slice is solved
         w = wave_at(1, 1, 0.85)
-        assert _clusters(w, A_MAX, xi, 16) == [[-2, -1, 1]]
-        assert _on_axis(w, A_MAX, np.array([xi]), 16)[0]
+        assert _clusters(w, A_HI, xi, 16) == [[-2, -1, 1]]
+        assert _on_axis(w, A_HI, np.array([xi]), 16)[0]
 
-    @pytest.mark.parametrize("a", [1e-4, 0.01, A_MAX])
+    @pytest.mark.parametrize("a", [1e-4, 0.01, A_HI])
     @pytest.mark.parametrize("N", [16, 32])
     def test_rejects_collision(self, a, N):
         w = wave_at(1, 1, 1.6)
@@ -752,16 +768,9 @@ def full_width_on_axis(wave, a, xis, N):
 
 
 _WAVES = dict(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
-              u=st.floats(0.5, 1.6), a=st.floats(0.0, A_MAX, exclude_min=True))
+              u=st.floats(0.5, 1.6), a=st.floats(0.0, A_HI, exclude_min=True))
 
 
-def _drawn_wave(beta, gamma, u):
-    # k is u times the {-1,0} threshold (beta > 0) or gamma^(1/4) (beta < 0)
-    k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
-    try:
-        return wave_at(beta, gamma, k)
-    except ResonantWavenumber:
-        assume(False)
 
 
 class TestWindowedCertificate:
@@ -774,7 +783,7 @@ class TestWindowedCertificate:
         # (sweep = 0) 63 points evenly inside a bracket 10^width wide around
         # a seed or a collision: the verdicts are those of the certificate
         # computed on every mode of every slice
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         seeds = _bubble_seeds(w, a, N)
         if sweep:
             xis = np.unique(np.concatenate([default_xi_grid(sweep), seeds]))
@@ -796,7 +805,7 @@ class TestWindowedCertificate:
         # rounding of a centre and a radius, far inside the hull margin.
         # The hulls take the banded sums of _wave_terms, the intervals
         # the dense coupling's
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         hi = min(0.5, lo + 10**width)
         c, abs_c = eval_speed(w, a), np.abs(dense_coupling(w, a, N))
         _, col, row_sum, _ = _wave_terms(w, a, N)
@@ -867,7 +876,7 @@ class TestOneSolve:
     @settings(max_examples=200, deadline=None)
     @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
            u=st.floats(0.5, 1.6),
-           a=st.floats(0.0, A_MAX, exclude_min=True),
+           a=st.floats(0.0, A_HI, exclude_min=True),
            N=st.one_of(st.integers(8, 37), st.sampled_from([48, 96])),
            pick=st.floats(0.0, 1.0, exclude_max=True),
            t=st.floats(-0.5, 0.5), scale=st.integers(0, 3))
@@ -883,11 +892,8 @@ class TestOneSolve:
         # LAPACK's eigenvalues-only and eigenvector solves return the same
         # eigenvalues bit for bit; above, they differ in the last bits, so
         # the growth must agree within rounding
-        k = u * (4.0 * gamma if beta > 0 else gamma) ** 0.25
-        try:
-            w = wave_at(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
+        w = _drawn_wave(beta, gamma, u, a)
+        k = w.params.k
         seeds = _crossings(w, opposite=True)
         assume(seeds)
         xi = seeds[int(pick * len(seeds))] + t * a * k**2 / 10**scale
@@ -965,7 +971,7 @@ class TestMaxGrowth:
         (1.0, 2.0, 0.8 * 8.0**0.25, 0.01, 512, 0),    # below threshold
         (-1.0, 3.0, 0.9 * 3.0**0.25, 0.015, 512, 0),  # beta < 0
         (-1.0, 1.0, 0.78, 0.02, 512, 2),              # two pairs at once
-        (-1.0, 3.0, 0.9 * 3.0**0.25, A_MAX, 512, 2),  # largest amplitude
+        (-1.0, 3.0, 0.9 * 3.0**0.25, A_HI, 512, 2),  # largest amplitude
         (1.0, 1.0, 1.3, 1e-4, 64, 0),                 # all stable
     ])
     def test_matches_slice_by_slice_reference(self, beta, gamma, k, a, xi_grid,
@@ -1019,7 +1025,7 @@ class TestMaxGrowth:
         # one _on_axis call, on the grid and the seeds; no slice solved
         # twice; the growth is the largest of the solved slices', at the
         # least xi that has it, and the returned slice is that slice
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         cfg = TruncationConfig(N=N, xi_grid=xi_grid)
         calls, solved = [], []
         hill_on_axis = hill._on_axis
@@ -1090,7 +1096,7 @@ class TestExactRescaling:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
            u=st.floats(0.5, 1.6), j=st.integers(64, 819),
-           i=st.integers(-12, 1), xi=st.floats(0.01, 0.5))
+           i=st.integers(-12, 4), xi=st.floats(0.01, 0.5))
     def test_power_of_two_maps(self, beta, gamma, u, j, i, xi):
         # Two rescalings are exact in floating point, powers of two being
         # exact factors.  (beta, gamma, a) -> s*(beta, gamma, a), s = 4^i,
@@ -1098,7 +1104,8 @@ class TestExactRescaling:
         # growth and eigenvalues scale by s bit for bit and xi* stays.
         # (beta, k, a) -> (beta/16, 2k, a/4) keeps beta*k^4/gamma and
         # a*k^2/gamma, and every entry of R: nothing changes by a bit.  A
-        # test on absolute sizes anywhere in the sweep would break either.
+        # test on absolute sizes anywhere in the sweep would break either;
+        # s*a reaches past 0.1, as no bound is put on the bare amplitude.
         # Two limits of the arithmetic, not of the sweep, shape the draws:
         # LAPACK's eigenvalues of 2R differ from twice those of R in the
         # last bit on about 2% of slices (it takes square roots of single
@@ -1108,11 +1115,8 @@ class TestExactRescaling:
         # exact.  Its powers of A2 (A2**2 in A44) can still move R by a
         # bit, on about 4 draws in 10^4, so the draws are derandomized.
         k = round(1024 * u * (4.0 * gamma if beta > 0 else gamma) ** 0.25) / 1024
-        try:
-            w = wave_at(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
         a, s = j / 2**16, 4.0**i
+        w = ordered_wave(beta, gamma, k, a)
         xi_star, growth, _ = max_growth(w, a, CFG32)
         sl = spectrum_slice(w, a, xi, CFG32)
         pencils = [(p.n, p.m, xi0) for p in enumerate_collision_pairs(beta, 2, 2)
@@ -1163,7 +1167,7 @@ class TestWindowSolve:
         eigenvalue of R off the real line, or 1 when there is none; the
         factor 2 covers the second-order term.
         """
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         cfg = TruncationConfig(N=N, xi_grid=xi_grid)
         _, calls = recorded_sweep(w, a, cfg)
         for xi, growth, _ in calls:
@@ -1193,15 +1197,15 @@ class TestWindowSolve:
         assert sl.growth_clusters == full.growth_clusters == clusters
 
     def test_boundary_clusters_leave_an_empty_window(self, monkeypatch):
-        # at k = 0.708, a = 0.08, N = 9 the one open cluster holds every
-        # mode, the boundary modes among them: no growth can count, so
-        # nothing is solved and the slice scores 0.0
-        w = wave_at(1, 1, 0.708)
-        clusters = _on_axis(w, 0.08, np.array([0.1]), 9)[0]
+        # on the boundary wave the one open cluster holds every mode, the
+        # boundary modes among them: no growth can count, so nothing is
+        # solved and the slice scores 0.0
+        w, a, xi = wave_at(*BOUNDARY_BGK), BOUNDARY_A, BOUNDARY_XI
+        clusters = _on_axis(w, a, np.array([xi]), 9)[0]
         assert [c.boundary for c in clusters] == [True]
         monkeypatch.setattr(hill, "eigenvalues", None)
         monkeypatch.setattr(hill, "_solve", None)
-        sl = hill._built(0.1, 0.08, *hill._solve_window(w, 0.08, 0.1, clusters, 9))
+        sl = hill._built(xi, a, *hill._solve_window(w, a, xi, clusters, 9))
         assert (sl.eigenvalues.size, sl.max_real_part, sl.paired) == (0, 0.0, True)
         assert sl.growth_clusters == ()
 
@@ -1233,7 +1237,7 @@ class TestWindowSolve:
         # to the full solve, bit for bit, and one that counts none is the
         # window solve the guard does not read.  Its clusters relabelled as
         # boundary clusters leave an empty window: 0.0, with no solve
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N)]))
         clusters = _on_axis(w, a, grid, N)
         open_ = [(xi, c) for xi, c in zip(grid, clusters) if c]
@@ -1361,7 +1365,7 @@ class TestOnAxisPass:
         # seed, certified in one pass with the sweep's grid and seeds:
         # the certificate of those points alone, so a slice's verdict does
         # not hang on which other xi values share its block
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         seeds = _bubble_seeds(w, a, N)
         assume(seeds.size)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), seeds]))
@@ -1426,7 +1430,7 @@ class TestOnAxisPass:
     def test_row_chunks_match_one_chunk(self, beta, gamma, u, a, N, xi_grid):
         # a sweep's grid, which at N <= 32 the slice stage takes in one
         # chunk, certified with the entry budget down to one row a chunk
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N)]))
         clusters, chunks = chunked_on_axis(w, a, grid, N)
         assert len(chunks) <= 1
@@ -1461,7 +1465,7 @@ class TestOnAxisPass:
         # the ||R||_inf each open cluster carries, read off the top modes,
         # is the largest row term over all 2N+1 modes, bit for bit: top
         # holds the arg-max
-        w = _drawn_wave(beta, gamma, u)
+        w = _drawn_wave(beta, gamma, u, a)
         xis = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N),
                                         [xi]]))
         clusters = _on_axis(w, a, xis, N)

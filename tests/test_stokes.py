@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,19 @@ from hypothesis import strategies as st
 from ostro_stab import (
     PhysicalParams,
     ResonantWavenumber,
+    TruncationConfig,
+    assemble_L_matrix,
+    assemble_matrix,
+    collision_xi,
     eval_profile,
     eval_speed,
+    harmonic_amplitudes,
+    hill,
+    max_growth,
     phase_speed_c0,
+    reduced_pencil,
     residual_F,
+    spectrum_slice,
     stokes_coefficients,
 )
 from ostro_stab.stokes import RESONANCE_RADIUS, check_amplitude
@@ -57,11 +68,12 @@ class TestParams:
     def test_negative_beta_never_resonant(self):
         PhysicalParams(-1.0, 1.0, 0.25**0.25)
 
-    def test_amplitude_bound(self):
-        assert check_amplitude(0.1) == 0.1
-        assert check_amplitude(-0.1) == -0.1
+    def test_amplitude_finite(self):
+        # no bound on the bare amplitude: only a non-finite a is refused
+        for a in (0.1, -0.1, 0.64, -1e6):
+            assert check_amplitude(a) == a
         assert type(check_amplitude(np.float64(0.05))) is float
-        for a in (0.2, -0.2, float("nan")):
+        for a in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError):
                 check_amplitude(a)
 
@@ -158,3 +170,47 @@ class TestResidual:
         r = residual_F(wave(), 0.01)
         assert r < 1e-8
         assert r == pytest.approx(RESIDUAL_A001, rel=1e-6)
+
+
+# beta = gamma = 1, k = 0.708, next to the K = beta*k^4/gamma = 1/4
+# resonance: at a = 0.08 the harmonic W2 = 23 outgrows W1 = a.  {-3,-1}
+# collides there at xi0 = 0.4747
+ENTRY_POINTS = {
+    "harmonic_amplitudes": harmonic_amplitudes,
+    "residual_F": residual_F,
+    "eval_profile": lambda w, a: eval_profile(w, a, 0.3),
+    "assemble_matrix": lambda w, a: assemble_matrix(w, a, 0.3, TruncationConfig(N=8)),
+    "assemble_L_matrix": lambda w, a: assemble_L_matrix(w, a, 0.3, TruncationConfig(N=8)),
+    "spectrum_slice": lambda w, a: spectrum_slice(w, a, 0.3, TruncationConfig(N=8)),
+    "max_growth": lambda w, a: max_growth(w, a, TruncationConfig(N=8, xi_grid=16)),
+    "reduced_pencil": lambda w, a: reduced_pencil(
+        w, -3, -1, collision_xi(w.params, -3, -1)[0], a),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+class TestOrderedExpansion:
+    def test_unordered_refused_before_any_solve(self, entry, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved for an unordered expansion")
+        monkeypatch.setattr(hill, "_solve", no_solve)
+        with pytest.raises(ResonantWavenumber, match=(
+                r"^expansion not ordered at a=0\.08: harmonic W2 = 23 is not "
+                r"smaller than \|a\| \(k=0\.708 is near a harmonic resonance, or "
+                r"\|a\| is not small\)$")):
+            ENTRY_POINTS[entry](wave(1, 1, 0.708), 0.08)
+
+    def test_zero_amplitude_runs(self, entry):
+        ENTRY_POINTS[entry](wave(1, 1, 0.708), 0.0)
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_refused(self, entry, a):
+        with pytest.raises(ValueError):
+            ENTRY_POINTS[entry](wave(1, 1, 0.708), a)
+
+
+def test_non_finite_harmonic_refused_at_zero_amplitude():
+    # a coefficient that overflowed to inf makes W3 = 0*inf a NaN at a = 0
+    w = dataclasses.replace(wave(), A3=float("inf"))
+    with pytest.raises(ResonantWavenumber, match="harmonic W3 = nan"):
+        harmonic_amplitudes(w, 0.0)
