@@ -27,7 +27,8 @@ swept by a collision family, and evaluates Krein signatures.
 Two answers turn on a rounded quantity being zero: a double root in x of
 that quadratic, and omega = 0, a collision at the spectral origin with
 Krein signature 0.  Both are decided by one share of rounding,
-``_ROUNDING``, of the quantity's own scale, never by an absolute bound,
+``stokes._ROUNDING`` (which also decides a resonant expansion
+denominator), of the quantity's own scale, never by an absolute bound,
 so a change of units, which multiplies every omega by one factor,
 changes neither answer.
 """
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import stokes
 from .errors import DivisionByZero, NoCollision, Singularity, XiOutOfRange
-from .stokes import PhysicalParams
+from .stokes import _ROUNDING, PhysicalParams
 
 __all__ = [
     "CollisionEvent",
@@ -61,11 +62,6 @@ __all__ = [
 
 # The xi of the probe that decides the small-xi sign of collision_K.
 _XI_EPS = 2.0**-13
-
-# The share of its scale within which a rounded quantity is zero: dn^2 + 4p
-# in collision_xi (a double root in x) and omega at a Bloch index (a
-# collision at the spectral origin).
-_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,8 @@ def collision_xi(params: PhysicalParams, n: int, m: int) -> list[float]:
         return []
     q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
     xs = []
-    for p in (q / (3.0 * B), -gamma / q):
+    # where beta*k^4 underflows to 0 the quadratic is linear: p = -1 only
+    for p in (q / (3.0 * B), -gamma / q) if B else (-gamma / q,):
         d = dn * dn + 4.0 * p
         if abs(d) <= _ROUNDING * dn * dn:
             xs.append(-0.5 * dn)
@@ -285,11 +282,14 @@ def collision_events(params: PhysicalParams, n: int, m: int) -> list[CollisionEv
 
 
 def _admits_collision(beta: float, n, dn: int):
-    """Whether modes {n, n+dn} collide for this sign of beta, xi in (0, 1/2].
+    """Whether modes {n, n+dn} collide for this sign of beta, xi near 0+.
 
-    Decided by the sign of collision_K(n + xi, dn) as xi -> 0+, which is
-    constant on the admissible classification (beta > 0 needs a positive
-    kernel, beta < 0 a negative one).  An array of n gets a bool array.
+    Decided by the sign of collision_K(n + xi, dn) as xi -> 0+ (beta > 0
+    needs a positive kernel, beta < 0 a negative one).  The sign is not
+    constant on (0, 1/2] for every pair: for {-3, 0} and {-4, 0} the
+    factor 1 + p vanishes at xi = (3 - sqrt(5))/2 and 2 - sqrt(3), past
+    which these pairs also collide for beta > 0, and this probe misses
+    them.  An array of n gets a bool array.
     """
     K = collision_K(n + _XI_EPS, dn)
     return (K > 0) == (beta > 0)

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-``DomainError`` covers invalid-but-well-formed requests (resonant carrier
-wavenumber, Floquet exponent out of range, a query below the instability
-threshold, ...).  The command line maps these to exit code 2.  Anything
-else is an internal failure.
+``DomainError`` covers invalid-but-well-formed requests (resonant or
+unordered Stokes expansion, Floquet exponent out of range, a query below
+the instability threshold, ...).  The command line maps these to exit
+code 2.  Anything else is an internal failure.
 """
 
 
@@ -12,7 +12,10 @@ class DomainError(Exception):
 
 
 class ResonantWavenumber(DomainError):
-    """Carrier wavenumber at or too close to a harmonic resonance."""
+    """Stokes expansion not usable at this carrier wavenumber: an expansion
+    denominator zero to rounding at an n = 2, 3, 4 harmonic resonance
+    (stokes_coefficients), or an expansion not ordered at the amplitude
+    asked for (harmonic_amplitudes)."""
 
 
 class DivisionByZero(DomainError):

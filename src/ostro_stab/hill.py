@@ -96,7 +96,7 @@ _CERTIFY_ENTRIES = 2**17
 # Least gap between clusters of Gershgorin intervals, relative to
 # ||R||_inf, for a slice to count as certified: the one share of rounding
 # the analytic layer also decides its zeros by.
-_CERTIFY_MARGIN = dispersion._ROUNDING
+_CERTIFY_MARGIN = stokes._ROUNDING
 # Bound, relative to ||R||_inf, on the entries of the real perturbation
 # that the eigensolver's output is exact for, as a colliding pair sees it.
 _SOLVE_NOISE = 1e3 * _CERTIFY_MARGIN
@@ -425,14 +425,21 @@ def _bubble_seeds(wave: StokesWave, a: float, N: int) -> np.ndarray:
     xi* = a*sqrt(2|c2|/(k|omega''(k)|)), omega''(k) = 6*beta*k + 2*gamma/k^3,
     when omega''(k)*c2 < 0 (Lighthill 1965).  A seed only chooses where
     the sweep looks: its growth is that of its certified window solve.
+
+    The pairs seeded are the ten {n, m} with n <= -1 < 0 <= m and
+    m - n <= 4, as far as the wave's four harmonics couple two modes
+    directly.  n + xi and m + xi differ in sign on (0, 1/2], so every
+    collision of such a pair, for either sign of beta, is opposite-Krein,
+    and collision_xi's closed form alone decides which of them collide at
+    this k, and where.
     """
     params, k = wave.params, wave.params.k
     curv = 6.0 * params.beta * k + 2.0 * params.gamma / k**3
     seeds = []
     if curv * wave.c2 < 0:
         seeds.append(abs(a) * np.sqrt(2.0 * abs(wave.c2) / (k * abs(curv))))
-    found = [(n, m, xi0) for n, m in _opposite_pairs(params.beta > 0)
-             for xi0 in dispersion.collision_xi(params, n, m)]
+    found = [(n, n + dn, xi0) for dn in range(1, 5) for n in range(-dn, 0)
+             for xi0 in dispersion.collision_xi(params, n, n + dn)]
     if found:
         n, m, xi = (np.array(v) for v in zip(*found))
         c, col, _, band = _wave_terms(wave, a, N)
@@ -472,14 +479,6 @@ def _bubble_seeds(wave: StokesWave, a: float, N: int) -> np.ndarray:
             seeds += moved(xi, step).tolist()
     seeds = np.array(seeds)
     return seeds[(_XI_LO < seeds) & (seeds <= 0.5)]
-
-
-@functools.lru_cache(maxsize=2)
-def _opposite_pairs(positive_beta: bool) -> tuple[tuple[int, int], ...]:
-    """The opposite-Krein pairs {n, m}, dn <= 4, |n|, |m| <= 6, that collide
-    for this sign of beta; which pairs collide depends on nothing else."""
-    return tuple((pair.n, pair.m) for pair in dispersion.enumerate_collision_pairs(
-        1.0 if positive_beta else -1.0, 4, 6) if pair.opposite_krein)
 
 
 def _critical_points(params: stokes.PhysicalParams, c: float) -> np.ndarray:

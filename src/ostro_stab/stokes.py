@@ -19,12 +19,13 @@ equation on the truncated expansion and returns its L2 norm, the root
 mean square over a period; the value must scale like a^5, which is this
 module's independent correctness oracle.
 
-For beta > 0 the carrier wavenumbers (gamma/(beta*n^2))**(1/4), n >= 2,
-are fundamental/harmonic resonances where the expansion denominators
-vanish; ``PhysicalParams`` rejects every k within relative distance
-``RESONANCE_RADIUS`` of one.  Near the n = 2, 3, 4 resonances each
-denominator is about 2*RESONANCE_RADIUS of its scale or more, so the
-coefficients of every accepted k are finite.
+For beta > 0 the expansion has denominators 3*gamma - 12*beta*k^4,
+8*gamma - 72*beta*k^4 and 15*gamma - 240*beta*k^4, which vanish at the
+n = 2, 3, 4 harmonic resonances k = (gamma/(beta*n^2))**(1/4); the
+higher resonances n >= 5 have no denominator through fourth order.
+``stokes_coefficients`` refuses a k at which a denominator is zero to
+rounding, ``_ROUNDING`` of the sum of its terms' magnitudes.  Any other k
+is a wave: ``PhysicalParams`` checks only signs and finiteness.
 
 No bound is put on the bare amplitude a: every ratio W_{j+1}/W_1 of the
 profile's harmonics depends only on beta*k^4/gamma and a*k^2/gamma, so a
@@ -58,16 +59,20 @@ __all__ = [
     "residual_F",
 ]
 
-# Least relative distance of an accepted k from a resonant wavenumber.
-RESONANCE_RADIUS = 1e-6
+# The share of its scale within which a rounded quantity is zero: an
+# expansion denominator here, and in dispersion a double root in x of the
+# collision quadratic and omega at a Bloch index (a collision at the
+# spectral origin).
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dispersion coefficient beta (nonzero), rotation gamma > 0, carrier k > 0.
 
-    For beta > 0, k must keep a relative distance ``RESONANCE_RADIUS``
-    from every resonant wavenumber (gamma/(beta*n^2))**(1/4), n >= 2.
+    Every such k is accepted, also at a harmonic resonance: the dispersion
+    relation has none, and the expansion's are stokes_coefficients' to
+    refuse.
     """
 
     beta: float
@@ -78,13 +83,6 @@ class PhysicalParams:
         check_coefficients(self.beta, self.gamma)
         if not 0 < self.k < math.inf:
             raise ValueError(f"k must be positive and finite, got {self.k}")
-        if self.beta > 0:
-            for n, kr in _nearby_resonances(self.beta, self.gamma, self.k):
-                if abs(self.k - kr) <= RESONANCE_RADIUS * kr:
-                    raise ResonantWavenumber(
-                        f"k={self.k} within exclusion radius of resonance "
-                        f"k={kr} (n={n})"
-                    )
 
 
 def check_coefficients(beta: float, gamma: float) -> None:
@@ -102,14 +100,6 @@ def check_amplitude(a) -> float:
     if not math.isfinite(a):
         raise ValueError(f"a must be finite, got {a}")
     return a
-
-
-def _nearby_resonances(beta, gamma, k):
-    """Resonant wavenumbers with index near sqrt(gamma/beta)/k^2."""
-    n_star = math.sqrt(gamma / beta) / k**2
-    lo = max(2, int(math.floor(n_star)) - 2)
-    hi = max(2, int(math.ceil(n_star)) + 2)
-    return [(n, (gamma / (beta * n**2)) ** 0.25) for n in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -134,16 +124,30 @@ def phase_speed_c0(params: PhysicalParams) -> float:
 def stokes_coefficients(params: PhysicalParams) -> StokesWave:
     """Build the wave coefficients through fourth order in amplitude.
 
-    The expansion denominators 3*gamma - 12*beta*k^4,
-    8*gamma - 72*beta*k^4 and 15*gamma - 240*beta*k^4 vanish exactly at
-    the n = 2, 3, 4 resonances, which PhysicalParams keeps k away from.
+    ResonantWavenumber where one of the expansion denominators
+    3*gamma - 12*beta*k^4, 8*gamma - 72*beta*k^4 and
+    15*gamma - 240*beta*k^4 is zero to rounding: at most ``_ROUNDING``
+    times the sum of its terms' magnitudes, so at the n = 2, 3, 4
+    resonance itself in any units.  A denominator that overflowed to
+    inf is no resonance; the results it gives are checked for finiteness
+    where they are used.  Next to a resonance the coefficients are finite
+    but large, and harmonic_amplitudes decides at which amplitudes the
+    expansion is still ordered.
     """
     beta, gamma, k = params.beta, params.gamma, params.k
     k2, k4 = k**2, k**4
-    A2 = 2 * k2 / (3 * gamma - 12 * beta * k4)
-    A3 = 9 * k2 * A2 / (8 * gamma - 72 * beta * k4)
+    d = {}
+    for n, g, b in ((2, 3, 12), (3, 8, 72), (4, 15, 240)):
+        d[n] = g * gamma - b * beta * k4
+        if math.isfinite(d[n]) and abs(d[n]) <= _ROUNDING * (g * gamma + b * abs(beta) * k4):
+            raise ResonantWavenumber(
+                f"k={k!r} is at the n={n} harmonic resonance "
+                f"(gamma/(beta*{n * n}))**(1/4): the expansion denominator "
+                f"{g}*gamma - {b}*beta*k^4 is zero to rounding")
+    A2 = 2 * k2 / d[2]
+    A3 = 9 * k2 * A2 / d[3]
     A42 = 2 * A2 * A3 - 2 * A2**3
-    A44 = 8 * k2 * (A2**2 + 2 * A3) / (15 * gamma - 240 * beta * k4)
+    A44 = 8 * k2 * (A2**2 + 2 * A3) / d[4]
     c2 = A2
     c4 = 3 * A2 * A3 - 2 * A2**3
     return StokesWave(

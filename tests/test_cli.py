@@ -55,10 +55,34 @@ class TestExitCodes:
         assert doc["results"]["k_min"] == pytest.approx(2.2133638394006434,
                                                         rel=1e-12)
 
-    def test_resonant_wavenumber_domain_error(self, capsys):
-        code = cli.main(["wave", "--beta", "1", "--gamma", "1",
-                         "--k", "0.70710678"])
-        assert code == 2
+    @pytest.mark.parametrize("argv, message", [
+        # 3*gamma - 12*beta*k^4 zero to rounding, and exactly zero
+        ("wave --beta 1 --gamma 1 --k 0.7071067811865476", "at the n=2 harmonic"),
+        ("wave --beta 1 --gamma 4 --k 1", "at the n=2 harmonic"),
+        # 1e-8 off the resonance the coefficients are finite, and the
+        # ordering rule refuses the amplitude
+        ("wave --beta 1 --gamma 1 --k 0.70710678 --a 0.01", "expansion not ordered"),
+    ])
+    def test_resonant_wavenumber_domain_error(self, argv, message, capsys):
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ostro-stab: domain error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # k near resonances n >= 5, which the expansion does not divide by
+        "dispersion --beta 1 --gamma 1 --k 0.2 --xi 0.3",
+        "krein --beta 1 --gamma 1 --k 0.2 --n -1 --m 0",
+        # a long wave, taken at beta > 0 as it is at beta = -1
+        "spectrum --beta 1 --gamma 1 --k 0.0015 --a 0.01",
+        # beta*k^4 underflows to 0: the collision quadratic is linear
+        "krein --beta 1 --gamma 1 --k 1e-100 --n -1 --m 0",
+    ])
+    def test_off_resonance_wavenumber_runs(self, argv, capsys):
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
 
     def test_threshold_wrong_sign_domain_error(self):
         assert cli.main(["threshold", "--beta", "-1", "--gamma", "1"]) == 2
@@ -162,7 +186,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         "wave --beta 1 --gamma 1 --k 1e100 --a 0.01",
-        "wave --beta 1 --gamma 1 --k 1e-100 --a 0.01",
+        "wave --beta -1 --gamma 1e300 --k 1e-10 --a 0.01",
         "krein --beta 1 --gamma 1 --k 1e100 --n -1 --m 0",
         "threshold --beta 1e-320 --gamma 1",
         "dispersion --beta 1e300 --gamma 1 --k 1e10 --xi 0.3",

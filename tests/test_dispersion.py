@@ -11,7 +11,6 @@ from ostro_stab import (
     DivisionByZero,
     NoCollision,
     PhysicalParams,
-    ResonantWavenumber,
     Singularity,
     XiOutOfRange,
     collision_K,
@@ -26,7 +25,9 @@ from ostro_stab import (
     origin_collisions,
     phase_speed_c0,
 )
+from ostro_stab.dispersion import _omega_scale
 from ostro_stab.hill import default_xi_grid
+from ostro_stab.stokes import _ROUNDING
 
 P111 = PhysicalParams(1, 1, 1)
 
@@ -50,14 +51,20 @@ FAMILY_XI = np.concatenate([np.arange(-4096, -1), np.arange(1, 4097)]) / 8192.0
 
 def scan_collision_xi(params, n, m):
     """Roots of omega(n+xi) - omega(m+xi) on (0, 1/2] from its sign changes
-    on SCAN_XI, each bisected to rounding."""
+    on SCAN_XI, each bisected to rounding.  A sign change counts only where
+    the gap at both ends of its bracket is not zero to rounding by the
+    program's own rule: more than _ROUNDING times the omega scales of both
+    modes."""
     c0 = phase_speed_c0(params)
 
     def gap(xi):
         return omega(params, c0, n + xi) - omega(params, c0, m + xi)
 
     f = gap(SCAN_XI)
-    i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)
+    clear = np.abs(f) > _ROUNDING * (_omega_scale(params, c0, n + SCAN_XI)
+                                     + _omega_scale(params, c0, m + SCAN_XI))
+    i = np.flatnonzero((np.sign(f[:-1]) * np.sign(f[1:]) < 0)
+                       & clear[:-1] & clear[1:])
     lo, hi, f_lo = SCAN_XI[i], SCAN_XI[i + 1], f[i]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -266,10 +273,7 @@ class TestCollisionXi:
            scale=st.floats(0.3, 3.0))
     def test_round_trip_with_wavenumber(self, beta, gamma, scale):
         k = scale * gamma**0.25
-        try:
-            params = PhysicalParams(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
+        params = PhysicalParams(beta, gamma, k)
         for pair in enumerate_collision_pairs(beta, 4, 6):
             if not pair.opposite_krein:
                 continue
@@ -280,15 +284,15 @@ class TestCollisionXi:
     @settings(max_examples=60, deadline=None)
     @given(beta=st.floats(0.3, 3.0), negative=st.booleans(),
            gamma=st.floats(0.3, 6.0), scale=st.floats(0.3, 3.0))
+    # K = beta*k^4/gamma = -1/3, where omega''(k) = 0: the {-1, 1} gap
+    # vanishes like xi^4, and near xi = 1e-6 it is rounding noise
+    @example(beta=0.3333333333333333, negative=True, gamma=1.0, scale=1.0)
     def test_matches_sign_change_scan(self, beta, negative, gamma, scale):
         # the closed form against a scan of omega(n+xi) - omega(m+xi) for
         # sign changes, refined by bisection, on every pair dn <= 4,
         # |n|, |m| <= 6
-        try:
-            params = PhysicalParams(-beta if negative else beta, gamma,
-                                    scale * gamma**0.25)
-        except ResonantWavenumber:
-            assume(False)
+        params = PhysicalParams(-beta if negative else beta, gamma,
+                                scale * gamma**0.25)
         for dn in range(1, 5):
             for n in range(-6, 7 - dn):
                 expected = scan_collision_xi(params, n, n + dn)
@@ -436,10 +440,7 @@ class TestKreinSignature:
            k=st.floats(0.3, 3), xi=st.floats(1e-3, 0.5),
            n_range=st.integers(0, 8))
     def test_array_matches_scalar(self, beta, gamma, k, xi, n_range):
-        try:
-            params = PhysicalParams(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
+        params = PhysicalParams(beta, gamma, k)
         c0 = phase_speed_c0(params)
         x = np.arange(-n_range, n_range + 1) + xi
         kappa = krein_signature(params, c0, x)
@@ -472,10 +473,7 @@ class TestUnits:
                                          xi, j):
         beta = -beta if negative else beta
         k = scale * (gamma / abs(beta)) ** 0.25
-        try:
-            params = PhysicalParams(beta, gamma, k)
-        except ResonantWavenumber:
-            assume(False)
+        params = PhysicalParams(beta, gamma, k)
         unit = 2.0**j
         scaled = PhysicalParams(beta * unit, gamma * unit, k)
 

@@ -1082,6 +1082,20 @@ class TestMaxGrowth:
         _, g1, _ = max_growth(w, 0.01, CFG32)
         assert 1.8 <= g2 / g1 <= 2.2
 
+    def test_dn3_bubble_seeded_by_collision_xi(self):
+        # for beta > 0, {-3,0} collides, opposite-Krein, at every k below
+        # 0.4658 (1 + p vanishes at xi = (3 - sqrt(5))/2), a pair the sign
+        # probe of enumerate_collision_pairs does not list; its bubble
+        # grows like a^3, the order of a dn = 3 collision
+        w = wave_at(1, 1, 0.4)
+        xi0 = collision_xi(w.params, -3, 0)[0]
+        growth = {}
+        for a in (0.02, 0.04):
+            xi_star, growth[a], sl = max_growth(w, a, CFG32)
+            assert growth[a] > 0 and abs(xi_star - xi0) < 1e-3
+            assert [c.modes for c in sl.growth_clusters] == [(-3, 0)]
+        assert 6 <= growth[0.04] / growth[0.02] <= 10
+
 
 # one wave of each group of the sweep benchmark: beta > 0 above and below
 # the {-1,0} threshold, and beta < 0

@@ -112,8 +112,9 @@ class TestCollisionCheck:
         # are told apart in any units
         beta = -beta if negative else beta
         k = scale * (gamma / abs(beta)) ** 0.25
+        params = PhysicalParams(beta, gamma, k)
         try:
-            params = PhysicalParams(beta, gamma, k)
+            stokes_coefficients(params)
         except ResonantWavenumber:
             assume(False)
         unit = 2.0**j

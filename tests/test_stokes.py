@@ -23,7 +23,7 @@ from ostro_stab import (
     spectrum_slice,
     stokes_coefficients,
 )
-from ostro_stab.stokes import RESONANCE_RADIUS, check_amplitude
+from ostro_stab.stokes import check_amplitude
 
 # frozen regression value, measured once on a 256-point grid
 RESIDUAL_A001 = 2.0543789574507034e-11
@@ -44,29 +44,43 @@ class TestParams:
 
     def test_resonant_k_rejected(self):
         with pytest.raises(ResonantWavenumber):
-            PhysicalParams(1.0, 1.0, 0.25**0.25)
-        # just outside the default exclusion radius is fine
-        PhysicalParams(1.0, 1.0, 0.25**0.25 * (1 + 1e-5))
+            stokes_coefficients(PhysicalParams(1.0, 1.0, 0.25**0.25))
+        # one part in 1e5 off the resonance the coefficients are built
+        stokes_coefficients(PhysicalParams(1.0, 1.0, 0.25**0.25 * (1 + 1e-5)))
 
-    @pytest.mark.parametrize("gamma, n", [(1.0, 2), (1.0, 3), (1.0, 4), (16.0, 2)])
+    # (4, 2): k = 1, where 3*gamma - 12*beta*k^4 is exactly 0
+    @pytest.mark.parametrize("gamma, n", [(1.0, 2), (1.0, 3), (1.0, 4), (16.0, 2),
+                                          (4.0, 2)])
     def test_each_resonance_rejected(self, gamma, n):
         # k = (gamma/(beta*n^2))^(1/4); beta < 0 has no resonance
         k = (gamma / n**2) ** 0.25
-        with pytest.raises(ResonantWavenumber):
-            PhysicalParams(1.0, gamma, k)
-        PhysicalParams(-1.0, gamma, k)
+        with pytest.raises(ResonantWavenumber, match=f"at the n={n} harmonic"):
+            stokes_coefficients(PhysicalParams(1.0, gamma, k))
+        stokes_coefficients(PhysicalParams(-1.0, gamma, k))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_finite_coefficients_just_outside_radius(self, n, side):
+    def test_finite_coefficients_just_off_resonance(self, n, side):
         # the n = 2, 3, 4 resonances are where the expansion denominators
-        # vanish; the least distance PhysicalParams accepts keeps them finite
-        k = (1.0 / n**2) ** 0.25 * (1 + side * 1.01 * RESONANCE_RADIUS)
+        # vanish; one part in 1e9 off one they are finite, and it is the
+        # ordering rule that refuses a small amplitude there
+        k = (1.0 / n**2) ** 0.25 * (1 + side * 1e-9)
         w = stokes_coefficients(PhysicalParams(1.0, 1.0, k))
         assert np.isfinite([w.A2, w.A3, w.A42, w.A44, w.c4]).all()
+        with pytest.raises(ResonantWavenumber, match="expansion not ordered"):
+            harmonic_amplitudes(w, 0.01)
+
+    @pytest.mark.parametrize("k", [
+        # resonances n >= 5 have no denominator through fourth order
+        0.2, 0.0015, 1e-100,
+        0.5**0.5, (1 / 9) ** 0.25, 0.5, 1.0,
+    ])
+    def test_params_take_any_positive_k(self, k):
+        for gamma in (1.0, 4.0, 16.0):
+            assert PhysicalParams(1.0, gamma, k).k == k
 
     def test_negative_beta_never_resonant(self):
-        PhysicalParams(-1.0, 1.0, 0.25**0.25)
+        stokes_coefficients(PhysicalParams(-1.0, 1.0, 0.25**0.25))
 
     def test_amplitude_finite(self):
         # no bound on the bare amplitude: only a non-finite a is refused
