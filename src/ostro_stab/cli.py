@@ -128,10 +128,10 @@ def _ordered_wave(params: stokes.PhysicalParams, a: float) -> stokes.StokesWave:
 
 
 def _n_range(args) -> int:
-    """--n-range, refused outside [0, hill.MAX_N_RANGE]."""
-    if not 0 <= args.n_range <= hill.MAX_N_RANGE:
+    """--n-range, refused outside [0, dispersion.MAX_N_RANGE]."""
+    if not 0 <= args.n_range <= dispersion.MAX_N_RANGE:
         raise DomainError(f"--n-range {args.n_range} not in "
-                          f"[0, {hill.MAX_N_RANGE}]")
+                          f"[0, {dispersion.MAX_N_RANGE}]")
     return args.n_range
 
 
@@ -432,8 +432,8 @@ def _emit_collision_ranges(args) -> dict:
     if args.n == args.m:
         raise DomainError("need two distinct modes")
     # past it the grid n + xi loses the xi that tells its rows apart
-    if max(abs(args.n), abs(args.m)) > hill.MAX_N_RANGE:
-        raise DomainError(f"|--n|, |--m| must not exceed {hill.MAX_N_RANGE}")
+    if max(abs(args.n), abs(args.m)) > dispersion.MAX_N_RANGE:
+        raise DomainError(f"|--n|, |--m| must not exceed {dispersion.MAX_N_RANGE}")
     n, m = min(args.n, args.m), max(args.n, args.m)
     xi = np.arange(-1023, 1025) / 2048.0
     x = n + xi
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest mode separation (default 4)")
     parser.add_argument("--n-range", dest="n_range", type=int, default=6,
                         help="mode index window |n| <= n_range, "
-                             f"0..{hill.MAX_N_RANGE} (default %(default)s)")
+                             f"0..{dispersion.MAX_N_RANGE} (default %(default)s)")
     parser.add_argument("--N", type=int, default=hill.TruncationConfig.N,
                         help="Fourier truncation, modes -N..N, "
                              f"8 <= N <= {(hill.MAX_DIM - 1) // 2} (default %(default)s)")

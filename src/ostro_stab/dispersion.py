@@ -62,6 +62,9 @@ __all__ = [
 
 # The xi of the probe that decides the small-xi sign of collision_K.
 _XI_EPS = 2.0**-13
+# Largest mode index window |n| <= n_range of the dispersion and
+# collisions tables.
+MAX_N_RANGE = 1000
 
 
 @dataclass(frozen=True)
@@ -281,6 +284,11 @@ def collision_events(params: PhysicalParams, n: int, m: int) -> list[CollisionEv
     return events
 
 
+def _check_n_range(n_range: int) -> None:
+    if not 0 <= n_range <= MAX_N_RANGE:
+        raise ValueError(f"n_range {n_range} not in [0, {MAX_N_RANGE}]")
+
+
 def _admits_collision(beta: float, n, dn: int):
     """Whether modes {n, n+dn} collide for this sign of beta, xi near 0+.
 
@@ -301,8 +309,10 @@ def enumerate_collision_pairs(beta: float, dn_max: int, n_range: int) -> list[Co
     Each pair carries ``opposite_krein``, true exactly when n <= -1 <= 0 <= m
     so that (n + xi)(m + xi) < 0 throughout xi in (0, 1/2].  Only dn up to
     2*n_range has a pair inside the window, so a dn_max past it costs
-    nothing.
+    nothing.  An n_range outside [0, MAX_N_RANGE] is refused with
+    ValueError before any work.
     """
+    _check_n_range(n_range)
     if dn_max < 1:
         raise ValueError("dn_max must be >= 1")
     pairs = []
@@ -379,8 +389,10 @@ def origin_collisions(beta: float, gamma: float, n_range: int) -> list[Collision
 
     For each n the partner is m = -n - 1 and the wavenumber is
     (gamma/(beta*(n+1/2)^2))**(1/4); omega vanishes there exactly.
-    Empty for beta < 0.
+    Empty for beta < 0.  An n_range outside [0, MAX_N_RANGE] is refused
+    with ValueError before any work.
     """
+    _check_n_range(n_range)
     if beta < 0:
         return []
     events = []

@@ -28,7 +28,10 @@ frequency lies in an open cluster without one of the boundary_margin
 modes next to +-N.  A sweep solves such a slice on a window of those
 clusters' modes only, two coupling-band widths wider on each side, and a
 residual guard in the whole matrix vouches for each eigenvalue that
-counts; a single slice query solves all 2N+1 modes.
+counts; a single slice query solves all 2N+1 modes.  One builder,
+_block, assembles every block of R these solves read: all 2N+1 modes,
+a window and the band rows next to it, and the seeds' pair windows
+(see _bubble_seeds), stacked one per pair.
 The guard's scale is the slice's ||R||_inf, which the certificate
 computes once for its cluster gap and which the open clusters carry, so
 a window solve does no O(N) work.  The window solver, _solve_window,
@@ -53,6 +56,7 @@ is exactly symmetric under lambda -> -conj(lambda); a slice's
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -80,9 +84,6 @@ MAX_XI_GRID = 2**20
 # sweep's certificate hull stage, which holds them all at once: about 130
 # traced bytes each at N >= 200, so about 0.55 GB at the bound.
 MAX_HULL_ENTRIES = 2**22
-# Largest mode index window |n| <= n_range of the dispersion and
-# collisions tables.
-MAX_N_RANGE = 1000
 # Left end of the xi sweep, excluded from it.
 _XI_LO = 1.0 / 1024
 # Secant steps of each pair's root search (see _bubble_seeds).
@@ -103,6 +104,8 @@ _SOLVE_NOISE = 1e3 * _CERTIFY_MARGIN
 
 
 def _check_grid_size(num: int) -> None:
+    if not isinstance(num, numbers.Integral):
+        raise ValueError(f"xi grid size {num!r} is not an integer")
     if not 1 <= num <= MAX_XI_GRID:
         raise ValueError(f"xi grid size {num} not in [1, {MAX_XI_GRID}]")
 
@@ -128,10 +131,11 @@ class TruncationConfig:
     ``xi_grid`` is the number of points of ``default_xi_grid``, which
     ``grid()`` builds on demand; a single slice never builds it.  The
     ``boundary_margin`` modes next to +-N are considered contaminated by
-    truncation and are ignored when attributing growth.  Each size is
-    bounded at construction, before any work: 2N+1 <= MAX_DIM and
-    xi_grid <= MAX_XI_GRID.  The bound on the pair, which only a sweep
-    needs, is checked where the sweep starts (see max_growth).
+    truncation and are ignored when attributing growth.  Each size must
+    be an integer, a numpy integer included, and is bounded at
+    construction, before any work: 2N+1 <= MAX_DIM and xi_grid <=
+    MAX_XI_GRID.  The bound on the pair, which only a sweep needs, is
+    checked where the sweep starts (see max_growth).
     """
 
     N: int = 32
@@ -139,6 +143,8 @@ class TruncationConfig:
     boundary_margin: ClassVar[int] = 4
 
     def __post_init__(self):
+        if not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N = {self.N!r} is not an integer")
         if self.N < 8:
             raise ValueError("N must be >= 8")
         if 2 * self.N + 1 > MAX_DIM:
@@ -208,8 +214,33 @@ def _wave_terms(wave: StokesWave, a: float,
 
 
 def _coupling(col: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The block C[rows, cols] of the coupling whose first column is col."""
-    return col[np.abs(rows[:, None] - cols)]
+    """The block C[rows, cols] of the coupling whose first column is col,
+    one block per leading index of rows and cols."""
+    return col[np.abs(rows[..., :, None] - cols[..., None, :])]
+
+
+def _block(wave: StokesWave, a, xi, N: int, rows: np.ndarray,
+           cols: np.ndarray | None = None) -> np.ndarray:
+    """The block R[rows, cols] of the real Bloch matrix at xi, rows and
+    cols arrays of mode indices in -N..N; R is the one this module
+    solves, the truncated operator being i*R.
+
+    Row n, column m: (n+xi)*C_nm, C the coupling (see _wave_terms), and
+    omega(n+xi) on the diagonal.  Leading axes of rows, cols and xi
+    broadcast, one block each: _bubble_seeds stacks one run of modes per
+    pair, each at its own xi.  cols defaults to rows.  The rows must
+    start with the modes of cols, in order, and share no other mode with
+    them (a window solve appends the band rows to its window), so that
+    omega is placed on the diagonal by index.  Any xi with n+xi != 0 is
+    accepted.
+    """
+    c, col, _, _ = _wave_terms(wave, a, N)
+    cols = rows if cols is None else cols
+    x = rows + np.asarray(xi)[..., None]
+    R = x[..., :, None] * _coupling(col, rows, cols)
+    d = np.arange(cols.shape[-1])
+    R[..., d, d] = dispersion.omega(wave.params, c, x[..., :d.size])
+    return R
 
 
 def _abs_times(col: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -252,12 +283,7 @@ def assemble_matrix(wave: StokesWave, a, xi: float, cfg: TruncationConfig) -> np
 
 def _assemble_real(wave: StokesWave, a, xi: float, N: int) -> np.ndarray:
     """Imaginary part of the Bloch matrix; accepts any xi with n+xi != 0."""
-    c, col, _, _ = _wave_terms(wave, a, N)
-    i = np.arange(2 * N + 1)
-    x = i - N + xi
-    R = x[:, None] * _coupling(col, i, i)
-    R[np.diag_indices_from(R)] = dispersion.omega(wave.params, c, x)
-    return R
+    return _block(wave, a, xi, N, np.arange(-N, N + 1))
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -330,44 +356,41 @@ def _solve_window(wave: StokesWave, a: float, xi: float, clusters: tuple[Cluster
 
     The slice is solved on the window of its open ``clusters``: the modes
     of the clusters without a boundary mode, widened on each side by two
-    widths of the coupling band and clipped to -N..N (a window of every
-    mode is the full solve).  It is assembled only on the window's
-    columns, on its rows and the band rows next to it (no other row
-    reaches them), and solved by np.linalg.eig.  Each counted eigenpair
-    (mu, v), v of unit norm, must pass a residual guard in R:
+    widths of the coupling band and clipped to -N..N.  It is assembled
+    (see _block) only on the window's columns, on its rows and on the
+    band rows next to it (rest; no other row reaches them), and solved by
+    np.linalg.eig.  Each counted eigenpair (mu, v), v of unit norm, must
+    pass a residual guard in R:
     ||R[rest, window] v||_2 <= _CERTIFY_MARGIN*||R||_inf, ||R||_inf the
     norm the certificate computed for the slice, which its clusters carry
     (see Cluster); so no step of a window solve is O(N).  Then mu is an
     exact eigenvalue of R + E, ||E||_2 at most the window's backward
     error plus that bound, inside the noise _on_axis allows the solve.  A
-    slice that fails the guard is solved on all 2N+1 modes.  A window
+    window of all 2N+1 modes takes the same path, with no rows left for
+    the guard to check; only a slice that fails the guard is solved, for
+    eigenvalues only, on all 2N+1 modes.  A window
     slice holds the window's eigenvalues, and its growth clusters only the
     clusters that hold one of them; when every open cluster holds a
     boundary mode, nothing can count, the window is empty and the slice
     scores 0.0 unsolved.
     """
-    c, col, _, band = _wave_terms(wave, a, N)
-    size = 2 * N + 1
-    rows = [n + N for cl in clusters if not cl.boundary for n in cl.modes]
-    if not rows:
+    band = _wave_terms(wave, a, N)[3]
+    modes = [n for cl in clusters if not cl.boundary for n in cl.modes]
+    if not modes:
         return 0.0, np.empty(0), ()
-    lo, hi = max(min(rows) - 2 * band, 0), min(max(rows) + 2 * band + 1, size)
-    if hi - lo < size:
-        # the window's columns of R on its rows (window) and on the band
-        # rows around it (rest), which hold every other nonzero of them
-        top, bottom = max(lo - band, 0), min(hi + band, size)
-        x = np.arange(top - N, bottom - N) + xi
-        cols = x[:, None] * _coupling(col, np.arange(top, bottom), np.arange(lo, hi))
-        window, d = cols[lo - top:hi - top], np.arange(hi - lo)
-        window[d, d] = dispersion.omega(wave.params, c, x[lo - top:hi - top])
-        rest = np.concatenate([cols[:lo - top], cols[hi - top:]])
-        w, v = _solve(np.linalg.eig, window)
-        counted, grown = _attribute(w, clusters)
-        bound = _CERTIFY_MARGIN * clusters[0].norm
-        if np.all(np.linalg.norm(rest @ v[:, counted], axis=0) <= bound):
-            return _score(w, counted), w, grown
-    w = eigenvalues(_assemble_real(wave, a, xi, N))
+    lo, hi = max(min(modes) - 2 * band, -N), min(max(modes) + 2 * band, N)
+    window = np.arange(lo, hi + 1)
+    # the window's rows, then the band rows around it, which hold every
+    # other nonzero of its columns
+    rows = [window, np.arange(max(lo - band, -N), lo),
+            np.arange(hi + 1, min(hi + band, N) + 1)]
+    R = _block(wave, a, xi, N, np.concatenate(rows), window)
+    w, v = _solve(np.linalg.eig, R[:window.size])
     counted, grown = _attribute(w, clusters)
+    residual = np.linalg.norm(R[window.size:] @ v[:, counted], axis=0)
+    if not np.all(residual <= _CERTIFY_MARGIN * clusters[0].norm):
+        w = eigenvalues(_assemble_real(wave, a, xi, N))
+        counted, grown = _attribute(w, clusters)
     return _score(w, counted), w, grown
 
 
@@ -416,8 +439,10 @@ def _bubble_seeds(wave: StokesWave, a: float, N: int) -> np.ndarray:
     M(t) = A - B (D - t)^-1 C of R onto the pair, R on a window of the
     pair's modes widened on each side by two widths of the coupling band,
     as a window solve is (see _solve_window), and clipped to -N..N (a run
-    of equal length for every pair, so that each step is one stacked
-    solve; at a = 0 the band is 0 and M is A).  Each collision
+    of equal length for every pair, ordered n, m and then the rest, so
+    that each step builds the pairs' blocks of R, each at its own xi, in
+    one _block call and solves them in one stacked solve; at a = 0 the
+    band is 0 and M is A).  Each collision
     xi0 of collision_xi starts a Newton step on the unperturbed slope
     omega'(n+xi) - omega'(m+xi), then _ROOT_STEPS secant steps; t is the
     mean of R_nn and R_mm at xi0, then the mean of M's diagonal at the
@@ -442,19 +467,16 @@ def _bubble_seeds(wave: StokesWave, a: float, N: int) -> np.ndarray:
              for xi0 in dispersion.collision_xi(params, n, n + dn)]
     if found:
         n, m, xi = (np.array(v) for v in zip(*found))
-        c, col, _, band = _wave_terms(wave, a, N)
+        c, _, _, band = _wave_terms(wave, a, N)
         # each pair's window: n, m, then the rest of the run
         size = min(2 * N + 1, 4 * band + 1 + int((m - n).max()))
         run = np.clip(n - 2 * band, -N, N + 1 - size)[:, None] + np.arange(size)
         rest = run[(run != n[:, None]) & (run != m[:, None])].reshape(n.size, size - 2)
         modes = np.column_stack([n, m, rest])
-        coupling, d = col[np.abs(modes[:, :, None] - modes[:, None, :])], np.arange(size)
         eye = np.eye(size - 2)
 
         def detuning(xi, t):
-            x = modes + xi[:, None]
-            R = x[:, :, None] * coupling
-            R[:, d, d] = dispersion.omega(params, c, x)
+            R = _block(wave, a, xi, N, modes)
             M = R[:, :2, :2] - R[:, :2, 2:] @ np.linalg.solve(
                 R[:, 2:, 2:] - t[:, None, None] * eye, R[:, 2:, :2])
             return M[:, 0, 0] - M[:, 1, 1], 0.5 * (M[:, 0, 0] + M[:, 1, 1])

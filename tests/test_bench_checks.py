@@ -1,6 +1,7 @@
 """The benchmark's own output checks (bench/workloads.py ``check``) pass on
-round 0 of seeds 1-3 of every workload, so an output the benchmark would
-count as incorrect fails here first.  The operations run through the
+rounds 0-3 of seeds 1-10 of every workload, every operation the benchmark
+runs, so an output the benchmark would count as incorrect fails here
+first.  The operations run through the
 benchmark's own ``execute``, loaded from bench/run.py; nothing under
 bench/ is changed."""
 
@@ -28,14 +29,15 @@ run = _load_run()
 wl = run.wl
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("round_index", range(4))
+@pytest.mark.parametrize("seed", range(1, 11))
 @pytest.mark.parametrize("workload", wl.WORKLOADS)
-def test_round_zero_passes_checks(workload, seed, tmp_path, monkeypatch):
+def test_round_passes_checks(workload, seed, round_index, tmp_path, monkeypatch):
     # the figures ops write under FIG_DIR, relative to the working directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / wl.FIG_DIR).mkdir(parents=True)
     program = {"cli": cli, "dispersion": dispersion}
-    ops = wl.make_round(workload, seed, 0)
+    ops = wl.make_round(workload, seed, round_index)
     errors = []
     for i, op in enumerate(ops):
         error, _ = wl.check(op, *run.execute(program, op))

@@ -236,7 +236,7 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("n_range", [-1, hill.MAX_N_RANGE + 1])
+    @pytest.mark.parametrize("n_range", [-1, dispersion.MAX_N_RANGE + 1])
     @pytest.mark.parametrize("argv", [
         "dispersion --beta 1 --gamma 1 --k 1.6 --xi 0.3",
         "collisions --beta 1 --gamma 1",
@@ -251,7 +251,7 @@ class TestExitCodes:
         assert cli.main(argv.split() + ["--n-range", str(n_range)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"--n-range {n_range} not in [0, {hill.MAX_N_RANGE}]" in captured.err
+        assert f"--n-range {n_range} not in [0, {dispersion.MAX_N_RANGE}]" in captured.err
 
     def test_hull_entries_ceiling_runs(self, capsys, monkeypatch):
         # N = 32 on the largest grid passes max_growth's guard (its
@@ -277,16 +277,16 @@ class TestExitCodes:
         assert len(doc["results"]["eigenvalues"]) == 257
 
     def test_n_range_ceiling_runs(self, capsys):
-        n_range = str(hill.MAX_N_RANGE)
+        n_range = str(dispersion.MAX_N_RANGE)
         code, doc = run_json(capsys, [
             "dispersion", "--beta", "1", "--gamma", "1", "--k", "1.6",
             "--xi", "0.3", "--n-range", n_range])
         assert code == 0
-        assert len(doc["results"]["modes"]) == 2 * hill.MAX_N_RANGE + 1
+        assert len(doc["results"]["modes"]) == 2 * dispersion.MAX_N_RANGE + 1
         code, doc = run_json(capsys, [
             "collisions", "--beta", "1", "--gamma", "1", "--n-range", n_range])
         assert code == 0
-        assert len(doc["results"]["origin"]) == 2 * hill.MAX_N_RANGE + 1
+        assert len(doc["results"]["origin"]) == 2 * dispersion.MAX_N_RANGE + 1
 
     @pytest.mark.parametrize("argv, code", [
         # the swept variable is the one of --k, --a left out
@@ -888,7 +888,7 @@ class TestFigures:
     @pytest.mark.parametrize("n, m", [
         ("100000000000000000000", "100000000000000000001"),
         ("0", str(10**30)),
-        (str(-hill.MAX_N_RANGE - 1), "0"),
+        (str(-dispersion.MAX_N_RANGE - 1), "0"),
     ])
     def test_collision_ranges_bounds_modes(self, n, m, capsys, tmp_path):
         # past the bound n + xi rounds to n on the whole grid
@@ -897,11 +897,11 @@ class TestFigures:
                          "--out", str(tmp_path / "figs")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"must not exceed {hill.MAX_N_RANGE}" in captured.err
+        assert f"must not exceed {dispersion.MAX_N_RANGE}" in captured.err
         assert list(tmp_path.iterdir()) == []
         assert cli.main(["figures", "--which", "collision_ranges", "--beta",
-                         "1", "--gamma", "1", "--n", str(-hill.MAX_N_RANGE),
-                         "--m", str(hill.MAX_N_RANGE),
+                         "1", "--gamma", "1", "--n", str(-dispersion.MAX_N_RANGE),
+                         "--m", str(dispersion.MAX_N_RANGE),
                          "--out", str(tmp_path / "figs")]) == 0
 
     def test_figures_requires_which(self):

@@ -424,6 +424,23 @@ class TestEnumerate:
                 assert all(type(p.n) is int and type(p.m) is int for p in pairs)
 
 
+class TestTableBounds:
+    """Both collision tables refuse an n_range outside [0, MAX_N_RANGE]
+    with ValueError before any work."""
+
+    @pytest.mark.parametrize("n_range", [-1, dispersion.MAX_N_RANGE + 1])
+    def test_refused(self, n_range, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked past the n_range guard")
+        monkeypatch.setattr(dispersion, "_admits_collision", no_work)
+        with pytest.raises(ValueError, match="n_range"):
+            enumerate_collision_pairs(1.0, 4, n_range)
+        # beta < 0, which has no origin collision, is refused all the same
+        for beta in (1.0, -1.0):
+            with pytest.raises(ValueError, match="n_range"):
+                origin_collisions(beta, 1.0, n_range)
+
+
 class TestKreinSignature:
     def test_value(self):
         assert krein_signature(P111, 2.0, 1.5) == -1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig, toeplitz
+from scipy.optimize import minimize_scalar
 
 from ostro_stab import (
     ConvergenceFailure,
@@ -40,6 +41,7 @@ from ostro_stab.hill import (
     MAX_XI_GRID,
     SpectrumSlice,
     _assemble_real,
+    _block,
     _bubble_seeds,
     _critical_points,
     _hulls,
@@ -91,6 +93,16 @@ def dense_coupling(wave, a, N):
     col = np.zeros(2 * N + 1)
     col[1:5] = -2.0 * wave.params.k**2 * (harmonic_amplitudes(wave, a) / 2.0)
     return toeplitz(col)
+
+
+def dense_R(wave, a, N, xi):
+    """The real Bloch matrix R on modes -N..N, built densely from the
+    wave's amplitudes and speed: (n+xi) times the coupling off the
+    diagonal, omega(n+xi) on it."""
+    x = np.arange(-N, N + 1) + xi
+    R = x[:, None] * dense_coupling(wave, a, N)
+    R[np.diag_indices_from(R)] = omega(wave.params, eval_speed(wave, a), x)
+    return R
 
 
 class TestAssembly:
@@ -172,6 +184,60 @@ class TestAssembly:
                 memo[0] = 1.0
         assert col.tobytes() == T[:, 0].tobytes()
         assert band == np.flatnonzero(T[:, 0]).max()
+
+
+class TestBlockBuilder:
+    """hill._block, the one builder of R, equals the dense R bit for bit on
+    each block the Hill layer reads: all modes, a window solve's window and
+    band rows, and the seeds' stacked pair runs."""
+
+    def test_all_modes(self):
+        w, a, N = wave_at(1, 1, 1.6), 0.03, 16
+        for xi in (0.37, 0.5, _XI_LO):
+            got = _block(w, a, xi, N, np.arange(-N, N + 1))
+            assert got.dtype == np.float64
+            assert got.tobytes() == dense_R(w, a, N, xi).tobytes()
+
+    def test_window_and_band_rows(self):
+        w, a, N, xi = wave_at(-1, 2, 0.9), 0.06, 16, 0.41
+        band = _wave_terms(w, a, N)[3]
+        assert band == 4
+        R = dense_R(w, a, N, xi)
+        # inside, clipped at -N, clipped at +N, and all 2N+1 modes
+        for lo, hi in ((-3, 5), (-N, -6), (7, N), (-N, N)):
+            # the window's rows, then the band rows, as _solve_window
+            # stacks them
+            window = np.arange(lo, hi + 1)
+            rest = np.r_[max(lo - band, -N):lo, hi + 1:min(hi + band, N) + 1]
+            rows = np.r_[window, rest]
+            got = _block(w, a, xi, N, rows, window)
+            assert got.shape == (rows.size, window.size)
+            assert got.tobytes() == R[np.ix_(rows + N, window + N)].tobytes()
+            assert _block(w, a, xi, N, window).tobytes() == got[:window.size].tobytes()
+            # no row past the band rows reaches the window's columns
+            others = np.setdiff1d(np.arange(-N, N + 1), np.r_[window, rest])
+            assert not R[np.ix_(others + N, window + N)].any()
+
+    @pytest.mark.parametrize("bgk, N", [((1, 1, 0.6), 16), ((-1, 1, 0.78), 16),
+                                        ((-1, 1, 0.78), 8)])
+    def test_stacked_pair_runs(self, bgk, N):
+        # each pair's run as _bubble_seeds builds it: n, m, then the rest
+        # of a run of equal length, clipped to -N..N, each at its own xi
+        w, a = wave_at(*bgk), 0.02
+        band = _wave_terms(w, a, N)[3]
+        found = [(n, n + dn, xi0) for dn in range(1, 5) for n in range(-dn, 0)
+                 for xi0 in collision_xi(w.params, n, n + dn)]
+        assert len(found) >= 2
+        n, m, xi = (np.array(v) for v in zip(*found))
+        size = min(2 * N + 1, 4 * band + 1 + int((m - n).max()))
+        run = np.clip(n - 2 * band, -N, N + 1 - size)[:, None] + np.arange(size)
+        rest = run[(run != n[:, None]) & (run != m[:, None])].reshape(n.size, size - 2)
+        modes = np.column_stack([n, m, rest])
+        got = _block(w, a, xi, N, modes)
+        assert got.shape == (n.size, size, size)
+        for p in range(n.size):
+            want = dense_R(w, a, N, xi[p])[np.ix_(modes[p] + N, modes[p] + N)]
+            assert got[p].tobytes() == want.tobytes()
 
 
 class TestFactorization:
@@ -1106,6 +1172,36 @@ BENCH_GROUPS = [
 ]
 
 
+class TestHeadlineBubbleOracle:
+    """The paper's headline {-1,0} bubble, measured by max_growth at N = 32,
+    against an oracle that shares no code with hill: R assembled densely
+    from the wave's amplitudes, speed and omega (dense_R), solved by
+    np.linalg.eigvals at N = 16, its growth maximised over xi around each
+    collision of {-1,0}.  Kept to dn = 1: the narrow {-2,0} bubbles slip
+    through a plain xi scan."""
+
+    @pytest.mark.parametrize("bgk, a", [((1, 1, 1.6), 0.01), ((1, 2.3, 1.9), 0.015)])
+    def test_peak_matches_dense_oracle(self, bgk, a):
+        w = wave_at(*bgk)
+
+        def growth(xi):
+            return np.abs(np.linalg.eigvals(dense_R(w, a, 16, xi)).imag).max()
+
+        peaks = []
+        for xi0 in collision_xi(w.params, -1, 0):
+            scan = np.linspace(max(xi0 - 0.02, _XI_LO), min(xi0 + 0.02, 0.5), 401)
+            j = int(np.argmax([growth(xi) for xi in scan]))
+            best = minimize_scalar(lambda xi: -growth(xi), method="bounded",
+                                   bounds=(scan[max(j - 1, 0)], scan[min(j + 1, 400)]),
+                                   options={"xatol": 1e-10})
+            peaks.append((-best.fun, best.x))
+        assert peaks
+        g_oracle, xi_oracle = max(peaks)
+        xi_star, g, _ = max_growth(w, a, CFG32)
+        assert g == pytest.approx(g_oracle, rel=1e-5)
+        assert abs(xi_star - xi_oracle) <= 1e-4
+
+
 class TestExactRescaling:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(beta=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.5, 6.0),
@@ -1555,6 +1651,18 @@ class TestConfig:
             # rejected at construction, before any grid exists
             with pytest.raises(ValueError, match="xi grid size"):
                 TruncationConfig(xi_grid=num)
+
+    def test_sizes_must_be_integers(self):
+        # a fractional grid size would put the grid's last point past 1/2,
+        # and a fractional or NaN N would fail later, inside numpy
+        for kwargs in ({"xi_grid": 100.5}, {"N": 32.5}, {"N": float("nan")}):
+            with pytest.raises(ValueError, match="not an integer"):
+                TruncationConfig(**kwargs)
+        with pytest.raises(ValueError, match="not an integer"):
+            default_xi_grid(2.5)
+        # numpy integers are integers
+        cfg = TruncationConfig(N=np.int64(16), xi_grid=np.int32(64))
+        assert cfg.grid().size == 64 and cfg.grid()[-1] == 0.5
 
     def test_hull_entries_bounded(self, monkeypatch):
         # a sweep's hull stage holds (2N+1) * ceil(xi_grid/64) entries at
