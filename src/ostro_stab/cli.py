@@ -127,14 +127,6 @@ def _ordered_wave(params: stokes.PhysicalParams, a: float) -> stokes.StokesWave:
     return wave
 
 
-def _n_range(args) -> int:
-    """--n-range, refused outside [0, dispersion.MAX_N_RANGE]."""
-    if not 0 <= args.n_range <= dispersion.MAX_N_RANGE:
-        raise DomainError(f"--n-range {args.n_range} not in "
-                          f"[0, {dispersion.MAX_N_RANGE}]")
-    return args.n_range
-
-
 def _coefficients(args) -> tuple[float, float]:
     """(beta, gamma), checked as PhysicalParams checks them, for the
     commands that take no wavenumber."""
@@ -154,6 +146,9 @@ def _cmd_wave(args):
         "A42": wave.A42, "A44": wave.A44, "c2": wave.c2, "c4": wave.c4,
     }
     if args.a is not None:
+        # refuses an unordered expansion, or an overflowing power of a,
+        # before eval_speed takes the same powers
+        stokes.harmonic_amplitudes(wave, args.a)
         results["speed"] = stokes.eval_speed(wave, args.a)
         results["residual_l2"] = stokes.residual_F(wave, args.a)
     rows = [("coefficient", "value")] + list(results.items())
@@ -162,7 +157,7 @@ def _cmd_wave(args):
 
 def _cmd_dispersion(args):
     """Bloch frequencies and Krein signatures at one xi"""
-    n_range = _n_range(args)
+    n_range = stokes._check_count("--n-range", args.n_range, 0, dispersion.MAX_N_RANGE)
     params = _params(args)
     _require(args, "xi")
     dispersion.check_xi(args.xi)
@@ -180,7 +175,8 @@ def _cmd_dispersion(args):
 
 def _cmd_collisions(args):
     """colliding mode pairs and origin collisions"""
-    n_range = _n_range(args)
+    # checked here as well, under the flag's name, before the library runs
+    n_range = stokes._check_count("--n-range", args.n_range, 0, dispersion.MAX_N_RANGE)
     beta, gamma = _coefficients(args)
     pairs = dispersion.enumerate_collision_pairs(beta, args.dn_max, n_range)
     if args.opposite_krein:
@@ -286,8 +282,7 @@ def _cmd_sweep(args):
     _require(args, "beta", "gamma", "lo", "hi", "num")
     if (args.k is None) == (args.a is None):
         raise UsageError("sweep: give one of --k, --a; the other is swept")
-    if not 1 <= args.num <= MAX_SWEEP:
-        raise DomainError(f"--num {args.num} not in [1, {MAX_SWEEP}]")
+    stokes._check_count("--num", args.num, 1, MAX_SWEEP)
     if not 0 < args.lo < args.hi:
         raise DomainError(f"need 0 < --lo < --hi, got {args.lo!r}, {args.hi!r}")
     cfg = hill.TruncationConfig(N=args.N, xi_grid=args.xi_grid)
@@ -432,8 +427,8 @@ def _emit_collision_ranges(args) -> dict:
     if args.n == args.m:
         raise DomainError("need two distinct modes")
     # past it the grid n + xi loses the xi that tells its rows apart
-    if max(abs(args.n), abs(args.m)) > dispersion.MAX_N_RANGE:
-        raise DomainError(f"|--n|, |--m| must not exceed {dispersion.MAX_N_RANGE}")
+    for flag, mode in (("--n", args.n), ("--m", args.m)):
+        stokes._check_count(flag, mode, -dispersion.MAX_N_RANGE, dispersion.MAX_N_RANGE)
     n, m = min(args.n, args.m), max(args.n, args.m)
     xi = np.arange(-1023, 1025) / 2048.0
     x = n + xi

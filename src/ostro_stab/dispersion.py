@@ -42,7 +42,7 @@ import numpy as np
 
 from . import stokes
 from .errors import DivisionByZero, NoCollision, Singularity, XiOutOfRange
-from .stokes import _ROUNDING, PhysicalParams
+from .stokes import _ROUNDING, PhysicalParams, _check_count
 
 __all__ = [
     "CollisionEvent",
@@ -284,11 +284,6 @@ def collision_events(params: PhysicalParams, n: int, m: int) -> list[CollisionEv
     return events
 
 
-def _check_n_range(n_range: int) -> None:
-    if not 0 <= n_range <= MAX_N_RANGE:
-        raise ValueError(f"n_range {n_range} not in [0, {MAX_N_RANGE}]")
-
-
 def _admits_collision(beta: float, n, dn: int):
     """Whether modes {n, n+dn} collide for this sign of beta, xi near 0+.
 
@@ -309,12 +304,11 @@ def enumerate_collision_pairs(beta: float, dn_max: int, n_range: int) -> list[Co
     Each pair carries ``opposite_krein``, true exactly when n <= -1 <= 0 <= m
     so that (n + xi)(m + xi) < 0 throughout xi in (0, 1/2].  Only dn up to
     2*n_range has a pair inside the window, so a dn_max past it costs
-    nothing.  An n_range outside [0, MAX_N_RANGE] is refused with
-    ValueError before any work.
+    nothing.  n_range is a count in [0, MAX_N_RANGE] and dn_max one in
+    [1, inf], checked before any work (stokes._check_count).
     """
-    _check_n_range(n_range)
-    if dn_max < 1:
-        raise ValueError("dn_max must be >= 1")
+    n_range = _check_count("n_range", n_range, 0, MAX_N_RANGE)
+    dn_max = _check_count("dn_max", dn_max, 1, math.inf)
     pairs = []
     for dn in range(1, min(dn_max, 2 * n_range) + 1):
         ns = np.arange(-n_range, n_range - dn + 1)
@@ -389,10 +383,10 @@ def origin_collisions(beta: float, gamma: float, n_range: int) -> list[Collision
 
     For each n the partner is m = -n - 1 and the wavenumber is
     (gamma/(beta*(n+1/2)^2))**(1/4); omega vanishes there exactly.
-    Empty for beta < 0.  An n_range outside [0, MAX_N_RANGE] is refused
-    with ValueError before any work.
+    Empty for beta < 0.  n_range is a count in [0, MAX_N_RANGE], checked
+    before any work (stokes._check_count).
     """
-    _check_n_range(n_range)
+    n_range = _check_count("n_range", n_range, 0, MAX_N_RANGE)
     if beta < 0:
         return []
     events = []

@@ -14,8 +14,9 @@ class DomainError(Exception):
 class ResonantWavenumber(DomainError):
     """Stokes expansion not usable at this carrier wavenumber: an expansion
     denominator zero to rounding at an n = 2, 3, 4 harmonic resonance
-    (stokes_coefficients), or an expansion not ordered at the amplitude
-    asked for (harmonic_amplitudes)."""
+    (stokes_coefficients), or an expansion not ordered, or a power of the
+    amplitude that overflows, at the amplitude asked for
+    (harmonic_amplitudes)."""
 
 
 class DivisionByZero(DomainError):

@@ -56,7 +56,6 @@ is exactly symmetric under lambda -> -conj(lambda); a slice's
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -103,13 +102,6 @@ _CERTIFY_MARGIN = stokes._ROUNDING
 _SOLVE_NOISE = 1e3 * _CERTIFY_MARGIN
 
 
-def _check_grid_size(num: int) -> None:
-    if not isinstance(num, numbers.Integral):
-        raise ValueError(f"xi grid size {num!r} is not an integer")
-    if not 1 <= num <= MAX_XI_GRID:
-        raise ValueError(f"xi grid size {num} not in [1, {MAX_XI_GRID}]")
-
-
 def default_xi_grid(num: int) -> np.ndarray:
     """Uniform xi grid on (1/1024, 1/2], left endpoint excluded.
 
@@ -118,9 +110,10 @@ def default_xi_grid(num: int) -> np.ndarray:
     that no seed predicts; a bubble narrower than its spacing is found at
     its seed.  A modulational peak xi* below 1/1024 lies outside the
     domain, and the sweep reports only the flank of its bubble that
-    reaches into it, if any.
+    reaches into it, if any.  num is a count in [1, MAX_XI_GRID]
+    (stokes._check_count).
     """
-    _check_grid_size(num)
+    num = stokes._check_count("xi grid size", num, 1, MAX_XI_GRID)
     return _XI_LO + (0.5 - _XI_LO) * np.arange(1, num + 1) / num
 
 
@@ -131,11 +124,11 @@ class TruncationConfig:
     ``xi_grid`` is the number of points of ``default_xi_grid``, which
     ``grid()`` builds on demand; a single slice never builds it.  The
     ``boundary_margin`` modes next to +-N are considered contaminated by
-    truncation and are ignored when attributing growth.  Each size must
-    be an integer, a numpy integer included, and is bounded at
-    construction, before any work: 2N+1 <= MAX_DIM and xi_grid <=
-    MAX_XI_GRID.  The bound on the pair, which only a sweep needs, is
-    checked where the sweep starts (see max_growth).
+    truncation and are ignored when attributing growth.  Both sizes are
+    counts (stokes._check_count), checked at construction, before any
+    work: N in [8, (MAX_DIM - 1) // 2], so that 2N+1 <= MAX_DIM, and
+    xi_grid in [1, MAX_XI_GRID].  The bound on the pair, which only a
+    sweep needs, is checked where the sweep starts (see max_growth).
     """
 
     N: int = 32
@@ -143,14 +136,8 @@ class TruncationConfig:
     boundary_margin: ClassVar[int] = 4
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral):
-            raise ValueError(f"N = {self.N!r} is not an integer")
-        if self.N < 8:
-            raise ValueError("N must be >= 8")
-        if 2 * self.N + 1 > MAX_DIM:
-            raise ValueError(f"2N+1 = {2 * self.N + 1} exceeds the {MAX_DIM} "
-                             "matrix-dimension guard")
-        _check_grid_size(self.xi_grid)
+        stokes._check_count("N", self.N, 8, (MAX_DIM - 1) // 2)
+        stokes._check_count("xi grid size", self.xi_grid, 1, MAX_XI_GRID)
 
     def grid(self) -> np.ndarray:
         return default_xi_grid(self.xi_grid)

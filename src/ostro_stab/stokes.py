@@ -40,6 +40,7 @@ is not smaller than the fundamental W_1 = a.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,21 @@ def check_amplitude(a) -> float:
     if not math.isfinite(a):
         raise ValueError(f"a must be finite, got {a}")
     return a
+
+
+def _check_count(name: str, value, lo, hi) -> int:
+    """value as an int; ValueError unless it is an integer in [lo, hi].
+
+    The one rule for every count the program accepts: a mode window or
+    index, a truncation, a grid or sweep size.  A numpy integer is an
+    integer, a bool is not; hi may be math.inf.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    value = int(value)
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} not in [{lo}, {hi}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -165,10 +181,19 @@ def harmonic_amplitudes(wave: StokesWave, a) -> np.ndarray:
     harmonic resonance, where the coefficients blow up, or where
     a*k^2/gamma is not small; the truncated profile is then no
     small-amplitude wave, and any growth or pencil computed on it is
-    spurious.
+    spurious.  ResonantWavenumber too, naming the power, where a**2,
+    a**3 or a**4 overflows.
     """
     a = check_amplitude(a)
-    W = [a, a**2 * wave.A2 + a**4 * wave.A42, a**3 * wave.A3, a**4 * wave.A44]
+    powers = []
+    for p in (2, 3, 4):
+        try:
+            powers.append(a**p)
+        except OverflowError:
+            raise ResonantWavenumber(
+                f"expansion not evaluable at a={a!r}: a**{p} overflows") from None
+    a2, a3, a4 = powers
+    W = [a, a2 * wave.A2 + a4 * wave.A42, a3 * wave.A3, a4 * wave.A44]
     # at a = 0 a harmonic is 0 unless a coefficient is not finite
     if not all(Wj == 0 or abs(Wj) < abs(a) for Wj in W[1:]):
         H = np.abs(W)

@@ -175,6 +175,16 @@ class TestExitCodes:
         assert code == 0
         assert doc["results"]["growth"] == 0.0
 
+    def test_overflowing_amplitude_domain_error(self, capsys):
+        # a**4 overflows in eval_speed as in the harmonics: the harmonics,
+        # checked first, name the power
+        assert cli.main(["wave", "--beta", "1", "--gamma", "1", "--k", "1",
+                         "--a", "1e100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ostro-stab: domain error: expansion not "
+                                "evaluable at a=1e+100: a**4 overflows\n")
+
     @pytest.mark.parametrize("value", ["-1e-07", "-1E+2", "-.5", "-inf"])
     def test_negative_value_separate_argument(self, value, capsys):
         # "--beta -1e-07" reaches the program exactly as "--beta=-1e-07"
@@ -222,6 +232,9 @@ class TestExitCodes:
         "sweep --beta 1 --gamma 1 --a 0.01 --lo 1.2 --hi 1.6 --num 2 --N 128 "
         "--xi-grid 1048576",
         "figures --which collision_contour --beta 1 --gamma 6 --xi-grid 0",
+        f"sweep --beta 1 --gamma 1 --a 0.01 --lo 1.2 --hi 1.6 --num {cli.MAX_SWEEP + 1}",
+        "figures --which collision_ranges --beta 1 --gamma 1 "
+        f"--n {dispersion.MAX_N_RANGE + 1} --m 0",
     ])
     def test_size_bounds_domain_error(self, argv, capsys, tmp_path, monkeypatch):
         # the guards must fire before any slice is seeded, certified or
@@ -897,7 +910,10 @@ class TestFigures:
                          "--out", str(tmp_path / "figs")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"must not exceed {dispersion.MAX_N_RANGE}" in captured.err
+        # the first mode out of bounds is named
+        flag, mode = ("--n", n) if abs(int(n)) > dispersion.MAX_N_RANGE else ("--m", m)
+        bound = dispersion.MAX_N_RANGE
+        assert f"{flag} {mode} not in [-{bound}, {bound}]" in captured.err
         assert list(tmp_path.iterdir()) == []
         assert cli.main(["figures", "--which", "collision_ranges", "--beta",
                          "1", "--gamma", "1", "--n", str(-dispersion.MAX_N_RANGE),

@@ -425,16 +425,22 @@ class TestEnumerate:
 
 
 class TestTableBounds:
-    """Both collision tables refuse an n_range outside [0, MAX_N_RANGE]
-    with ValueError before any work."""
+    """Both collision tables refuse an n_range that is not an integer in
+    [0, MAX_N_RANGE], and the pair table a dn_max that is not an integer
+    >= 1, with ValueError before any work."""
 
-    @pytest.mark.parametrize("n_range", [-1, dispersion.MAX_N_RANGE + 1])
-    def test_refused(self, n_range, monkeypatch):
+    @pytest.mark.parametrize("dn_max, n_range", [
+        (4, -1), (4, dispersion.MAX_N_RANGE + 1), (4, 2.5), (4, True), (2.5, 6),
+    ], ids=["-1", str(dispersion.MAX_N_RANGE + 1), "2.5", "True", "dn_max-2.5"])
+    def test_refused(self, dn_max, n_range, monkeypatch):
         def no_work(*args, **kwargs):
-            raise AssertionError("worked past the n_range guard")
+            raise AssertionError("worked past the count guards")
         monkeypatch.setattr(dispersion, "_admits_collision", no_work)
-        with pytest.raises(ValueError, match="n_range"):
-            enumerate_collision_pairs(1.0, 4, n_range)
+        refused = "n_range" if dn_max == 4 else "dn_max"
+        with pytest.raises(ValueError, match=refused):
+            enumerate_collision_pairs(1.0, dn_max, n_range)
+        if refused == "dn_max":
+            return  # the origin table takes no dn_max
         # beta < 0, which has no origin collision, is refused all the same
         for beta in (1.0, -1.0):
             with pytest.raises(ValueError, match="n_range"):

@@ -1343,10 +1343,12 @@ class TestWindowSolve:
     @given(**_WAVES, N=st.sampled_from([8, 32, 96]), xi_grid=st.sampled_from([16, 64]))
     def test_guard_and_empty_window_on_grid_slices(self, beta, gamma, u, a, N, xi_grid):
         # each open slice of a sweep's grid, solved alone.  With the
-        # guard's bound at 0, a slice whose window counts growth falls back
-        # to the full solve, bit for bit, and one that counts none is the
-        # window solve the guard does not read.  Its clusters relabelled as
-        # boundary clusters leave an empty window: 0.0, with no solve
+        # guard's bound below 0, a slice whose window counts growth falls
+        # back to the full solve, bit for bit, and one that counts none is
+        # the window solve the guard does not read (a bound of 0 still
+        # passes a residual that is exactly 0, as where the couplings of
+        # a = 1.4e-45 underflow).  Its clusters relabelled as boundary
+        # clusters leave an empty window: 0.0, with no solve
         w = _drawn_wave(beta, gamma, u, a)
         grid = np.unique(np.concatenate([default_xi_grid(xi_grid), _bubble_seeds(w, a, N)]))
         clusters = _on_axis(w, a, grid, N)
@@ -1355,7 +1357,7 @@ class TestWindowSolve:
         for xi, c in open_:
             ref = hill._solve_window(w, a, xi, c, N)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(hill, "_CERTIFY_MARGIN", 0.0)
+                mp.setattr(hill, "_CERTIFY_MARGIN", -1.0)
                 growth, lam, grown = hill._solve_window(w, a, xi, c, N)
             if hill._attribute(ref[1], c)[0].any():
                 full = eigenvalues(_assemble_real(w, a, xi, N))
@@ -1639,7 +1641,7 @@ class TestConfig:
             TruncationConfig(N=4)
         # 2N+1 > MAX_DIM is rejected at construction, before any solve
         assert TruncationConfig(N=(MAX_DIM - 1) // 2).N == (MAX_DIM - 1) // 2
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=rf"N {(MAX_DIM + 1) // 2} not in \[8, "):
             TruncationConfig(N=(MAX_DIM + 1) // 2)
 
     def test_grid_size_bounded(self):
@@ -1654,8 +1656,10 @@ class TestConfig:
 
     def test_sizes_must_be_integers(self):
         # a fractional grid size would put the grid's last point past 1/2,
-        # and a fractional or NaN N would fail later, inside numpy
-        for kwargs in ({"xi_grid": 100.5}, {"N": 32.5}, {"N": float("nan")}):
+        # and a fractional or NaN N would fail later, inside numpy; a bool
+        # is no count, though True == 1 would sweep the one point xi = 1/2
+        for kwargs in ({"xi_grid": 100.5}, {"N": 32.5}, {"N": float("nan")},
+                       {"xi_grid": True}, {"N": True}):
             with pytest.raises(ValueError, match="not an integer"):
                 TruncationConfig(**kwargs)
         with pytest.raises(ValueError, match="not an integer"):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,16 @@ class TestOrderedExpansion:
 
     def test_zero_amplitude_runs(self, entry):
         ENTRY_POINTS[entry](wave(1, 1, 0.708), 0.0)
+
+    @pytest.mark.parametrize("a, power", [(1e160, 2), (-1e103, 3), (1e100, 4)])
+    def test_overflowing_power_refused(self, entry, a, power, monkeypatch):
+        # the lowest power of a that overflows is named, before any solve
+        def no_solve(*args):
+            raise AssertionError("solved for an overflowing amplitude")
+        monkeypatch.setattr(hill, "_solve", no_solve)
+        with pytest.raises(ResonantWavenumber, match=re.escape(
+                f"expansion not evaluable at a={a!r}: a**{power} overflows")):
+            ENTRY_POINTS[entry](wave(1, 1, 0.708), a)
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_refused(self, entry, a):
