@@ -146,9 +146,6 @@ def _cmd_wave(args):
         "A42": wave.A42, "A44": wave.A44, "c2": wave.c2, "c4": wave.c4,
     }
     if args.a is not None:
-        # refuses an unordered expansion, or an overflowing power of a,
-        # before eval_speed takes the same powers
-        stokes.harmonic_amplitudes(wave, args.a)
         results["speed"] = stokes.eval_speed(wave, args.a)
         results["residual_l2"] = stokes.residual_F(wave, args.a)
     rows = [("coefficient", "value")] + list(results.items())
@@ -321,21 +318,18 @@ def _cmd_figures(args):
     """CSV data for the kernel/collision figures"""
     _require(args, "which")
     outdir = Path(args.out) if args.out else Path(".")
+    # every value is checked before the emitter returns, so before the
+    # first file is written
     tables = _FIGURES[args.which](args)
-    # every value is checked before the first file is written
-    for name, (_, values, keep, _) in tables.items():
-        if not np.isfinite(values[keep]).all():
-            raise DomainError(f"non-finite value in {name}")
-    for name, (header, _, _, rows) in tables.items():
-        _write_csv(outdir / name, _csv_comment(args), header, rows)
-    return {"files": [str(outdir / name) for name in tables]}, None
+    comment = _csv_comment(args)
+    for name, header, body in tables:
+        _write_csv(outdir / name, comment, header, body)
+    return {"files": [str(outdir / name) for name, _, _ in tables]}, None
 
 
 # ---------------------------------------------------------------------------
-# figure-data emitters: each returns {file name: (header, values, keep,
-# rows)}, where values holds one (x, y) row per grid point, keep marks the
-# rows written (the others are blank rows) and rows holds each row's text,
-# "x,y" or "" for a blank row
+# figure-data emitters: each returns a tuple of (file name, header, body),
+# one per file, built by _table
 
 def _csv_comment(args) -> str:
     vals = [("beta", args.beta), ("gamma", args.gamma), ("k", args.k),
@@ -343,14 +337,8 @@ def _csv_comment(args) -> str:
     return "# " + " ".join(f"{name}={'' if v is None else v}" for name, v in vals)
 
 
-def _write_csv(path: Path, comment: str, header, rows) -> None:
-    """Write a comment line, the header and the rows' text.
-
-    The bytes are those of csv.writer on rows (x, y), or () for a blank
-    row: floats by repr, which is their str, and CRLF line ends.
-    """
-    # each row, the last too, ends in CRLF; no rows, no body
-    body = "\r\n".join([*rows, ""])
+def _write_csv(path: Path, comment: str, header, body: str) -> None:
+    """Write a comment line, the header and the body text of _table."""
     # created only once the inputs have passed validation
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -365,29 +353,25 @@ def _repr_column(values) -> list[str]:
     return list(map(float.__repr__, values.tolist()))
 
 
-def _mirror_text(values) -> list[str]:
-    """_repr_column(values), formatting each pair of mirror points once.
+def _table(name: str, header, x, y, keep) -> tuple[str, tuple, str]:
+    """(name, header, body) of the rows (x, y) kept by keep, the others
+    blank; DomainError unless every kept value is finite.
 
-    The left half, centre included, is formatted.  A point of the right
-    half reuses the text of its mirror point where the two have the same
-    bits, and is formatted itself where they do not: the result is right
-    for any values, and cheapest for an array that reads the same
-    reversed.
+    The body's bytes are those of csv.writer on rows (x, y), or () for a
+    blank row: floats by repr, which is their str, and CRLF line ends.
     """
-    n = values.size
-    h = (n + 1) // 2
-    text = _repr_column(values[:h])
-    right = text[:n - h][::-1]
-    bits = values.view(np.int64)
-    diff = np.flatnonzero(bits[h:] != bits[:n - h][::-1])
-    for j, t in zip(diff.tolist(), _repr_column(values[h:][diff])):
-        right[j] = t
-    return text + right
+    if not (np.isfinite(x[keep]).all() and np.isfinite(y[keep]).all()):
+        raise DomainError(f"non-finite value in {name}")
+    rows = [""] * x.size
+    for i, x_text, y_text in zip(np.flatnonzero(keep).tolist(),
+                                 _repr_column(x[keep]), _repr_column(y[keep])):
+        rows[i] = f"{x_text},{y_text}"
+    # each row, the last too, ends in CRLF; no rows, no body
+    return name, header, "\r\n".join([*rows, ""])
 
 
-def _k_rows(x, k4):
-    """Rows (x, k) with k = k4**(1/4), kept where k4 > 0, and their text,
-    formatted in the kept rows only.
+def _k_table(name: str, header, x, k4) -> tuple[str, tuple, str]:
+    """_table of the rows (x, k) with k = k4**(1/4), kept where k4 > 0.
 
     The quarter power is taken per value on Python floats (libm pow), so
     the digits do not depend on how numpy's array power is built.
@@ -395,33 +379,26 @@ def _k_rows(x, k4):
     keep = k4 > 0
     k = np.full(k4.shape, np.nan)
     k[keep] = [v ** 0.25 for v in k4[keep].tolist()]
-    rows = [""] * k.size
-    for i, x_text, k_text in zip(np.flatnonzero(keep).tolist(),
-                                 _repr_column(x[keep]), _repr_column(k[keep])):
-        rows[i] = f"{x_text},{k_text}"
-    return np.column_stack((x, k)), keep, rows
+    return _table(name, header, x, k, keep)
 
 
-def _emit_k_curves(args) -> dict:
-    # the grid of dn is x = i/256, i in [-256*(dn+2), 512]: a tail of the
-    # dn = 4 grid with the same bits, so one array and its text serve all
-    x4 = np.arange(-256 * 6, 256 * 2 + 1) / 256.0
-    x4_text = _repr_column(x4)
-    tables = {}
+@functools.lru_cache(maxsize=1)
+def _k_curves() -> tuple:
+    """The K_curves tables, built and checked on first use: the kernel
+    takes no physical parameter, so they are the same for every call."""
+    tables = []
     for dn in (1, 2, 3, 4):
-        start = 256 * (4 - dn)
-        xs = x4[start:]
-        # symmetric about x = -dn/2, where x*(x+dn) and (x+dn/2)^2, and so
-        # the kernel, round alike: the right half repeats the left's text
-        K = dispersion.collision_K(xs, dn)
-        keep = ~np.isnan(K)
-        rows = [f"{x},{k}" if kept else "" for x, k, kept in
-                zip(x4_text[start:], _mirror_text(K), keep.tolist())]
-        tables[f"k_curves_dn{dn}.csv"] = (("x", "K"), np.column_stack((xs, K)), keep, rows)
-    return tables
+        x = np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
+        K = dispersion.collision_K(x, dn)
+        tables.append(_table(f"k_curves_dn{dn}.csv", ("x", "K"), x, K, ~np.isnan(K)))
+    return tuple(tables)
 
 
-def _emit_collision_ranges(args) -> dict:
+def _emit_k_curves(args) -> tuple:
+    return _k_curves()
+
+
+def _emit_collision_ranges(args) -> tuple:
     _require(args, "beta", "gamma", "n", "m")
     beta, gamma = _coefficients(args)
     if args.n == args.m:
@@ -434,10 +411,10 @@ def _emit_collision_ranges(args) -> dict:
     x = n + xi
     # xi = 0 is left out of the Floquet family: a blank row
     k4 = np.where(xi == 0, np.nan, dispersion._collision_k4(beta, gamma, x, m - n))
-    return {f"collision_ranges_n{n}_m{m}.csv": (("x", "k"), *_k_rows(x, k4))}
+    return (_k_table(f"collision_ranges_n{n}_m{m}.csv", ("x", "k"), x, k4),)
 
 
-def _emit_collision_contour(args) -> dict:
+def _emit_collision_contour(args) -> tuple:
     beta, gamma = _coefficients(args)
     if beta <= 0:
         raise DomainError("collision contour requires beta > 0")
@@ -448,7 +425,7 @@ def _emit_collision_contour(args) -> dict:
     pole = np.isnan(k4)
     if pole.any():
         raise Singularity(f"collision kernel pole at x={x[pole].tolist()[0]!r}, dn=1")
-    return {"collision_contour.csv": (("xi", "k"), *_k_rows(xi, k4))}
+    return (_k_table("collision_contour.csv", ("xi", "k"), xi, k4),)
 
 
 # plot-ready CSV files by --which name; singular points become blank rows

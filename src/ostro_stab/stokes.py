@@ -32,8 +32,8 @@ profile's harmonics depends only on beta*k^4/gamma and a*k^2/gamma, so a
 cap on a would refuse in one set of units a wave it accepts in another.
 What keeps the truncated profile a small-amplitude wave is that its
 expansion is ordered: ``harmonic_amplitudes``, through which the
-profile, its residual, the Bloch matrices and the reduced pencils take
-the wave at an amplitude, refuses any a at which a harmonic W_j, j >= 2,
+profile, its speed and residual, the Bloch matrices and the reduced
+pencils take the wave at an amplitude, refuses any a at which a harmonic W_j, j >= 2,
 is not smaller than the fundamental W_1 = a.
 """
 
@@ -172,6 +172,30 @@ def stokes_coefficients(params: PhysicalParams) -> StokesWave:
     )
 
 
+def _ordered_powers(wave: StokesWave, a) -> tuple[list, list]:
+    """([a, a**2, a**3, a**4], [W1, W2, W3, W4]), refused as
+    harmonic_amplitudes says: the one amplitude check of this module."""
+    a = check_amplitude(a)
+    powers = [a]
+    for p in (2, 3, 4):
+        try:
+            powers.append(a**p)
+        except OverflowError:
+            raise ResonantWavenumber(
+                f"expansion not evaluable at a={a!r}: a**{p} overflows") from None
+    _, a2, a3, a4 = powers
+    W = [a, a2 * wave.A2 + a4 * wave.A42, a3 * wave.A3, a4 * wave.A44]
+    # at a = 0 a harmonic is 0 unless a coefficient is not finite
+    if not all(Wj == 0 or abs(Wj) < abs(a) for Wj in W[1:]):
+        H = np.abs(W)
+        j = int(np.argmax(H[1:])) + 1
+        raise ResonantWavenumber(
+            f"expansion not ordered at a={a!r}: harmonic W{j + 1} = "
+            f"{H[j]:.3g} is not smaller than |a| (k={wave.params.k!r} is "
+            "near a harmonic resonance, or |a| is not small)")
+    return powers, W
+
+
 def harmonic_amplitudes(wave: StokesWave, a) -> np.ndarray:
     """Cosine-series amplitudes [W1, W2, W3, W4] of the profile at amplitude a.
 
@@ -184,25 +208,7 @@ def harmonic_amplitudes(wave: StokesWave, a) -> np.ndarray:
     spurious.  ResonantWavenumber too, naming the power, where a**2,
     a**3 or a**4 overflows.
     """
-    a = check_amplitude(a)
-    powers = []
-    for p in (2, 3, 4):
-        try:
-            powers.append(a**p)
-        except OverflowError:
-            raise ResonantWavenumber(
-                f"expansion not evaluable at a={a!r}: a**{p} overflows") from None
-    a2, a3, a4 = powers
-    W = [a, a2 * wave.A2 + a4 * wave.A42, a3 * wave.A3, a4 * wave.A44]
-    # at a = 0 a harmonic is 0 unless a coefficient is not finite
-    if not all(Wj == 0 or abs(Wj) < abs(a) for Wj in W[1:]):
-        H = np.abs(W)
-        j = int(np.argmax(H[1:])) + 1
-        raise ResonantWavenumber(
-            f"expansion not ordered at a={a!r}: harmonic W{j + 1} = "
-            f"{H[j]:.3g} is not smaller than |a| (k={wave.params.k!r} is "
-            "near a harmonic resonance, or |a| is not small)")
-    return np.array(W)
+    return np.array(_ordered_powers(wave, a)[1])
 
 
 def eval_profile(wave: StokesWave, a, z):
@@ -219,9 +225,10 @@ def eval_profile(wave: StokesWave, a, z):
 
 
 def eval_speed(wave: StokesWave, a) -> float:
-    """Wave speed c0 + a^2*c2 + a^4*c4 (even in a)."""
-    a = check_amplitude(a)
-    return wave.c0 + a**2 * wave.c2 + a**4 * wave.c4
+    """Wave speed c0 + a^2*c2 + a^4*c4 (even in a), refused where
+    harmonic_amplitudes refuses a."""
+    (_, a2, _, a4), _ = _ordered_powers(wave, a)
+    return wave.c0 + a2 * wave.c2 + a4 * wave.c4
 
 
 def residual_F(wave: StokesWave, a) -> float:

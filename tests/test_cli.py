@@ -925,8 +925,17 @@ class TestFigures:
 
 
 class TestFigureCsv:
-    """_write_csv writes the bytes of csv.writer, kept here as the
-    reference, and no figure file is written unless every value is finite."""
+    """_table and _write_csv write the bytes of csv.writer, kept here as
+    the reference, and no figure file is written unless every value is
+    finite."""
+
+    @pytest.fixture
+    def fresh_k_curves(self):
+        # the K_curves tables are built once per process: each test that
+        # counts or patches their build starts and ends with none
+        cli._k_curves.cache_clear()
+        yield
+        cli._k_curves.cache_clear()
 
     @staticmethod
     def reference_bytes(comment, header, values, keep):
@@ -940,9 +949,9 @@ class TestFigureCsv:
 
     def check(self, tmp_path, values, keep):
         path = tmp_path / "t.csv"
-        rows = [f"{x!r},{y!r}" if kept else ""
-                for (x, y), kept in zip(values.tolist(), keep.tolist())]
-        cli._write_csv(path, "# beta=1.0 gamma=", ("x", "k"), rows)
+        _, header, body = cli._table("t.csv", ("x", "k"), values[:, 0],
+                                     values[:, 1], keep)
+        cli._write_csv(path, "# beta=1.0 gamma=", header, body)
         assert path.read_bytes() == self.reference_bytes(
             "# beta=1.0 gamma=", ("x", "k"), values, keep)
 
@@ -972,24 +981,37 @@ class TestFigureCsv:
     def k_curves_grid(dn):
         return np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
 
-    def test_k_curves_match_csv_writer(self, capsys, tmp_path):
+    def check_k_curves(self, out):
         # each file holds a fresh full-grid evaluation of the kernel
         argv = ["figures", "--which", "K_curves", "--beta", "1", "--gamma",
-                "1", "--out", str(tmp_path)]
+                "1", "--out", str(out)]
         assert cli.main(argv) == 0
         comment = cli._csv_comment(cli.build_parser().parse_args(argv))
         for dn in (1, 2, 3, 4):
             x = self.k_curves_grid(dn)
             K = dispersion.collision_K(x, dn)
-            assert (tmp_path / f"k_curves_dn{dn}.csv").read_bytes() == \
+            assert (out / f"k_curves_dn{dn}.csv").read_bytes() == \
                 self.reference_bytes(comment, ("x", "K"),
                                      np.column_stack((x, K)), ~np.isnan(K))
 
-    def test_k_curves_take_no_physical_parameter(self, capsys, tmp_path):
-        # beta and gamma only echo in the comment line
+    def test_k_curves_match_csv_writer(self, capsys, tmp_path):
+        self.check_k_curves(tmp_path)
+
+    def test_k_curves_take_no_physical_parameter(self, capsys, tmp_path,
+                                                 monkeypatch, fresh_k_curves):
+        # beta and gamma only echo in the comment line, and the kernel is
+        # evaluated in the first call only
+        collision_K = dispersion.collision_K
+        dns = []
+
+        def spy(x, dn):
+            dns.append(dn)
+            return collision_K(x, dn)
+        monkeypatch.setattr(dispersion, "collision_K", spy)
         for beta, gamma, d in (("1", "1", "a"), ("-2.5", "0.3", "b")):
             assert cli.main(["figures", "--which", "K_curves", "--beta", beta,
                              "--gamma", gamma, "--out", str(tmp_path / d)]) == 0
+            assert dns == [1, 2, 3, 4]
         for dn in (1, 2, 3, 4):
             name = f"k_curves_dn{dn}.csv"
             a = (tmp_path / "a" / name).read_bytes().split(b"\n", 1)
@@ -999,22 +1021,12 @@ class TestFigureCsv:
 
     @pytest.mark.parametrize("dn", [1, 2, 3, 4])
     def test_k_curves_kernel_reads_same_reversed(self, dn):
-        # why each K column reuses its left half's text on the right: the
-        # kernel is bitwise symmetric about x = -dn/2, its poles included
+        # x*(x+dn) and (x+dn/2)^2 round alike about x = -dn/2, so the
+        # kernel is bitwise symmetric there, its poles included
         K = dispersion.collision_K(self.k_curves_grid(dn), dn)
         bits = K.view(np.int64)
         assert np.isnan(K).any()
         assert np.array_equal(bits, bits[::-1])
-
-    @settings(max_examples=50, deadline=None)
-    @given(half=st.lists(st.floats(), max_size=20), centre=st.booleans(),
-           flips=st.sets(st.integers(0, 19)))
-    def test_mirror_text_of_any_floats(self, half, centre, flips):
-        # a palindrome with some right-half points changed: the text is
-        # right wherever the two halves differ, signed zeros and NaNs too
-        right = [-v if i in flips else v for i, v in enumerate(half)]
-        values = np.array(half + [0.0] * centre + right[::-1], dtype=float)
-        assert cli._mirror_text(values) == [repr(v) for v in values.tolist()]
 
     @pytest.mark.parametrize("argv", [
         "figures --which collision_ranges --beta 1e-300 --gamma 1e300 --n -1 --m 0",
@@ -1026,7 +1038,7 @@ class TestFigureCsv:
         assert list(tmp_path.iterdir()) == []
 
     def test_last_table_checked_before_first_write(self, capsys, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, fresh_k_curves):
         # an inf in k_curves_dn4.csv keeps k_curves_dn1.csv from being written
         collision_K = dispersion.collision_K
 
@@ -1038,6 +1050,9 @@ class TestFigureCsv:
                          "--gamma", "1", "--out", str(tmp_path / "figs")]) == 2
         assert "non-finite value in k_curves_dn4.csv" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+        # the build that failed left nothing cached
+        monkeypatch.undo()
+        self.check_k_curves(tmp_path / "figs")
 
     def test_contour_pole_is_singularity(self, capsys, tmp_path, monkeypatch):
         # a NaN on the contour grid raises Singularity (exit 2), not a blank row

@@ -193,6 +193,7 @@ class TestResidual:
 ENTRY_POINTS = {
     "harmonic_amplitudes": harmonic_amplitudes,
     "residual_F": residual_F,
+    "eval_speed": eval_speed,
     "eval_profile": lambda w, a: eval_profile(w, a, 0.3),
     "assemble_matrix": lambda w, a: assemble_matrix(w, a, 0.3, TruncationConfig(N=8)),
     "assemble_L_matrix": lambda w, a: assemble_L_matrix(w, a, 0.3, TruncationConfig(N=8)),
