@@ -353,24 +353,26 @@ def _repr_column(values) -> list[str]:
     return list(map(float.__repr__, values.tolist()))
 
 
-def _table(name: str, header, x, y, keep) -> tuple[str, tuple, str]:
+def _table(name: str, header, x, x_text, y, keep) -> tuple[str, tuple, str]:
     """(name, header, body) of the rows (x, y) kept by keep, the others
     blank; DomainError unless every kept value is finite.
 
-    The body's bytes are those of csv.writer on rows (x, y), or () for a
-    blank row: floats by repr, which is their str, and CRLF line ends.
+    x_text() returns the repr of every x, kept or not; it is called only
+    once every kept value has passed the check, so a call that fails
+    caches no text.  The body's bytes are those of csv.writer on rows
+    (x, y), or () for a blank row: floats by repr, which is their str,
+    and CRLF line ends.
     """
     if not (np.isfinite(x[keep]).all() and np.isfinite(y[keep]).all()):
         raise DomainError(f"non-finite value in {name}")
-    rows = [""] * x.size
-    for i, x_text, y_text in zip(np.flatnonzero(keep).tolist(),
-                                 _repr_column(x[keep]), _repr_column(y[keep])):
-        rows[i] = f"{x_text},{y_text}"
+    rows = np.full(x.size, "", dtype=object)
+    rows[keep] = (np.array(x_text(), dtype=object)[keep] + ","
+                  + np.array(_repr_column(y[keep]), dtype=object))
     # each row, the last too, ends in CRLF; no rows, no body
-    return name, header, "\r\n".join([*rows, ""])
+    return name, header, "\r\n".join([*rows.tolist(), ""])
 
 
-def _k_table(name: str, header, x, k4) -> tuple[str, tuple, str]:
+def _k_table(name: str, header, x, x_text, k4) -> tuple[str, tuple, str]:
     """_table of the rows (x, k) with k = k4**(1/4), kept where k4 > 0.
 
     The quarter power is taken per value on Python floats (libm pow), so
@@ -379,7 +381,7 @@ def _k_table(name: str, header, x, k4) -> tuple[str, tuple, str]:
     keep = k4 > 0
     k = np.full(k4.shape, np.nan)
     k[keep] = [v ** 0.25 for v in k4[keep].tolist()]
-    return _table(name, header, x, k, keep)
+    return _table(name, header, x, x_text, k, keep)
 
 
 @functools.lru_cache(maxsize=1)
@@ -390,12 +392,40 @@ def _k_curves() -> tuple:
     for dn in (1, 2, 3, 4):
         x = np.arange(-256 * (dn + 2), 256 * 2 + 1) / 256.0
         K = dispersion.collision_K(x, dn)
-        tables.append(_table(f"k_curves_dn{dn}.csv", ("x", "K"), x, K, ~np.isnan(K)))
+        tables.append(_table(f"k_curves_dn{dn}.csv", ("x", "K"), x,
+                             functools.partial(_repr_column, x), K, ~np.isnan(K)))
     return tuple(tables)
 
 
 def _emit_k_curves(args) -> tuple:
     return _k_curves()
+
+
+@functools.lru_cache(maxsize=1)
+def _dyadic_digits() -> tuple:
+    """repr(j/2048)[1:], the point and digits of j/2048, j = 0..2047."""
+    return tuple(repr(j / 2048)[1:] for j in range(2048))
+
+
+def _dyadic_text(n: int) -> list[str]:
+    """The repr of each x = n + j/2048, j = -1023..1024, for an integer
+    |n| <= MAX_N_RANGE: the integer part of |x|, then _dyadic_digits.
+
+    Every such x is exact with at most 15 significant digits, so its repr
+    is its exact decimal: a shorter decimal lies at least 1e-11 away, and
+    half an ulp at |x| <= 1000.5 is below 6e-14.  Each case joins two
+    slices of the digits; where |x| < |n| the integer part borrows one.
+    """
+    digits = _dyadic_digits()
+    if n > 0:  # x = (n - 1) + (2048 + j)/2048 for j < 0
+        return [*map(str(n - 1).__add__, digits[1025:]),
+                *map(str(n).__add__, digits[:1025])]
+    if n == 0:
+        return [*map("-0".__add__, digits[1023:0:-1]),
+                *map("0".__add__, digits[:1025])]
+    # x = -((-n - 1) + (2048 - j)/2048) for j > 0
+    return [*map(f"-{-n}".__add__, digits[1023::-1]),
+            *map(f"-{-n - 1}".__add__, digits[:1023:-1])]
 
 
 def _emit_collision_ranges(args) -> tuple:
@@ -411,7 +441,15 @@ def _emit_collision_ranges(args) -> tuple:
     x = n + xi
     # xi = 0 is left out of the Floquet family: a blank row
     k4 = np.where(xi == 0, np.nan, dispersion._collision_k4(beta, gamma, x, m - n))
-    return (_k_table(f"collision_ranges_n{n}_m{m}.csv", ("x", "k"), x, k4),)
+    return (_k_table(f"collision_ranges_n{n}_m{m}.csv", ("x", "k"), x,
+                     functools.partial(_dyadic_text, n), k4),)
+
+
+@functools.lru_cache(maxsize=1)
+def _xi_grid_text(num: int) -> tuple:
+    """The repr of each xi of hill.default_xi_grid(num): the grid takes
+    no physical parameter, so the text is the same for every call."""
+    return tuple(_repr_column(hill.default_xi_grid(num)))
 
 
 def _emit_collision_contour(args) -> tuple:
@@ -425,7 +463,8 @@ def _emit_collision_contour(args) -> tuple:
     pole = np.isnan(k4)
     if pole.any():
         raise Singularity(f"collision kernel pole at x={x[pole].tolist()[0]!r}, dn=1")
-    return (_k_table("collision_contour.csv", ("xi", "k"), xi, k4),)
+    return (_k_table("collision_contour.csv", ("xi", "k"), xi,
+                     functools.partial(_xi_grid_text, args.xi_grid), k4),)
 
 
 # plot-ready CSV files by --which name; singular points become blank rows

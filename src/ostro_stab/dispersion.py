@@ -35,6 +35,7 @@ changes neither answer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -253,7 +254,10 @@ def collision_xi(params: PhysicalParams, n: int, m: int) -> list[float]:
     dn = m - n
     B, gamma = params.beta * params.k**4, params.gamma
     qb = (dn * dn - 1) * B - gamma
-    disc = ((dn * dn - 1) * B + gamma) ** 2 + 4 * (4 - dn * dn) * B * gamma
+    # r*r, not r**2: libm's pow need not round a square as a product does,
+    # and a 2^j change of units must scale disc by exactly 4^j
+    r = (dn * dn - 1) * B + gamma
+    disc = r * r + 4 * (4 - dn * dn) * B * gamma
     if disc < 0:
         return []
     q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
@@ -305,18 +309,27 @@ def enumerate_collision_pairs(beta: float, dn_max: int, n_range: int) -> list[Co
     so that (n + xi)(m + xi) < 0 throughout xi in (0, 1/2].  Only dn up to
     2*n_range has a pair inside the window, so a dn_max past it costs
     nothing.  n_range is a count in [0, MAX_N_RANGE] and dn_max one in
-    [1, inf], checked before any work (stokes._check_count).
+    [1, inf], checked before any work (stokes._check_count).  The table
+    depends on beta only through its sign, and is built once per process
+    for each sign and window; every call gets a new list.
     """
     n_range = _check_count("n_range", n_range, 0, MAX_N_RANGE)
     dn_max = _check_count("dn_max", dn_max, 1, math.inf)
+    return list(_pair_table(bool(beta > 0), min(dn_max, 2 * n_range), n_range))
+
+
+@functools.lru_cache(maxsize=2)
+def _pair_table(positive: bool, dn_top: int, n_range: int) -> tuple[CollisionPair, ...]:
+    """The pairs of enumerate_collision_pairs for beta > 0 (positive) or
+    beta <= 0, with dn <= dn_top."""
     pairs = []
-    for dn in range(1, min(dn_max, 2 * n_range) + 1):
+    for dn in range(1, dn_top + 1):
         ns = np.arange(-n_range, n_range - dn + 1)
-        for n in ns[_admits_collision(beta, ns, dn)].tolist():
+        for n in ns[_admits_collision(1.0 if positive else -1.0, ns, dn)].tolist():
             m = n + dn
             pairs.append(CollisionPair(n=n, m=m,
                                        opposite_krein=(n <= -1 and m >= 0)))
-    return pairs
+    return tuple(pairs)
 
 
 def collision_interval(beta: float, gamma: float, n: int, m: int) -> CollisionInterval:

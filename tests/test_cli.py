@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -930,12 +931,17 @@ class TestFigureCsv:
     finite."""
 
     @pytest.fixture
-    def fresh_k_curves(self):
-        # the K_curves tables are built once per process: each test that
-        # counts or patches their build starts and ends with none
-        cli._k_curves.cache_clear()
+    def fresh_tables(self):
+        # the K_curves tables, the figure text and the pair tables are
+        # built once per process: each test that counts or patches their
+        # build, or the kernel under them, starts and ends with none
+        caches = (cli._k_curves, cli._dyadic_digits, cli._xi_grid_text,
+                  dispersion._pair_table)
+        for cache in caches:
+            cache.cache_clear()
         yield
-        cli._k_curves.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
     @staticmethod
     def reference_bytes(comment, header, values, keep):
@@ -949,7 +955,9 @@ class TestFigureCsv:
 
     def check(self, tmp_path, values, keep):
         path = tmp_path / "t.csv"
-        _, header, body = cli._table("t.csv", ("x", "k"), values[:, 0],
+        x = values[:, 0]
+        _, header, body = cli._table("t.csv", ("x", "k"), x,
+                                     lambda: cli._repr_column(x),
                                      values[:, 1], keep)
         cli._write_csv(path, "# beta=1.0 gamma=", header, body)
         assert path.read_bytes() == self.reference_bytes(
@@ -998,7 +1006,7 @@ class TestFigureCsv:
         self.check_k_curves(tmp_path)
 
     def test_k_curves_take_no_physical_parameter(self, capsys, tmp_path,
-                                                 monkeypatch, fresh_k_curves):
+                                                 monkeypatch, fresh_tables):
         # beta and gamma only echo in the comment line, and the kernel is
         # evaluated in the first call only
         collision_K = dispersion.collision_K
@@ -1028,6 +1036,57 @@ class TestFigureCsv:
         assert np.isnan(K).any()
         assert np.array_equal(bits, bits[::-1])
 
+    @pytest.mark.parametrize("n", [-1000, -999, -1, 0, 1, 999, 1000])
+    def test_dyadic_text_is_repr(self, n):
+        x = n + np.arange(-1023, 1025) / 2048.0
+        assert cli._dyadic_text(n) == cli._repr_column(x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(-dispersion.MAX_N_RANGE, dispersion.MAX_N_RANGE))
+    def test_dyadic_text_is_repr_any_mode(self, n):
+        self.test_dyadic_text_is_repr(n)
+
+    def check_figure(self, argv, path, header, x, k4):
+        # path holds a fresh evaluation of the kernel on the grid x
+        assert cli.main(argv) == 0
+        k = [v ** 0.25 if v > 0 else math.nan for v in k4.tolist()]
+        comment = cli._csv_comment(cli.build_parser().parse_args(argv))
+        assert path.read_bytes() == self.reference_bytes(
+            comment, header, np.column_stack((x, k)), k4 > 0)
+
+    @pytest.mark.parametrize("n, m", [(-1000, -999), (1000, 999), (-1, 0),
+                                      (0, 1), (-3, 0)])
+    def test_collision_ranges_match_csv_writer(self, n, m, capsys, tmp_path):
+        lo, hi = min(n, m), max(n, m)
+        xi = np.arange(-1023, 1025) / 2048.0
+        # both signs of beta, and each call after the first reads the
+        # cached digits
+        for beta, gamma in ((1.3, 2.1), (-0.7, 0.4), (2.0**-20, 3.0)):
+            argv = ["figures", "--which", "collision_ranges", "--beta", repr(beta),
+                    "--gamma", repr(gamma), "--n", str(n), "--m", str(m),
+                    "--out", str(tmp_path)]
+            k4 = dispersion._collision_k4(beta, gamma, lo + xi, hi - lo)
+            self.check_figure(argv, tmp_path / f"collision_ranges_n{lo}_m{hi}.csv",
+                              ("x", "k"), lo + xi, np.where(xi == 0, np.nan, k4))
+
+    @pytest.mark.parametrize("num", [1, 7, 512])
+    def test_collision_contour_matches_csv_writer(self, num, capsys, tmp_path):
+        xi = hill.default_xi_grid(num)
+        for beta, gamma in ((1.0, 6.0), (0.3, 1e-3), (1e300, 1e-300)):
+            argv = ["figures", "--which", "collision_contour", "--beta", repr(beta),
+                    "--gamma", repr(gamma), "--xi-grid", str(num),
+                    "--out", str(tmp_path)]
+            self.check_figure(argv, tmp_path / "collision_contour.csv", ("xi", "k"),
+                              xi, dispersion._collision_k4(beta, gamma, -1 + xi, 1))
+
+    def test_failed_check_caches_no_text(self, capsys, tmp_path, fresh_tables):
+        # k overflows: the grid's text is not built, and nothing is written
+        assert cli.main(["figures", "--which", "collision_contour", "--beta",
+                         "1e-300", "--gamma", "1e300", "--xi-grid", "7",
+                         "--out", str(tmp_path / "figs")]) == 2
+        assert cli._xi_grid_text.cache_info().currsize == 0
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         "figures --which collision_ranges --beta 1e-300 --gamma 1e300 --n -1 --m 0",
         "figures --which collision_contour --beta 1e-300 --gamma 1e300",
@@ -1038,7 +1097,7 @@ class TestFigureCsv:
         assert list(tmp_path.iterdir()) == []
 
     def test_last_table_checked_before_first_write(self, capsys, tmp_path,
-                                                   monkeypatch, fresh_k_curves):
+                                                   monkeypatch, fresh_tables):
         # an inf in k_curves_dn4.csv keeps k_curves_dn1.csv from being written
         collision_K = dispersion.collision_K
 

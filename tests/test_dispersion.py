@@ -375,6 +375,15 @@ class TestCollisionInterval:
             collision_interval(1, 1, -1, 1)
 
 
+@pytest.fixture
+def fresh_pair_tables():
+    # the pair tables are built once per process: a test that counts or
+    # patches their build starts and ends with none
+    dispersion._pair_table.cache_clear()
+    yield
+    dispersion._pair_table.cache_clear()
+
+
 class TestEnumerate:
     def test_dn1_positive_beta(self):
         pairs = enumerate_collision_pairs(1.0, 1, 6)
@@ -423,6 +432,38 @@ class TestEnumerate:
                 assert pairs == expected
                 assert all(type(p.n) is int and type(p.m) is int for p in pairs)
 
+    def test_table_built_once_per_sign(self, monkeypatch, fresh_pair_tables):
+        # beta counts only by its sign: one build of each sign's table
+        # serves every beta of that sign, and every dn_max past 2*n_range
+        admits = dispersion._admits_collision
+        signs = []
+
+        def spy(beta, n, dn):
+            signs.append(beta > 0)
+            return admits(beta, n, dn)
+        monkeypatch.setattr(dispersion, "_admits_collision", spy)
+        positive = enumerate_collision_pairs(1.0, 4, 2)
+        assert signs == [True] * 4
+        negative = enumerate_collision_pairs(-1.0, 4, 2)
+        assert signs == [True] * 4 + [False] * 4
+        for beta, pairs in ((2.5, positive), (1e-300, positive),
+                            (-3.0, negative), (-1e300, negative)):
+            assert enumerate_collision_pairs(beta, 4, 2) == pairs
+            assert enumerate_collision_pairs(beta, 10**9, 2) == pairs
+        assert len(signs) == 8
+
+    def test_returned_list_is_new(self, fresh_pair_tables):
+        pairs = enumerate_collision_pairs(-1.0, 3, 6)
+        expected = list(pairs)
+        assert expected
+        pairs.reverse()
+        pairs.append(dispersion.CollisionPair(0, 1, False))
+        assert enumerate_collision_pairs(-1.0, 3, 6) == expected
+        enumerate_collision_pairs(-1.0, 3, 6).clear()
+        assert enumerate_collision_pairs(-1.0, 3, 6) == expected
+        assert enumerate_collision_pairs(-1.0, 3, 6) is not \
+            enumerate_collision_pairs(-1.0, 3, 6)
+
 
 class TestTableBounds:
     """Both collision tables refuse an n_range that is not an integer in
@@ -432,7 +473,7 @@ class TestTableBounds:
     @pytest.mark.parametrize("dn_max, n_range", [
         (4, -1), (4, dispersion.MAX_N_RANGE + 1), (4, 2.5), (4, True), (2.5, 6),
     ], ids=["-1", str(dispersion.MAX_N_RANGE + 1), "2.5", "True", "dn_max-2.5"])
-    def test_refused(self, dn_max, n_range, monkeypatch):
+    def test_refused(self, dn_max, n_range, monkeypatch, fresh_pair_tables):
         def no_work(*args, **kwargs):
             raise AssertionError("worked past the count guards")
         monkeypatch.setattr(dispersion, "_admits_collision", no_work)

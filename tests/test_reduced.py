@@ -106,6 +106,8 @@ class TestCollisionCheck:
            j=st.integers(-40, 40))
     @example(beta=1.0, negative=True, gamma=1.0, scale=0.8, j=-40)
     @example(beta=1.0, negative=False, gamma=1.0, scale=1.6, j=40)
+    # the {-3,0} xi, where libm's x**2 and x*x round apart
+    @example(beta=1.25, negative=True, gamma=1.3, scale=0.3537474523001713, j=-2)
     def test_rescaling_changes_no_verdict(self, beta, negative, gamma, scale, j):
         # multiplying (beta, gamma) by 2^j multiplies every omega and its
         # scale by 2^j bit for bit: a collision, and a point 1e-3 off one,
